@@ -33,11 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import (
-    SparseAnnulus,
-    annulus_points,
-    eigenvalues_with_multiplicity,
-)
+from .lattice import SparseAnnulus, annulus_points
 from .spectral import (
     FourierField,
     ModeProjector,
@@ -48,6 +44,7 @@ from .spectral import (
     sobolev_norm,
 )
 from .truncation import (
+    _DEFAULT_PROFILE,
     CutoffProfile,
     apply_W,
     nonlinearity_F_prime,
@@ -87,11 +84,6 @@ class AnnulusBasis:
     def __len__(self) -> int:
         return len(self.modes)
 
-    @property
-    def dimension(self) -> int:
-        """2 x (lattice modes) minus the rank lost to incompressibility."""
-        return len(self.modes)
-
 
 def annulus_basis(lambda_N: int, k: float, M: int) -> AnnulusBasis:
     """Build the band basis for eigenvalues in [lambda_N - k, lambda_N + k].
@@ -114,14 +106,6 @@ def annulus_basis(lambda_N: int, k: float, M: int) -> AnnulusBasis:
     return AnnulusBasis(lambda_N, float(k), M, tuple(modes), conj)
 
 
-def _w_coefficient(w: FourierField, j1: int, j2: int) -> np.ndarray:
-    """Coefficient of w at wavenumber (j1, j2); zero outside w's truncation."""
-    M = w.M
-    if abs(j1) > M or abs(j2) > M:
-        return np.zeros(2, dtype=np.complex128)
-    return w.coeffs[:, j1 + M, j2 + M]
-
-
 def _band_input_gain(
     u: FourierField,
     mode: AnnulusMode,
@@ -138,7 +122,7 @@ def _band_input_gain(
     whenever the mode lies beyond u's truncation.
     """
     j1, j2 = mode.j
-    uc = _w_coefficient(u, j1, j2)
+    uc = u.mode(mode.j)
     scale = (j1 * j1 + j2 * j2) ** (0.5 * (3.0 + params.epsilon)) / params.rho
     gain = 0.0 + 0.0j
     for m in range(2):
@@ -174,8 +158,7 @@ def assemble_restricted_operator(
     """
     if len(basis) == 0:
         raise ValueError("basis is empty")
-    if profile is None:
-        profile = CutoffProfile()
+    profile = profile or _DEFAULT_PROFILE
     w = apply_W(u, params, profile)
     n = len(basis)
     gains = [_band_input_gain(u, m, params, profile) for m in basis.modes]
@@ -188,7 +171,7 @@ def assemble_restricted_operator(
                 continue
             kr = mr.j
             d1, d2 = kr[0] - kc[0], kr[1] - kc[1]
-            wd = _w_coefficient(w, d1, d2)
+            wd = w.mode((d1, d2))
             if not np.any(wd):
                 continue
             dr = mr.direction
@@ -198,10 +181,6 @@ def assemble_restricted_operator(
             entry += adv_of_mode * (dr[0] * a[0] + dr[1] * a[1])
             out[r, c] = entry / mr.norm
     return out
-
-
-def band_projector(basis: AnnulusBasis) -> ModeProjector:
-    return ModeProjector("band", basis.lambda_N, basis.k)
 
 
 def field_from_coords(
@@ -225,7 +204,7 @@ def coords_from_field(basis: AnnulusBasis, u: FourierField) -> np.ndarray:
     """Coordinates of the band part of u in the basis."""
     out = np.empty(len(basis), dtype=np.complex128)
     for i, mode in enumerate(basis.modes):
-        uc = _w_coefficient(u, *mode.j)
+        uc = u.mode(mode.j)
         out[i] = uc[0] * mode.direction[0] + uc[1] * mode.direction[1]
     return out
 
@@ -246,8 +225,7 @@ def weak_restricted_operator(
     """
     if len(basis) == 0:
         raise ValueError("basis is empty")
-    if profile is None:
-        profile = CutoffProfile()
+    profile = profile or _DEFAULT_PROFILE
     M = u.M
     if basis.lambda_N + basis.k > M * M:
         raise ValueError("band does not fit inside the sample truncation")
@@ -398,8 +376,8 @@ class AveragingReport:
     norm of W(u), with tail_bound its guaranteed ceiling r^{-2} sup ||W(u)||_{H^2};
     product_factors are the per-sample values (1/r)||W(u)||_{H^2} entering the
     product-projection estimate (unknown absolute constant absorbed);
-    dimension is the band basis size (2 modes per lattice point minus the
-    rank removed by incompressibility).
+    dimension is the band basis size, one divergence-free mode per band
+    lattice point.
     """
 
     lambda_N: int
@@ -506,15 +484,8 @@ def check_averaging(
     required.  Per-sample norm comparisons against the target bound are
     findings, not assertions.
     """
-    if profile is None:
-        profile = CutoffProfile()
-    # the table must reach past the window ceiling so the next eigenvalue
-    # above the cutoff is known; gaps between eigenvalues stay far below this
-    # margin over the whole desk-scale range
-    table = eigenvalues_with_multiplicity(
-        int(math.ceil(annulus.lam + annulus.half_width)) + 128
-    )
-    decision = choose_cutoff([e for e, _ in table], annulus)
+    profile = profile or _DEFAULT_PROFILE
+    decision = choose_cutoff(annulus)
     if not decision.window_certified:
         raise ValueError(
             "annulus window is not certified sparse; averaging check "
@@ -557,7 +528,7 @@ def check_averaging(
         beta=params.beta,
         s=annulus.s,
         r=r,
-        dimension=basis.dimension,
+        dimension=len(basis),
         bound=bound,
         sampled_norms=sampled_norms,
         pass_flags=pass_flags,

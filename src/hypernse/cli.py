@@ -5,6 +5,13 @@ flags override file values, and anything left unset falls back to documented
 defaults.  Every report embeds the fully resolved configuration and the
 package version so a run can be reproduced bitwise from its own output.
 
+One table names every stage with the stages it depends on: cone and
+averaging take the sparse annulus that the sparse stage certified, so a run
+searches for it once.  A single command runs its stage plus the stages that
+stage depends on (cone-check and averaging-check include sparse, whose
+summary lands in their report); pipeline --stages runs the listed stages in
+table order and exits 2 when a listed stage's dependency is not listed.
+
 Mathematical negative findings (no sparse annulus, rejected cutoff, negative
 cone margins, averaging bound exceeded) are data: they land in the reports
 and the exit status stays 0.  Only engineering failures (bad config, missing
@@ -30,10 +37,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .averaging import (
-    check_averaging,
-    draw_averaging_samples,
-)
+from .averaging import check_averaging, draw_averaging_samples
 from .dynamics import (
     BlowUpError,
     SimConfig,
@@ -43,8 +47,8 @@ from .dynamics import (
     perturbed_copy,
 )
 from .lattice import (
+    SparseAnnulus,
     annulus_points,
-    eigenvalues_with_multiplicity,
     find_sparse_annulus,
     min_pairwise_distance,
     record_gaps,
@@ -267,11 +271,21 @@ def _warn_near_integer_bounds(lam: float, k: float) -> None:
             )
 
 
+def _write_points_csv(path: str, points) -> str:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("j1,j2\n")
+        for p in points:
+            fh.write(f"{p.j1},{p.j2}\n")
+    return path
+
+
 # ---------------------------------------------------------------------------
-# stages: each returns a JSON-ready summary and writes its own files
+# stages: each writes its own files and returns (summary, product): the
+# JSON-ready summary for the report, and the object that the stages depending
+# on it take as arguments (None when no stage depends on it)
 
 
-def stage_gaps(cfg: RunConfig, outdir: str) -> dict:
+def stage_gaps(cfg: RunConfig, outdir: str) -> tuple[dict, None]:
     records = record_gaps(cfg.gap_limit)
     csv_path = os.path.join(outdir, "gap_records.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
@@ -286,17 +300,13 @@ def stage_gaps(cfg: RunConfig, outdir: str) -> dict:
         if last is None
         else {"lower": last.lower, "upper": last.upper, "gap": last.gap},
         "csv": os.path.basename(csv_path),
-    }
+    }, None
 
 
 def stage_annulus(lam: float, k: float, outdir: str) -> dict:
     _warn_near_integer_bounds(lam, k)
     pts = annulus_points(lam, k)
-    csv_path = os.path.join(outdir, "annulus_points.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("j1,j2\n")
-        for p in pts:
-            fh.write(f"{p.j1},{p.j2}\n")
+    csv_path = _write_points_csv(os.path.join(outdir, "annulus_points.csv"), pts)
     sep = min_pairwise_distance(pts)
     return {
         "lambda": lam,
@@ -307,15 +317,13 @@ def stage_annulus(lam: float, k: float, outdir: str) -> dict:
     }
 
 
-def stage_sparse(cfg: RunConfig, outdir: str) -> dict:
+def stage_sparse(cfg: RunConfig, outdir: str) -> tuple[dict, SparseAnnulus | None]:
     ann = find_sparse_annulus(cfg.mu, cfg.s)
     if ann is None:
-        return {"found": False, "mu": cfg.mu, "s": cfg.s}
-    csv_path = os.path.join(outdir, "sparse_annulus_points.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("j1,j2\n")
-        for p in ann.points:
-            fh.write(f"{p.j1},{p.j2}\n")
+        return {"found": False, "mu": cfg.mu, "s": cfg.s}, None
+    csv_path = _write_points_csv(
+        os.path.join(outdir, "sparse_annulus_points.csv"), ann.points
+    )
     return {
         "found": True,
         "mu": ann.mu,
@@ -329,17 +337,17 @@ def stage_sparse(cfg: RunConfig, outdir: str) -> dict:
         "n_points": len(ann.points),
         "width_ratio": ann.width_ratio,
         "csv": os.path.basename(csv_path),
-    }
+    }, ann
 
 
-def stage_strips(cfg: RunConfig, outdir: str) -> dict:
+def stage_strips(cfg: RunConfig, outdir: str) -> tuple[dict, None]:
     stats = strip_statistics(cfg.mu, cfg.s)
     return {
         "mu": stats.mu,
         "s": stats.s,
         "strip_count": stats.strip_count,
         "lattice_hits": stats.lattice_hits,
-    }
+    }, None
 
 
 def _initial_field(
@@ -364,7 +372,7 @@ def _forcing_field(
     return f * (cfg.forcing_amplitude / norm)
 
 
-def stage_simulate(cfg: RunConfig, outdir: str) -> dict:
+def stage_simulate(cfg: RunConfig, outdir: str) -> tuple[dict, None]:
     params = cfg.spectral_params()
     sim = cfg.sim_config()
     rng = np.random.default_rng(cfg.seed)
@@ -378,7 +386,7 @@ def stage_simulate(cfg: RunConfig, outdir: str) -> dict:
             "blow_up": True,
             "message": str(exc),
             "n_steps": sim.n_steps,
-        }
+        }, None
     save_field_csv(traj.fields[-1], os.path.join(outdir, "final_field.csv"))
     csv_path = os.path.join(outdir, "trajectory.csv")
     s_norm = 3.0 + params.epsilon
@@ -397,14 +405,7 @@ def stage_simulate(cfg: RunConfig, outdir: str) -> dict:
         "final_energy": inner_product(final, final),
         "final_regularity_norm": sobolev_norm(final, s_norm),
         "trajectory_csv": os.path.basename(csv_path),
-    }
-
-
-def _cutoff_decision(cfg: RunConfig, annulus):
-    table = eigenvalues_with_multiplicity(
-        int(math.ceil(annulus.lam + annulus.half_width)) + 128
-    )
-    return choose_cutoff([e for e, _ in table], annulus)
+    }, None
 
 
 def _decision_summary(decision) -> dict:
@@ -422,18 +423,19 @@ def _decision_summary(decision) -> dict:
     }
 
 
-def stage_cone(cfg: RunConfig, outdir: str, sparse_summary: dict) -> dict:
-    if not sparse_summary.get("found"):
-        return {"skipped": True, "reason": "no sparse annulus was certified"}
-    ann = find_sparse_annulus(cfg.mu, cfg.s)
-    decision = _cutoff_decision(cfg, ann)
+def stage_cone(
+    cfg: RunConfig, outdir: str, ann: SparseAnnulus | None
+) -> tuple[dict, None]:
+    if ann is None:
+        return {"skipped": True, "reason": "no sparse annulus was certified"}, None
+    decision = choose_cutoff(ann)
     summary: dict = {"cutoff": _decision_summary(decision)}
     if not decision.window_certified:
         summary.update(
             skipped=True,
             reason="projector window failed sparsity re-certification",
         )
-        return summary
+        return summary, None
     fam = decision.family
     # headroom factor keeps the band inside the two-thirds product mask, so
     # band-mode nonlinear interactions are not dealiased away
@@ -455,20 +457,21 @@ def stage_cone(cfg: RunConfig, outdir: str, sparse_summary: dict) -> dict:
         rep["trace_csv"] = os.path.basename(trace_path)
         runs.append(rep)
     summary.update(skipped=False, truncation=M_run, runs=runs)
-    return summary
+    return summary, None
 
 
-def stage_averaging(cfg: RunConfig, outdir: str, sparse_summary: dict) -> dict:
-    if not sparse_summary.get("found"):
-        return {"skipped": True, "reason": "no sparse annulus was certified"}
-    ann = find_sparse_annulus(cfg.mu, cfg.s)
+def stage_averaging(
+    cfg: RunConfig, outdir: str, ann: SparseAnnulus | None
+) -> tuple[dict, None]:
+    if ann is None:
+        return {"skipped": True, "reason": "no sparse annulus was certified"}, None
     params = cfg.spectral_params()
     rng = np.random.default_rng(cfg.seed)
     samples = draw_averaging_samples(params, cfg.samples, rng)
     try:
         report = check_averaging(samples, ann, params, seed=cfg.seed)
     except ValueError as exc:
-        return {"skipped": True, "reason": str(exc)}
+        return {"skipped": True, "reason": str(exc)}, None
     csv_path = os.path.join(outdir, "averaging_norms.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("sample_id,norm,within_bound\n")
@@ -477,13 +480,42 @@ def stage_averaging(cfg: RunConfig, outdir: str, sparse_summary: dict) -> dict:
     out = report.to_dict()
     out["skipped"] = False
     out["norms_csv"] = os.path.basename(csv_path)
-    return out
+    return out, None
 
 
 # ---------------------------------------------------------------------------
 # command wiring
 
-PIPELINE_STAGES = ("gaps", "sparse", "strips", "simulate", "cone", "averaging")
+
+def _stage_table() -> dict[str, tuple]:
+    """Stage name -> (stage function, the stages whose products it takes).
+
+    Listed in dependency order.  Built at call time, so each function is the
+    module's current binding and a tracer that rebinds stage_* sees the call.
+    """
+    return {
+        "gaps": (stage_gaps, ()),
+        "sparse": (stage_sparse, ()),
+        "strips": (stage_strips, ()),
+        "simulate": (stage_simulate, ()),
+        "cone": (stage_cone, ("sparse",)),
+        "averaging": (stage_averaging, ("sparse",)),
+    }
+
+
+PIPELINE_STAGES = tuple(_stage_table())
+
+
+def _run_stages(cfg: RunConfig, outdir: str, names, table: dict) -> dict[str, dict]:
+    """Run the named stages in table order; return their summaries by name."""
+    summaries: dict[str, dict] = {}
+    products: dict[str, object] = {}
+    for name, (stage, deps) in table.items():
+        if name in names:
+            summaries[name], products[name] = stage(
+                cfg, outdir, *(products[d] for d in deps)
+            )
+    return summaries
 
 
 def _add_override_flags(p: argparse.ArgumentParser) -> None:
@@ -577,82 +609,38 @@ def main(argv: list[str] | None = None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
-    try:
-        outdir = _run_directory(args.out, command)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        if command == "lattice-gaps":
-            results = stage_gaps(cfg, outdir)
-            report_name = "gaps.json"
-        elif command == "lattice-annulus":
-            results = stage_annulus(args.lam, args.k, outdir)
-            report_name = "annulus.json"
-        elif command == "lattice-sparse":
-            results = stage_sparse(cfg, outdir)
-            report_name = "sparse.json"
-        elif command == "lattice-strips":
-            results = stage_strips(cfg, outdir)
-            report_name = "strips.json"
-        elif command == "simulate":
-            results = stage_simulate(cfg, outdir)
-            report_name = "simulate.json"
-        elif command == "cone-check":
-            sparse_summary = stage_sparse(cfg, outdir)
-            results = stage_cone(cfg, outdir, sparse_summary)
-            results["sparse"] = sparse_summary
-            report_name = "cone.json"
-        elif command == "averaging-check":
-            sparse_summary = stage_sparse(cfg, outdir)
-            results = stage_averaging(cfg, outdir, sparse_summary)
-            results["sparse"] = sparse_summary
-            report_name = "averaging.json"
-        elif command == "pipeline":
-            stages = [s.strip() for s in args.stages.split(",") if s.strip()]
-            unknown = [s for s in stages if s not in PIPELINE_STAGES]
-            if unknown:
-                print(f"unknown stage(s): {', '.join(unknown)}",
-                      file=sys.stderr)
-                return 2
-            needs_sparse = {"cone", "averaging"} & set(stages)
-            if needs_sparse and "sparse" not in stages:
-                print(
-                    "stage dependency error: "
-                    f"{', '.join(sorted(needs_sparse))} require(s) the "
-                    "sparse stage",
-                    file=sys.stderr,
-                )
-                return 2
-            results = {}
-            sparse_summary: dict = {}
-            for stage in PIPELINE_STAGES:
-                if stage not in stages:
-                    continue
-                if stage == "gaps":
-                    results["gaps"] = stage_gaps(cfg, outdir)
-                elif stage == "sparse":
-                    sparse_summary = stage_sparse(cfg, outdir)
-                    results["sparse"] = sparse_summary
-                elif stage == "strips":
-                    results["strips"] = stage_strips(cfg, outdir)
-                elif stage == "simulate":
-                    results["simulate"] = stage_simulate(cfg, outdir)
-                elif stage == "cone":
-                    results["cone"] = stage_cone(cfg, outdir, sparse_summary)
-                elif stage == "averaging":
-                    results["averaging"] = stage_averaging(
-                        cfg, outdir, sparse_summary
-                    )
-            report_name = "pipeline.json"
-        else:  # pragma: no cover - argparse enforces the choices
-            raise AssertionError(command)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 1
+    table = _stage_table()
+    if command == "pipeline":
+        target = None
+        names = [s.strip() for s in args.stages.split(",") if s.strip()]
+        unknown = [s for s in names if s not in table]
+        if unknown:
+            print(f"unknown stage(s): {', '.join(unknown)}", file=sys.stderr)
+            return 2
+        missing = [
+            f"{s} requires {d}" for s in names for d in table[s][1] if d not in names
+        ]
+        if missing:
+            print(f"stage dependency error: {'; '.join(missing)}", file=sys.stderr)
+            return 2
+    else:
+        # lattice-gaps -> gaps, cone-check -> cone, simulate -> simulate; a
+        # single command runs its stage and the stages that stage depends on
+        target = command.removeprefix("lattice-").removesuffix("-check")
+        names = {target, *table[target][1]} if target in table else set()
 
     try:
-        _write_json(os.path.join(outdir, report_name),
+        outdir = _run_directory(args.out, command)
+        if target == "annulus":  # takes --lambda/--k; no stage depends on it
+            results = stage_annulus(args.lam, args.k, outdir)
+        else:
+            results = _run_stages(cfg, outdir, names, table)
+        if target in table:
+            # the target's summary is the report, its dependencies' sit alongside
+            report = results.pop(target)
+            report.update(results)
+            results = report
+        _write_json(os.path.join(outdir, f"{target or command}.json"),
                     _report(command, cfg, results))
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -37,7 +37,7 @@ from .spectral import (
     sobolev_norm,
     wavenumbers,
 )
-from .truncation import CutoffProfile, apply_W
+from .truncation import _DEFAULT_PROFILE, CutoffProfile, apply_W
 
 
 class BlowUpError(RuntimeError):
@@ -111,8 +111,7 @@ def rhs_prepared(
     profile: CutoffProfile | None = None,
 ) -> FourierField:
     """Full right-hand side f - nu A^beta u - B(W(u), W(u))."""
-    if profile is None:
-        profile = CutoffProfile()
+    profile = profile or _DEFAULT_PROFILE
     out = _nonlinear_rhs(u, forcing, params, config, profile)
     return out - apply_A_power(u, params.beta) * params.nu
 
@@ -137,8 +136,7 @@ def step(
     profile: CutoffProfile | None = None,
 ) -> FourierField:
     """Advance one time step with the integrator named in config."""
-    if profile is None:
-        profile = CutoffProfile()
+    profile = profile or _DEFAULT_PROFILE
     dt = config.dt
     n0 = _nonlinear_rhs(u, forcing, params, config, profile)
     if config.integrator == "eif":
@@ -184,8 +182,7 @@ def evolve(
     profile: CutoffProfile | None = None,
 ) -> Trajectory:
     """Integrate from u0, sampling every record_every steps (and the endpoint)."""
-    if profile is None:
-        profile = CutoffProfile()
+    profile = profile or _DEFAULT_PROFILE
     times = [0.0]
     fields = [u0]
     u = u0
@@ -330,8 +327,7 @@ def evolve_pair(
     """
     if u1_0.M != u2_0.M:
         raise ValueError("pair members must share a truncation")
-    if profile is None:
-        profile = CutoffProfile()
+    profile = profile or _DEFAULT_PROFILE
     M = u1_0.M
     low_mask = family.low.mask(M).astype(np.float64)
     alpha = 0.5 * (
@@ -463,8 +459,7 @@ def estimate_absorbing_radius(
     when some trajectory is still growing at the horizon, since then the
     estimate is only a lower bound.
     """
-    if profile is None:
-        profile = CutoffProfile()
+    profile = profile or _DEFAULT_PROFILE
     s_norm = 3.0 + params.epsilon
     rng = np.random.default_rng(config.seed)
     radius = 0.0

@@ -3,10 +3,10 @@
 The eigenvalues of the minus-Laplacian on the 2pi-periodic square torus are
 exactly the integers representable as j1^2 + j2^2, so everything here is
 integer arithmetic.  Floating point enters only through annulus bounds;
-integer |j|^2 values are compared against those bounds directly, which is
-exact in Python (int-vs-float comparison does not round).  The bounds
-themselves are doubles, so membership at a boundary follows strict double
-semantics; the CLI warns when a requested bound sits within 1e-9 of an
+the integer |j|^2 range inside a bound is read off its ceil/floor, which is
+exact in Python (math.ceil and math.floor of a double do not round).  The
+bounds themselves are doubles, so membership at a boundary follows strict
+double semantics; the CLI warns when a requested bound sits within 1e-9 of an
 integer.
 """
 
@@ -236,32 +236,12 @@ def min_pairwise_distance(points) -> float | None:
     Brute force over all pairs in integer arithmetic; this is the oracle used
     to certify sparse annuli and projector windows.
     """
-    pts = list(points)
-    n = len(pts)
-    if n < 2:
-        return None
-    best: int | None = None
-    for i in range(n):
-        x1, y1 = pts[i]
-        for jj in range(i + 1, n):
-            dx = x1 - pts[jj][0]
-            dy = y1 - pts[jj][1]
-            d2 = dx * dx + dy * dy
-            if best is None or d2 < best:
-                best = d2
-    return math.sqrt(best)
+    d2 = _min_squared_distance(list(points))
+    return None if d2 is None else math.sqrt(d2)
 
 
-def _bucket_points_by_norm(n_min: int, n_max: int) -> dict[int, list[LatticePoint]]:
-    """Lattice points with n_min <= |j|^2 <= n_max, bucketed by |j|^2."""
-    buckets: dict[int, list[LatticePoint]] = {}
-    for p in _points_with_norm_range(n_min, n_max):
-        buckets.setdefault(p.j1 * p.j1 + p.j2 * p.j2, []).append(p)
-    return buckets
-
-
-def _min_sep2(pts: list[LatticePoint]) -> int | None:
-    """Minimum squared pairwise distance, None if fewer than two points."""
+def _min_squared_distance(pts: list[LatticePoint]) -> int | None:
+    """Minimum squared pairwise distance, exact; None if fewer than two points."""
     n = len(pts)
     if n < 2:
         return None
@@ -275,6 +255,14 @@ def _min_sep2(pts: list[LatticePoint]) -> int | None:
             if best is None or d2 < best:
                 best = d2
     return best
+
+
+def _bucket_points_by_norm(n_min: int, n_max: int) -> dict[int, list[LatticePoint]]:
+    """Lattice points with n_min <= |j|^2 <= n_max, bucketed by |j|^2."""
+    buckets: dict[int, list[LatticePoint]] = {}
+    for p in _points_with_norm_range(n_min, n_max):
+        buckets.setdefault(p.j1 * p.j1 + p.j2 * p.j2, []).append(p)
+    return buckets
 
 
 def find_sparse_annulus(mu: float, s: float, m_start: int = 0) -> SparseAnnulus | None:
@@ -300,18 +288,16 @@ def find_sparse_annulus(mu: float, s: float, m_start: int = 0) -> SparseAnnulus 
         n_lo = math.ceil(lo) if closed_lo else math.floor(lo) + 1
         n_hi = math.floor(hi)
         out: list[LatticePoint] = []
+        # n_lo..n_hi are exactly the integers inside the double bounds
         for n in range(max(n_lo, 1), n_hi + 1):
-            if n in buckets:
-                # respect the exact float bound, not just the integer range
-                if (n >= lo if closed_lo else n > lo) and n <= hi:
-                    out.extend(buckets[n])
+            out.extend(buckets.get(n, ()))
         return out
 
     for m in range(m_start, J + 1):
         lam = mu + (m + 0.5) * kappa
         thr2 = max(thr_mu * thr_mu, lam**s)  # squared thresholds: mu^s, lambda^s
         open_pts = collect(fam.bin_edge(m), fam.bin_edge(m + 1), closed_lo=False)
-        d2 = _min_sep2(open_pts)
+        d2 = _min_squared_distance(open_pts)
         if d2 is not None and not d2 > thr2:
             continue
         half = 0.5 * kappa
@@ -351,11 +337,8 @@ def strip_statistics(mu: float, s: float) -> StripStats:
     fam = AnnulusFamily(mu, s)
     js = strip_directions(mu, s)
     top = fam.bin_edge(fam.J + 1)
-    pts = [
-        p
-        for p in _points_with_norm_range(math.floor(mu) + 1, math.floor(top))
-        if p.j1 * p.j1 + p.j2 * p.j2 > mu and p.j1 * p.j1 + p.j2 * p.j2 <= top
-    ]
+    # integers n with mu < n <= top are exactly floor(mu) + 1 .. floor(top)
+    pts = _points_with_norm_range(math.floor(mu) + 1, math.floor(top))
     if not js or not pts:
         return StripStats(mu=mu, s=s, strip_count=len(js), lattice_hits=0)
     P = np.array(pts, dtype=np.int64)

@@ -28,14 +28,18 @@ counterpart is mask(direct(mask u, mask v)).
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .lattice import SparseAnnulus, annulus_points, min_pairwise_distance
+from .lattice import (
+    SparseAnnulus,
+    annulus_points,
+    min_pairwise_distance,
+    representable_sieve,
+)
 
 DEALIAS_MODES = ("two-thirds", "padded", "direct")
 
@@ -149,9 +153,6 @@ class FourierField:
         if max(abs(j1), abs(j2)) > self.M:
             return np.zeros(2, dtype=np.complex128)
         return self.coeffs[:, j1 + self.M, j2 + self.M].copy()
-
-    def with_coeffs(self, coeffs: np.ndarray) -> "FourierField":
-        return FourierField(self.M, coeffs)
 
     def __add__(self, other: "FourierField") -> "FourierField":
         self._check_compatible(other)
@@ -568,33 +569,23 @@ class CutoffDecision:
     k_over_lambda_s: float
 
 
-def choose_cutoff(eigs, annulus: SparseAnnulus) -> CutoffDecision:
+def choose_cutoff(annulus: SparseAnnulus) -> CutoffDecision:
     """Select the projector cutoff for a certified annulus.
 
-    eigs must be a sorted sequence of distinct eigenvalues covering
-    [lambda - k - 1, lambda + k + 1].  lambda_N is the largest eigenvalue
-    <= lambda; k is the annulus half-width.
+    lambda_N is the largest eigenvalue <= lambda and lambda_next the next one,
+    both read off the sum-of-two-squares sieve; k is the annulus half-width.
     """
     lam = annulus.lam
     k = annulus.half_width
-    values = sorted(set(int(e) for e in eigs))
-    if not values:
-        raise ValueError("empty eigenvalue list")
-    if values[0] > lam - k - 1 and values[0] > 1:
-        raise ValueError(
-            f"eigenvalue list starts at {values[0]}, above the annulus floor {lam - k - 1}"
-        )
-    if values[-1] < lam + k + 1:
-        raise ValueError(
-            f"eigenvalue list ends at {values[-1]}, below the annulus ceiling {lam + k + 1}"
-        )
-    i = bisect.bisect_right(values, lam) - 1
-    if i < 0:
-        raise ValueError(f"no eigenvalue at or below lambda = {lam}")
-    if i + 1 >= len(values):
-        raise ValueError(f"no eigenvalue above lambda_N = {values[i]}")
-    lam_N = values[i]
-    lam_next = values[i + 1]
+    # the sieve reaches 128 past the window ceiling so lambda_next is on it;
+    # gaps between sums of two squares stay far below that margin at any
+    # feasible scale
+    mask = representable_sieve(math.ceil(lam + k) + 128)
+    lam_N = int(np.flatnonzero(mask[: math.floor(lam) + 1])[-1])
+    above = np.flatnonzero(mask[lam_N + 1 :])
+    if above.size == 0:
+        raise ValueError(f"no eigenvalue within the sieve above lambda_N = {lam_N}")
+    lam_next = lam_N + 1 + int(above[0])
     gap = lam_next - lam_N
     family = CutoffFamily(lam_N, lam_next, k)
 

@@ -38,7 +38,7 @@ def small_basis():
 
 def test_basis_layout(small_basis):
     b = small_basis
-    assert b.dimension == len(b.modes)
+    assert len(b) == len(b.modes)
     norms = {m.j[0] ** 2 + m.j[1] ** 2 for m in b.modes}
     assert norms == {25, 26}
     for i, m in enumerate(b.modes):
@@ -57,8 +57,8 @@ def test_basis_requires_truncation_coverage():
 
 def test_coords_round_trip(small_basis):
     rng = np.random.default_rng(0)
-    coords = rng.standard_normal(small_basis.dimension) + 1j * rng.standard_normal(
-        small_basis.dimension
+    coords = rng.standard_normal(len(small_basis)) + 1j * rng.standard_normal(
+        len(small_basis)
     )
     u = field_from_coords(small_basis, coords, 16)
     back = coords_from_field(small_basis, u)
@@ -67,8 +67,8 @@ def test_coords_round_trip(small_basis):
 
 def test_field_from_coords_is_isometric(small_basis):
     rng = np.random.default_rng(1)
-    z = rng.standard_normal(small_basis.dimension) + 1j * rng.standard_normal(
-        small_basis.dimension
+    z = rng.standard_normal(len(small_basis)) + 1j * rng.standard_normal(
+        len(small_basis)
     )
     u = field_from_coords(small_basis, z, 16)
     assert inner_product(u, u) == pytest.approx(float(np.sum(np.abs(z) ** 2)), rel=1e-12)
@@ -103,7 +103,7 @@ def test_weak_assembly_is_the_derivative_pairing(small_basis):
     weak = weak_restricted_operator(u, small_basis, PARAMS, dealias="padded")
     c = 2
     vc = field_from_coords(
-        small_basis, np.eye(small_basis.dimension)[c].astype(np.complex128), 16
+        small_basis, np.eye(len(small_basis))[c].astype(np.complex128), 16
     )
     img = nonlinearity_F_prime(u, vc, PARAMS, dealias="padded")
     col = coords_from_field(small_basis, img)

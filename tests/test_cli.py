@@ -5,7 +5,12 @@ import os
 
 import pytest
 
+import hypernse.cli
 from hypernse.cli import ConfigError, main, resolve_config
+
+# a certified annulus at mu = 50 keeps the cone run at M = 13
+SMALL = ["--mu", "50", "--s", "0.15", "--M", "8", "--T", "0.002",
+         "--samples", "2", "--gap-limit", "1000"]
 
 
 def test_defaults():
@@ -141,6 +146,36 @@ def test_pipeline_cone_requires_sparse(tmp_path):
     assert rc == 2
     rc = main(["pipeline", "--stages", "averaging", "--out", str(tmp_path / "y")])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "command", [["cone-check"], ["averaging-check"], ["pipeline"]]
+)
+def test_sparse_annulus_is_searched_once(tmp_path, monkeypatch, command):
+    calls = []
+    search = hypernse.cli.find_sparse_annulus
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(hypernse.cli, "find_sparse_annulus", counted)
+    assert main(command + SMALL + ["--out", str(tmp_path / "x")]) == 0
+    assert len(calls) == 1
+
+
+def test_single_command_matches_pipeline_subset(tmp_path):
+    single, piped = tmp_path / "single", tmp_path / "piped"
+    assert main(["averaging-check"] + SMALL + ["--out", str(single)]) == 0
+    assert main(["pipeline", "--stages", "sparse,averaging"] + SMALL
+                + ["--out", str(piped)]) == 0
+    one = json.loads((single / "averaging.json").read_text())["results"]
+    both = json.loads((piped / "pipeline.json").read_text())["results"]
+    assert one["skipped"] is False
+    assert one.pop("sparse") == both["sparse"]
+    assert one == both["averaging"]
+    for name in ("averaging_norms.csv", "sparse_annulus_points.csv"):
+        assert (single / name).read_bytes() == (piped / name).read_bytes()
 
 
 def test_bad_flag_value_exits_2(tmp_path):

@@ -14,7 +14,6 @@ from hypernse import (
     apply_A_power,
     bilinear_B,
     choose_cutoff,
-    eigenvalues_with_multiplicity,
     find_sparse_annulus,
     inner_product,
     leray_project,
@@ -195,9 +194,7 @@ def test_project_restricts_support():
 
 def test_choose_cutoff_desk_scale_window():
     ann = find_sparse_annulus(1.0e4, 0.15)
-    top = math.ceil(ann.lam + ann.half_width) + 128
-    eigs = [e for e, _ in eigenvalues_with_multiplicity(top)]
-    dec = choose_cutoff(eigs, ann)
+    dec = choose_cutoff(ann)
     assert dec.family.lambda_N == 10004
     assert dec.family.lambda_next == 10009
     assert dec.gap == 5
@@ -205,13 +202,6 @@ def test_choose_cutoff_desk_scale_window():
     assert dec.window_certified
     assert dec.window_min_separation == 4.0
     assert "gap" in dec.reason
-
-
-def test_choose_cutoff_needs_table_coverage():
-    ann = find_sparse_annulus(1.0e4, 0.15)
-    short = [e for e, _ in eigenvalues_with_multiplicity(9000)]
-    with pytest.raises(ValueError):
-        choose_cutoff(short, ann)
 
 
 def test_field_csv_round_trip(tmp_path):
