@@ -29,17 +29,18 @@ acts there as the identity on band modes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .lattice import SparseAnnulus, annulus_points
+from .lattice import SparseAnnulus, _points_with_norm_range, annulus_points
 from .spectral import (
     FourierField,
     ModeProjector,
     SpectralParams,
     choose_cutoff,
     inner_product,
+    project,
     random_field,
     sobolev_norm,
 )
@@ -299,10 +300,10 @@ def cancellation_defect(
 
     phi is a low-frequency scalar factor given by its Fourier coefficients;
     psi is a scalar field supported on the band lattice points.  The product
-    is evaluated as a direct dense convolution (shifted adds over phi's
-    support), then sampled at the band points.  On a certified sparse band
-    whose separation exceeds phi's support radius the result is exactly zero:
-    no difference of band points is reachable by a phi mode.
+    coefficient at each band point p is the direct sum over phi's modes q of
+    phi[q] psi[p - q].  On a certified sparse band whose separation exceeds
+    phi's support radius the result is exactly zero: no difference of band
+    points is reachable by a phi mode, so no term exists.
     """
     if not psi or not phi:
         return 0.0
@@ -310,26 +311,12 @@ def cancellation_defect(
     for p in psi:
         if p not in window:
             raise ValueError(f"psi mode {p} lies outside the band")
-    # products landing outside the band extent are clipped; only band points
-    # are sampled, and those always fit
-    half = max(max(abs(a), abs(b)) for (a, b) in window)
-    size = 2 * half + 1
-    dense_psi = np.zeros((size, size), dtype=np.complex128)
-    for (a, b), z in psi.items():
-        dense_psi[a + half, b + half] = z
-    prod = np.zeros_like(dense_psi)
-    for (a, b), z in phi.items():
-        if a == 0 and b == 0:
-            raise ValueError("phi must be mean-zero")
-        src = dense_psi[
-            max(0, -a) : size - max(0, a), max(0, -b) : size - max(0, b)
-        ]
-        prod[
-            max(0, a) : size - max(0, -a), max(0, b) : size - max(0, -b)
-        ] += z * src
+    if (0, 0) in phi:
+        raise ValueError("phi must be mean-zero")
     defect = 0.0
     for (a, b) in window:
-        defect = max(defect, abs(prod[a + half, b + half]))
+        coeff = sum(z * psi.get((a - q, b - r), 0j) for (q, r), z in phi.items())
+        defect = max(defect, abs(coeff))
     return float(defect)
 
 
@@ -344,16 +331,13 @@ def random_cancellation_pair(
     (a real scalar field); psi gets independent complex values on the band.
     """
     phi: dict[tuple[int, int], complex] = {}
-    rmax = int(math.floor(support_radius))
-    for a in range(-rmax, rmax + 1):
-        for b in range(-rmax, rmax + 1):
-            if (a, b) <= (0, 0):
-                continue
-            if a * a + b * b > support_radius * support_radius:
-                continue
-            z = complex(rng.standard_normal(), rng.standard_normal())
-            phi[(a, b)] = z
-            phi[(-a, -b)] = z.conjugate()
+    n_max = math.floor(support_radius * support_radius)
+    for (a, b) in _points_with_norm_range(1, n_max):
+        if (a, b) <= (0, 0):
+            continue
+        z = complex(rng.standard_normal(), rng.standard_normal())
+        phi[(a, b)] = z
+        phi[(-a, -b)] = z.conjugate()
     psi = {
         p: complex(rng.standard_normal(), rng.standard_normal())
         for p in band_points
@@ -415,27 +399,11 @@ class AveragingReport:
         return sum(self.pass_flags) / len(self.pass_flags)
 
     def to_dict(self) -> dict:
-        return {
-            "lambda_N": self.lambda_N,
-            "k": self.k,
-            "beta": self.beta,
-            "s": self.s,
-            "r": self.r,
-            "dimension": self.dimension,
-            "bound": self.bound,
-            "sampled_norms": [[i, v] for i, v in self.sampled_norms],
-            "pass_flags": list(self.pass_flags),
-            "pass_fraction": self.pass_fraction,
-            "max_norm": self.max_norm,
-            "mechanism_tail": self.mechanism_tail,
-            "tail_bound": self.tail_bound,
-            "product_factors": list(self.product_factors),
-            "cancellation_defects": list(self.cancellation_defects),
-            "achieved_k_ratio": self.achieved_k_ratio,
-            "window_certified": self.window_certified,
-            "strict_accepted": self.strict_accepted,
-            **self.meta,
-        }
+        out = asdict(self)
+        meta = out.pop("meta")
+        out["pass_fraction"] = self.pass_fraction
+        out["max_norm"] = self.max_norm
+        return {**out, **meta}
 
 
 def draw_averaging_samples(
@@ -510,8 +478,7 @@ def check_averaging(
         sampled_norms.append((i, float(norm)))
         pass_flags.append(bool(norm <= bound))
         w = apply_W(u, params, profile)
-        mask = high.mask(w.M).astype(np.float64)
-        tail = FourierField(w.M, w.coeffs * mask)
+        tail = project(w, high)
         tail_sup = max(tail_sup, math.sqrt(inner_product(tail, tail)))
         h2 = sobolev_norm(w, 2.0)
         h2_sup = max(h2_sup, h2)

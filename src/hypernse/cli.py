@@ -55,6 +55,7 @@ from .lattice import (
     strip_statistics,
 )
 from .spectral import (
+    DEALIAS_MODES,
     FourierField,
     SpectralParams,
     choose_cutoff,
@@ -530,7 +531,7 @@ def _add_override_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dt", type=float)
     p.add_argument("--T", type=float)
     p.add_argument("--integrator", choices=("eif", "imex"))
-    p.add_argument("--dealias", choices=("two-thirds", "padded", "direct"))
+    p.add_argument("--dealias", choices=DEALIAS_MODES)
     p.add_argument("--seed", type=int)
     p.add_argument("--include-nonlinear", dest="include_nonlinear",
                    choices=("true", "false"))

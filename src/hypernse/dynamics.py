@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectral import (
+    DEALIAS_MODES,
     CutoffFamily,
     FourierField,
     SpectralParams,
@@ -73,7 +74,7 @@ class SimConfig:
             raise ValueError(f"T must be positive, got {self.T}")
         if self.integrator not in ("eif", "imex"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
-        if self.dealias not in ("two-thirds", "padded", "direct"):
+        if self.dealias not in DEALIAS_MODES:
             raise ValueError(f"unknown dealias route {self.dealias!r}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")

@@ -344,5 +344,9 @@ def strip_statistics(mu: float, s: float) -> StripStats:
     P = np.array(pts, dtype=np.int64)
     Jm = np.array(js, dtype=np.int64)
     width = mu**s
-    hits = int(np.count_nonzero((np.abs(P @ Jm.T) < width).any(axis=1)))
+    # one direction at a time: a points x directions matrix is hundreds of MB
+    hit = np.zeros(len(pts), dtype=bool)
+    for j in Jm:
+        hit |= np.abs(P @ j) < width
+    hits = int(np.count_nonzero(hit))
     return StripStats(mu=mu, s=s, strip_count=len(js), lattice_hits=hits)

@@ -423,15 +423,11 @@ def trilinear_b(u: FourierField, v: FourierField, w: FourierField) -> float:
     """
     u._check_compatible(v)
     u._check_compatible(w)
-    M = u.M
-    J1, J2, _ = wavenumbers(M)
+    adv = _advect_direct(u, v)
     total = 0.0 + 0.0j
     for n in range(2):
-        g1 = 1j * J1 * v.coeffs[n]
-        g2 = 1j * J2 * v.coeffs[n]
-        conv = _convolve_direct(u.coeffs[0], g1) + _convolve_direct(u.coeffs[1], g2)
-        # pair against w with the real pairing: sum_k conv[k] w_hat[-k]
-        total += np.sum(conv * w.coeffs[n, ::-1, ::-1])
+        # pair against w with the real pairing: sum_k adv[k] w_hat[-k]
+        total += np.sum(adv[n] * w.coeffs[n, ::-1, ::-1])
     return float(np.real(total))
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypernse import (
     SpectralParams,
     annulus_basis,
+    annulus_points,
     assemble_restricted_operator,
     averaging_trend,
     cancellation_defect,
@@ -26,6 +27,7 @@ from hypernse.averaging import (
     field_from_coords,
     random_cancellation_pair,
 )
+from hypernse.spectral import _convolve_direct
 
 PARAMS = SpectralParams(M=16)
 
@@ -159,6 +161,47 @@ def test_cancellation_defect_positive_on_dense_band():
     rng = np.random.default_rng(8)
     phi, psi = random_cancellation_pair(pts, 2.0, rng)
     assert cancellation_defect(phi, psi, pts) > 0.0
+
+
+@pytest.mark.parametrize(
+    "lam, k, radius", [(50, 10, 2.0), (400, 30, 2.5), (2000, 40, 3.0)]
+)
+def test_cancellation_defect_matches_dense_convolution(lam, k, radius):
+    # oracle: embed both factors on a centered grid covering the band and
+    # convolve directly; the defect is the largest product coefficient on it
+    pts = tuple((p.j1, p.j2) for p in annulus_points(lam, k))
+    half = max(max(abs(a), abs(b)) for (a, b) in pts)
+    rng = np.random.default_rng(lam)
+    for _ in range(3):
+        phi, psi = random_cancellation_pair(pts, radius, rng)
+        dense_phi = np.zeros((2 * half + 1, 2 * half + 1), dtype=np.complex128)
+        dense_psi = np.zeros_like(dense_phi)
+        for (a, b), z in phi.items():
+            dense_phi[a + half, b + half] = z
+        for (a, b), z in psi.items():
+            dense_psi[a + half, b + half] = z
+        prod = _convolve_direct(dense_phi, dense_psi)
+        expected = max(abs(prod[a + half, b + half]) for (a, b) in pts)
+        got = cancellation_defect(phi, psi, pts)
+        assert expected > 0.0
+        assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("radius", [1.0, 2.0, 2.5, math.sqrt(5.0), 3.7])
+def test_random_cancellation_pair_support_and_symmetry(radius):
+    band = ((0, 9), (9, 0), (0, -9), (-9, 0))
+    phi, psi = random_cancellation_pair(band, radius, np.random.default_rng(3))
+    R = int(radius) + 1
+    disk = {
+        (a, b)
+        for a in range(-R, R + 1)
+        for b in range(-R, R + 1)
+        if 0 < a * a + b * b <= radius * radius
+    }
+    assert set(phi) == disk
+    for (a, b), z in phi.items():
+        assert phi[(-a, -b)] == z.conjugate()
+    assert set(psi) == set(band)
 
 
 def test_cancellation_defect_validates_input():
