@@ -9,21 +9,25 @@ sum_j |j|^{2s} |u_hat[j]|^2.
 
 Product evaluation routes (the `dealias` flag):
 
-* "two-thirds"  transform-multiply-transform on the natural (2M+1)-point grid
-                with modes |j|_inf > floor(2M/3) zeroed before and after the
-                product.  Alias-free for every retained mode: with
-                Kc = floor(2M/3) and N = 2M+1 grid points, an aliased image
-                k +- N of a true product mode (|true| <= 2 Kc) can only land on
-                a retained mode |k| <= Kc if N <= 3 Kc <= 2M < N, impossible.
-* "padded"      transform-multiply-transform on a zero-padded grid of at least
-                3M+2 points per direction; computes the exact truncated
-                convolution of the full inputs.
+* "two-thirds"  only the retained block |j|_inf <= Kc = floor(2M/3) of u and v
+                is transformed, on the smallest 2-3-5-smooth grid of
+                N >= 3 Kc + 1 points per direction, and the product is read
+                back on that block; every mode |j|_inf > Kc of the result is
+                zero.  Alias-free for every retained mode: the true product
+                has modes |k|_inf <= 2 Kc, and an aliased image k +- N can only
+                land on a retained mode (|k +- N| <= Kc) if N <= 3 Kc, which
+                the grid size excludes.
+* "padded"      the same transforms over every mode |j|_inf <= M, on the
+                smallest 2-3-5-smooth grid of N >= 3M + 2 points; by the same
+                argument (N > 3M) it computes the exact truncated convolution
+                of the full inputs.
 * "direct"      exact convolution summed over all mode pairs, no transforms;
                 the oracle route, intended for M <= 16.
 
 "padded" and "direct" compute the same object through disjoint code paths and
 agree to rounding; "two-thirds" computes the masked object, whose direct-route
-counterpart is mask(direct(mask u, mask v)).
+counterpart is mask(direct(mask u, mask v)).  Any grid N >= 3 Kc + 1 gives the
+same result up to rounding; 2-3-5-smooth sizes keep the transforms fast.
 """
 
 from __future__ import annotations
@@ -106,7 +110,11 @@ class FourierField:
 
     coeffs has shape (2, 2M+1, 2M+1), complex128, centered indexing
     [component, j1+M, j2+M]; the j=0 slot is identically zero.  Instances are
-    immutable; operations return new fields.
+    immutable: coeffs is read-only, and an array handed in is copied unless it
+    is already a read-only complex128 array.  Operations return new fields, so
+    a field, or anything computed from one, may be shared between callers
+    without copying (the pair evolution hands one B(W(u), W(u)) to both the
+    cone sample and the next step).
     """
 
     M: int
@@ -119,9 +127,7 @@ class FourierField:
             raise ValueError(f"coeffs shape {c.shape} != (2, {K}, {K})")
         if c[0, self.M, self.M] != 0 or c[1, self.M, self.M] != 0:
             raise ValueError("the j=0 coefficient must be zero (mean-zero field)")
-        if not c.flags.writeable and c is self.coeffs:
-            pass
-        else:
+        if c.flags.writeable or c is not self.coeffs:
             c = c.copy()
             c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
@@ -319,33 +325,48 @@ def two_thirds_mask(u: FourierField) -> FourierField:
     return FourierField(u.M, u.coeffs * keep)
 
 
-def _grid_values(coeffs2d: np.ndarray, M: int, N: int) -> np.ndarray:
-    """Physical values on an N x N grid of the mode sum with centered coeffs."""
+def _smooth_size(n: int) -> int:
+    """Smallest integer >= n whose only prime factors are 2, 3 and 5."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+@lru_cache(maxsize=32)
+def _fft_plan(K: int, N: int):
+    """Grid positions of the modes |j|_inf <= K on an N-point grid (an np.ix_
+    index) and the read-only derivative multipliers i*j1, i*j2 on that block."""
+    r = np.arange(-K, K + 1)
+    J1, J2 = np.meshgrid(r, r, indexing="ij")
+    ik1, ik2 = 1j * J1, 1j * J2
+    for a in (ik1, ik2):
+        a.setflags(write=False)
+    return np.ix_(r % N, r % N), ik1, ik2
+
+
+def _advect_fft(u: np.ndarray, v: np.ndarray, N: int) -> np.ndarray:
+    """(u . grad) v on the centered coefficient block |j|_inf <= K that u and v
+    hold, shape (2, 2K+1, 2K+1), via transforms on an N-point grid; the product
+    is read back on the same block (no masking)."""
+    K = (u.shape[-1] - 1) // 2
+    idx, ik1, ik2 = _fft_plan(K, N)
     emb = np.zeros((N, N), dtype=np.complex128)
-    r = np.arange(-M, M + 1)
-    emb[np.ix_(r % N, r % N)] = coeffs2d
-    return np.fft.ifft2(emb) * (N * N)
 
+    def grid(c: np.ndarray) -> np.ndarray:
+        # only the block's positions are ever written, so the rest stays zero
+        emb[idx] = c
+        return np.fft.ifft2(emb, norm="forward")
 
-def _grid_coeffs(values: np.ndarray, M: int) -> np.ndarray:
-    """Centered coefficients 0 <= |j|_inf <= M from N x N physical values."""
-    N = values.shape[0]
-    full = np.fft.fft2(values) / (N * N)
-    r = np.arange(-M, M + 1)
-    return full[np.ix_(r % N, r % N)]
-
-
-def _advect_fft(u: FourierField, v: FourierField, N: int) -> np.ndarray:
-    """(u . grad) v coefficients via transforms on an N-point grid (no masking)."""
-    M = u.M
-    J1, J2, _ = wavenumbers(M)
-    u_phys = [_grid_values(u.coeffs[m], M, N) for m in range(2)]
-    out = np.empty((2, 2 * M + 1, 2 * M + 1), dtype=np.complex128)
+    u1, u2 = grid(u[0]), grid(u[1])
+    out = np.empty(u.shape, dtype=np.complex128)
     for n in range(2):
-        d1 = _grid_values(1j * J1 * v.coeffs[n], M, N)
-        d2 = _grid_values(1j * J2 * v.coeffs[n], M, N)
-        prod = u_phys[0] * d1 + u_phys[1] * d2
-        out[n] = _grid_coeffs(prod, M)
+        prod = u1 * grid(ik1 * v[n]) + u2 * grid(ik2 * v[n])
+        out[n] = np.fft.fft2(prod, norm="forward")[idx]
     return out
 
 
@@ -384,32 +405,33 @@ def _advect_direct(u: FourierField, v: FourierField) -> np.ndarray:
 
 
 def _padded_size(M: int) -> int:
-    # exact products need N >= 3M + 2; round up to an even size for fft speed
-    N = 3 * M + 2
-    return N + (N % 2)
+    # any N > 3M makes the product exact (module docstring); the route keeps
+    # its margin of N >= 3M + 2 and takes the next 2-3-5-smooth size
+    return _smooth_size(3 * M + 2)
 
 
 def bilinear_B(u: FourierField, v: FourierField, dealias: str = "two-thirds") -> FourierField:
     """B(u, v) = Leray projection of (u . grad) v, truncated to M.
 
     dealias selects the product route; see the module docstring.  The
-    "two-thirds" route zeroes modes |j|_inf > floor(2M/3) before and after
-    the product.
+    "two-thirds" route transforms only the modes |j|_inf <= floor(2M/3) and
+    returns zero above them.
     """
     u._check_compatible(v)
     if dealias not in DEALIAS_MODES:
         raise ValueError(f"unknown dealias mode {dealias!r}")
     M = u.M
-    if dealias == "two-thirds":
-        um, vm = two_thirds_mask(u), two_thirds_mask(v)
-        raw = _advect_fft(um, vm, 2 * M + 1)
-        raw[:, M, M] = 0.0
-        res = two_thirds_mask(FourierField(M, raw))
-        return leray_project(res)
-    if dealias == "padded":
-        raw = _advect_fft(u, v, _padded_size(M))
-    else:
+    if dealias == "direct":
         raw = _advect_direct(u, v)
+    else:
+        if dealias == "two-thirds":
+            K = two_thirds_limit(M)
+            N = _smooth_size(3 * K + 1)
+        else:
+            K, N = M, _padded_size(M)
+        blk = slice(M - K, M + K + 1)
+        raw = np.zeros((2, 2 * M + 1, 2 * M + 1), dtype=np.complex128)
+        raw[:, blk, blk] = _advect_fft(u.coeffs[:, blk, blk], v.coeffs[:, blk, blk], N)
     raw[:, M, M] = 0.0
     return leray_project(FourierField(M, raw))
 

@@ -178,6 +178,22 @@ def test_single_command_matches_pipeline_subset(tmp_path):
         assert (single / name).read_bytes() == (piped / name).read_bytes()
 
 
+def test_cone_check_does_not_count_a_vanished_difference(tmp_path):
+    # overflow-scale forcing absorbs the pair difference: ||v||^2 is exactly 0
+    # from the first step on, so those samples are no evidence for the cone
+    out = tmp_path / "deg"
+    rc = main(["cone-check", "--mu", "1e3", "--s", "0.15", "--T", "0.002",
+               "--forcing-amplitude", "1e308", "--out", str(out)])
+    assert rc == 0
+    runs = json.loads((out / "cone.json").read_text())["results"]["runs"]
+    assert len(runs) == 2
+    for run in runs:
+        assert run["n_samples"] == 3
+        assert run["degenerate_samples"] == 2
+        assert run["all_satisfied"] is False
+        assert run["fraction_satisfied"] == pytest.approx(1.0 / 3.0)
+
+
 def test_bad_flag_value_exits_2(tmp_path):
     rc = main(["simulate", "--beta", "1.3", "--out", str(tmp_path / "x")])
     assert rc == 2

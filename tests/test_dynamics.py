@@ -25,7 +25,9 @@ from hypernse import (
     step,
     tracking_distance,
 )
-from hypernse.spectral import CutoffFamily
+from hypernse.dynamics import _cone_sample
+from hypernse.spectral import CutoffFamily, bilinear_B
+from hypernse.truncation import apply_W
 
 PARAMS = SpectralParams(M=8)
 FAMILY = CutoffFamily(lambda_N=8, lambda_next=9, k=2.0)
@@ -135,6 +137,55 @@ def test_pair_trace_matches_linear_decay():
     v0 = tr.V[0]
     expect = v0 * np.exp(-2.0 * PARAMS.nu * lam**PARAMS.beta * tr.t)
     assert np.max(np.abs(tr.V - expect)) <= 1e-8 * abs(v0)
+
+
+def reference_pair_rows(u1, u2, forcing, params, cfg, fam):
+    """Pair trace rows by plain step() calls, with B(W(u), W(u)) recomputed
+    for every sample instead of shared with the next step."""
+    low_mask = fam.low.mask(params.M).astype(np.float64)
+    alpha = 0.5 * (float(fam.lambda_next) ** params.beta + float(fam.lambda_N) ** params.beta)
+
+    def row(t, a, b):
+        ba = bb = None
+        if cfg.include_nonlinear:
+            wa, wb = apply_W(a, params), apply_W(b, params)
+            ba = bilinear_B(wa, wa, dealias=cfg.dealias)
+            bb = bilinear_B(wb, wb, dealias=cfg.dealias)
+        return (t,) + _cone_sample(a, b, ba, bb, params, fam, low_mask, alpha)
+
+    rows = [row(0.0, u1, u2)]
+    n = cfg.n_steps
+    for i in range(1, n + 1):
+        u1 = step(u1, forcing, params, cfg)
+        u2 = step(u2, forcing, params, cfg)
+        if i % cfg.record_every == 0 or i == n:
+            rows.append(row(i * cfg.dt, u1, u2))
+    return np.asarray(rows)
+
+
+@pytest.mark.parametrize(
+    "integrator, forced, nonlinear, record_every",
+    [
+        ("eif", False, True, 1),
+        ("eif", True, True, 3),
+        ("imex", True, True, 1),
+        ("imex", False, True, 3),
+        ("eif", True, False, 3),
+        ("imex", False, False, 1),
+    ],
+)
+def test_evolve_pair_is_bitwise_the_plain_step_loop(integrator, forced, nonlinear, record_every):
+    rng = np.random.default_rng(6)
+    u2 = random_field(8, rng, decay=3.0)
+    u1 = u2 + single_mode((0, 3), (1e-2, 0.0))
+    forcing = random_field(8, rng, decay=4.0) * 5.0 if forced else None
+    cfg = SimConfig(dt=1e-3, T=0.01, integrator=integrator,
+                    include_nonlinear=nonlinear, record_every=record_every)
+    tr = evolve_pair(u1, u2, forcing, PARAMS, cfg, FAMILY)
+    ref = reference_pair_rows(u1, u2, forcing, PARAMS, cfg, FAMILY)
+    got = np.column_stack([tr.t, tr.V, tr.dVdt, tr.norm_v_sq, tr.rhs_bound, tr.margin])
+    assert got.shape == ref.shape
+    assert np.array_equal(got, ref)
 
 
 def test_pair_trace_alpha_and_columns():

@@ -1,5 +1,6 @@
 """Spectral core: fields, projections, product routes, cutoff selection."""
 
+import bisect
 import math
 
 import numpy as np
@@ -25,7 +26,13 @@ from hypernse import (
     sobolev_norm,
     trilinear_b,
 )
-from hypernse.spectral import CutoffFamily, two_thirds_mask, wavenumbers
+from hypernse.spectral import (
+    CutoffFamily,
+    _smooth_size,
+    two_thirds_limit,
+    two_thirds_mask,
+    wavenumbers,
+)
 
 
 def rel(a: FourierField, b: FourierField) -> float:
@@ -110,6 +117,38 @@ def test_two_thirds_route_equals_masked_direct():
     btt = bilinear_B(u, v, dealias="two-thirds")
     ref = two_thirds_mask(bilinear_B(two_thirds_mask(u), two_thirds_mask(v), dealias="direct"))
     assert rel(btt, ref) < 1e-12
+
+
+def non_real_field(M: int, rng) -> FourierField:
+    """Random coefficients with no conjugate symmetry (a complex field)."""
+    K = 2 * M + 1
+    c = rng.standard_normal((2, K, K)) + 1j * rng.standard_normal((2, K, K))
+    c[:, M, M] = 0.0
+    return FourierField(M, c)
+
+
+@pytest.mark.parametrize("M, N", [(12, 25), (16, 32)])
+def test_transform_routes_on_non_real_fields(M, N):
+    # M = 12: 3 Kc + 1 = 25 is already smooth; M = 16: the smooth grid, 32,
+    # is smaller than the natural 2M + 1 = 33
+    assert _smooth_size(3 * two_thirds_limit(M) + 1) == N
+    rng = np.random.default_rng(M)
+    u, v = non_real_field(M, rng), non_real_field(M, rng)
+    assert u.reality_defect() > 0.1
+    btt = bilinear_B(u, v, dealias="two-thirds")
+    ref = two_thirds_mask(bilinear_B(two_thirds_mask(u), two_thirds_mask(v), dealias="direct"))
+    assert rel(btt, ref) < 1e-13
+    assert rel(bilinear_B(u, v, dealias="padded"), bilinear_B(u, v, dealias="direct")) < 1e-13
+
+
+def test_smooth_size_matches_brute_force():
+    smooth = sorted(
+        2**a * 3**b * 5**c
+        for a in range(12) for b in range(8) for c in range(6)
+        if 2**a * 3**b * 5**c <= 4096
+    )
+    for n in range(1, 2001):
+        assert _smooth_size(n) == smooth[bisect.bisect_left(smooth, n)], n
 
 
 def test_bilinear_B_rejects_unknown_route():
