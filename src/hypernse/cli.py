@@ -245,9 +245,18 @@ def _run_directory(out_flag: str | None, command: str) -> str:
     return path
 
 
+def _strict_json(obj):
+    """obj with each non-finite float replaced by the string "inf", "-inf" or "nan"."""
+    if isinstance(obj, dict):
+        return {key: _strict_json(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict_json(value) for value in obj]
+    return str(float(obj)) if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_strict_json(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -391,22 +400,29 @@ def stage_simulate(cfg: RunConfig, outdir: str) -> tuple[dict, None]:
     save_field_csv(traj.fields[-1], os.path.join(outdir, "final_field.csv"))
     csv_path = os.path.join(outdir, "trajectory.csv")
     s_norm = 3.0 + params.epsilon
+    rows = [
+        (t, inner_product(u, u), sobolev_norm(u, s_norm))
+        for t, u in zip(traj.times, traj.fields)
+    ]
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("t,energy,regularity_norm\n")
-        for t, u in zip(traj.times, traj.fields):
-            fh.write(
-                f"{t:.17g},{inner_product(u, u):.17g},"
-                f"{sobolev_norm(u, s_norm):.17g}\n"
-            )
-    final = traj.fields[-1]
-    return {
+        for t, energy, norm in rows:
+            fh.write(f"{t:.17g},{energy:.17g},{norm:.17g}\n")
+    summary = {
         "blow_up": False,
         "n_steps": sim.n_steps,
         "n_recorded": len(traj),
-        "final_energy": inner_product(final, final),
-        "final_regularity_norm": sobolev_norm(final, s_norm),
+        "final_energy": rows[-1][1],
+        "final_regularity_norm": rows[-1][2],
         "trajectory_csv": os.path.basename(csv_path),
-    }, None
+    }
+    # finite coefficients whose energy or norm overflows have left the range
+    # of floating point all the same
+    bad = [t for t, *diag in rows if not all(map(math.isfinite, diag))]
+    if bad:
+        summary["blow_up"] = True
+        summary["message"] = f"non-finite energy or H^{s_norm:g} norm from t = {bad[0]:.6g}"
+    return summary, None
 
 
 def _decision_summary(decision) -> dict:

@@ -34,9 +34,9 @@ from .spectral import (
     apply_A_power,
     bilinear_B,
     inner_product,
+    laplacian_power,
     random_field,
     sobolev_norm,
-    wavenumbers,
 )
 from .truncation import _DEFAULT_PROFILE, CutoffProfile, apply_W
 
@@ -135,10 +135,7 @@ def rhs_prepared(
 
 
 def _decay_factors(params: SpectralParams, M: int, dt: float) -> np.ndarray:
-    _, _, lam = wavenumbers(M)
-    e = np.exp(-params.nu * dt * np.power(lam.astype(np.float64), params.beta))
-    e[M, M] = 1.0
-    return e
+    return np.exp(-params.nu * dt * laplacian_power(M, params.beta))
 
 
 def _check_finite(u: FourierField, t: float) -> None:
@@ -175,9 +172,7 @@ def step(
             u.M, u.coeffs * E + 0.5 * dt * (n0.coeffs * E + n1.coeffs)
         )
     else:
-        _, _, lam = wavenumbers(u.M)
-        a = 0.5 * dt * params.nu * np.power(lam.astype(np.float64), params.beta)
-        a[u.M, u.M] = 0.0
+        a = 0.5 * dt * params.nu * laplacian_power(u.M, params.beta)
         pred = FourierField(u.M, (u.coeffs + dt * n0.coeffs) / (1.0 + 2.0 * a))
         n1 = _nonlinear_rhs(pred, forcing, params, config, profile)
         out = FourierField(
@@ -429,17 +424,18 @@ def cone_report(trace: ConeTrace) -> dict:
 # ---------------------------------------------------------------------------
 # tracking and absorption
 
+# leading share of the samples treated as transient: dropped from the tracking
+# rate fit, and ignored by the absorbing-radius estimate
+TRACKING_SKIP_FRACTION = 0.2
+ABSORBING_TRANSIENT_FRACTION = 0.5
 
-def tracking_distance(
-    traj_a: Trajectory,
-    traj_b: Trajectory,
-    skip_fraction: float = 0.2,
-) -> dict:
+
+def tracking_distance(traj_a: Trajectory, traj_b: Trajectory) -> dict:
     """Distance ||a(t) - b(t)|| along two sampled paths plus a fitted rate.
 
     The exponential rate is the least-squares slope of log distance over the
-    samples after dropping the leading skip_fraction (transient).  Samples
-    where the distance has hit exact zero are excluded from the fit.
+    samples after dropping the leading TRACKING_SKIP_FRACTION (transient).
+    Samples where the distance has hit exact zero are excluded from the fit.
     """
     if len(traj_a) != len(traj_b):
         raise ValueError("trajectories have different sample counts")
@@ -452,7 +448,7 @@ def tracking_distance(
             for a, b in zip(traj_a.fields, traj_b.fields)
         ]
     )
-    start = int(np.floor(skip_fraction * d.size))
+    start = int(np.floor(TRACKING_SKIP_FRACTION * d.size))
     tail_t, tail_d = t[start:], d[start:]
     keep = tail_d > 0.0
     if np.count_nonzero(keep) >= 2:
@@ -475,7 +471,6 @@ def estimate_absorbing_radius(
     config: SimConfig,
     n_samples: int = 4,
     ic_scale: float = 1.0,
-    transient_fraction: float = 0.5,
     profile: CutoffProfile | None = None,
 ) -> float:
     """Empirical absorbing radius in the H^{3+epsilon} norm.
@@ -497,7 +492,7 @@ def estimate_absorbing_radius(
             u0 = u0 * (ic_scale * rng.uniform(0.2, 1.0) / n0)
         traj = evolve(u0, forcing, params, config, profile)
         norms = np.array([sobolev_norm(u, s_norm) for u in traj.fields])
-        start = int(np.floor(transient_fraction * norms.size))
+        start = int(np.floor(ABSORBING_TRANSIENT_FRACTION * norms.size))
         tail = norms[start:]
         radius = max(radius, float(np.max(tail)))
         if tail.size >= 3 and tail[-1] > 1.05 * np.min(tail):

@@ -8,6 +8,12 @@ exact in Python (math.ceil and math.floor of a double do not round).  The
 bounds themselves are doubles, so membership at a boundary follows strict
 double semantics; the CLI warns when a requested bound sits within 1e-9 of an
 integer.
+
+One enumerator, _points_with_norm_range, lists the lattice points of any
+window n_min <= |j|^2 <= n_max in O(sqrt(n_max)) row steps plus the points
+listed.  The sparse-annulus scan, the annulus and strip counts and the
+spectral cutoff all read their windows from it; only the gap records, which
+need every integer up to a limit, use the full-range sieve.
 """
 
 from __future__ import annotations
@@ -257,52 +263,36 @@ def _min_squared_distance(pts: list[LatticePoint]) -> int | None:
     return best
 
 
-def _bucket_points_by_norm(n_min: int, n_max: int) -> dict[int, list[LatticePoint]]:
-    """Lattice points with n_min <= |j|^2 <= n_max, bucketed by |j|^2."""
-    buckets: dict[int, list[LatticePoint]] = {}
-    for p in _points_with_norm_range(n_min, n_max):
-        buckets.setdefault(p.j1 * p.j1 + p.j2 * p.j2, []).append(p)
-    return buckets
-
-
-def find_sparse_annulus(mu: float, s: float, m_start: int = 0) -> SparseAnnulus | None:
+def find_sparse_annulus(mu: float, s: float) -> SparseAnnulus | None:
     """Scan the annulus family for the first bin with no close lattice pair.
 
-    Scans m = m_start..J over half-open bins (mu + m kappa, mu + (m+1) kappa];
+    Scans m = 0..J over half-open bins (mu + m kappa, mu + (m+1) kappa];
     a candidate m0 must have no two distinct lattice points within distance
     max(mu^{s/2}, lambda^{s/2}), lambda = mu + (m0 + 1/2) kappa.  The returned
     annulus is the closed set [lambda - kappa/2, lambda + kappa/2], re-collected
     and re-certified with the exhaustive pairwise oracle (a closed boundary
     point can defeat a half-open candidate, in which case the scan continues).
     Returns None when every bin fails.
+
+    Each bin visited is enumerated on its own, in O(sqrt(mu)) row steps, so
+    the cost follows the bins visited and never the whole J-bin range.
     """
     fam = AnnulusFamily(mu, s)
     kappa = fam.kappa
-    J = fam.J
     thr_mu = mu ** (s / 2.0)
 
-    top = fam.bin_edge(J + 1)
-    buckets = _bucket_points_by_norm(math.floor(mu), math.floor(top) + 1)
-
-    def collect(lo: float, hi: float, closed_lo: bool) -> list[LatticePoint]:
-        n_lo = math.ceil(lo) if closed_lo else math.floor(lo) + 1
-        n_hi = math.floor(hi)
-        out: list[LatticePoint] = []
-        # n_lo..n_hi are exactly the integers inside the double bounds
-        for n in range(max(n_lo, 1), n_hi + 1):
-            out.extend(buckets.get(n, ()))
-        return out
-
-    for m in range(m_start, J + 1):
+    for m in range(fam.J + 1):
         lam = mu + (m + 0.5) * kappa
         thr2 = max(thr_mu * thr_mu, lam**s)  # squared thresholds: mu^s, lambda^s
-        open_pts = collect(fam.bin_edge(m), fam.bin_edge(m + 1), closed_lo=False)
+        # the integers n with edge(m) < n <= edge(m+1)
+        open_pts = _points_with_norm_range(
+            math.floor(fam.bin_edge(m)) + 1, math.floor(fam.bin_edge(m + 1))
+        )
         d2 = _min_squared_distance(open_pts)
         if d2 is not None and not d2 > thr2:
             continue
         half = 0.5 * kappa
-        closed_pts = collect(lam - half, lam + half, closed_lo=True)
-        closed_pts.sort()
+        closed_pts = annulus_points(lam, half)
         # independent certification of the returned value
         sep = min_pairwise_distance(closed_pts)
         thr = max(thr_mu, lam ** (s / 2.0))

@@ -32,6 +32,7 @@ same result up to rounding; 2-3-5-smooth sizes keep the transforms fast.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -40,9 +41,9 @@ import numpy as np
 
 from .lattice import (
     SparseAnnulus,
+    _points_with_norm_range,
     annulus_points,
     min_pairwise_distance,
-    representable_sieve,
 )
 
 DEALIAS_MODES = ("two-thirds", "padded", "direct")
@@ -102,6 +103,17 @@ def wavenumbers(M: int):
     for a in (J1, J2, LAM):
         a.setflags(write=False)
     return J1, J2, LAM
+
+
+@lru_cache(maxsize=32)
+def laplacian_power(M: int, p: float) -> np.ndarray:
+    """The symbol (|j|^2)^p of A^p on the centered grid, 0 at j = 0, read-only."""
+    _, _, LAM = wavenumbers(M)
+    f = np.zeros(LAM.shape)
+    nz = LAM > 0
+    f[nz] = np.float64(LAM[nz]) ** p
+    f.setflags(write=False)
+    return f
 
 
 @dataclass(frozen=True)
@@ -199,12 +211,8 @@ def inner_product(u: FourierField, v: FourierField) -> float:
 
 def sobolev_norm(u: FourierField, s: float) -> float:
     """H^s norm: sqrt(sum_j |j|^{2s} |u_hat[j]|^2); s=0 gives the L^2 norm."""
-    _, _, LAM = wavenumbers(u.M)
-    w = np.zeros(LAM.shape)
-    nz = LAM > 0
-    w[nz] = np.float64(LAM[nz]) ** s
     dens = np.sum(np.abs(u.coeffs) ** 2, axis=0)
-    return float(math.sqrt(np.sum(w * dens)))
+    return float(math.sqrt(np.sum(laplacian_power(u.M, s) * dens)))
 
 
 def leray_project(w: FourierField) -> FourierField:
@@ -223,11 +231,7 @@ def leray_project(w: FourierField) -> FourierField:
 
 def apply_A_power(u: FourierField, p: float) -> FourierField:
     """Multiply each coefficient by (|j|^2)^p (spectral power of minus-Laplacian)."""
-    _, _, LAM = wavenumbers(u.M)
-    f = np.zeros(LAM.shape)
-    nz = LAM > 0
-    f[nz] = np.float64(LAM[nz]) ** p
-    return FourierField(u.M, u.coeffs * f)
+    return FourierField(u.M, u.coeffs * laplacian_power(u.M, p))
 
 
 def random_field(
@@ -247,10 +251,7 @@ def random_field(
     c = 0.5 * (z + np.conj(z[:, ::-1, ::-1]))
     _, _, LAM = wavenumbers(M)
     if decay > 0.0:
-        w = np.zeros(LAM.shape)
-        nz = LAM > 0
-        w[nz] = np.float64(LAM[nz]) ** (-decay / 2.0)
-        c = c * w
+        c = c * laplacian_power(M, -decay / 2.0)
     if band is not None:
         lo, hi = band
         keep = (LAM >= lo) & (LAM <= hi)
@@ -591,19 +592,22 @@ def choose_cutoff(annulus: SparseAnnulus) -> CutoffDecision:
     """Select the projector cutoff for a certified annulus.
 
     lambda_N is the largest eigenvalue <= lambda and lambda_next the next one,
-    both read off the sum-of-two-squares sieve; k is the annulus half-width.
+    both read off the norms |j|^2 of the lattice points in the window
+    [floor(lambda) - 128, ceil(lambda + k) + 128], enumerated in
+    O(sqrt(lambda)) row steps; k is the annulus half-width.
     """
     lam = annulus.lam
     k = annulus.half_width
-    # the sieve reaches 128 past the window ceiling so lambda_next is on it;
-    # gaps between sums of two squares stay far below that margin at any
-    # feasible scale
-    mask = representable_sieve(math.ceil(lam + k) + 128)
-    lam_N = int(np.flatnonzero(mask[: math.floor(lam) + 1])[-1])
-    above = np.flatnonzero(mask[lam_N + 1 :])
-    if above.size == 0:
-        raise ValueError(f"no eigenvalue within the sieve above lambda_N = {lam_N}")
-    lam_next = lam_N + 1 + int(above[0])
+    # gaps between sums of two squares stay far below this margin at any
+    # feasible scale (the largest below 1e7 is 50)
+    margin = 128
+    pts = _points_with_norm_range(math.floor(lam) - margin, math.ceil(lam + k) + margin)
+    norms = sorted({p.j1 * p.j1 + p.j2 * p.j2 for p in pts})
+    i = bisect.bisect_right(norms, lam)  # norms[:i] <= lam < norms[i:]
+    if i == 0 or i == len(norms):
+        side = "at or below" if i == 0 else "above"
+        raise ValueError(f"no eigenvalue {side} lambda = {lam} within the margin {margin}")
+    lam_N, lam_next = norms[i - 1], norms[i]
     gap = lam_next - lam_N
     family = CutoffFamily(lam_N, lam_next, k)
 

@@ -34,6 +34,7 @@ from .spectral import (
     SpectralParams,
     apply_A_power,
     bilinear_B,
+    laplacian_power,
     leray_project,
     wavenumbers,
 )
@@ -147,24 +148,16 @@ def theta_jacobian(xi: complex, profile: CutoffProfile | None = None) -> np.ndar
 
 def _amplitude_scale(params: SpectralParams, M: int) -> np.ndarray:
     """|j|^{3+eps} / rho on the centered grid, zero slot at the origin."""
-    _, _, LAM = wavenumbers(M)
-    scale = np.zeros(LAM.shape)
-    nz = LAM > 0
-    scale[nz] = np.float64(LAM[nz]) ** ((3.0 + params.epsilon) / 2.0) / params.rho
-    return scale
+    return laplacian_power(M, (3.0 + params.epsilon) / 2.0) / params.rho
 
 
 def apply_W(
     u: FourierField, params: SpectralParams, profile: CutoffProfile | None = None
 ) -> FourierField:
     """Amplitude truncation W(u); identity on the ball ||u||_{H^{3+eps}} <= rho."""
-    prof = profile or _DEFAULT_PROFILE
     scale = _amplitude_scale(params, u.M)
-    xi = u.coeffs * scale
-    th = xi * prof.psi(np.abs(xi))
-    inv = np.zeros_like(scale)
-    nz = scale > 0
-    inv[nz] = 1.0 / scale[nz]
+    th = theta(u.coeffs * scale, profile)
+    inv = np.divide(1.0, scale, out=np.zeros_like(scale), where=scale > 0)
     return leray_project(FourierField(u.M, th * inv))
 
 

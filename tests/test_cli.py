@@ -1,6 +1,7 @@
 """Command line entry points: config resolution, bundles, exit codes."""
 
 import json
+import math
 import os
 
 import pytest
@@ -114,6 +115,36 @@ def test_simulate_command(tmp_path):
     assert traj[0] == "t,energy,regularity_norm"
     assert len(traj) == 12  # header + 11 samples
     assert (out / "final_field.csv").exists()
+
+
+def _strict_loads(text: str):
+    def reject(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_simulate_reports_overflowed_diagnostics_as_blow_up(tmp_path):
+    out = tmp_path / "sim"
+    rc = main(["simulate", "--forcing-amplitude", "1e308", "--T", "0.01",
+               "--out", str(out)])
+    assert rc == 0
+    results = _strict_loads((out / "simulate.json").read_text())["results"]
+    assert results["blow_up"] is True
+    assert "non-finite" in results["message"]
+    assert results["final_energy"] == "inf"
+
+
+def test_reports_encode_non_finite_floats_as_strings(tmp_path):
+    path = tmp_path / "r.json"
+    hypernse.cli._write_json(
+        str(path), {"a": math.inf, "b": [-math.inf, (math.nan, 1.5)], "c": None}
+    )
+    assert _strict_loads(path.read_text()) == {
+        "a": "inf", "b": ["-inf", ["nan", 1.5]], "c": None
+    }
 
 
 def test_pipeline_stage_subset_and_bitwise_determinism(tmp_path):

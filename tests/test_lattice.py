@@ -17,6 +17,7 @@ from hypernse import (
     representable_sieve,
     strip_statistics,
 )
+from hypernse import lattice
 from hypernse.lattice import AnnulusFamily, strip_directions
 
 
@@ -178,3 +179,73 @@ def test_sparse_annulus_separation_is_brute_force_checkable():
 def test_sparse_annulus_rejects_bad_exponent():
     with pytest.raises(ValueError):
         find_sparse_annulus(1.0e4, 0.4)
+
+
+def brute_sparse_scan(mu: float, s: float):
+    """(m0, points, min distance) of the first certified bin, by direct loops.
+
+    Each bin m re-enumerates every (a, b) in its bounding square, collects the
+    half-open bin (mu + m kappa, mu + (m+1) kappa] and the closed annulus
+    [lambda - kappa/2, lambda + kappa/2], and checks all pairwise distances of
+    both against max(mu^{s/2}, lambda^{s/2}).
+    """
+    kappa = mu**s
+    half = 0.5 * kappa
+    for m in range(math.isqrt(int(mu)) + 1):
+        lo, hi = mu + m * kappa, mu + (m + 1) * kappa
+        lam = mu + (m + 0.5) * kappa
+        thr = max(mu ** (s / 2.0), lam ** (s / 2.0))
+        R = math.isqrt(math.floor(max(hi, lam + half)))
+        open_pts, closed_pts = [], []
+        for a in range(-R, R + 1):
+            for b in range(-R, R + 1):
+                n = a * a + b * b
+                if lo < n <= hi:
+                    open_pts.append((a, b))
+                if lam - half <= n <= lam + half:
+                    closed_pts.append((a, b))
+
+        def min_dist(pts):
+            return min(
+                (
+                    math.hypot(p[0] - q[0], p[1] - q[1])
+                    for i, p in enumerate(pts)
+                    for q in pts[i + 1 :]
+                ),
+                default=math.inf,
+            )
+
+        if min_dist(open_pts) <= thr:
+            continue
+        sep = min_dist(closed_pts)
+        if sep <= thr:
+            continue
+        return m, sorted(closed_pts), sep
+    return None
+
+
+@pytest.mark.parametrize("mu", [1e3, 3e3, 1e4, 3e4, 1e5])
+@pytest.mark.parametrize("s", [0.05, 0.1333, 0.15])
+def test_sparse_annulus_matches_brute_force_bin_scan(mu, s):
+    ann = find_sparse_annulus(mu, s)
+    expected = brute_sparse_scan(mu, s)
+    assert expected is not None
+    m0, pts, sep = expected
+    assert ann.m0 == m0
+    assert [tuple(p) for p in ann.points] == pts
+    assert ann.min_separation == sep
+
+
+def test_sparse_annulus_enumerates_only_the_bins_it_visits(monkeypatch):
+    widths = []
+    enumerate_window = lattice._points_with_norm_range
+
+    def recorded(n_min, n_max):
+        widths.append(n_max - n_min + 1)
+        return enumerate_window(n_min, n_max)
+
+    monkeypatch.setattr(lattice, "_points_with_norm_range", recorded)
+    ann = find_sparse_annulus(1.0e8, 0.15)
+    kappa = AnnulusFamily(1.0e8, 0.15).kappa
+    # m0 + 1 half-open bins and one closed annulus, each at most ceil(kappa) + 1 wide
+    assert sum(widths) <= (ann.m0 + 2) * (math.ceil(kappa) + 1)
