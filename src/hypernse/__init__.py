@@ -15,7 +15,6 @@ from .lattice import (
     SparseAnnulus,
     StripStats,
     annulus_points,
-    eigenvalues_with_multiplicity,
     find_sparse_annulus,
     is_representable,
     min_pairwise_distance,
@@ -24,14 +23,12 @@ from .lattice import (
     strip_statistics,
 )
 from .spectral import (
-    CutoffDecision,
     CutoffFamily,
     FourierField,
     ModeProjector,
     SpectralParams,
     apply_A_power,
     bilinear_B,
-    choose_cutoff,
     inner_product,
     leray_project,
     load_field_csv,

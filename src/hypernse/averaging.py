@@ -35,10 +35,10 @@ import numpy as np
 
 from .lattice import SparseAnnulus, _points_with_norm_range, annulus_points
 from .spectral import (
+    CutoffFamily,
     FourierField,
     ModeProjector,
     SpectralParams,
-    choose_cutoff,
     inner_product,
     project,
     random_field,
@@ -378,8 +378,6 @@ class AveragingReport:
     product_factors: list[float]
     cancellation_defects: list[float]
     achieved_k_ratio: float
-    window_certified: bool
-    strict_accepted: bool
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -446,20 +444,13 @@ def check_averaging(
 ) -> AveragingReport:
     """Assemble the band compression over samples and report the findings.
 
-    The cutoff is chosen from the annulus and must carry the window
-    certificate (pairwise separation of all band lattice points above the
-    threshold); the strict two-sided gap acceptance is recorded but not
-    required.  Per-sample norm comparisons against the target bound are
-    findings, not assertions.
+    The band is the annulus's projector window [lambda_N - k, lambda_N + k],
+    which the sparse-annulus scan certified along with the annulus.
+    Per-sample norm comparisons against the target bound are findings, not
+    assertions.
     """
     profile = profile or _DEFAULT_PROFILE
-    decision = choose_cutoff(annulus)
-    if not decision.window_certified:
-        raise ValueError(
-            "annulus window is not certified sparse; averaging check "
-            f"refused ({decision.reason})"
-        )
-    fam = decision.family
+    fam = CutoffFamily(annulus.lambda_N, annulus.lambda_next, annulus.half_width)
     basis_M = math.isqrt(int(fam.lambda_N + math.ceil(fam.k))) + 1
     basis = annulus_basis(fam.lambda_N, fam.k, basis_M)
     r = float(fam.lambda_N) ** (annulus.s / 2.0)
@@ -504,11 +495,11 @@ def check_averaging(
         product_factors=product_factors,
         cancellation_defects=defects,
         achieved_k_ratio=float(fam.k) / float(fam.lambda_N) ** annulus.s,
-        window_certified=decision.window_certified,
-        strict_accepted=decision.accepted,
         meta={
             "mu": annulus.mu,
-            "window_min_separation": decision.window_min_separation,
+            # the scan returns no annulus whose window fails
+            "window_certified": True,
+            "window_min_separation": annulus.window_min_separation,
         },
     )
 

@@ -12,9 +12,15 @@ stage depends on (cone-check and averaging-check include sparse, whose
 summary lands in their report); pipeline --stages runs the listed stages in
 table order and exits 2 when a listed stage's dependency is not listed.
 
-Mathematical negative findings (no sparse annulus, rejected cutoff, negative
-cone margins, averaging bound exceeded) are data: they land in the reports
-and the exit status stays 0.  Only engineering failures (bad config, missing
+The sparse stage's annulus carries its certified projector window: lambda_N,
+lambda_next and the half-width k from which cone and averaging build their
+cutoff family.  The scan passes over any bin whose window is not sparse, so
+neither stage has a cutoff to reject; the window_certified key of their
+reports is true by construction.
+
+Mathematical negative findings (no sparse annulus, a blow-up, negative cone
+margins, averaging bound exceeded) are data: they land in the reports and
+the exit status stays 0.  Only engineering failures (bad config, missing
 stage dependencies, I/O) exit nonzero.
 
 Outputs go under a timestamped directory beneath --out, the
@@ -56,9 +62,9 @@ from .lattice import (
 )
 from .spectral import (
     DEALIAS_MODES,
+    CutoffFamily,
     FourierField,
     SpectralParams,
-    choose_cutoff,
     inner_product,
     random_field,
     save_field_csv,
@@ -400,10 +406,12 @@ def stage_simulate(cfg: RunConfig, outdir: str) -> tuple[dict, None]:
     save_field_csv(traj.fields[-1], os.path.join(outdir, "final_field.csv"))
     csv_path = os.path.join(outdir, "trajectory.csv")
     s_norm = 3.0 + params.epsilon
-    rows = [
-        (t, inner_product(u, u), sobolev_norm(u, s_norm))
-        for t, u in zip(traj.times, traj.fields)
-    ]
+    # an overflowed row is reported as a blow-up below
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = [
+            (t, inner_product(u, u), sobolev_norm(u, s_norm))
+            for t, u in zip(traj.times, traj.fields)
+        ]
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("t,energy,regularity_norm\n")
         for t, energy, norm in rows:
@@ -425,18 +433,17 @@ def stage_simulate(cfg: RunConfig, outdir: str) -> tuple[dict, None]:
     return summary, None
 
 
-def _decision_summary(decision) -> dict:
+def _cutoff_summary(ann: SparseAnnulus) -> dict:
     return {
-        "strict_accepted": decision.accepted,
-        "reason": decision.reason,
-        "window_certified": decision.window_certified,
-        "window_min_separation": decision.window_min_separation,
-        "window_threshold": decision.window_threshold,
-        "lambda_N": decision.family.lambda_N,
-        "lambda_next": decision.family.lambda_next,
-        "k": decision.family.k,
-        "gap": decision.gap,
-        "k_over_lambda_s": decision.k_over_lambda_s,
+        # the scan returns no annulus whose window fails
+        "window_certified": True,
+        "window_min_separation": ann.window_min_separation,
+        "window_threshold": ann.certified_threshold,
+        "lambda_N": ann.lambda_N,
+        "lambda_next": ann.lambda_next,
+        "k": ann.half_width,
+        "gap": ann.lambda_next - ann.lambda_N,
+        "k_over_lambda_s": ann.half_width / ann.lambda_N**ann.s,
     }
 
 
@@ -445,15 +452,8 @@ def stage_cone(
 ) -> tuple[dict, None]:
     if ann is None:
         return {"skipped": True, "reason": "no sparse annulus was certified"}, None
-    decision = choose_cutoff(ann)
-    summary: dict = {"cutoff": _decision_summary(decision)}
-    if not decision.window_certified:
-        summary.update(
-            skipped=True,
-            reason="projector window failed sparsity re-certification",
-        )
-        return summary, None
-    fam = decision.family
+    fam = CutoffFamily(ann.lambda_N, ann.lambda_next, ann.half_width)
+    summary: dict = {"cutoff": _cutoff_summary(ann)}
     # headroom factor keeps the band inside the two-thirds product mask, so
     # band-mode nonlinear interactions are not dealiased away
     M_run = int(math.ceil(1.5 * math.sqrt(fam.lambda_N + fam.k))) + 2
@@ -463,16 +463,20 @@ def stage_cone(
     u1 = _initial_field(cfg, params, rng)
     forcing = _forcing_field(cfg, params, rng)
     runs = []
-    for delta in PERTURBATION_DELTAS:
-        u2 = perturbed_copy(u1, fam, delta, rng, where="band")
-        trace = evolve_pair(u1, u2, forcing, params, sim, fam)
-        tag = f"{delta:g}".replace(".", "p")
-        trace_path = os.path.join(outdir, f"cone_trace_delta_{tag}.csv")
-        trace.to_csv(trace_path)
-        rep = cone_report(trace)
-        rep["delta"] = delta
-        rep["trace_csv"] = os.path.basename(trace_path)
-        runs.append(rep)
+    try:
+        for delta in PERTURBATION_DELTAS:
+            u2 = perturbed_copy(u1, fam, delta, rng, where="band")
+            trace = evolve_pair(u1, u2, forcing, params, sim, fam)
+            tag = f"{delta:g}".replace(".", "p")
+            trace_path = os.path.join(outdir, f"cone_trace_delta_{tag}.csv")
+            trace.to_csv(trace_path)
+            rep = cone_report(trace)
+            rep["delta"] = delta
+            rep["trace_csv"] = os.path.basename(trace_path)
+            runs.append(rep)
+    except BlowUpError as exc:
+        # runs holds the pairs that finished before the blow-up
+        summary.update(blow_up=True, message=str(exc))
     summary.update(skipped=False, truncation=M_run, runs=runs)
     return summary, None
 
@@ -485,10 +489,7 @@ def stage_averaging(
     params = cfg.spectral_params()
     rng = np.random.default_rng(cfg.seed)
     samples = draw_averaging_samples(params, cfg.samples, rng)
-    try:
-        report = check_averaging(samples, ann, params, seed=cfg.seed)
-    except ValueError as exc:
-        return {"skipped": True, "reason": str(exc)}, None
+    report = check_averaging(samples, ann, params, seed=cfg.seed)
     csv_path = os.path.join(outdir, "averaging_norms.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("sample_id,norm,within_bound\n")

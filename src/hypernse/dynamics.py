@@ -207,13 +207,16 @@ def evolve(
     fields = [u0]
     u = u0
     n = config.n_steps
-    for i in range(1, n + 1):
-        u = step(u, forcing, params, config, profile)
-        t = i * config.dt
-        _check_finite(u, t)
-        if i % config.record_every == 0 or i == n:
-            times.append(t)
-            fields.append(u)
+    # a state that overflows raises BlowUpError below, so the overflow itself
+    # needs no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, n + 1):
+            u = step(u, forcing, params, config, profile)
+            t = i * config.dt
+            _check_finite(u, t)
+            if i % config.record_every == 0 or i == n:
+                times.append(t)
+                fields.append(u)
     return Trajectory(np.asarray(times), fields)
 
 
@@ -358,18 +361,20 @@ def evolve_pair(
     b2 = _B_of_W(u2, params, config, profile)
     rows = [(0.0,) + _cone_sample(u1, u2, b1, b2, params, family, low_mask, alpha)]
     n = config.n_steps
-    for i in range(1, n + 1):
-        u1 = step(u1, forcing, params, config, profile, n0=_forced(b1, forcing, M))
-        u2 = step(u2, forcing, params, config, profile, n0=_forced(b2, forcing, M))
-        t = i * config.dt
-        _check_finite(u1, t)
-        _check_finite(u2, t)
-        b1 = _B_of_W(u1, params, config, profile)
-        b2 = _B_of_W(u2, params, config, profile)
-        if i % config.record_every == 0 or i == n:
-            rows.append(
-                (t,) + _cone_sample(u1, u2, b1, b2, params, family, low_mask, alpha)
-            )
+    # as in evolve: an overflowed state raises BlowUpError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, n + 1):
+            u1 = step(u1, forcing, params, config, profile, n0=_forced(b1, forcing, M))
+            u2 = step(u2, forcing, params, config, profile, n0=_forced(b2, forcing, M))
+            t = i * config.dt
+            _check_finite(u1, t)
+            _check_finite(u2, t)
+            b1 = _B_of_W(u1, params, config, profile)
+            b2 = _B_of_W(u2, params, config, profile)
+            if i % config.record_every == 0 or i == n:
+                rows.append(
+                    (t,) + _cone_sample(u1, u2, b1, b2, params, family, low_mask, alpha)
+                )
     arr = np.asarray(rows, dtype=np.float64)
     return ConeTrace(
         t=arr[:, 0],

@@ -11,13 +11,20 @@ integer.
 
 One enumerator, _points_with_norm_range, lists the lattice points of any
 window n_min <= |j|^2 <= n_max in O(sqrt(n_max)) row steps plus the points
-listed.  The sparse-annulus scan, the annulus and strip counts and the
-spectral cutoff all read their windows from it; only the gap records, which
-need every integer up to a limit, use the full-range sieve.
+listed.  The sparse-annulus scan and the annulus and strip counts read their
+windows from it; only the gap records, which need every integer up to a
+limit, use the full-range sieve.
+
+The sparse-annulus scan is the one place that certifies sparsity.  With the
+annulus it certifies the projector window around lambda_N, the largest
+eigenvalue below the annulus centre, which is the band the cutoff operators
+act on; a bin whose window fails is passed over like a bin whose annulus
+fails.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -73,13 +80,18 @@ class AnnulusFamily:
 
 @dataclass(frozen=True)
 class SparseAnnulus:
-    """A certified annulus: all distinct lattice-point pairs are well separated.
+    """A certified annulus and the certified projector window beside it.
 
     The annulus is the closed set lambda - half_width <= |x|^2 <= lambda + half_width
-    with lambda = mu + (m0 + 1/2) kappa and half_width = kappa / 2.  Certification
-    is against certified_threshold = max(mu^{s/2}, lambda^{s/2}); separation_threshold
-    keeps the mu-based value for reference.  min_separation is the achieved minimum
-    pairwise distance (inf when fewer than two points).
+    with lambda = mu + (m0 + 1/2) kappa and half_width = kappa / 2.  lambda_N is
+    the largest eigenvalue <= lambda and lambda_next the next one; the window
+    lambda_N - half_width <= |x|^2 <= lambda_N + half_width is the band the
+    cutoff operators act on.  Annulus and window are both certified against
+    certified_threshold = max(mu^{s/2}, lambda^{s/2}), which equals
+    max(lambda^{s/2}, lambda_N^{s/2}) since mu <= lambda and lambda_N <= lambda;
+    separation_threshold keeps the mu-based value for reference.
+    min_separation and window_min_separation are the achieved minimum pairwise
+    distances (inf when fewer than two points).
     """
 
     mu: float
@@ -91,6 +103,9 @@ class SparseAnnulus:
     certified_threshold: float
     min_separation: float
     points: tuple[LatticePoint, ...]
+    lambda_N: int
+    lambda_next: int
+    window_min_separation: float
 
     @property
     def width_ratio(self) -> float:
@@ -140,29 +155,6 @@ def representable_sieve(limit: int) -> np.ndarray:
         b = np.arange(0, bmax + 1, dtype=np.int64)
         mask[n0 + b * b] = True
     return mask
-
-
-def eigenvalues_with_multiplicity(limit: int) -> list[tuple[int, int]]:
-    """Sorted (eigenvalue, multiplicity) for 1 <= eigenvalue <= limit.
-
-    The multiplicity of n is the number of lattice points j != 0 with |j|^2 = n,
-    counted exhaustively over signed ordered pairs.
-    """
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
-    mult = np.zeros(limit + 1, dtype=np.int64)
-    for a in range(math.isqrt(limit) + 1):
-        n0 = a * a
-        bmax = math.isqrt(limit - n0)
-        b = np.arange(0, bmax + 1, dtype=np.int64)
-        # signed ordered pairs (+-a, +-b): a 0-coordinate contributes one sign only
-        w = np.where(b > 0, 2, 1) * (2 if a > 0 else 1)
-        np.add.at(mult, n0 + b * b, w)
-    out = []
-    for n in range(1, limit + 1):
-        if mult[n]:
-            out.append((n, int(mult[n])))
-    return out
 
 
 def record_gaps(limit: int) -> list[GapRecord]:
@@ -239,8 +231,8 @@ def annulus_points(lam: float, k: float) -> list[LatticePoint]:
 def min_pairwise_distance(points) -> float | None:
     """Smallest Euclidean distance between distinct points, None if fewer than two.
 
-    Brute force over all pairs in integer arithmetic; this is the oracle used
-    to certify sparse annuli and projector windows.
+    Brute force over all pairs in integer arithmetic; the sparse-annulus scan
+    certifies its annuli and projector windows with it.
     """
     d2 = _min_squared_distance(list(points))
     return None if d2 is None else math.sqrt(d2)
@@ -263,40 +255,76 @@ def _min_squared_distance(pts: list[LatticePoint]) -> int | None:
     return best
 
 
+def _within(
+    pts: list[LatticePoint], norms: list[int], n_min: int, n_max: int
+) -> list[LatticePoint]:
+    """The points of pts whose norm n (norms[i] for pts[i]) has n_min <= n <= n_max."""
+    return [p for p, n in zip(pts, norms) if n_min <= n <= n_max]
+
+
+def _separation(pts: list[LatticePoint]) -> float:
+    """min_pairwise_distance, inf below two points."""
+    sep = min_pairwise_distance(pts)
+    return math.inf if sep is None else sep
+
+
 def find_sparse_annulus(mu: float, s: float) -> SparseAnnulus | None:
-    """Scan the annulus family for the first bin with no close lattice pair.
+    """Scan the annulus family for the first bin whose annulus and window are sparse.
 
-    Scans m = 0..J over half-open bins (mu + m kappa, mu + (m+1) kappa];
-    a candidate m0 must have no two distinct lattice points within distance
-    max(mu^{s/2}, lambda^{s/2}), lambda = mu + (m0 + 1/2) kappa.  The returned
-    annulus is the closed set [lambda - kappa/2, lambda + kappa/2], re-collected
-    and re-certified with the exhaustive pairwise oracle (a closed boundary
-    point can defeat a half-open candidate, in which case the scan continues).
-    Returns None when every bin fails.
+    Bin m has centre lambda = mu + (m + 1/2) kappa.  It is accepted when no two
+    distinct lattice points lie within certified_threshold =
+    max(mu^{s/2}, lambda^{s/2}) of each other in any of, checked in order:
 
-    Each bin visited is enumerated on its own, in O(sqrt(mu)) row steps, so
-    the cost follows the bins visited and never the whole J-bin range.
+    * the half-open bin mu + m kappa < |x|^2 <= mu + (m+1) kappa, a pre-filter;
+    * the closed annulus [lambda - kappa/2, lambda + kappa/2], which is returned
+      (a closed boundary point can defeat a half-open candidate);
+    * the window [lambda_N - kappa/2, lambda_N + kappa/2], lambda_N the largest
+      eigenvalue <= lambda: the band the cutoff operators act on.
+
+    A bin that fails any check moves the scan on; returns None when every bin
+    fails.  Each bin visited is enumerated once, in O(sqrt(mu)) row steps, over
+    a range holding all three sets, lambda_N and lambda_next; the cost follows
+    the bins visited and never the whole J-bin range.  Raises ValueError when
+    no eigenvalue lies within the margin below or above lambda.
     """
     fam = AnnulusFamily(mu, s)
     kappa = fam.kappa
+    half = 0.5 * kappa
     thr_mu = mu ** (s / 2.0)
+    # gaps between sums of two squares stay far below this margin at any
+    # feasible scale (the largest below 1e7 is 50)
+    margin = 128
 
     for m in range(fam.J + 1):
         lam = mu + (m + 0.5) * kappa
-        thr2 = max(thr_mu * thr_mu, lam**s)  # squared thresholds: mu^s, lambda^s
-        # the integers n with edge(m) < n <= edge(m+1)
-        open_pts = _points_with_norm_range(
-            math.floor(fam.bin_edge(m)) + 1, math.floor(fam.bin_edge(m + 1))
-        )
-        d2 = _min_squared_distance(open_pts)
-        if d2 is not None and not d2 > thr2:
-            continue
-        half = 0.5 * kappa
-        closed_pts = annulus_points(lam, half)
-        # independent certification of the returned value
-        sep = min_pairwise_distance(closed_pts)
         thr = max(thr_mu, lam ** (s / 2.0))
-        if sep is not None and not sep > thr:
+        n_low = math.floor(lam) - margin  # the smallest lambda_N looked for
+        pts = _points_with_norm_range(
+            math.ceil(n_low - half), math.ceil(lam + half) + margin
+        )
+        norms = [p.j1 * p.j1 + p.j2 * p.j2 for p in pts]
+
+        # the integers n with edge(m) < n <= edge(m+1)
+        open_pts = _within(
+            pts, norms, math.floor(fam.bin_edge(m)) + 1, math.floor(fam.bin_edge(m + 1))
+        )
+        if not _separation(open_pts) > thr:
+            continue
+        closed_pts = _within(pts, norms, math.ceil(lam - half), math.floor(lam + half))
+        sep = _separation(closed_pts)
+        if not sep > thr:
+            continue
+        eigs = sorted({n for n in norms if n >= n_low})
+        i = bisect.bisect_right(eigs, lam)  # eigs[:i] <= lam < eigs[i:]
+        if i == 0 or i == len(eigs):
+            side = "at or below" if i == 0 else "above"
+            raise ValueError(
+                f"no eigenvalue {side} lambda = {lam} within the margin {margin}"
+            )
+        lam_N = eigs[i - 1]
+        window = _within(pts, norms, math.ceil(lam_N - half), math.floor(lam_N + half))
+        win_sep = _separation(window)
+        if not win_sep > thr:
             continue
         return SparseAnnulus(
             mu=mu,
@@ -306,8 +334,11 @@ def find_sparse_annulus(mu: float, s: float) -> SparseAnnulus | None:
             half_width=half,
             separation_threshold=thr_mu,
             certified_threshold=thr,
-            min_separation=math.inf if sep is None else sep,
+            min_separation=sep,
             points=tuple(closed_pts),
+            lambda_N=lam_N,
+            lambda_next=eigs[i],
+            window_min_separation=win_sep,
         )
     return None
 

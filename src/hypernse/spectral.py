@@ -32,19 +32,11 @@ same result up to rounding; 2-3-5-smooth sizes keep the transforms fast.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from .lattice import (
-    SparseAnnulus,
-    _points_with_norm_range,
-    annulus_points,
-    min_pairwise_distance,
-)
 
 DEALIAS_MODES = ("two-thirds", "padded", "direct")
 
@@ -533,7 +525,7 @@ def power_gap_lower_bound(a: float, b: float, beta: float) -> tuple[float, float
 
 
 # ---------------------------------------------------------------------------
-# spectral cutoff selection
+# the projector family at a spectral cutoff
 
 
 @dataclass(frozen=True)
@@ -563,73 +555,3 @@ class CutoffFamily:
     @property
     def above_band(self) -> ModeProjector:
         return ModeProjector("above_band", self.lambda_N, self.k)
-
-
-@dataclass(frozen=True)
-class CutoffDecision:
-    """Outcome of cutoff selection against an annulus certificate.
-
-    accepted is the strict conjunction 1 <= lambda_next - lambda_N <= k/2 and
-    k >= lambda_N^s.  window_certified holds when the projector window
-    [lambda_N - k, lambda_N + k] has all lattice-point pairs separated by more
-    than max(lambda^{s/2}, lambda_N^{s/2}) (the hypothesis the averaging
-    mechanism needs); the window differs from the certified annulus by the
-    shift lambda - lambda_N, so it is re-checked with the exhaustive oracle.
-    reason explains the first failed strict hypothesis, None when accepted.
-    """
-
-    accepted: bool
-    family: CutoffFamily
-    reason: str | None
-    window_certified: bool
-    window_min_separation: float
-    window_threshold: float
-    gap: int
-    k_over_lambda_s: float
-
-
-def choose_cutoff(annulus: SparseAnnulus) -> CutoffDecision:
-    """Select the projector cutoff for a certified annulus.
-
-    lambda_N is the largest eigenvalue <= lambda and lambda_next the next one,
-    both read off the norms |j|^2 of the lattice points in the window
-    [floor(lambda) - 128, ceil(lambda + k) + 128], enumerated in
-    O(sqrt(lambda)) row steps; k is the annulus half-width.
-    """
-    lam = annulus.lam
-    k = annulus.half_width
-    # gaps between sums of two squares stay far below this margin at any
-    # feasible scale (the largest below 1e7 is 50)
-    margin = 128
-    pts = _points_with_norm_range(math.floor(lam) - margin, math.ceil(lam + k) + margin)
-    norms = sorted({p.j1 * p.j1 + p.j2 * p.j2 for p in pts})
-    i = bisect.bisect_right(norms, lam)  # norms[:i] <= lam < norms[i:]
-    if i == 0 or i == len(norms):
-        side = "at or below" if i == 0 else "above"
-        raise ValueError(f"no eigenvalue {side} lambda = {lam} within the margin {margin}")
-    lam_N, lam_next = norms[i - 1], norms[i]
-    gap = lam_next - lam_N
-    family = CutoffFamily(lam_N, lam_next, k)
-
-    reason = None
-    if gap > k / 2.0:
-        reason = f"eigenvalue gap {gap} exceeds k/2 = {k / 2.0}"
-    elif k < lam_N**annulus.s:
-        reason = f"k = {k} below lambda_N^s = {lam_N**annulus.s}"
-
-    thr = max(lam ** (annulus.s / 2.0), lam_N ** (annulus.s / 2.0))
-    wpts = annulus_points(float(lam_N), k)
-    sep = min_pairwise_distance(wpts)
-    win_sep = math.inf if sep is None else sep
-    window_ok = win_sep > thr
-
-    return CutoffDecision(
-        accepted=reason is None,
-        family=family,
-        reason=reason,
-        window_certified=window_ok,
-        window_min_separation=win_sep,
-        window_threshold=thr,
-        gap=gap,
-        k_over_lambda_s=k / lam_N**annulus.s,
-    )

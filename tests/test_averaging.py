@@ -22,6 +22,7 @@ from hypernse import (
     sobolev_norm,
     weak_restricted_operator,
 )
+from hypernse import lattice
 from hypernse.averaging import (
     coords_from_field,
     field_from_coords,
@@ -220,8 +221,6 @@ def test_check_averaging_desk_scale():
     rep = check_averaging(samples, ann, params, n_cancellation_pairs=5)
     assert rep.lambda_N == 10004
     assert rep.dimension == 16
-    assert rep.window_certified
-    assert not rep.strict_accepted
     assert len(rep.sampled_norms) == 6
     assert rep.max_norm > 0.0
     assert all(d == 0.0 for d in rep.cancellation_defects)
@@ -230,32 +229,30 @@ def test_check_averaging_desk_scale():
     )
     d = rep.to_dict()
     assert d["lambda_N"] == 10004
+    assert d["window_certified"] is True
+    assert d["window_min_separation"] == 4.0
     assert 0.0 <= d["pass_fraction"] <= 1.0
 
 
-def test_check_averaging_rejects_uncertified_window():
-    # a hand-built annulus over a dense eigenvalue range: the projector window
-    # contains unit-distance lattice pairs, so the certificate must fail
-    from hypernse import annulus_points, min_pairwise_distance
-    from hypernse.lattice import SparseAnnulus
+def test_check_averaging_uses_the_window_the_scan_certified(monkeypatch):
+    # the last point set the scan certifies is the window around lambda_N,
+    # the band check_averaging builds its basis on
+    certified = []
+    min_squared_distance = lattice._min_squared_distance
 
-    pts = tuple(annulus_points(52.0, 4.0))
-    dense = SparseAnnulus(
-        mu=50.0,
-        s=0.15,
-        m0=0,
-        lam=52.0,
-        half_width=4.0,
-        separation_threshold=50.0**0.075,
-        certified_threshold=max(50.0**0.075, 52.0**0.075),
-        min_separation=float(min_pairwise_distance(pts)),
-        points=pts,
-    )
+    def recorded(pts):
+        certified.append(list(pts))
+        return min_squared_distance(pts)
+
+    monkeypatch.setattr(lattice, "_min_squared_distance", recorded)
+    ann = find_sparse_annulus(1.0e4, 0.15)
+    window = annulus_points(ann.lambda_N, ann.half_width)
+    assert certified[-1] == window
     params = SpectralParams(M=16, s=0.15)
-    rng = np.random.default_rng(10)
-    samples = draw_averaging_samples(params, 2, rng)
-    with pytest.raises(ValueError):
-        check_averaging(samples, dense, params)
+    samples = draw_averaging_samples(params, 2, np.random.default_rng(10))
+    rep = check_averaging(samples, ann, params, n_cancellation_pairs=2)
+    assert (rep.lambda_N, rep.k) == (ann.lambda_N, ann.half_width)
+    assert rep.dimension == len(window)
 
 
 def test_averaging_trend_slope():

@@ -124,8 +124,6 @@ def _strict_loads(text: str):
     return json.loads(text, parse_constant=reject)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_simulate_reports_overflowed_diagnostics_as_blow_up(tmp_path):
     out = tmp_path / "sim"
     rc = main(["simulate", "--forcing-amplitude", "1e308", "--T", "0.01",
@@ -223,6 +221,17 @@ def test_cone_check_does_not_count_a_vanished_difference(tmp_path):
         assert run["degenerate_samples"] == 2
         assert run["all_satisfied"] is False
         assert run["fraction_satisfied"] == pytest.approx(1.0 / 3.0)
+
+
+def test_cone_check_reports_a_blow_up(tmp_path):
+    out = tmp_path / "blow"
+    rc = main(["cone-check", "--mu", "1e3", "--s", "0.15", "--T", "10", "--dt", "10",
+               "--forcing-amplitude", "1e308", "--out", str(out)])
+    assert rc == 0
+    results = _strict_loads((out / "cone.json").read_text())["results"]
+    assert results["blow_up"] is True
+    assert "non-finite" in results["message"]
+    assert results["runs"] == []
 
 
 def test_bad_flag_value_exits_2(tmp_path):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from hypernse import (
     annulus_points,
-    eigenvalues_with_multiplicity,
     find_sparse_annulus,
     is_representable,
     min_pairwise_distance,
@@ -44,21 +43,6 @@ def test_sieve_prefix_stability():
     big = representable_sieve(2000)
     small = representable_sieve(400)
     assert np.array_equal(big[:401], small)
-
-
-def test_eigenvalue_multiplicities():
-    """Multiplicity of lambda counts lattice points j != 0 with |j|^2 = lambda."""
-    table = eigenvalues_with_multiplicity(50)
-    counts = {}
-    r = 8
-    for a in range(-r, r + 1):
-        for b in range(-r, r + 1):
-            n = a * a + b * b
-            if 0 < n <= 50:
-                counts[n] = counts.get(n, 0) + 1
-    assert table == sorted(counts.items())
-    assert table[0] == (1, 4)
-    assert (25, 12) in table  # 25 = 5^2 = 3^2 + 4^2
 
 
 def test_gap_records_to_a_million():
@@ -165,6 +149,15 @@ def test_sparse_annulus_desk_scale():
         assert ann.lam - ann.half_width <= n <= ann.lam + ann.half_width
 
 
+def test_sparse_annulus_desk_scale_window():
+    ann = find_sparse_annulus(1.0e4, 0.15)
+    assert (ann.lambda_N, ann.lambda_next) == (10004, 10009)
+    assert ann.window_min_separation == 4.0
+    window = annulus_points(ann.lambda_N, ann.half_width)
+    assert ann.window_min_separation == min_pairwise_distance(window)
+    assert ann.window_min_separation > ann.certified_threshold
+
+
 def test_sparse_annulus_separation_is_brute_force_checkable():
     ann = find_sparse_annulus(1.0e4, 0.15)
     best = None
@@ -182,58 +175,89 @@ def test_sparse_annulus_rejects_bad_exponent():
 
 
 def brute_sparse_scan(mu: float, s: float):
-    """(m0, points, min distance) of the first certified bin, by direct loops.
+    """(m0, points, min distance, lambda_N, window distance) of the first certified bin.
 
     Each bin m re-enumerates every (a, b) in its bounding square, collects the
-    half-open bin (mu + m kappa, mu + (m+1) kappa] and the closed annulus
-    [lambda - kappa/2, lambda + kappa/2], and checks all pairwise distances of
-    both against max(mu^{s/2}, lambda^{s/2}).
+    half-open bin (mu + m kappa, mu + (m+1) kappa], the closed annulus
+    [lambda - kappa/2, lambda + kappa/2] and the window
+    [lambda_N - kappa/2, lambda_N + kappa/2], lambda_N the largest |j|^2 <= lambda,
+    and checks all pairwise distances of the three against
+    max(mu^{s/2}, lambda^{s/2}).
     """
     kappa = mu**s
     half = 0.5 * kappa
+
+    def min_dist(pts):
+        return min(
+            (
+                math.hypot(p[0] - q[0], p[1] - q[1])
+                for i, p in enumerate(pts)
+                for q in pts[i + 1 :]
+            ),
+            default=math.inf,
+        )
+
     for m in range(math.isqrt(int(mu)) + 1):
         lo, hi = mu + m * kappa, mu + (m + 1) * kappa
         lam = mu + (m + 0.5) * kappa
         thr = max(mu ** (s / 2.0), lam ** (s / 2.0))
         R = math.isqrt(math.floor(max(hi, lam + half)))
-        open_pts, closed_pts = [], []
-        for a in range(-R, R + 1):
-            for b in range(-R, R + 1):
-                n = a * a + b * b
-                if lo < n <= hi:
-                    open_pts.append((a, b))
-                if lam - half <= n <= lam + half:
-                    closed_pts.append((a, b))
-
-        def min_dist(pts):
-            return min(
-                (
-                    math.hypot(p[0] - q[0], p[1] - q[1])
-                    for i, p in enumerate(pts)
-                    for q in pts[i + 1 :]
-                ),
-                default=math.inf,
-            )
-
-        if min_dist(open_pts) <= thr:
+        square = [(a, b) for a in range(-R, R + 1) for b in range(-R, R + 1)]
+        open_pts = [(a, b) for a, b in square if lo < a * a + b * b <= hi]
+        closed_pts = [
+            (a, b) for a, b in square if lam - half <= a * a + b * b <= lam + half
+        ]
+        lam_N = max(a * a + b * b for a, b in square if a * a + b * b <= lam)
+        window = [
+            (a, b) for a, b in square if lam_N - half <= a * a + b * b <= lam_N + half
+        ]
+        if min_dist(open_pts) <= thr or min_dist(closed_pts) <= thr:
             continue
-        sep = min_dist(closed_pts)
-        if sep <= thr:
+        win_sep = min_dist(window)
+        if win_sep <= thr:
             continue
-        return m, sorted(closed_pts), sep
+        return m, sorted(closed_pts), min_dist(closed_pts), lam_N, win_sep
     return None
+
+
+def _assert_matches_brute_force(ann, expected):
+    assert expected is not None
+    m0, pts, sep, lam_N, win_sep = expected
+    assert ann.m0 == m0
+    assert [tuple(p) for p in ann.points] == pts
+    assert ann.min_separation == sep
+    assert ann.lambda_N == lam_N
+    assert ann.window_min_separation == win_sep
 
 
 @pytest.mark.parametrize("mu", [1e3, 3e3, 1e4, 3e4, 1e5])
 @pytest.mark.parametrize("s", [0.05, 0.1333, 0.15])
 def test_sparse_annulus_matches_brute_force_bin_scan(mu, s):
-    ann = find_sparse_annulus(mu, s)
-    expected = brute_sparse_scan(mu, s)
-    assert expected is not None
-    m0, pts, sep = expected
-    assert ann.m0 == m0
-    assert [tuple(p) for p in ann.points] == pts
-    assert ann.min_separation == sep
+    _assert_matches_brute_force(find_sparse_annulus(mu, s), brute_sparse_scan(mu, s))
+
+
+def test_sparse_annulus_moves_past_a_bin_whose_window_fails():
+    # the midpoint s at beta = 1.49: bin 1 is sparse, but its window around
+    # lambda_N = 10004 holds a unit-distance pair, so the scan takes bin 2
+    s = ((3.0 - 2.0 * 1.49) + 1.0 / 6.0) / 2.0
+    ann = find_sparse_annulus(1.0e4, s)
+    assert (ann.m0, ann.lambda_N, ann.window_min_separation) == (2, 10004, 4.0)
+    _assert_matches_brute_force(ann, brute_sparse_scan(1.0e4, s))
+
+
+@pytest.mark.parametrize("mu", [1e3, 1e4, 1e5, 1e6, 1e7])
+def test_sparse_annulus_window_matches_the_sieve(mu):
+    ann = find_sparse_annulus(mu, 0.15)
+    mask = representable_sieve(math.ceil(ann.lam + ann.half_width) + 128)
+    lam_N = int(np.flatnonzero(mask[: math.floor(ann.lam) + 1])[-1])
+    lam_next = lam_N + 1 + int(np.flatnonzero(mask[lam_N + 1 :])[0])
+    assert (ann.lambda_N, ann.lambda_next) == (lam_N, lam_next)
+
+
+def test_sparse_annulus_names_the_margin_when_the_window_is_empty(monkeypatch):
+    monkeypatch.setattr(lattice, "_points_with_norm_range", lambda lo, hi: [])
+    with pytest.raises(ValueError, match="margin 128"):
+        find_sparse_annulus(1.0e4, 0.15)
 
 
 def test_sparse_annulus_enumerates_only_the_bins_it_visits(monkeypatch):
@@ -247,5 +271,8 @@ def test_sparse_annulus_enumerates_only_the_bins_it_visits(monkeypatch):
     monkeypatch.setattr(lattice, "_points_with_norm_range", recorded)
     ann = find_sparse_annulus(1.0e8, 0.15)
     kappa = AnnulusFamily(1.0e8, 0.15).kappa
-    # m0 + 1 half-open bins and one closed annulus, each at most ceil(kappa) + 1 wide
-    assert sum(widths) <= (ann.m0 + 2) * (math.ceil(kappa) + 1)
+    # one enumeration per bin visited, each over the bin, the eigenvalue margin
+    # of 128 on either side and kappa/2 below it for the window: far below the
+    # (J + 1) kappa of enumerating every bin up front
+    assert len(widths) == ann.m0 + 1
+    assert sum(widths) <= (ann.m0 + 1) * (math.ceil(kappa) + 2 * 128 + 3)

@@ -1,4 +1,4 @@
-"""Spectral core: fields, projections, product routes, cutoff selection."""
+"""Spectral core: fields, projections, product routes."""
 
 import bisect
 import math
@@ -14,20 +14,16 @@ from hypernse import (
     SpectralParams,
     apply_A_power,
     bilinear_B,
-    choose_cutoff,
-    find_sparse_annulus,
     inner_product,
     leray_project,
     load_field_csv,
     power_gap_lower_bound,
     project,
     random_field,
-    representable_sieve,
     save_field_csv,
     sobolev_norm,
     trilinear_b,
 )
-from hypernse import spectral
 from hypernse.spectral import (
     CutoffFamily,
     _smooth_size,
@@ -233,18 +229,6 @@ def test_project_restricts_support():
     assert np.all(v.coeffs[:, (LAM > 0) & (LAM <= 9.0)] == u.coeffs[:, (LAM > 0) & (LAM <= 9.0)])
 
 
-def test_choose_cutoff_desk_scale_window():
-    ann = find_sparse_annulus(1.0e4, 0.15)
-    dec = choose_cutoff(ann)
-    assert dec.family.lambda_N == 10004
-    assert dec.family.lambda_next == 10009
-    assert dec.gap == 5
-    assert not dec.accepted  # strict gap test fails at desk scale
-    assert dec.window_certified
-    assert dec.window_min_separation == 4.0
-    assert "gap" in dec.reason
-
-
 def test_field_csv_round_trip(tmp_path):
     rng = np.random.default_rng(10)
     u = random_field(7, rng)
@@ -267,20 +251,3 @@ def test_field_csv_rejects_nonpositive_mode(tmp_path):
     path.write_text("j1,j2,re_u1,im_u1,re_u2,im_u2\n-1,0,1.0,0.0,0.0,0.0\n")
     with pytest.raises(ValueError):
         load_field_csv(path)
-
-
-@pytest.mark.parametrize("mu", [1e3, 1e4, 1e5, 1e6, 1e7])
-def test_choose_cutoff_matches_the_sieve(mu):
-    ann = find_sparse_annulus(mu, 0.15)
-    dec = choose_cutoff(ann)
-    mask = representable_sieve(math.ceil(ann.lam + ann.half_width) + 128)
-    lam_N = int(np.flatnonzero(mask[: math.floor(ann.lam) + 1])[-1])
-    lam_next = lam_N + 1 + int(np.flatnonzero(mask[lam_N + 1 :])[0])
-    assert (dec.family.lambda_N, dec.family.lambda_next) == (lam_N, lam_next)
-
-
-def test_choose_cutoff_names_the_margin_when_the_window_is_empty(monkeypatch):
-    ann = find_sparse_annulus(1.0e4, 0.15)
-    monkeypatch.setattr(spectral, "_points_with_norm_range", lambda lo, hi: [])
-    with pytest.raises(ValueError, match="margin 128"):
-        choose_cutoff(ann)
