@@ -47,6 +47,7 @@ from .truncation import (
     nonlinearity_F,
     nonlinearity_F_prime,
     nonlinearity_h2_bound,
+    prepared_product,
     theta,
     theta_jacobian,
     w_image_h2_bound,

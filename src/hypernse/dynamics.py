@@ -32,13 +32,12 @@ from .spectral import (
     FourierField,
     SpectralParams,
     apply_A_power,
-    bilinear_B,
     inner_product,
     laplacian_power,
     random_field,
     sobolev_norm,
 )
-from .truncation import _DEFAULT_PROFILE, CutoffProfile, apply_W
+from .truncation import _DEFAULT_PROFILE, CutoffProfile, prepared_product
 
 
 class BlowUpError(RuntimeError):
@@ -52,7 +51,7 @@ class SimConfig:
     dt                time step
     T                 final time (number of steps is round(T / dt))
     integrator        "eif" or "imex"
-    dealias           dealias route handed to bilinear_B
+    dealias           dealias route of the product B(W(u), W(u))
     seed              seed for any randomized initial data
     include_nonlinear when False the quadratic term is dropped and the flow
                       is exactly linear; used by decay and identity tests
@@ -94,17 +93,13 @@ def _B_of_W(
     """B(W(u), W(u)), or None when the configuration drops the nonlinearity."""
     if not config.include_nonlinear:
         return None
-    w = apply_W(u, params, profile)
-    return bilinear_B(w, w, dealias=config.dealias)
+    return prepared_product(u, params, config.dealias, profile)
 
 
 def _forced(b: FourierField | None, forcing: FourierField | None, M: int) -> FourierField:
     """f - b, where b = B(W(u), W(u)) or None; a missing f counts as zero."""
     if b is not None:
-        out = -b
-        if forcing is not None:
-            out = out + forcing
-        return out
+        return -b if forcing is None else forcing - b
     if forcing is not None:
         return forcing
     return FourierField.zeros(M)
@@ -166,16 +161,16 @@ def step(
         # Exact linear propagation: with v = e^{t nu A^beta} u the equation
         # becomes dv/dt = e^{t nu A^beta} N(u), and Heun in v gives
         #   u* = E (u + dt N(u)),  u+ = E u + (dt/2) (E N(u) + N(u*)).
-        pred = FourierField(u.M, (u.coeffs + dt * n0.coeffs) * E)
+        pred = FourierField._wrap(u.M, (u.coeffs + dt * n0.coeffs) * E)
         n1 = _nonlinear_rhs(pred, forcing, params, config, profile)
-        out = FourierField(
+        out = FourierField._wrap(
             u.M, u.coeffs * E + 0.5 * dt * (n0.coeffs * E + n1.coeffs)
         )
     else:
         a = 0.5 * dt * params.nu * laplacian_power(u.M, params.beta)
-        pred = FourierField(u.M, (u.coeffs + dt * n0.coeffs) / (1.0 + 2.0 * a))
+        pred = FourierField._wrap(u.M, (u.coeffs + dt * n0.coeffs) / (1.0 + 2.0 * a))
         n1 = _nonlinear_rhs(pred, forcing, params, config, profile)
-        out = FourierField(
+        out = FourierField._wrap(
             u.M,
             ((1.0 - a) * u.coeffs + 0.5 * dt * (n0.coeffs + n1.coeffs))
             / (1.0 + a),
@@ -223,7 +218,9 @@ def evolve(
 # ---------------------------------------------------------------------------
 # pair evolution and the cone trace
 
-TRACE_COLUMNS = ("t", "V", "dVdt", "norm_v_sq", "alpha", "rhs_bound", "margin")
+TRACE_COLUMNS = (
+    "t", "V", "dVdt", "norm_v_sq", "alpha", "rhs_bound", "margin", "norm_u_sq"
+)
 
 
 @dataclass
@@ -236,12 +233,17 @@ class ConeTrace:
     dVdt       analytic derivative
                  -2 nu (||A^{beta/2} q||^2 - ||A^{beta/2} p||^2)
                  + 2 (F(u1) - F(u2), A^{1/2} p - A^{1/2} q)
-               where F(u) = A^{-1/2} B(W(u), W(u))
+               where F(u) = A^{-1/2} B(W(u), W(u)); A^{-1/2} and A^{1/2}
+               cancel mode by mode, so the drive is evaluated as
+               2 (B(W(u1), W(u1)) - B(W(u2), W(u2)), p - q), which equals
+               the form above to rounding (1e-13 relative)
     norm_v_sq  ||v||^2
     alpha      (lambda_{N+1}^beta + lambda_N^beta) / 2, the decay rate tested
     rhs_bound  -(lambda_N^{beta-1} / 8) ||v||^2
     margin     rhs_bound - (dVdt + 2 alpha V); the cone inequality
                dVdt + 2 alpha V <= rhs_bound holds iff margin >= 0
+    norm_u_sq  max(||u1||^2, ||u2||^2), the scale against which ||v||^2 is
+               resolved (see cone_report)
     """
 
     t: np.ndarray
@@ -251,6 +253,7 @@ class ConeTrace:
     alpha: np.ndarray
     rhs_bound: np.ndarray
     margin: np.ndarray
+    norm_u_sq: np.ndarray
     lambda_N: int
     lambda_next: int
     k: float
@@ -300,14 +303,12 @@ def _cone_sample(
     family: CutoffFamily,
     low_mask: np.ndarray,
     alpha: float,
-) -> tuple[float, float, float, float, float]:
-    """One trace row; b1, b2 are B(W(u), W(u)) of the members, None when the
-    nonlinearity is off."""
+) -> tuple[float, float, float, float, float, float]:
+    """One trace row (V, dVdt, norm_v_sq, rhs_bound, margin, norm_u_sq); b1,
+    b2 are B(W(u), W(u)) of the members, None when the nonlinearity is off."""
     v = u1 - u2
-    pc = v.coeffs * low_mask
-    qc = v.coeffs * (1.0 - low_mask)
-    p = FourierField(v.M, pc)
-    q = FourierField(v.M, qc)
+    p = FourierField._wrap(v.M, v.coeffs * low_mask)
+    q = FourierField._wrap(v.M, v.coeffs * (1.0 - low_mask))
     norm_p2 = inner_product(p, p)
     norm_q2 = inner_product(q, q)
     V = norm_q2 - norm_p2
@@ -315,18 +316,15 @@ def _cone_sample(
         sobolev_norm(q, params.beta) ** 2 - sobolev_norm(p, params.beta) ** 2
     )
     if b1 is not None:
-        f1 = apply_A_power(b1, -0.5)
-        f2 = apply_A_power(b2, -0.5)
-        drive = 2.0 * inner_product(
-            f1 - f2, apply_A_power(p, 0.5) - apply_A_power(q, 0.5)
-        )
+        drive = 2.0 * inner_product(b1 - b2, p - q)
     else:
         drive = 0.0
     dVdt = diss + drive
     norm_v2 = norm_p2 + norm_q2
     rhs = -(family.lambda_N ** (params.beta - 1.0) / 8.0) * norm_v2
     margin = rhs - (dVdt + 2.0 * alpha * V)
-    return V, dVdt, norm_v2, rhs, margin
+    norm_u2 = max(inner_product(u1, u1), inner_product(u2, u2))
+    return V, dVdt, norm_v2, rhs, margin, norm_u2
 
 
 def evolve_pair(
@@ -384,6 +382,7 @@ def evolve_pair(
         alpha=np.full(arr.shape[0], alpha),
         rhs_bound=arr[:, 4],
         margin=arr[:, 5],
+        norm_u_sq=arr[:, 6],
         lambda_N=family.lambda_N,
         lambda_next=family.lambda_next,
         k=family.k,
@@ -398,10 +397,11 @@ def cone_report(trace: ConeTrace) -> dict:
     The linear part of the inequality reduces to
     lambda_{N+1}^beta - lambda_N^beta >= lambda_N^{beta-1} / 8, which is
     checked symbolically from the metadata; the trace margins account for the
-    nonlinear drive as well.  A sample whose pair difference is exactly zero
-    (norm_v_sq == 0, e.g. absorbed by rounding into overflow-scale fields)
-    carries no evidence: it is counted in degenerate_samples and never as
-    satisfied.
+    nonlinear drive as well.  A sample whose pair difference is not resolved
+    against the pair members, norm_v_sq <= eps^2 norm_u_sq with eps the
+    float64 machine epsilon, carries no evidence: the difference is rounding
+    noise of the members (or exactly zero, e.g. absorbed into overflow-scale
+    fields).  It is counted in degenerate_samples and never as satisfied.
     """
     worst = int(np.argmin(trace.margin))
     lam_n = float(trace.lambda_N)
@@ -410,7 +410,8 @@ def cone_report(trace: ConeTrace) -> dict:
         lam_next ** trace.beta - lam_n ** trace.beta
         >= lam_n ** (trace.beta - 1.0) / 8.0
     )
-    degenerate = trace.norm_v_sq == 0.0
+    eps = np.finfo(np.float64).eps
+    degenerate = trace.norm_v_sq <= eps * eps * trace.norm_u_sq
     satisfied = (trace.margin >= 0.0) & ~degenerate
     return {
         "n_samples": int(trace.t.size),

@@ -28,6 +28,15 @@ Product evaluation routes (the `dealias` flag):
 agree to rounding; "two-thirds" computes the masked object, whose direct-route
 counterpart is mask(direct(mask u, mask v)).  Any grid N >= 3 Kc + 1 gives the
 same result up to rounding; 2-3-5-smooth sizes keep the transforms fast.
+
+bilinear_B is the general product B(u, v) and moves complex blocks (eight
+complex 2-D transforms per call).  The square (w . grad) w of one real,
+divergence-free block has a cheaper form, _quadratic_fft: w . grad w =
+div(w w^T) needs two inverse and three forward real transforms on the same
+grid, with j2 < 0 filled by conjugate symmetry.  truncation.prepared_product
+uses it for B(W(u), W(u)), and the Leray projection and W act on coefficient
+blocks through the array helpers _leray_coeffs and truncation._truncate, which
+leray_project and apply_W share.
 """
 
 from __future__ import annotations
@@ -97,13 +106,20 @@ def wavenumbers(M: int):
     return J1, J2, LAM
 
 
-@lru_cache(maxsize=32)
-def laplacian_power(M: int, p: float) -> np.ndarray:
-    """The symbol (|j|^2)^p of A^p on the centered grid, 0 at j = 0, read-only."""
+def _power_symbol(M: int, p: float) -> np.ndarray:
+    """The symbol (|j|^2)^p on the centered grid, 0 at j = 0, not cached."""
     _, _, LAM = wavenumbers(M)
     f = np.zeros(LAM.shape)
     nz = LAM > 0
     f[nz] = np.float64(LAM[nz]) ** p
+    return f
+
+
+@lru_cache(maxsize=32)
+def laplacian_power(M: int, p: float) -> np.ndarray:
+    """The symbol (|j|^2)^p of A^p on the centered grid, 0 at j = 0, read-only
+    and cached; a symbol used once per run is better taken from _power_symbol."""
+    f = _power_symbol(M, p)
     f.setflags(write=False)
     return f
 
@@ -137,6 +153,13 @@ class FourierField:
         object.__setattr__(self, "coeffs", c)
 
     @classmethod
+    def _wrap(cls, M: int, c: np.ndarray) -> "FourierField":
+        """A field holding c, a freshly computed complex128 array that no one
+        else references: c is made read-only instead of being copied."""
+        c.setflags(write=False)
+        return cls(M, c)
+
+    @classmethod
     def zeros(cls, M: int) -> "FourierField":
         return cls(M, np.zeros((2, 2 * M + 1, 2 * M + 1), dtype=np.complex128))
 
@@ -166,19 +189,19 @@ class FourierField:
 
     def __add__(self, other: "FourierField") -> "FourierField":
         self._check_compatible(other)
-        return FourierField(self.M, self.coeffs + other.coeffs)
+        return FourierField._wrap(self.M, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "FourierField") -> "FourierField":
         self._check_compatible(other)
-        return FourierField(self.M, self.coeffs - other.coeffs)
+        return FourierField._wrap(self.M, self.coeffs - other.coeffs)
 
     def __mul__(self, scalar) -> "FourierField":
-        return FourierField(self.M, self.coeffs * scalar)
+        return FourierField._wrap(self.M, self.coeffs * scalar)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "FourierField":
-        return FourierField(self.M, -self.coeffs)
+        return FourierField._wrap(self.M, -self.coeffs)
 
     def _check_compatible(self, other: "FourierField") -> None:
         if self.M != other.M:
@@ -207,23 +230,30 @@ def sobolev_norm(u: FourierField, s: float) -> float:
     return float(math.sqrt(np.sum(laplacian_power(u.M, s) * dens)))
 
 
+def _leray_coeffs(c: np.ndarray) -> np.ndarray:
+    """P_j = Id - j j^T / |j|^2 on each pair of the centered coefficient block
+    |j|_inf <= K that c holds, shape (2, 2K+1, 2K+1); a new array, zero at j = 0."""
+    K = (c.shape[-1] - 1) // 2
+    J1, J2, LAM = wavenumbers(K)
+    denom = np.where(LAM > 0, LAM, 1).astype(np.float64)
+    d = (J2 * c[0] - J1 * c[1]) / denom
+    out = np.stack([J2 * d, -J1 * d])
+    out[:, K, K] = 0.0
+    return out
+
+
 def leray_project(w: FourierField) -> FourierField:
     """Mode-wise projection onto divergence-free fields.
 
     P_j = Id - j j^T / |j|^2 applied to each coefficient pair; idempotent,
     annihilates gradients j * g_hat[j].
     """
-    J1, J2, LAM = wavenumbers(w.M)
-    denom = np.where(LAM > 0, LAM, 1).astype(np.float64)
-    d = (J2 * w.coeffs[0] - J1 * w.coeffs[1]) / denom
-    out = np.stack([J2 * d, -J1 * d])
-    out[:, w.M, w.M] = 0.0
-    return FourierField(w.M, out)
+    return FourierField._wrap(w.M, _leray_coeffs(w.coeffs))
 
 
 def apply_A_power(u: FourierField, p: float) -> FourierField:
     """Multiply each coefficient by (|j|^2)^p (spectral power of minus-Laplacian)."""
-    return FourierField(u.M, u.coeffs * laplacian_power(u.M, p))
+    return FourierField._wrap(u.M, u.coeffs * laplacian_power(u.M, p))
 
 
 def random_field(
@@ -243,7 +273,8 @@ def random_field(
     c = 0.5 * (z + np.conj(z[:, ::-1, ::-1]))
     _, _, LAM = wavenumbers(M)
     if decay > 0.0:
-        c = c * laplacian_power(M, -decay / 2.0)
+        # each decay is used about once per run, so its symbol is not cached
+        c = c * _power_symbol(M, -decay / 2.0)
     if band is not None:
         lo, hi = band
         keep = (LAM >= lo) & (LAM <= hi)
@@ -298,7 +329,7 @@ class ModeProjector:
 
 def project(u: FourierField, proj: ModeProjector) -> FourierField:
     """Zero every coefficient outside the projector's eigenvalue window."""
-    return FourierField(u.M, u.coeffs * proj.mask(u.M))
+    return FourierField._wrap(u.M, u.coeffs * proj.mask(u.M))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +346,7 @@ def two_thirds_mask(u: FourierField) -> FourierField:
     r = np.arange(-u.M, u.M + 1)
     keep1 = np.abs(r) <= Kc
     keep = np.outer(keep1, keep1)
-    return FourierField(u.M, u.coeffs * keep)
+    return FourierField._wrap(u.M, u.coeffs * keep)
 
 
 def _smooth_size(n: int) -> int:
@@ -363,6 +394,36 @@ def _advect_fft(u: np.ndarray, v: np.ndarray, N: int) -> np.ndarray:
     return out
 
 
+def _quadratic_fft(w: np.ndarray, N: int) -> np.ndarray:
+    """(w . grad) w on the centered coefficient block |j|_inf <= K that w holds,
+    shape (2, 2K+1, 2K+1), via real transforms on an N-point grid; the product
+    is read back on the same block (no masking).
+
+    w must be real (w_hat[-j] = conj(w_hat[j])) and divergence-free mode by
+    mode; then (w . grad) w = div(w w^T), so two inverse real transforms take
+    w1 and w2 onto the grid from their j2 >= 0 half, three forward real
+    transforms bring back w1^2, w1 w2 and w2^2, the divergence is taken in
+    spectral space, and j2 < 0 is filled by conjugate symmetry.  Each 2-D
+    transform is done as its two 1-D passes, so that the j1 pass skips the
+    columns j2 > K, which are zero on the way in and not read on the way out.
+    """
+    K = (w.shape[-1] - 1) // 2
+    _, ik1, ik2 = _fft_plan(K, N)
+    ik1, ik2 = ik1[:, K:], ik2[:, K:]
+    half = np.zeros((2, N, K + 1), dtype=np.complex128)
+    half[:, : K + 1] = w[:, K:, K:]
+    half[:, N - K :] = w[:, :K, K:]
+    g = np.fft.irfft(np.fft.ifft(half, axis=1, norm="forward"), n=N, axis=2, norm="forward")
+    q = np.stack([g[0] * g[0], g[0] * g[1], g[1] * g[1]])
+    prods = np.fft.fft(np.fft.rfft(q, axis=2, norm="forward")[:, :, : K + 1], axis=1, norm="forward")
+    p = np.concatenate([prods[:, N - K :], prods[:, : K + 1]], axis=1)
+    out = np.empty(w.shape, dtype=np.complex128)
+    out[0, :, K:] = ik1 * p[0] + ik2 * p[1]
+    out[1, :, K:] = ik1 * p[1] + ik2 * p[2]
+    out[:, :, :K] = np.conj(out[:, ::-1, :K:-1])
+    return out
+
+
 def _convolve_direct(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact truncated convolution out[k] = sum_j a[j] b[k-j], centered K x K.
 
@@ -403,6 +464,17 @@ def _padded_size(M: int) -> int:
     return _smooth_size(3 * M + 2)
 
 
+def _route_grid(M: int, dealias: str) -> tuple[int, int]:
+    """(K, N) of a transform route: it reads and returns the block
+    |j|_inf <= K and transforms on an N-point grid."""
+    if dealias == "two-thirds":
+        K = two_thirds_limit(M)
+        return K, _smooth_size(3 * K + 1)
+    if dealias == "padded":
+        return M, _padded_size(M)
+    raise ValueError(f"unknown dealias mode {dealias!r}")
+
+
 def bilinear_B(u: FourierField, v: FourierField, dealias: str = "two-thirds") -> FourierField:
     """B(u, v) = Leray projection of (u . grad) v, truncated to M.
 
@@ -417,11 +489,7 @@ def bilinear_B(u: FourierField, v: FourierField, dealias: str = "two-thirds") ->
     if dealias == "direct":
         raw = _advect_direct(u, v)
     else:
-        if dealias == "two-thirds":
-            K = two_thirds_limit(M)
-            N = _smooth_size(3 * K + 1)
-        else:
-            K, N = M, _padded_size(M)
+        K, N = _route_grid(M, dealias)
         blk = slice(M - K, M + K + 1)
         raw = np.zeros((2, 2 * M + 1, 2 * M + 1), dtype=np.complex128)
         raw[:, blk, blk] = _advect_fft(u.coeffs[:, blk, blk], v.coeffs[:, blk, blk], N)

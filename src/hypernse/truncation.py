@@ -20,6 +20,15 @@ identity for r <= 1 and zero beyond R; W'(u) applies it mode- and
 componentwise (the amplitude scales cancel), followed by P_j.  J is only
 real-linear on the transition shell 1 < r < R; everywhere else it is a real
 multiple of the identity and hence complex-linear.
+
+The quadratic term of the prepared equation, B(W(u), W(u)), is computed by
+prepared_product alone.  Because W and the Leray projection act mode by mode,
+the transform routes compute W only on the block |j|_inf <= K that the route
+reads (K = floor(2M/3) for "two-thirds", K = M for "padded"), form the
+product there by real transforms in divergence form and project the block;
+this requires u real (conjugate-symmetric), so that W(u) is real and
+divergence-free mode by mode.  It agrees with bilinear_B(apply_W(u),
+apply_W(u)) to rounding; the "direct" route is that composition, the oracle.
 """
 
 from __future__ import annotations
@@ -32,10 +41,12 @@ import numpy as np
 from .spectral import (
     FourierField,
     SpectralParams,
+    _leray_coeffs,
+    _quadratic_fft,
+    _route_grid,
     apply_A_power,
     bilinear_B,
     laplacian_power,
-    leray_project,
     wavenumbers,
 )
 
@@ -93,22 +104,26 @@ class CutoffProfile:
             raise ValueError(f"profile violates sup |theta| <= 2 (sup ~ {sup})")
 
     def psi(self, r) -> np.ndarray:
-        """Radial factor: 1 on [0, inner], 0 beyond outer, smooth between."""
+        """Radial factor: 1 on [0, inner], 0 beyond outer, smooth between.
+
+        The smooth step is evaluated only on the transition shell (and at
+        NaN, which it propagates); everywhere else 1 or 0 is written directly.
+        """
         r = np.asarray(r, dtype=float)
-        x = (self.outer_radius - r) / (self.outer_radius - self.inner_radius)
-        out = _smoothstep(np.clip(x, 0.0, 1.0))
-        out = np.where(r <= self.inner_radius, 1.0, out)
-        out = np.where(r >= self.outer_radius, 0.0, out)
+        inner = r <= self.inner_radius
+        shell = ~(inner | (r >= self.outer_radius))
+        width = self.outer_radius - self.inner_radius
+        step = _smoothstep((self.outer_radius - r[shell]) / width)
+        out = np.where(inner, 1.0, 0.0)
+        out[shell] = step
         return out
 
     def psi_prime(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        x = (self.outer_radius - r) / (self.outer_radius - self.inner_radius)
         inside = (r > self.inner_radius) & (r < self.outer_radius)
+        width = self.outer_radius - self.inner_radius
         out = np.zeros_like(r)
-        out[inside] = -_smoothstep_prime(x[inside]) / (
-            self.outer_radius - self.inner_radius
-        )
+        out[inside] = -_smoothstep_prime((self.outer_radius - r[inside]) / width) / width
         return out
 
     def sup_theta(self, samples: int = 200_001) -> float:
@@ -151,14 +166,23 @@ def _amplitude_scale(params: SpectralParams, M: int) -> np.ndarray:
     return laplacian_power(M, (3.0 + params.epsilon) / 2.0) / params.rho
 
 
+def _truncate(
+    c: np.ndarray, params: SpectralParams, profile: CutoffProfile | None
+) -> np.ndarray:
+    """W on the centered coefficient block |j|_inf <= K that c holds, shape
+    (2, 2K+1, 2K+1).  W acts mode by mode, so this is the block of W of any
+    field that holds c there; a new array."""
+    scale = _amplitude_scale(params, (c.shape[-1] - 1) // 2)
+    th = theta(c * scale, profile)
+    inv = np.divide(1.0, scale, out=np.zeros_like(scale), where=scale > 0)
+    return _leray_coeffs(th * inv)
+
+
 def apply_W(
     u: FourierField, params: SpectralParams, profile: CutoffProfile | None = None
 ) -> FourierField:
     """Amplitude truncation W(u); identity on the ball ||u||_{H^{3+eps}} <= rho."""
-    scale = _amplitude_scale(params, u.M)
-    th = theta(u.coeffs * scale, profile)
-    inv = np.divide(1.0, scale, out=np.zeros_like(scale), where=scale > 0)
-    return leray_project(FourierField(u.M, th * inv))
+    return FourierField._wrap(u.M, _truncate(u.coeffs, params, profile))
 
 
 def apply_W_prime(
@@ -186,7 +210,36 @@ def apply_W_prime(
             * xi[trans]
         )
         out = out + corr
-    return leray_project(FourierField(u.M, out))
+    return FourierField._wrap(u.M, _leray_coeffs(out))
+
+
+def prepared_product(
+    u: FourierField,
+    params: SpectralParams,
+    dealias: str = "two-thirds",
+    profile: CutoffProfile | None = None,
+) -> FourierField:
+    """B(W(u), W(u)), the quadratic term of the prepared equation.
+
+    Equal to bilinear_B(apply_W(u), apply_W(u), dealias) up to rounding.  The
+    transform routes compute W only on the block |j|_inf <= K that the route
+    reads (K = floor(2M/3) for "two-thirds", K = M for "padded"), form
+    (w . grad) w = div(w w^T) there by real transforms on the route's grid,
+    Leray-project the block and return zero outside it.  Preconditions: u is
+    real (conjugate-symmetric), and W(u) is then real and divergence-free mode
+    by mode; every state the integrators produce is real.  The "direct" route
+    is the oracle: apply_W followed by bilinear_B(..., "direct").
+    """
+    if dealias == "direct":
+        w = apply_W(u, params, profile)
+        return bilinear_B(w, w, "direct")
+    M = u.M
+    K, N = _route_grid(M, dealias)
+    blk = slice(M - K, M + K + 1)
+    out = np.zeros((2, 2 * M + 1, 2 * M + 1), dtype=np.complex128)
+    w = _truncate(u.coeffs[:, blk, blk], params, profile)
+    out[:, blk, blk] = _leray_coeffs(_quadratic_fft(w, N))
+    return FourierField._wrap(M, out)
 
 
 def nonlinearity_F(
@@ -196,8 +249,7 @@ def nonlinearity_F(
     profile: CutoffProfile | None = None,
 ) -> FourierField:
     """Prepared nonlinearity in abstract form: A^{-1/2} B(W(u), W(u))."""
-    w = apply_W(u, params, profile)
-    return apply_A_power(bilinear_B(w, w, dealias), -0.5)
+    return apply_A_power(prepared_product(u, params, dealias, profile), -0.5)
 
 
 def nonlinearity_F_prime(

@@ -223,6 +223,26 @@ def test_cone_check_does_not_count_a_vanished_difference(tmp_path):
         assert run["fraction_satisfied"] == pytest.approx(1.0 / 3.0)
 
 
+def test_cone_check_counts_a_rounding_level_difference_as_degenerate(tmp_path):
+    # at mu = 1e4 the band decays by exp(-nu lambda^beta dt) ~ e^-630 per step,
+    # so after the first step ||v||^2 / ||u||^2 is below eps^2: rounding noise
+    out = tmp_path / "noise"
+    rc = main(["cone-check", "--mu", "1e4", "--s", "0.15", "--T", "0.002",
+               "--out", str(out)])
+    assert rc == 0
+    runs = json.loads((out / "cone.json").read_text())["results"]["runs"]
+    assert len(runs) == 2
+    for run in runs:
+        assert run["n_samples"] == 3
+        assert run["degenerate_samples"] == 2
+        assert run["all_satisfied"] is False
+        lines = (out / run["trace_csv"]).read_text().splitlines()
+        assert lines[0].split(",")[-1] == "norm_u_sq"
+        rows = [dict(zip(lines[0].split(","), map(float, ln.split(",")))) for ln in lines[1:]]
+        eps2 = 2.0**-104
+        assert [r["norm_v_sq"] <= eps2 * r["norm_u_sq"] for r in rows] == [False, True, True]
+
+
 def test_cone_check_reports_a_blow_up(tmp_path):
     out = tmp_path / "blow"
     rc = main(["cone-check", "--mu", "1e3", "--s", "0.15", "--T", "10", "--dt", "10",

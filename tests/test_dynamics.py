@@ -26,8 +26,8 @@ from hypernse import (
     tracking_distance,
 )
 from hypernse.dynamics import _cone_sample
-from hypernse.spectral import CutoffFamily, bilinear_B
-from hypernse.truncation import apply_W
+from hypernse.spectral import CutoffFamily
+from hypernse.truncation import prepared_product
 
 PARAMS = SpectralParams(M=8)
 FAMILY = CutoffFamily(lambda_N=8, lambda_next=9, k=2.0)
@@ -148,9 +148,8 @@ def reference_pair_rows(u1, u2, forcing, params, cfg, fam):
     def row(t, a, b):
         ba = bb = None
         if cfg.include_nonlinear:
-            wa, wb = apply_W(a, params), apply_W(b, params)
-            ba = bilinear_B(wa, wa, dealias=cfg.dealias)
-            bb = bilinear_B(wb, wb, dealias=cfg.dealias)
+            ba = prepared_product(a, params, cfg.dealias)
+            bb = prepared_product(b, params, cfg.dealias)
         return (t,) + _cone_sample(a, b, ba, bb, params, fam, low_mask, alpha)
 
     rows = [row(0.0, u1, u2)]
@@ -183,7 +182,9 @@ def test_evolve_pair_is_bitwise_the_plain_step_loop(integrator, forced, nonlinea
                     include_nonlinear=nonlinear, record_every=record_every)
     tr = evolve_pair(u1, u2, forcing, PARAMS, cfg, FAMILY)
     ref = reference_pair_rows(u1, u2, forcing, PARAMS, cfg, FAMILY)
-    got = np.column_stack([tr.t, tr.V, tr.dVdt, tr.norm_v_sq, tr.rhs_bound, tr.margin])
+    got = np.column_stack(
+        [tr.t, tr.V, tr.dVdt, tr.norm_v_sq, tr.rhs_bound, tr.margin, tr.norm_u_sq]
+    )
     assert got.shape == ref.shape
     assert np.array_equal(got, ref)
 
@@ -196,7 +197,7 @@ def test_pair_trace_alpha_and_columns():
     assert np.all(tr.alpha == expect_alpha)
     assert tr.lambda_N == 8 and tr.lambda_next == 9
     n = len(tr.t)
-    for name in ("V", "dVdt", "norm_v_sq", "alpha", "rhs_bound", "margin"):
+    for name in ("V", "dVdt", "norm_v_sq", "alpha", "rhs_bound", "margin", "norm_u_sq"):
         assert len(getattr(tr, name)) == n
 
 
@@ -231,10 +232,11 @@ def test_trace_csv_round_trip(tmp_path):
     path = tmp_path / "trace.csv"
     tr.to_csv(path)
     header = path.read_text().splitlines()[0]
-    assert header == "t,V,dVdt,norm_v_sq,alpha,rhs_bound,margin"
+    assert header == "t,V,dVdt,norm_v_sq,alpha,rhs_bound,margin,norm_u_sq"
     back = ConeTrace.from_csv(path, lambda_N=8, lambda_next=9, k=2.0, beta=PARAMS.beta, nu=PARAMS.nu)
     assert np.array_equal(back.V, tr.V)
     assert np.array_equal(back.margin, tr.margin)
+    assert np.array_equal(back.norm_u_sq, tr.norm_u_sq)
 
 
 def test_trace_csv_rejects_wrong_header(tmp_path):
@@ -293,3 +295,47 @@ def test_absorbing_radius_warns_when_still_growing():
     cfg = SimConfig(dt=1e-3, T=0.01, seed=12)  # far too short to settle
     with pytest.warns(RuntimeWarning):
         estimate_absorbing_radius(f, PARAMS, cfg, n_samples=2, ic_scale=1e-6)
+
+
+def test_cone_drive_is_the_A_power_form_to_rounding():
+    """A^{-1/2} and A^{1/2} cancel mode by mode in the trace's drive."""
+    rng = np.random.default_rng(8)
+    params = SpectralParams(M=16)
+    fam = CutoffFamily(lambda_N=25, lambda_next=26, k=3.0)
+    low_mask = fam.low.mask(16).astype(np.float64)
+    for _ in range(5):
+        u2 = random_field(16, rng, decay=3.0) * 3.0
+        u1 = u2 + random_field(16, rng, decay=2.0) * 0.1
+        b1, b2 = prepared_product(u1, params), prepared_product(u2, params)
+        _, dvdt, *_ = _cone_sample(u1, u2, b1, b2, params, fam, low_mask, 1.0)
+        _, diss, *_ = _cone_sample(u1, u2, None, None, params, fam, low_mask, 1.0)
+        v = u1 - u2
+        p = FourierField(16, v.coeffs * low_mask)
+        q = v - p
+        old = 2.0 * inner_product(
+            apply_A_power(b1, -0.5) - apply_A_power(b2, -0.5),
+            apply_A_power(p, 0.5) - apply_A_power(q, 0.5),
+        )
+        assert abs(old) > 1e-3 * abs(diss)
+        assert abs((dvdt - diss) - old) <= 1e-13 * abs(old)
+
+
+def test_cone_report_counts_unresolved_differences_as_degenerate():
+    u1, u2 = band_pair()
+    cfg = SimConfig(dt=1e-3, T=0.003, include_nonlinear=False)
+    tr = evolve_pair(u1, u2, None, PARAMS, cfg, FAMILY)
+    assert np.array_equal(
+        tr.norm_u_sq,
+        [max(inner_product(a, a), inner_product(b, b))
+         for a, b in zip(evolve(u1, None, PARAMS, cfg).fields,
+                         evolve(u2, None, PARAMS, cfg).fields)],
+    )
+    eps2 = np.finfo(np.float64).eps ** 2
+    # hold the members and shrink the difference: at eps^2 ||u||^2 and below
+    # a row is rounding noise, above it a row is evidence
+    tr.norm_v_sq = tr.norm_u_sq * np.array([1.0, eps2 * 1.01, eps2, 0.0])
+    tr.margin = np.ones(4)
+    rep = cone_report(tr)
+    assert rep["degenerate_samples"] == 2
+    assert rep["fraction_satisfied"] == 0.5
+    assert rep["all_satisfied"] is False

@@ -27,6 +27,7 @@ from hypernse import (
 from hypernse.spectral import (
     CutoffFamily,
     _smooth_size,
+    laplacian_power,
     two_thirds_limit,
     two_thirds_mask,
     wavenumbers,
@@ -251,3 +252,32 @@ def test_field_csv_rejects_nonpositive_mode(tmp_path):
     path.write_text("j1,j2,re_u1,im_u1,re_u2,im_u2\n-1,0,1.0,0.0,0.0,0.0\n")
     with pytest.raises(ValueError):
         load_field_csv(path)
+
+
+def test_field_operator_results_are_read_only_and_inputs_are_copied():
+    rng = np.random.default_rng(9)
+    u, v = random_field(6, rng), random_field(6, rng)
+    for out in (u + v, u - v, u * 2.0, 3.0 * u, -u, leray_project(u),
+                apply_A_power(u, 1.0), project(u, ModeProjector("at_most", 9.0))):
+        assert out.coeffs.dtype == np.complex128
+        assert not out.coeffs.flags.writeable
+    # a writeable array handed in is copied, so later writes do not reach the field
+    c = np.array(u.coeffs)
+    f = FourierField(6, c)
+    assert not np.shares_memory(f.coeffs, c)
+    c[0, 0, 0] = 99.0
+    assert f.coeffs[0, 0, 0] == u.coeffs[0, 0, 0]
+    # a read-only complex128 array is taken as it is
+    assert FourierField(6, u.coeffs).coeffs is u.coeffs
+
+
+def test_random_field_does_not_cache_its_decay_symbol():
+    laplacian_power.cache_clear()
+    u = random_field(9, np.random.default_rng(0), decay=3.3)
+    assert laplacian_power.cache_info().currsize == 0
+    _, _, LAM = wavenumbers(9)
+    z = random_field(9, np.random.default_rng(0), divergence_free=False)
+    w = random_field(9, np.random.default_rng(0), divergence_free=False, decay=3.3)
+    nz = LAM > 0
+    assert np.array_equal(w.coeffs[:, nz], z.coeffs[:, nz] * np.float64(LAM[nz]) ** -1.65)
+    assert u.divergence_defect() < 1e-13

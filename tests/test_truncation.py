@@ -24,8 +24,15 @@ from hypernse import (
     trilinear_b,
     w_image_h2_bound,
     apply_A_power,
+    bilinear_B,
 )
-from hypernse.truncation import _amplitude_scale
+from hypernse.spectral import two_thirds_limit
+from hypernse.truncation import (
+    _amplitude_scale,
+    _smoothstep,
+    _smoothstep_prime,
+    prepared_product,
+)
 
 
 PARAMS = SpectralParams(M=8)
@@ -184,3 +191,102 @@ def test_f_prime_routes_agree():
     num = np.max(np.abs(a.coeffs - b.coeffs))
     den = max(np.max(np.abs(a.coeffs)), 1e-300)
     assert num / den <= 1e-10
+
+
+def _psi_on_every_point(prof: CutoffProfile, r: np.ndarray) -> np.ndarray:
+    """The radial factor with the smooth step evaluated at every r (the
+    formula before the step was restricted to the transition shell)."""
+    x = (prof.outer_radius - r) / (prof.outer_radius - prof.inner_radius)
+    out = _smoothstep(np.clip(x, 0.0, 1.0))
+    out = np.where(r <= prof.inner_radius, 1.0, out)
+    return np.where(r >= prof.outer_radius, 0.0, out)
+
+
+@pytest.mark.parametrize("prof", [CutoffProfile(), CutoffProfile(0.5, 1.5)])
+def test_psi_on_the_shell_only_is_bitwise_the_full_formula(prof):
+    lo, hi = prof.inner_radius, prof.outer_radius
+    edges = [lo, hi, np.nextafter(lo, 0.0), np.nextafter(lo, np.inf),
+             np.nextafter(hi, 0.0), np.nextafter(hi, np.inf), 0.0]
+    r = np.concatenate([np.linspace(0.0, 2.0 * hi, 4001), edges])
+    assert lo in r and hi in r
+    got = prof.psi(r)
+    assert np.array_equal(got.view(np.uint64), _psi_on_every_point(prof, r).view(np.uint64))
+    assert np.array_equal(prof.psi(r.reshape(8, -1)), got.reshape(8, -1))
+    for x in edges:
+        assert prof.psi(x) == _psi_on_every_point(prof, np.asarray(x))
+    # psi' is zero off the open shell and matches the step's derivative on it
+    width = hi - lo
+    shell = (r > lo) & (r < hi)
+    want = np.zeros_like(r)
+    want[shell] = -_smoothstep_prime(((hi - r) / width)[shell]) / width
+    assert np.array_equal(prof.psi_prime(r), want)
+
+
+def _shell_field(M: int, params: SpectralParams, rng) -> FourierField:
+    """A real field whose scaled coefficients |j|^{3+eps} u_hat / rho all lie
+    in W's transition shell 1 < r < R."""
+    z = random_field(M, rng, divergence_free=False).coeffs
+    scale = _amplitude_scale(params, M)
+    r = rng.uniform(1.05, 0.98 * DEFAULT_OUTER_RADIUS, size=scale.shape)
+    r = 0.5 * (r + r[::-1, ::-1])  # same radius at j and -j keeps u real
+    inv = np.divide(1.0, scale, out=np.zeros_like(scale), where=scale > 0)
+    mag = np.abs(z)
+    c = np.divide(z, mag, out=np.zeros_like(z), where=mag > 0) * r * inv
+    return FourierField(M, c)
+
+
+def _oracle_rel(u: FourierField, params: SpectralParams, route: str) -> float:
+    w = apply_W(u, params)
+    ref = bilinear_B(w, w, route).coeffs
+    got = prepared_product(u, params, route).coeffs
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("route", ["two-thirds", "padded", "direct"])
+@pytest.mark.parametrize("M", [12, 16, 40])
+def test_prepared_product_matches_the_oracle(route, M):
+    params = SpectralParams(M=M)
+    rng = np.random.default_rng(M)
+    # inside the ball, saturated, and rough; the direct route is the oracle's
+    # own composition, so one saturated field covers it
+    cases = ((3.0, 30.0),) if route == "direct" else ((3.0, 0.5), (3.0, 30.0), (1.0, 3.0))
+    for decay, size in cases:
+        u = scaled_to(random_field(M, rng, decay=decay), size)
+        assert _oracle_rel(u, params, route) <= 1e-13
+
+
+@pytest.mark.parametrize("route", ["two-thirds", "padded"])
+def test_prepared_product_on_the_transition_shell(route):
+    params = SpectralParams(M=16)
+    rng = np.random.default_rng(7)
+    u = _shell_field(16, params, rng)
+    r = np.abs(u.coeffs * _amplitude_scale(params, 16))
+    nz = r > 0
+    assert np.all((r[nz] > 1.0) & (r[nz] < DEFAULT_OUTER_RADIUS))
+    assert _oracle_rel(u, params, route) <= 1e-13
+
+
+def test_prepared_product_at_the_cone_truncation():
+    params = SpectralParams(M=152)
+    u = scaled_to(random_field(152, np.random.default_rng(152), decay=4.5), 0.5)
+    assert _oracle_rel(u, params, "two-thirds") <= 1e-13
+
+
+def test_prepared_product_is_zero_outside_the_two_thirds_block():
+    params = SpectralParams(M=12)
+    u = random_field(12, np.random.default_rng(3), decay=2.0)
+    b = prepared_product(u, params)
+    K = two_thirds_limit(12)
+    outside = np.ones(b.coeffs.shape[1:], dtype=bool)
+    outside[12 - K : 12 + K + 1, 12 - K : 12 + K + 1] = False
+    assert np.all(b.coeffs[:, outside] == 0.0)
+    assert not b.coeffs.flags.writeable
+    with pytest.raises(ValueError):
+        prepared_product(u, params, "none")
+
+
+def test_nonlinearity_F_is_the_prepared_product():
+    params = SpectralParams(M=12)
+    u = random_field(12, np.random.default_rng(4), decay=3.0)
+    want = apply_A_power(prepared_product(u, params), -0.5)
+    assert np.array_equal(nonlinearity_F(u, params).coeffs, want.coeffs)
