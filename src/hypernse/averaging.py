@@ -11,8 +11,9 @@ Two independent routes to the matrix are provided:
 * :func:`assemble_restricted_operator` evaluates entries directly as a
   restricted convolution.  The input basis mode stays a single Fourier mode
   under the truncation derivative, so entry (r, c) only needs the coefficient
-  of W(u) at the difference wavenumber.  No transforms, no dense grids; this
-  is the route that scales to annuli at mu = 1e6.
+  of W(u) at the difference wavenumber, and the band gains come from
+  truncation's one cutoff derivative.  Array arithmetic over the n x n grid
+  of differences; no transforms, no dense grids, so it scales to mu = 1e6.
 * :func:`weak_restricted_operator` materializes each basis mode as a field and
   pushes it through the full derivative machinery (truncation derivative,
   dealiased advection, half-inverse Laplacian), then reads band coefficients.
@@ -47,6 +48,8 @@ from .spectral import (
 from .truncation import (
     _DEFAULT_PROFILE,
     CutoffProfile,
+    _amplitude_scale,
+    _theta_prime,
     apply_W,
     nonlinearity_F_prime,
 )
@@ -62,10 +65,6 @@ class AnnulusMode:
 
     j: tuple[int, int]
     direction: tuple[float, float]
-
-    @property
-    def norm(self) -> float:
-        return math.hypot(self.j[0], self.j[1])
 
 
 @dataclass(frozen=True)
@@ -107,35 +106,14 @@ def annulus_basis(lambda_N: int, k: float, M: int) -> AnnulusBasis:
     return AnnulusBasis(lambda_N, float(k), M, tuple(modes), conj)
 
 
-def _band_input_gain(
-    u: FourierField,
-    mode: AnnulusMode,
-    params: SpectralParams,
-    profile: CutoffProfile,
-) -> complex:
-    """Complex gain of the truncation derivative on a single band mode.
-
-    W'(u) applied to a single-mode field keeps it single-mode; after the
-    rank-one divergence-free projection the output is gain * direction.  The
-    cutoff acts componentwise, so the gain sums the per-component Jacobians
-    weighted by the squared direction entries.  It is 1 wherever u's
-    coefficient magnitudes sit inside the identity region, in particular
-    whenever the mode lies beyond u's truncation.
-    """
-    j1, j2 = mode.j
-    uc = u.mode(mode.j)
-    scale = (j1 * j1 + j2 * j2) ** (0.5 * (3.0 + params.epsilon)) / params.rho
-    gain = 0.0 + 0.0j
-    for m in range(2):
-        xi = scale * complex(uc[m])
-        r = abs(xi)
-        psi = float(profile.psi(np.asarray(r)))
-        g = complex(psi)
-        if profile.inner_radius < r < profile.outer_radius:
-            dpsi = float(profile.psi_prime(np.asarray(r)))
-            g += (dpsi / r) * xi.real * xi
-        gain += mode.direction[m] ** 2 * g
-    return gain
+def _gather(c: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Coefficient pairs of the centered block c at the lattice points j, an
+    integer array of shape (2, ...); zero beyond the block's truncation."""
+    M = (c.shape[-1] - 1) // 2
+    inside = np.all(np.abs(j) <= M, axis=0)
+    out = np.zeros(j.shape, dtype=np.complex128)
+    out[:, inside] = c[:, j[0, inside] + M, j[1, inside] + M]
+    return out
 
 
 def assemble_restricted_operator(
@@ -154,34 +132,25 @@ def assemble_restricted_operator(
         entry = (1/|k_r|) * ( [a . i delta] (d_r . w_hat(delta))
                               + [w_hat(delta) . i k_c] (d_r . a) )
 
-    All dots are plain bilinear sums.  Differences beyond u's truncation
-    contribute nothing, matching a sample with exactly zero tail.
+    All dots are plain bilinear sums, and gain = d_c . J(xi) d_c with xi the
+    amplitude-scaled coefficient of u at k_c.  Entries are array arithmetic
+    over the n x n grid of differences; u and w_hat are zero beyond u's
+    truncation (a sample with exactly zero tail) and w_hat(0) = 0.
     """
     if len(basis) == 0:
         raise ValueError("basis is empty")
-    profile = profile or _DEFAULT_PROFILE
-    w = apply_W(u, params, profile)
-    n = len(basis)
-    gains = [_band_input_gain(u, m, params, profile) for m in basis.modes]
-    out = np.zeros((n, n), dtype=np.complex128)
-    for c, mc in enumerate(basis.modes):
-        kc = mc.j
-        a = gains[c] * np.asarray(mc.direction, dtype=np.complex128)
-        for r, mr in enumerate(basis.modes):
-            if r == c:
-                continue
-            kr = mr.j
-            d1, d2 = kr[0] - kc[0], kr[1] - kc[1]
-            wd = w.mode((d1, d2))
-            if not np.any(wd):
-                continue
-            dr = mr.direction
-            adv_of_w = (a[0] * d1 + a[1] * d2) * 1j
-            adv_of_mode = (wd[0] * kc[0] + wd[1] * kc[1]) * 1j
-            entry = adv_of_w * (dr[0] * wd[0] + dr[1] * wd[1])
-            entry += adv_of_mode * (dr[0] * a[0] + dr[1] * a[1])
-            out[r, c] = entry / mr.norm
-    return out
+    k = np.array([m.j for m in basis.modes]).T
+    d = np.array([m.direction for m in basis.modes]).T
+    xi = _gather(u.coeffs * _amplitude_scale(params, u.M), k)
+    a = np.sum(d * _theta_prime(xi, d.astype(np.complex128), profile), axis=0) * d
+    delta = k[:, :, None] - k[:, None, :]
+    wd = _gather(apply_W(u, params, profile).coeffs, delta)
+    adv_of_w = (a[0] * delta[0] + a[1] * delta[1]) * 1j
+    adv_of_mode = (wd[0] * k[0] + wd[1] * k[1]) * 1j
+    d_r = d[:, :, None]
+    entry = adv_of_w * (d_r[0] * wd[0] + d_r[1] * wd[1])
+    entry += adv_of_mode * (d_r[0] * a[0] + d_r[1] * a[1])
+    return entry / np.sqrt(k[0] * k[0] + k[1] * k[1])[:, None]
 
 
 def field_from_coords(

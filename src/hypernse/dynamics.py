@@ -401,9 +401,10 @@ def cone_report(trace: ConeTrace) -> dict:
     against the pair members, norm_v_sq <= eps^2 norm_u_sq with eps the
     float64 machine epsilon, carries no evidence: the difference is rounding
     noise of the members (or exactly zero, e.g. absorbed into overflow-scale
-    fields).  It is counted in degenerate_samples and never as satisfied.
+    fields).  It is counted in degenerate_samples and never as satisfied, and
+    min_margin and worst_time are taken over the other rows only (None when
+    every row is degenerate).
     """
-    worst = int(np.argmin(trace.margin))
     lam_n = float(trace.lambda_N)
     lam_next = float(trace.lambda_next)
     linear_gap_ok = bool(
@@ -413,10 +414,12 @@ def cone_report(trace: ConeTrace) -> dict:
     eps = np.finfo(np.float64).eps
     degenerate = trace.norm_v_sq <= eps * eps * trace.norm_u_sq
     satisfied = (trace.margin >= 0.0) & ~degenerate
+    resolved = np.flatnonzero(~degenerate)
+    worst = resolved[np.argmin(trace.margin[resolved])] if resolved.size else None
     return {
         "n_samples": int(trace.t.size),
-        "min_margin": float(trace.margin[worst]),
-        "worst_time": float(trace.t[worst]),
+        "min_margin": None if worst is None else float(trace.margin[worst]),
+        "worst_time": None if worst is None else float(trace.t[worst]),
         "fraction_satisfied": float(np.mean(satisfied)),
         "all_satisfied": bool(np.all(satisfied)),
         "degenerate_samples": int(np.count_nonzero(degenerate)),

@@ -86,14 +86,6 @@ class SpectralParams:
     def supercritical(self) -> bool:
         return self.beta < 1.5
 
-    def check_cone_exponent(self) -> None:
-        """The cone/averaging analysis needs s strictly inside (3-2beta, 1/6)."""
-        lo = 3.0 - 2.0 * self.beta
-        if not lo < self.s < 1.0 / 6.0:
-            raise ValueError(
-                f"s={self.s} outside the admissible window ({lo}, {1/6}) for beta={self.beta}"
-            )
-
 
 @lru_cache(maxsize=32)
 def wavenumbers(M: int):

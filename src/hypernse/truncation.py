@@ -16,10 +16,12 @@ tail sum for the configured truncation).
 
 The Gateaux derivative of theta at xi is the real-linear map
     J(xi) h = psi(r) h + (psi'(r)/r) Re(conj(xi) h) xi,   r = |xi|,
-identity for r <= 1 and zero beyond R; W'(u) applies it mode- and
+identity for r <= 1 and zero from R on; W'(u) applies it mode- and
 componentwise (the amplitude scales cancel), followed by P_j.  J is only
 real-linear on the transition shell 1 < r < R; everywhere else it is a real
-multiple of the identity and hence complex-linear.
+multiple of the identity and hence complex-linear.  J has one implementation,
+the array helper _theta_prime: apply_W_prime, theta_jacobian and the band
+gains of averaging.assemble_restricted_operator all evaluate it.
 
 The quadratic term of the prepared equation, B(W(u), W(u)), is computed by
 prepared_product alone.  Because W and the Leray projection act mode by mode,
@@ -142,23 +144,28 @@ def theta(xi, profile: CutoffProfile | None = None):
     return xi * prof.psi(np.abs(xi))
 
 
+def _theta_prime(xi, h, profile: CutoffProfile | None) -> np.ndarray:
+    """J(xi) h = psi(r) h + (psi'(r)/r) Re(conj(xi) h) xi elementwise, r = |xi|,
+    for h of xi's shape.  The correction is evaluated on the transition shell
+    inner < r < outer only: J is exactly 1 up to inner and 0 from outer on."""
+    prof = profile or _DEFAULT_PROFILE
+    r = np.abs(xi)
+    out = prof.psi(r) * h
+    shell = (r > prof.inner_radius) & (r < prof.outer_radius)
+    xs, rs = xi[shell], r[shell]
+    out[shell] += prof.psi_prime(rs) / rs * np.real(np.conj(xs) * h[shell]) * xs
+    return out
+
+
 def theta_jacobian(xi: complex, profile: CutoffProfile | None = None) -> np.ndarray:
     """Real 2x2 Jacobian of theta at xi, acting on (Re h, Im h).
 
-    Identity for |xi| <= inner radius, zero beyond the outer radius, and
-    psi(r) I + (psi'(r)/r) xi_vec xi_vec^T on the transition shell.
+    Its columns are J(xi) 1 and J(xi) i: the identity up to the inner radius,
+    zero from the outer radius on, psi(r) I + (psi'(r)/r) xi_vec xi_vec^T
+    between.
     """
-    prof = profile or _DEFAULT_PROFILE
-    x, y = float(np.real(xi)), float(np.imag(xi))
-    r = math.hypot(x, y)
-    if r <= prof.inner_radius:
-        return np.eye(2)
-    p = float(prof.psi(r))
-    if r >= prof.outer_radius:
-        return np.zeros((2, 2))
-    dp = float(prof.psi_prime(r))
-    v = np.array([x, y])
-    return p * np.eye(2) + (dp / r) * np.outer(v, v)
+    cols = _theta_prime(np.full(2, complex(xi)), np.array([1.0, 1j]), profile)
+    return np.array([cols.real, cols.imag])
 
 
 def _amplitude_scale(params: SpectralParams, M: int) -> np.ndarray:
@@ -193,24 +200,8 @@ def apply_W_prime(
 ) -> FourierField:
     """Gateaux derivative of W at u in direction v (the scales cancel)."""
     u._check_compatible(v)
-    prof = profile or _DEFAULT_PROFILE
-    scale = _amplitude_scale(params, u.M)
-    xi = u.coeffs * scale
-    r = np.abs(xi)
-    psi = prof.psi(r)
-    dpsi = prof.psi_prime(r)
-    out = psi * v.coeffs
-    trans = dpsi != 0.0
-    if np.any(trans):
-        corr = np.zeros_like(out)
-        corr[trans] = (
-            dpsi[trans]
-            / r[trans]
-            * np.real(np.conj(xi[trans]) * v.coeffs[trans])
-            * xi[trans]
-        )
-        out = out + corr
-    return FourierField._wrap(u.M, _leray_coeffs(out))
+    xi = u.coeffs * _amplitude_scale(params, u.M)
+    return FourierField._wrap(u.M, _leray_coeffs(_theta_prime(xi, v.coeffs, profile)))
 
 
 def prepared_product(
@@ -281,17 +272,12 @@ def _component_tail(params: SpectralParams) -> np.ndarray:
 def w_image_h2_bound(params: SpectralParams) -> float:
     """Uniform H^2 bound on W(u) from the coefficient tail sum.
 
-    |W_hat[j]| <= 2 sqrt(2) rho / |j|^{3+eps} per mode (componentwise sup of
-    theta is 2, the two components and the projection give the sqrt(2) and
-    the sub-unit factor), so ||W(u)||_{H^2}^2 <= 8 rho^2 sum |j|^{-2-2eps}
-    over the truncation.
+    |W_hat[j]| <= c_j, the per-mode ceiling of _component_tail (componentwise
+    sup of theta is 2, the two components and the sub-unit projection give
+    the sqrt(2)), so ||W(u)||_{H^2}^2 <= sum |j|^4 c_j^2 over the truncation.
     """
     _, _, LAM = wavenumbers(params.M)
-    nz = LAM > 0
-    lam = np.float64(LAM[nz])
-    return float(
-        math.sqrt(8.0) * params.rho * math.sqrt(np.sum(lam ** (-1.0 - params.epsilon)))
-    )
+    return float(math.sqrt(np.sum(np.float64(LAM) ** 2 * _component_tail(params) ** 2)))
 
 
 def nonlinearity_h2_bound(params: SpectralParams) -> float:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hypernse import (
+    CutoffProfile,
     SpectralParams,
     annulus_basis,
     annulus_points,
@@ -16,6 +17,7 @@ from hypernse import (
     draw_averaging_samples,
     find_sparse_annulus,
     inner_product,
+    nonlinearity_F,
     nonlinearity_F_prime,
     random_field,
     restricted_norm,
@@ -29,6 +31,7 @@ from hypernse.averaging import (
     random_cancellation_pair,
 )
 from hypernse.spectral import _convolve_direct
+from hypernse.truncation import _amplitude_scale
 
 PARAMS = SpectralParams(M=16)
 
@@ -89,6 +92,7 @@ def saturated_sample(rng, size=300.0):
 
 def test_strong_and_weak_assembly_agree(small_basis):
     rng = np.random.default_rng(2)
+    prof = CutoffProfile()
     for make in (in_ball_sample, saturated_sample):
         u = make(rng)
         strong = assemble_restricted_operator(u, small_basis, PARAMS)
@@ -96,6 +100,18 @@ def test_strong_and_weak_assembly_agree(small_basis):
         num = np.max(np.abs(strong - weak))
         den = max(np.max(np.abs(strong)), np.max(np.abs(weak)), 1e-300)
         assert num / den <= 1e-10, make.__name__
+    # the saturated sample has band-mode amplitudes in the transition shell,
+    # where the band gain is only real-linear; both routes take it from the
+    # one cutoff derivative, so a central difference of F checks that column
+    xi = u.coeffs * _amplitude_scale(PARAMS, u.M)
+    r = np.abs([xi[:, a + u.M, b + u.M] for a, b in (m.j for m in small_basis.modes)])
+    in_shell = (prof.inner_radius < r) & (r < prof.outer_radius)
+    c = int(np.flatnonzero(np.any(in_shell, axis=1))[0])
+    v = field_from_coords(small_basis, np.eye(len(small_basis))[c], 16)
+    h = 1e-6
+    fd = nonlinearity_F(u + v * h, PARAMS, "direct") - nonlinearity_F(u - v * h, PARAMS, "direct")
+    col = coords_from_field(small_basis, fd) / (2.0 * h)
+    assert np.max(np.abs(col - strong[:, c])) <= 1e-7 * den
 
 
 def test_weak_assembly_is_the_derivative_pairing(small_basis):

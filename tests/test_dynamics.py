@@ -225,6 +225,35 @@ def test_cone_report_fields():
     assert rep["all_satisfied"] == (rep["fraction_satisfied"] == 1.0)
 
 
+def test_cone_report_worst_row_skips_degenerate_rows():
+    """A rounding-noise row with the smallest margin is not the worst row."""
+    ones = np.ones(4)
+    tr = ConeTrace(
+        t=np.array([0.0, 0.01, 0.02, 0.03]),
+        V=-ones,
+        dVdt=ones,
+        # rows 1 and 3 are unresolved against ||u||^2 = 1
+        norm_v_sq=np.array([1e-2, 1e-40, 1e-3, 0.0]),
+        alpha=ones,
+        rhs_bound=-ones,
+        margin=np.array([0.5, 6.2e-31, 0.25, -1.0]),
+        norm_u_sq=ones,
+        lambda_N=8,
+        lambda_next=9,
+        k=2.0,
+        beta=PARAMS.beta,
+        nu=PARAMS.nu,
+    )
+    rep = cone_report(tr)
+    assert rep["degenerate_samples"] == 2
+    assert rep["min_margin"] == 0.25
+    assert rep["worst_time"] == 0.02
+    tr.norm_v_sq = np.zeros(4)
+    rep = cone_report(tr)
+    assert rep["min_margin"] is None and rep["worst_time"] is None
+    assert rep["fraction_satisfied"] == 0.0
+
+
 def test_trace_csv_round_trip(tmp_path):
     u1, u2 = band_pair()
     cfg = SimConfig(dt=1e-3, T=0.01)

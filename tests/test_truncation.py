@@ -86,6 +86,11 @@ def test_theta_jacobian_matches_difference_quotient():
         fd = complex(theta(xi + h) - theta(xi))
         lin = complex(*(J @ np.array([h.real, h.imag])))
         assert abs(fd - lin) <= 1e-9 * max(1.0, abs(xi))
+    # the shell's closed edges: exactly the identity and exactly zero
+    prof = CutoffProfile()
+    for unit in (1.0, 1j, -1.0, -1j):  # |r * unit| == r exactly
+        assert np.array_equal(theta_jacobian(prof.inner_radius * unit), np.eye(2))
+        assert np.array_equal(theta_jacobian(prof.outer_radius * unit), np.zeros((2, 2)))
 
 
 def test_w_is_identity_inside_the_ball():
