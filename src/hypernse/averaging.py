@@ -301,7 +301,7 @@ def random_cancellation_pair(
     """
     phi: dict[tuple[int, int], complex] = {}
     n_max = math.floor(support_radius * support_radius)
-    for (a, b) in _points_with_norm_range(1, n_max):
+    for (a, b) in _points_with_norm_range(1, n_max).tolist():
         if (a, b) <= (0, 0):
             continue
         z = complex(rng.standard_normal(), rng.standard_normal())

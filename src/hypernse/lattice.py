@@ -10,10 +10,16 @@ double semantics; the CLI warns when a requested bound sits within 1e-9 of an
 integer.
 
 One enumerator, _points_with_norm_range, lists the lattice points of any
-window n_min <= |j|^2 <= n_max in O(sqrt(n_max)) row steps plus the points
-listed.  The sparse-annulus scan and the annulus and strip counts read their
-windows from it; only the gap records, which need every integer up to a
-limit, use the full-range sieve.
+window n_min <= |j|^2 <= n_max, for n_max < 2^52, as an (n, 2) int64 array
+in lexicographic order.  It is array arithmetic over the 2 isqrt(n_max) + 1
+rows j1: each row's two j2 segments come from an integer square root (a
+float64 root corrected by one step in int64, so exact), and np.repeat expands
+the segments without a per-point Python object.  The sparse-annulus scan and
+the strip count select their sets from that array with boolean masks; only
+the public boundary (annulus_points, strip_directions, SparseAnnulus.points)
+turns rows into LatticePoints of Python ints.  Only the gap records, which
+need every integer up to a limit, use the full-range sieve, and they find
+their records with a running maximum instead of a loop over the gaps.
 
 The sparse-annulus scan is the one place that certifies sparsity.  With the
 annulus it certifies the projector window around lambda_N, the largest
@@ -170,47 +176,69 @@ def record_gaps(limit: int) -> list[GapRecord]:
     if reps.size < 2:
         return []
     gaps = np.diff(reps)
-    records: list[GapRecord] = []
-    best = 1
-    for lo, g in zip(reps[:-1].tolist(), gaps.tolist()):
-        if g > best:
-            records.append(GapRecord(lo, lo + g, g))
-            best = g
-    return records
+    # the largest gap before each one, seeded with the unit step
+    earlier = np.maximum.accumulate(np.concatenate(([1], gaps[:-1])))
+    at = np.flatnonzero(gaps > earlier)
+    return [
+        GapRecord(lo, lo + g, g)
+        for lo, g in zip(reps[at].tolist(), gaps[at].tolist())
+    ]
 
 
-def _ceil_sqrt(n: int) -> int:
-    """Smallest integer b with b^2 >= n (n >= 0)."""
-    if n <= 0:
-        return 0
-    return 1 + math.isqrt(n - 1)
+# the enumerator's bound on |j|^2: below it every norm, and every dot product
+# of a point with a strip direction, is exact in float64 as well as in int64
+_NORM_BOUND = 2**52
 
 
-def _points_with_norm_range(n_min: int, n_max: int) -> list[LatticePoint]:
-    """All j != 0 with n_min <= |j|^2 <= n_max, lexicographic order."""
+def _isqrt(n: np.ndarray) -> np.ndarray:
+    """Elementwise floor(sqrt(n)) of an int64 array, exact for 0 <= n < 2^62.
+
+    np.sqrt is correctly rounded and monotone, so the truncated float64 root
+    is never below isqrt(n) and at most one above it (one above happens from
+    n = 2^52 + 2^27, the float root of (2^26 + 1)^2 - 1); one int64 step down
+    makes it exact, and r^2 <= 2^62 cannot overflow.
+    """
+    r = np.sqrt(n).astype(np.int64)
+    r -= r * r > n
+    return r
+
+
+def _points_with_norm_range(n_min: int, n_max: int) -> np.ndarray:
+    """All j != 0 with n_min <= |j|^2 <= n_max: an (n, 2) int64 array, lexicographic.
+
+    Row j1 in [-R, R], R = isqrt(n_max), holds the two j2 segments
+    [-b_hi, -max(b_lo, 1)] and [b_lo, b_hi], with b_hi = isqrt(n_max - j1^2)
+    and b_lo the smallest b >= 0 with b^2 >= n_min - j1^2.  Row 0 has
+    b_lo >= 1 because n_min is raised to 1, so j = 0 is never listed.  Raises
+    ValueError when n_max >= 2^52 (_NORM_BOUND).
+    """
+    if n_max >= _NORM_BOUND:
+        raise ValueError(f"n_max must be below 2^52, got {n_max}")
     if n_max < 1 or n_max < n_min:
-        return []
+        return np.empty((0, 2), dtype=np.int64)
     n_min = max(n_min, 1)
-    pts: list[LatticePoint] = []
     R = math.isqrt(n_max)
-    for j1 in range(-R, R + 1):
-        hi2 = n_max - j1 * j1
-        if hi2 < 0:
-            continue
-        lo2 = n_min - j1 * j1
-        b_hi = math.isqrt(hi2)
-        b_lo = _ceil_sqrt(lo2)
-        if b_lo == 0:
-            for j2 in range(-b_hi, b_hi + 1):
-                if j1 == 0 and j2 == 0:
-                    continue
-                pts.append(LatticePoint(j1, j2))
-        else:
-            for j2 in range(-b_hi, -b_lo + 1):
-                pts.append(LatticePoint(j1, j2))
-            for j2 in range(b_lo, b_hi + 1):
-                pts.append(LatticePoint(j1, j2))
+    j1 = np.arange(-R, R + 1, dtype=np.int64)
+    b_hi = _isqrt(n_max - j1 * j1)
+    lo2 = n_min - j1 * j1
+    b_lo = np.where(lo2 > 0, _isqrt(np.maximum(lo2 - 1, 0)) + 1, 0)
+    # per row: the negative segment, then the nonnegative one; n_min <= n_max
+    # keeps b_lo <= b_hi + 1, so no count is negative.  Segment i lies in row
+    # j1[i // 2], and a thin window leaves most segments empty.
+    starts = np.stack([-b_hi, b_lo], axis=1).ravel()
+    counts = np.stack([b_hi - np.maximum(b_lo, 1) + 1, b_hi - b_lo + 1], axis=1).ravel()
+    live = np.flatnonzero(counts)
+    starts, counts = starts[live], counts[live]
+    first = np.cumsum(counts) - counts  # each segment's offset in the output
+    pts = np.empty((int(counts.sum()), 2), dtype=np.int64)
+    pts[:, 0] = np.repeat(j1[live // 2], counts)
+    pts[:, 1] = np.arange(len(pts), dtype=np.int64) + np.repeat(starts - first, counts)
     return pts
+
+
+def _as_points(pts: np.ndarray) -> list[LatticePoint]:
+    """The rows of an enumerator array as LatticePoints of Python ints."""
+    return [LatticePoint(a, b) for a, b in pts.tolist()]
 
 
 def annulus_points(lam: float, k: float) -> list[LatticePoint]:
@@ -225,7 +253,7 @@ def annulus_points(lam: float, k: float) -> list[LatticePoint]:
         raise ValueError(f"need lam > k >= 0, got lam={lam}, k={k}")
     lo = lam - k
     hi = lam + k
-    return _points_with_norm_range(math.ceil(lo), math.floor(hi))
+    return _as_points(_points_with_norm_range(math.ceil(lo), math.floor(hi)))
 
 
 def min_pairwise_distance(points) -> float | None:
@@ -253,13 +281,6 @@ def _min_squared_distance(pts: list[LatticePoint]) -> int | None:
             if best is None or d2 < best:
                 best = d2
     return best
-
-
-def _within(
-    pts: list[LatticePoint], norms: list[int], n_min: int, n_max: int
-) -> list[LatticePoint]:
-    """The points of pts whose norm n (norms[i] for pts[i]) has n_min <= n <= n_max."""
-    return [p for p, n in zip(pts, norms) if n_min <= n <= n_max]
 
 
 def _separation(pts: list[LatticePoint]) -> float:
@@ -302,19 +323,23 @@ def find_sparse_annulus(mu: float, s: float) -> SparseAnnulus | None:
         pts = _points_with_norm_range(
             math.ceil(n_low - half), math.ceil(lam + half) + margin
         )
-        norms = [p.j1 * p.j1 + p.j2 * p.j2 for p in pts]
+        norms = pts[:, 0] ** 2 + pts[:, 1] ** 2
+
+        def within(n_min: int, n_max: int) -> list[LatticePoint]:
+            return _as_points(pts[(norms >= n_min) & (norms <= n_max)])
 
         # the integers n with edge(m) < n <= edge(m+1)
-        open_pts = _within(
-            pts, norms, math.floor(fam.bin_edge(m)) + 1, math.floor(fam.bin_edge(m + 1))
+        open_pts = within(
+            math.floor(fam.bin_edge(m)) + 1, math.floor(fam.bin_edge(m + 1))
         )
         if not _separation(open_pts) > thr:
             continue
-        closed_pts = _within(pts, norms, math.ceil(lam - half), math.floor(lam + half))
+        closed_pts = within(math.ceil(lam - half), math.floor(lam + half))
         sep = _separation(closed_pts)
         if not sep > thr:
             continue
-        eigs = sorted({n for n in norms if n >= n_low})
+        # not np.unique: its first call imports numpy.ma (20 ms, 1.2 MiB)
+        eigs = sorted(set(norms[norms >= n_low].tolist()))
         i = bisect.bisect_right(eigs, lam)  # eigs[:i] <= lam < eigs[i:]
         if i == 0 or i == len(eigs):
             side = "at or below" if i == 0 else "above"
@@ -322,7 +347,7 @@ def find_sparse_annulus(mu: float, s: float) -> SparseAnnulus | None:
                 f"no eigenvalue {side} lambda = {lam} within the margin {margin}"
             )
         lam_N = eigs[i - 1]
-        window = _within(pts, norms, math.ceil(lam_N - half), math.floor(lam_N + half))
+        window = within(math.ceil(lam_N - half), math.floor(lam_N + half))
         win_sep = _separation(window)
         if not win_sep > thr:
             continue
@@ -345,7 +370,7 @@ def find_sparse_annulus(mu: float, s: float) -> SparseAnnulus | None:
 
 def strip_directions(mu: float, s: float) -> list[LatticePoint]:
     """All j != 0 with |j| <= mu^{s/2}, i.e. |j|^2 <= mu^s, lexicographic."""
-    return _points_with_norm_range(1, math.floor(mu**s))
+    return _as_points(_points_with_norm_range(1, math.floor(mu**s)))
 
 
 def strip_statistics(mu: float, s: float) -> StripStats:
@@ -353,21 +378,27 @@ def strip_statistics(mu: float, s: float) -> StripStats:
 
     The strip for direction j is {x : |x . j| < mu^s}; admissible directions
     satisfy 0 < |j| <= mu^{s/2}.  Membership is tested directly for every
-    lattice point of the scan range mu < |x|^2 <= mu + (J+1) kappa.
+    lattice point of the scan range mu < |x|^2 <= mu + (J+1) kappa, read as
+    one int64 array from the enumerator.  Since |x . (-j)| = |x . j|, only one
+    direction of each pair +-j is tested (the set is symmetric and listed
+    lexicographically, so its second half is the j > 0 of each pair);
+    strip_count still counts every direction.
     """
     fam = AnnulusFamily(mu, s)
-    js = strip_directions(mu, s)
+    js = _points_with_norm_range(1, math.floor(mu**s))
     top = fam.bin_edge(fam.J + 1)
     # integers n with mu < n <= top are exactly floor(mu) + 1 .. floor(top)
     pts = _points_with_norm_range(math.floor(mu) + 1, math.floor(top))
-    if not js or not pts:
-        return StripStats(mu=mu, s=s, strip_count=len(js), lattice_hits=0)
-    P = np.array(pts, dtype=np.int64)
-    Jm = np.array(js, dtype=np.int64)
+    x1 = np.ascontiguousarray(pts[:, 0])
+    x2 = np.ascontiguousarray(pts[:, 1])
     width = mu**s
-    # one direction at a time: a points x directions matrix is hundreds of MB
+    # one direction at a time, into one buffer: a points x directions matrix
+    # is hundreds of MB
     hit = np.zeros(len(pts), dtype=bool)
-    for j in Jm:
-        hit |= np.abs(P @ j) < width
+    dot = np.empty(len(pts), dtype=np.int64)
+    for a, b in js[len(js) // 2 :].tolist():
+        np.multiply(x1, a, out=dot)
+        dot += b * x2
+        hit |= np.abs(dot, out=dot) < width
     hits = int(np.count_nonzero(hit))
     return StripStats(mu=mu, s=s, strip_count=len(js), lattice_hits=hits)

@@ -1,5 +1,6 @@
 """Integer-lattice layer: representability, gaps, strips, sparse annuli."""
 
+import functools
 import math
 
 import numpy as np
@@ -17,7 +18,14 @@ from hypernse import (
     strip_statistics,
 )
 from hypernse import lattice
-from hypernse.lattice import AnnulusFamily, strip_directions
+from hypernse.lattice import (
+    AnnulusFamily,
+    GapRecord,
+    LatticePoint,
+    _isqrt,
+    _points_with_norm_range,
+    strip_directions,
+)
 
 
 def brute_representable(n: int) -> bool:
@@ -45,6 +53,27 @@ def test_sieve_prefix_stability():
     assert np.array_equal(big[:401], small)
 
 
+def loop_record_gaps(limit: int) -> list[GapRecord]:
+    """The plain running-best loop over consecutive representable integers."""
+    mask = representable_sieve(limit)
+    reps = [n for n in range(1, limit + 1) if mask[n]]
+    records = []
+    best = 1
+    for lo, hi in zip(reps, reps[1:]):
+        if hi - lo > best:
+            best = hi - lo
+            records.append(GapRecord(lo, hi, best))
+    return records
+
+
+@pytest.mark.parametrize("limit", [*range(65), 1_000_000])
+def test_gap_records_match_the_loop(limit):
+    recs = record_gaps(limit)
+    assert recs == loop_record_gaps(limit)
+    for r in recs:
+        assert (type(r.lower), type(r.upper), type(r.gap)) == (int, int, int)
+
+
 def test_gap_records_to_a_million():
     recs = record_gaps(1_000_000)
     assert len(recs) == 19
@@ -60,6 +89,81 @@ def test_gap_record_endpoints_and_interiors():
         assert is_representable(rec.upper)
         for n in range(rec.lower + 1, rec.upper):
             assert not is_representable(n)
+
+
+def brute_points(n_min: int, n_max: int) -> list[tuple[int, int]]:
+    """Every j != 0 of the bounding square with n_min <= |j|^2 <= n_max."""
+    r = math.isqrt(max(n_max, 0))
+    return [
+        (a, b)
+        for a in range(-r, r + 1)
+        for b in range(-r, r + 1)
+        if (a, b) != (0, 0) and n_min <= a * a + b * b <= n_max
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def points_of_norm(n: int) -> tuple[tuple[int, int], ...]:
+    """Every j with |j|^2 = n, by exact integer roots, one row j1 at a time."""
+    pts = []
+    r = math.isqrt(n)
+    for a in range(-r, r + 1):
+        b = math.isqrt(n - a * a)
+        if b * b == n - a * a:
+            pts.extend({(a, -b), (a, b)})  # one point when b = 0
+    return tuple(pts)
+
+
+def _assert_enumerates(n_min, n_max, expected):
+    pts = _points_with_norm_range(n_min, n_max)
+    assert pts.dtype == np.int64
+    assert pts.shape == (len(expected), 2)
+    assert [tuple(p) for p in pts.tolist()] == sorted(expected)
+
+
+@given(st.integers(-50, 2500), st.integers(-5, 2500))
+@settings(max_examples=300, deadline=None)
+def test_enumerator_matches_the_double_loop(n_min, n_max):
+    _assert_enumerates(n_min, n_max, brute_points(n_min, n_max))
+
+
+@pytest.mark.parametrize(
+    "n_min, n_max", [(5, 4), (10**6, 10), (0, 0), (-3, 0), (-5, -1), (1, 0)]
+)
+def test_enumerator_empty_windows(n_min, n_max):
+    pts = _points_with_norm_range(n_min, n_max)
+    assert pts.shape == (0, 2) and pts.dtype == np.int64
+
+
+@pytest.mark.parametrize("n_min, n_max", [(-7, 30), (0, 1), (0, 4), (1, 1), (4, 4), (9, 16)])
+def test_enumerator_low_windows_and_the_j1_zero_row(n_min, n_max):
+    expected = brute_points(n_min, n_max)
+    _assert_enumerates(n_min, n_max, expected)
+    on_axis = [(0, b) for b in range(-4, 5) if b != 0 and n_min <= b * b <= n_max]
+    assert on_axis and set(on_axis) <= set(expected)
+
+
+@pytest.mark.parametrize("k", [99_999, 100_000])
+@pytest.mark.parametrize("lo, hi", [(-1, -1), (-1, 0), (-1, 1), (0, 0), (0, 1), (1, 1)])
+def test_enumerator_windows_at_perfect_squares(k, lo, hi):
+    n_min, n_max = k * k + lo, k * k + hi
+    expected = [p for n in range(n_min, n_max + 1) for p in points_of_norm(n)]
+    _assert_enumerates(n_min, n_max, expected)
+
+
+@pytest.mark.parametrize(
+    "k", [1, 2, 99_999, 100_000, 2**26 - 1, 2**26, 2**26 + 1, 10**9 + 7, 2**31 - 1]
+)
+def test_isqrt_at_perfect_squares(k):
+    # from k = 2^26 + 1 on, the float64 root of k^2 - 1 rounds up to k (and
+    # above 2^53 n itself rounds in float64); the int64 step down corrects it
+    n = np.array([k * k - 1, k * k, k * k + 1], dtype=np.int64)
+    assert _isqrt(n).tolist() == [k - 1, k, k]
+
+
+def test_enumerator_names_its_bound():
+    with pytest.raises(ValueError, match=r"2\^52"):
+        _points_with_norm_range(0, 2**52)
 
 
 def test_annulus_points_boundary_membership():
@@ -254,8 +358,24 @@ def test_sparse_annulus_window_matches_the_sieve(mu):
     assert (ann.lambda_N, ann.lambda_next) == (lam_N, lam_next)
 
 
+@pytest.mark.parametrize("mu", [1.0e4, 1.0e8])
+def test_sparse_annulus_returns_python_ints(mu):
+    # bundles and strict-JSON reports need Python ints, not numpy scalars
+    ann = find_sparse_annulus(mu, 0.15)
+    assert (type(ann.m0), type(ann.lambda_N), type(ann.lambda_next)) == (int, int, int)
+    assert ann.points
+    for p in ann.points:
+        assert type(p) is LatticePoint
+        assert (type(p.j1), type(p.j2)) == (int, int)
+    for p in annulus_points(ann.lambda_N, ann.half_width) + strip_directions(mu, 0.15):
+        assert type(p) is LatticePoint
+        assert (type(p.j1), type(p.j2)) == (int, int)
+
+
 def test_sparse_annulus_names_the_margin_when_the_window_is_empty(monkeypatch):
-    monkeypatch.setattr(lattice, "_points_with_norm_range", lambda lo, hi: [])
+    monkeypatch.setattr(
+        lattice, "_points_with_norm_range", lambda lo, hi: np.empty((0, 2), np.int64)
+    )
     with pytest.raises(ValueError, match="margin 128"):
         find_sparse_annulus(1.0e4, 0.15)
 

@@ -1,11 +1,13 @@
 """Spectral core: fields, projections, product routes."""
 
 import bisect
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypernse import (
@@ -179,16 +181,56 @@ def test_trilinear_matches_bilinear_pairing():
     assert math.isclose(lhs, rhs, rel_tol=1e-10, abs_tol=1e-12)
 
 
-@given(
+def power_gap_60_digits(a: float, b: float, beta: float) -> tuple[Decimal, ...]:
+    """(lhs, rhs, a^beta) of the power-gap inequality in 60-digit decimals.
+
+    The doubles a, b, beta convert exactly.  The rhs halves the sum of powers
+    before multiplying, so that at beta = 1 it is the lhs digit for digit.
+    """
+
+    def power(x: Decimal, e: Decimal) -> Decimal:
+        return Decimal(1) if e == 0 else x**e  # 0^0 = 1, as for doubles
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        A, B, beta_ = Decimal(a), Decimal(b), Decimal(beta)
+        a_beta = power(A, beta_)
+        lhs = a_beta - power(B, beta_)
+        rhs = (A - B) * ((power(A, beta_ - 1) + power(B, beta_ - 1)) / 2)
+        return lhs, rhs, a_beta
+
+
+POWER_GAP_INPUTS = given(
     x=st.floats(min_value=0.0, max_value=1.0e6),
     y=st.floats(min_value=0.0, max_value=1.0e6),
     beta=st.floats(min_value=1.0, max_value=3.0),
 )
+# a draw where the doubles invert the inequality: lhs = 1.0 < rhs =
+# 1.0000000000000029, while exactly lhs - rhs = +2.2e-16, below one rounding
+# of the cancelling difference a^beta - b^beta
+CANCELLING_DRAW = example(x=358681.0, y=358682.0, beta=1.0 + 2.0**-52)
+
+
+@POWER_GAP_INPUTS
+@CANCELLING_DRAW
 @settings(max_examples=300, deadline=None)
 def test_power_gap_inequality(x, y, beta):
     a, b = max(x, y), min(x, y)
-    lhs, rhs = power_gap_lower_bound(a, b, beta)
+    lhs, rhs, _ = power_gap_60_digits(a, b, beta)
     assert lhs >= rhs
+
+
+@POWER_GAP_INPUTS
+@CANCELLING_DRAW
+@settings(max_examples=300, deadline=None)
+def test_power_gap_sides_are_rounded_once(x, y, beta):
+    # rhs is a sum and product of positive terms, within a few ulp of its
+    # exact value; lhs cancels, so it is within a few ulp of a^beta only
+    a, b = max(x, y), min(x, y)
+    lhs, rhs = power_gap_lower_bound(a, b, beta)
+    lhs_60, rhs_60, a_beta = power_gap_60_digits(a, b, beta)
+    assert abs(Decimal(rhs) - rhs_60) <= 4 * Decimal(math.ulp(float(rhs_60)))
+    assert abs(Decimal(lhs) - lhs_60) <= 4 * Decimal(math.ulp(float(a_beta)))
 
 
 def test_power_gap_equality_at_beta_one():
