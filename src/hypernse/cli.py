@@ -2,7 +2,11 @@
 
 Configuration is a flat UTF-8 key=value file with # comments; command-line
 flags override file values, and anything left unset falls back to documented
-defaults.  Every report embeds the fully resolved configuration and the
+defaults.  The fields of RunConfig are the one list of settings: each names
+one file key and one flag (--gap-limit for gap_limit), and file values and
+flag values go through one parser.  A value that is not of the field's type, a
+non-finite number, or one that breaks a parameter invariant exits 2 naming
+the key.  Every report embeds the fully resolved configuration and the
 package version so a run can be reproduced bitwise from its own output.
 
 One table names every stage with the stages it depends on: cone and
@@ -53,6 +57,7 @@ from .dynamics import (
     perturbed_copy,
 )
 from .lattice import (
+    AnnulusFamily,
     SparseAnnulus,
     annulus_points,
     find_sparse_annulus,
@@ -61,7 +66,6 @@ from .lattice import (
     strip_statistics,
 )
 from .spectral import (
-    DEALIAS_MODES,
     CutoffFamily,
     FourierField,
     SpectralParams,
@@ -73,30 +77,6 @@ from .spectral import (
 
 PERTURBATION_DELTAS = (1e-3, 1e-1)
 
-_DEFAULTS: dict[str, object] = {
-    "mu": 1e4,
-    "s": None,  # midpoint of (3 - 2 beta, 1/6) once beta is known
-    "beta": 1.45,
-    "nu": 1.0,
-    "rho": 1.0,
-    "M": 16,
-    "dt": 1e-3,
-    "T": 0.5,
-    "integrator": "eif",
-    "dealias": "two-thirds",
-    "seed": 0,
-    "include_nonlinear": True,
-    "record_every": 1,
-    "gap_limit": 1_000_000,
-    "samples": 8,
-    "ic_amplitude": 0.5,
-    "forcing_amplitude": 0.1,
-}
-
-_BOOL_KEYS = {"include_nonlinear"}
-_INT_KEYS = {"M", "seed", "record_every", "gap_limit", "samples"}
-_STR_KEYS = {"integrator", "dealias"}
-
 
 class ConfigError(ValueError):
     """Configuration rejected; the message names the violated invariant."""
@@ -104,71 +84,91 @@ class ConfigError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved settings for one pipeline run."""
+    """Fully resolved settings for one pipeline run.
 
-    mu: float
-    s: float
-    beta: float
-    nu: float
-    rho: float
-    M: int
-    dt: float
-    T: float
-    integrator: str
-    dealias: str
-    seed: int
-    include_nonlinear: bool
-    record_every: int
-    gap_limit: int
-    samples: int
-    ic_amplitude: float
-    forcing_amplitude: float
+    The field list is the one declaration of a setting: its name is the config
+    file key and, with dashes for underscores, the --flag; its type picks the
+    parser; its default applies when neither sets it.  Settings that
+    SpectralParams or SimConfig own take their defaults from those classes.
+    An unset s is the midpoint of (3 - 2 beta, 1/6).  Construction validates
+    by building SpectralParams, SimConfig and the annulus family.
+    """
+
+    mu: float = 1e4
+    s: float | None = None
+    beta: float = SpectralParams.beta
+    nu: float = SpectralParams.nu
+    rho: float = SpectralParams.rho
+    M: int = SpectralParams.M
+    dt: float = SimConfig.dt
+    T: float = SimConfig.T
+    integrator: str = SimConfig.integrator
+    dealias: str = SimConfig.dealias
+    seed: int = SimConfig.seed
+    include_nonlinear: bool = SimConfig.include_nonlinear
+    record_every: int = SimConfig.record_every
+    gap_limit: int = 1_000_000
+    samples: int = 8
+    ic_amplitude: float = 0.5
+    forcing_amplitude: float = 0.1
+
+    def __post_init__(self) -> None:
+        if self.s is None:
+            object.__setattr__(self, "s", ((3.0 - 2.0 * self.beta) + 1.0 / 6.0) / 2.0)
+        self.spectral_params()
+        self.sim_config()
+        AnnulusFamily(self.mu, self.s)
+        if self.gap_limit < 2:
+            raise ValueError(f"gap_limit must be >= 2, got {self.gap_limit}")
+        if self.samples < 1:
+            raise ValueError(f"samples must be >= 1, got {self.samples}")
+        if self.ic_amplitude < 0 or self.forcing_amplitude < 0:
+            raise ValueError("amplitudes must be nonnegative")
+
+    def _take(self, cls):
+        return cls(**{f.name: getattr(self, f.name) for f in dataclasses.fields(cls)})
 
     def spectral_params(self, M: int | None = None) -> SpectralParams:
-        return SpectralParams(
-            beta=self.beta,
-            nu=self.nu,
-            M=self.M if M is None else M,
-            s=self.s,
-            rho=self.rho,
-        )
+        params = self._take(SpectralParams)
+        return params if M is None else dataclasses.replace(params, M=M)
 
     def sim_config(self) -> SimConfig:
-        return SimConfig(
-            dt=self.dt,
-            T=self.T,
-            integrator=self.integrator,
-            dealias=self.dealias,
-            seed=self.seed,
-            include_nonlinear=self.include_nonlinear,
-            record_every=self.record_every,
-        )
+        return self._take(SimConfig)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
 
+# setting name -> declared type name ("float | None" for s reads as "float")
+_TYPES = {f.name: f.type.removesuffix(" | None") for f in dataclasses.fields(RunConfig)}
+
+
 def _coerce(key: str, raw: object) -> object:
-    if key in _BOOL_KEYS:
+    """raw (a flag or file string, or an already typed value) as key's type."""
+    kind = _TYPES[key]
+    text = str(raw).strip()
+    if kind == "bool":
         if isinstance(raw, bool):
             return raw
-        text = str(raw).strip().lower()
-        if text in ("1", "true", "yes", "on"):
+        if text.lower() in ("1", "true", "yes", "on"):
             return True
-        if text in ("0", "false", "no", "off"):
+        if text.lower() in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"{key} must be boolean, got {raw!r}")
-    if key in _INT_KEYS:
+    if kind == "str":
+        return text
+    if kind == "int":
         try:
-            return int(str(raw).strip())
+            return int(text)
         except ValueError:
             raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
-    if key in _STR_KEYS:
-        return str(raw).strip()
     try:
-        return float(str(raw).strip())
+        value = float(text)
     except ValueError:
         raise ConfigError(f"{key} must be a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {raw!r}")
+    return value
 
 
 def _parse_config_file(path: str) -> dict[str, object]:
@@ -185,7 +185,7 @@ def _parse_config_file(path: str) -> dict[str, object]:
                     )
                 key, value = text.split("=", 1)
                 key = key.strip()
-                if key not in _DEFAULTS:
+                if key not in _TYPES:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
                 out[key] = value.strip()
     except OSError as exc:
@@ -198,42 +198,24 @@ def resolve_config(
 ) -> RunConfig:
     """Merge defaults, config file, and flag overrides, then validate.
 
-    Validation constructs the embedded parameter objects, so their invariants
-    (supercritical exponent range, sparsity exponent window, positive steps)
-    fail fast here with the violated constraint named in the error.
+    File values and overrides (None meaning unset) go through one parser.
+    Constructing the RunConfig builds the embedded parameter objects, so their
+    invariants (supercritical exponent range, sparsity exponent window,
+    positive steps, a scan range below the enumerator bound) fail fast here
+    with the violated constraint named in the error.
     """
-    merged: dict[str, object] = dict(_DEFAULTS)
-    if config_path is not None:
-        merged.update(_parse_config_file(config_path))
+    merged = {} if config_path is None else _parse_config_file(config_path)
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key not in _DEFAULTS:
+        if key not in _TYPES:
             raise ConfigError(f"unknown configuration key {key!r}")
         merged[key] = value
-    resolved: dict[str, object] = {}
-    for key, value in merged.items():
-        if key == "s" and value is None:
-            continue
-        resolved[key] = _coerce(key, value)
-    if "s" not in resolved:
-        beta = float(resolved["beta"])
-        resolved["s"] = ((3.0 - 2.0 * beta) + 1.0 / 6.0) / 2.0
-    cfg = RunConfig(**resolved)  # type: ignore[arg-type]
+    values = {key: _coerce(key, value) for key, value in merged.items()}
     try:
-        cfg.spectral_params()
-        cfg.sim_config()
+        return RunConfig(**values)  # type: ignore[arg-type]
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if not cfg.mu >= 2:
-        raise ConfigError(f"mu must be >= 2, got {cfg.mu}")
-    if cfg.gap_limit < 2:
-        raise ConfigError(f"gap_limit must be >= 2, got {cfg.gap_limit}")
-    if cfg.samples < 1:
-        raise ConfigError(f"samples must be >= 1, got {cfg.samples}")
-    if cfg.ic_amplitude < 0 or cfg.forcing_amplitude < 0:
-        raise ConfigError("amplitudes must be nonnegative")
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +301,9 @@ def stage_gaps(cfg: RunConfig, outdir: str) -> tuple[dict, None]:
     }, None
 
 
-def stage_annulus(lam: float, k: float, outdir: str) -> dict:
+def stage_annulus(lam: float, k: float, pts: list, outdir: str) -> dict:
+    """Report the points annulus_points(lam, k) returned."""
     _warn_near_integer_bounds(lam, k)
-    pts = annulus_points(lam, k)
     csv_path = _write_points_csv(os.path.join(outdir, "annulus_points.csv"), pts)
     sep = min_pairwise_distance(pts)
     return {
@@ -539,24 +521,9 @@ def _run_stages(cfg: RunConfig, outdir: str, names, table: dict) -> dict[str, di
 def _add_override_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value configuration file")
     p.add_argument("--out", help="output directory (default: timestamped)")
-    p.add_argument("--mu", type=float)
-    p.add_argument("--s", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--nu", type=float)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--M", type=int)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--T", type=float)
-    p.add_argument("--integrator", choices=("eif", "imex"))
-    p.add_argument("--dealias", choices=DEALIAS_MODES)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--include-nonlinear", dest="include_nonlinear",
-                   choices=("true", "false"))
-    p.add_argument("--record-every", dest="record_every", type=int)
-    p.add_argument("--gap-limit", dest="gap_limit", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--ic-amplitude", dest="ic_amplitude", type=float)
-    p.add_argument("--forcing-amplitude", dest="forcing_amplitude", type=float)
+    # one flag per setting, parsed like a config file value by resolve_config
+    for key, kind in _TYPES.items():
+        p.add_argument(f"--{key.replace('_', '-')}", metavar=kind.upper())
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -578,10 +545,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("sparse", "search for a certified sparse annulus"),
         ("strips", "strip-union cardinality statistics"),
     ):
-        lp = lsub.add_parser(name, help=descr)
-        _add_override_flags(lp)
-        if name == "gaps":
-            lp.add_argument("--limit", type=int, help="alias for --gap-limit")
+        _add_override_flags(lsub.add_parser(name, help=descr))
     ann = lsub.add_parser("annulus", help="list lattice points in an annulus")
     _add_override_flags(ann)
     ann.add_argument("--lambda", dest="lam", type=float, required=True,
@@ -606,24 +570,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _overrides_from_args(args: argparse.Namespace) -> dict:
-    out = {}
-    for key in _DEFAULTS:
-        if hasattr(args, key):
-            out[key] = getattr(args, key)
-    if getattr(args, "limit", None) is not None:
-        out["gap_limit"] = args.limit
-    return out
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     command = args.command
     if command == "lattice":
         command = f"lattice-{args.lattice_command}"
     try:
-        cfg = resolve_config(args.config, _overrides_from_args(args))
-    except ConfigError as exc:
+        cfg = resolve_config(args.config, {key: getattr(args, key) for key in _TYPES})
+        if command == "lattice-annulus":  # checks its bounds before any write
+            points = annulus_points(args.lam, args.k)
+    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
@@ -650,7 +606,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         outdir = _run_directory(args.out, command)
         if target == "annulus":  # takes --lambda/--k; no stage depends on it
-            results = stage_annulus(args.lam, args.k, outdir)
+            results = stage_annulus(args.lam, args.k, points, outdir)
         else:
             results = _run_stages(cfg, outdir, names, table)
         if target in table:

@@ -75,6 +75,8 @@ class SimConfig:
             raise ValueError(f"unknown integrator {self.integrator!r}")
         if self.dealias not in DEALIAS_MODES:
             raise ValueError(f"unknown dealias route {self.dealias!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 

@@ -37,6 +37,15 @@ from typing import NamedTuple
 
 import numpy as np
 
+# the enumerator's bound on |j|^2: below it every norm, and every dot product
+# of a point with a strip direction, is exact in float64 as well as in int64
+_NORM_BOUND = 2**52
+
+# how far past its annulus the sparse-annulus scan enumerates, to find lambda_N
+# and lambda_next; gaps between sums of two squares stay far below it at any
+# feasible scale (the largest below 1e7 is 50)
+_SCAN_MARGIN = 128
+
 
 class LatticePoint(NamedTuple):
     j1: int
@@ -60,7 +69,8 @@ class AnnulusFamily:
     """The scan family for a base radius-squared mu: J+1 annuli of width kappa.
 
     kappa = mu^s, J = floor(mu^{1/2}); annulus m covers
-    mu + m*kappa < |x|^2 <= mu + (m+1)*kappa.
+    mu + m*kappa < |x|^2 <= mu + (m+1)*kappa.  The family must end, with the
+    scan's margin above it, below the enumerator's bound 2^52.
     """
 
     mu: float
@@ -71,6 +81,14 @@ class AnnulusFamily:
             raise ValueError(f"mu must be >= 2, got {self.mu}")
         if not 0.0 < self.s < 1.0 / 6.0:
             raise ValueError(f"s must lie in (0, 1/6), got {self.s}")
+        if not (
+            math.isfinite(self.mu)
+            and math.ceil(self.bin_edge(self.J + 1)) + _SCAN_MARGIN < _NORM_BOUND
+        ):
+            raise ValueError(
+                f"mu = {self.mu} puts the scan range mu + (J+1) kappa + "
+                f"{_SCAN_MARGIN} past the enumerator bound 2^52"
+            )
 
     @property
     def kappa(self) -> float:
@@ -172,22 +190,20 @@ def record_gaps(limit: int) -> list[GapRecord]:
     construction.
     """
     mask = representable_sieve(limit)
-    reps = np.flatnonzero(mask[1:]) + 1
+    reps = np.flatnonzero(mask)[1:]  # 0 = 0^2 + 0^2 is always marked
+    del mask
     if reps.size < 2:
         return []
     gaps = np.diff(reps)
-    # the largest gap before each one, seeded with the unit step
-    earlier = np.maximum.accumulate(np.concatenate(([1], gaps[:-1])))
-    at = np.flatnonzero(gaps > earlier)
+    # gap i > 0 is a record when it beats the running maximum up to i - 1;
+    # gap 0 has only the unit step before it
+    at = np.flatnonzero(gaps[1:] > np.maximum.accumulate(gaps)[:-1]) + 1
+    if gaps[0] > 1:
+        at = np.concatenate(([0], at))
     return [
         GapRecord(lo, lo + g, g)
         for lo, g in zip(reps[at].tolist(), gaps[at].tolist())
     ]
-
-
-# the enumerator's bound on |j|^2: below it every norm, and every dot product
-# of a point with a strip direction, is exact in float64 as well as in int64
-_NORM_BOUND = 2**52
 
 
 def _isqrt(n: np.ndarray) -> np.ndarray:
@@ -247,13 +263,13 @@ def annulus_points(lam: float, k: float) -> list[LatticePoint]:
     Bounds are doubles; integer |j|^2 membership is decided by exact
     int-vs-float comparison on ceil/floor of the bounds.
     """
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    if not lam > k:
+    if not (math.isfinite(lam) and math.isfinite(k)):
+        raise ValueError(f"lam and k must be finite, got lam={lam}, k={k}")
+    if not lam > k >= 0:
         raise ValueError(f"need lam > k >= 0, got lam={lam}, k={k}")
-    lo = lam - k
-    hi = lam + k
-    return _as_points(_points_with_norm_range(math.ceil(lo), math.floor(hi)))
+    if not lam + k < _NORM_BOUND:
+        raise ValueError(f"need lam + k < 2^52, got lam={lam}, k={k}")
+    return _as_points(_points_with_norm_range(math.ceil(lam - k), math.floor(lam + k)))
 
 
 def min_pairwise_distance(points) -> float | None:
@@ -312,16 +328,13 @@ def find_sparse_annulus(mu: float, s: float) -> SparseAnnulus | None:
     kappa = fam.kappa
     half = 0.5 * kappa
     thr_mu = mu ** (s / 2.0)
-    # gaps between sums of two squares stay far below this margin at any
-    # feasible scale (the largest below 1e7 is 50)
-    margin = 128
 
     for m in range(fam.J + 1):
         lam = mu + (m + 0.5) * kappa
         thr = max(thr_mu, lam ** (s / 2.0))
-        n_low = math.floor(lam) - margin  # the smallest lambda_N looked for
+        n_low = math.floor(lam) - _SCAN_MARGIN  # the smallest lambda_N looked for
         pts = _points_with_norm_range(
-            math.ceil(n_low - half), math.ceil(lam + half) + margin
+            math.ceil(n_low - half), math.ceil(lam + half) + _SCAN_MARGIN
         )
         norms = pts[:, 0] ** 2 + pts[:, 1] ** 2
 
@@ -344,7 +357,7 @@ def find_sparse_annulus(mu: float, s: float) -> SparseAnnulus | None:
         if i == 0 or i == len(eigs):
             side = "at or below" if i == 0 else "above"
             raise ValueError(
-                f"no eigenvalue {side} lambda = {lam} within the margin {margin}"
+                f"no eigenvalue {side} lambda = {lam} within the margin {_SCAN_MARGIN}"
             )
         lam_N = eigs[i - 1]
         window = within(math.ceil(lam_N - half), math.floor(lam_N + half))

@@ -23,6 +23,53 @@ def test_defaults():
     assert cfg.include_nonlinear is True
 
 
+def test_default_values_and_types_are_pinned():
+    assert [(k, v, type(v)) for k, v in resolve_config(None, {}).to_dict().items()] == [
+        ("mu", 10000.0, float),
+        ("s", 0.13333333333333336, float),
+        ("beta", 1.45, float),
+        ("nu", 1.0, float),
+        ("rho", 1.0, float),
+        ("M", 16, int),
+        ("dt", 0.001, float),
+        ("T", 0.5, float),
+        ("integrator", "eif", str),
+        ("dealias", "two-thirds", str),
+        ("seed", 0, int),
+        ("include_nonlinear", True, bool),
+        ("record_every", 1, int),
+        ("gap_limit", 1000000, int),
+        ("samples", 8, int),
+        ("ic_amplitude", 0.5, float),
+        ("forcing_amplitude", 0.1, float),
+    ]
+
+
+# one non-default value per setting, as a file or a flag would spell it
+SETTING_STRINGS = {
+    "mu": "500", "s": "0.1", "beta": "1.47", "nu": "2", "rho": "0.5",
+    "M": "12", "dt": "1e-4", "T": "0.1", "integrator": "imex",
+    "dealias": "padded", "seed": "3", "include_nonlinear": "no",
+    "record_every": "2", "gap_limit": "1000", "samples": "3",
+    "ic_amplitude": "0.25", "forcing_amplitude": "0",
+}
+
+
+@pytest.mark.parametrize("key", sorted(SETTING_STRINGS))
+def test_file_key_and_flag_resolve_alike(tmp_path, key):
+    assert set(SETTING_STRINGS) == set(resolve_config(None, {}).to_dict())
+    value = SETTING_STRINGS[key]
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = {value}\n")
+    from_file = resolve_config(str(path), {})
+    args = hypernse.cli._build_parser().parse_args(
+        ["simulate", f"--{key.replace('_', '-')}", value]
+    )
+    from_flag = resolve_config(None, {k: getattr(args, k) for k in SETTING_STRINGS})
+    assert from_file == from_flag
+    assert from_file != resolve_config(None, {})
+
+
 def test_s_tracks_overridden_beta():
     cfg = resolve_config(None, {"beta": 1.47})
     assert cfg.s == pytest.approx((3.0 - 2.0 * 1.47 + 1.0 / 6.0) / 2.0)
@@ -252,6 +299,39 @@ def test_cone_check_reports_a_blow_up(tmp_path):
     assert results["blow_up"] is True
     assert "non-finite" in results["message"]
     assert results["runs"] == []
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["lattice", "sparse", "--mu", "inf"], "mu must be finite"),
+        (["lattice", "strips", "--mu", "inf"], "mu must be finite"),
+        (["simulate", "--T", "inf"], "T must be finite"),
+        (["simulate", "--dt", "inf", "--T", "1"], "dt must be finite"),
+        (["simulate", "--nu", "inf"], "nu must be finite"),
+        (["averaging-check", "--rho", "inf"], "rho must be finite"),
+        (["simulate", "--seed", "-1"], "seed must be >= 0"),
+        (["cone-check", "--seed", "-1"], "seed must be >= 0"),
+        (["averaging-check", "--seed", "-1"], "seed must be >= 0"),
+        (["lattice", "gaps", "--seed", "-1"], "seed must be >= 0"),
+        (["lattice", "sparse", "--mu", "1e16"], "2^52"),
+        (["lattice", "annulus", "--lambda", "inf", "--k", "1"], "must be finite"),
+        (["lattice", "annulus", "--lambda", "25", "--k", "nan"], "must be finite"),
+        (["lattice", "annulus", "--lambda", "5", "--k", "10"], "lam > k >= 0"),
+        (["lattice", "annulus", "--lambda", "1e17", "--k", "1"], "lam + k < 2^52"),
+        # flag values go through the config file's parser
+        (["simulate", "--include-nonlinear", "maybe"], "include_nonlinear must be boolean"),
+        (["simulate", "--M", "1e3"], "M must be an integer"),
+    ],
+)
+def test_hostile_inputs_exit_2_naming_the_invariant(tmp_path, capsys, args, named):
+    out = tmp_path / "x"
+    assert main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("configuration error: ") and named in err
+    assert not out.exists()
 
 
 def test_bad_flag_value_exits_2(tmp_path):

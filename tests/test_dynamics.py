@@ -52,6 +52,12 @@ def test_config_validation():
     assert SimConfig(dt=1e-3, T=0.5).n_steps == 500
 
 
+def test_config_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SimConfig(seed=-1)
+    assert SimConfig(seed=0).seed == 0
+
+
 def test_integrating_factor_is_exact_on_linear_flow():
     u0 = single_mode((0, 3), (4.0 + 1.0j, 0.0))
     cfg = SimConfig(dt=1e-2, T=0.3, include_nonlinear=False)

@@ -180,6 +180,34 @@ def test_annulus_points_requires_positive_width_margin():
         annulus_points(3.0, 5.0)
 
 
+@pytest.mark.parametrize(
+    "lam, k, named",
+    [
+        (math.inf, 1.0, "finite"),
+        (25.0, math.nan, "finite"),
+        (5.0, 10.0, "lam > k >= 0"),
+        (25.0, -1.0, "lam > k >= 0"),
+        (2.0**52 - 1.0, 1.0, r"lam \+ k < 2\^52"),
+    ],
+)
+def test_annulus_points_names_the_failed_bound(lam, k, named):
+    with pytest.raises(ValueError, match=named):
+        annulus_points(lam, k)
+
+
+def test_annulus_family_keeps_the_scan_below_the_enumerator_bound(monkeypatch):
+    with pytest.raises(ValueError, match=r"2\^52"):
+        AnnulusFamily(1.0e16, 0.15)
+    with pytest.raises(ValueError, match=r"2\^52"):
+        AnnulusFamily(math.inf, 0.15)
+    fam = AnnulusFamily(4.0e15, 0.15)
+    assert math.ceil(fam.bin_edge(fam.J + 1)) + 128 < 2**52
+    # the check reads the scan's own margin
+    monkeypatch.setattr(lattice, "_SCAN_MARGIN", 2**52)
+    with pytest.raises(ValueError, match=r"2\^52"):
+        AnnulusFamily(1.0e4, 0.15)
+
+
 def test_min_pairwise_distance_small_cases():
     assert min_pairwise_distance([]) is None
     assert min_pairwise_distance([(0, 1)]) is None
