@@ -49,6 +49,7 @@ import numpy as np
 from . import __version__
 from .averaging import check_averaging, draw_averaging_samples
 from .dynamics import (
+    TRACE_COLUMNS,
     BlowUpError,
     SimConfig,
     cone_report,
@@ -456,9 +457,16 @@ def stage_cone(
             rep["delta"] = delta
             rep["trace_csv"] = os.path.basename(trace_path)
             runs.append(rep)
+            # finite states whose diagnostics overflow have left the range of
+            # floating point all the same; the first such trace names it
+            bad = np.argwhere(~np.isfinite([getattr(trace, c) for c in TRACE_COLUMNS]).T)
+            if bad.size and "message" not in summary:
+                (row, col), csv = bad[0], rep["trace_csv"]
+                summary.update(blow_up=True, message=f"non-finite {TRACE_COLUMNS[col]} "
+                               f"in {csv} from t = {trace.t[row]:.6g}")
     except BlowUpError as exc:
         # runs holds the pairs that finished before the blow-up
-        summary.update(blow_up=True, message=str(exc))
+        summary.update(blow_up=True, message=summary.get("message", str(exc)))
     summary.update(skipped=False, truncation=M_run, runs=runs)
     return summary, None
 

@@ -14,14 +14,20 @@ stiff, so both integrators treat it implicitly or exactly:
 * ``"imex"``  Crank-Nicolson on the linear part, Heun (explicit predictor,
   trapezoidal corrector) on the nonlinearity.
 
-Pair evolution records the cone quantity V = ||high part||^2 - ||low part||^2
-of the difference of two solutions together with its analytic time derivative,
-so the contraction inequality can be checked against the trace afterwards.
+One time loop steps a list of members and evaluates B(W(u), W(u)) once per
+member and state, for the record and, as f - B, for the next step; a state
+that leaves the range of floating point raises BlowUpError.  evolve runs it
+on one member and keeps the states.  evolve_pair runs it on two and records
+the cone quantity V = ||high part||^2 - ||low part||^2 of their difference
+with its analytic time derivative, so the contraction inequality can be
+checked against the trace afterwards.  step is the same step for a caller
+that holds only u.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +77,8 @@ class SimConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not self.T > 0:
             raise ValueError(f"T must be positive, got {self.T}")
+        if not np.isfinite(self.T / self.dt):
+            raise ValueError(f"T / dt must be finite, got {self.T} / {self.dt}")
         if self.integrator not in ("eif", "imex"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
         if self.dealias not in DEALIAS_MODES:
@@ -86,36 +94,19 @@ class SimConfig:
         return max(n, 1)
 
 
-def _B_of_W(
-    u: FourierField,
-    params: SpectralParams,
-    config: SimConfig,
-    profile: CutoffProfile,
-) -> FourierField | None:
-    """B(W(u), W(u)), or None when the configuration drops the nonlinearity."""
-    if not config.include_nonlinear:
-        return None
-    return prepared_product(u, params, config.dealias, profile)
-
-
-def _forced(b: FourierField | None, forcing: FourierField | None, M: int) -> FourierField:
-    """f - b, where b = B(W(u), W(u)) or None; a missing f counts as zero."""
-    if b is not None:
-        return -b if forcing is None else forcing - b
-    if forcing is not None:
-        return forcing
-    return FourierField.zeros(M)
-
-
-def _nonlinear_rhs(
+def _drive(
     u: FourierField,
     forcing: FourierField | None,
     params: SpectralParams,
     config: SimConfig,
     profile: CutoffProfile,
-) -> FourierField:
-    """Everything except the dissipative term: f - B(W(u), W(u))."""
-    return _forced(_B_of_W(u, params, config, profile), forcing, u.M)
+) -> tuple[FourierField | None, FourierField]:
+    """(b, f - b) at u, with b = B(W(u), W(u)) or None when the nonlinearity
+    is dropped; a missing f counts as zero."""
+    if not config.include_nonlinear:
+        return None, (FourierField.zeros(u.M) if forcing is None else forcing)
+    b = prepared_product(u, params, config.dealias, profile)
+    return b, (-b if forcing is None else forcing - b)
 
 
 def rhs_prepared(
@@ -126,18 +117,37 @@ def rhs_prepared(
     profile: CutoffProfile | None = None,
 ) -> FourierField:
     """Full right-hand side f - nu A^beta u - B(W(u), W(u))."""
-    profile = profile or _DEFAULT_PROFILE
-    out = _nonlinear_rhs(u, forcing, params, config, profile)
+    out = _drive(u, forcing, params, config, profile or _DEFAULT_PROFILE)[1]
     return out - apply_A_power(u, params.beta) * params.nu
 
 
-def _decay_factors(params: SpectralParams, M: int, dt: float) -> np.ndarray:
-    return np.exp(-params.nu * dt * laplacian_power(M, params.beta))
-
-
-def _check_finite(u: FourierField, t: float) -> None:
-    if not np.all(np.isfinite(u.coeffs)):
-        raise BlowUpError(f"non-finite coefficients at t = {t:.6g}")
+def _advance(
+    u: FourierField,
+    n0: FourierField,
+    forcing: FourierField | None,
+    params: SpectralParams,
+    config: SimConfig,
+    profile: CutoffProfile,
+) -> FourierField:
+    """One step from u, given n0 = f - B(W(u), W(u)) at u."""
+    dt = config.dt
+    if config.integrator == "eif":
+        E = np.exp(-params.nu * dt * laplacian_power(u.M, params.beta))
+        # Exact linear propagation: with v = e^{t nu A^beta} u the equation
+        # becomes dv/dt = e^{t nu A^beta} N(u), and Heun in v gives
+        #   u* = E (u + dt N(u)),  u+ = E u + (dt/2) (E N(u) + N(u*)).
+        pred = FourierField._wrap(u.M, (u.coeffs + dt * n0.coeffs) * E)
+        n1 = _drive(pred, forcing, params, config, profile)[1]
+        return FourierField._wrap(
+            u.M, u.coeffs * E + 0.5 * dt * (n0.coeffs * E + n1.coeffs)
+        )
+    a = 0.5 * dt * params.nu * laplacian_power(u.M, params.beta)
+    pred = FourierField._wrap(u.M, (u.coeffs + dt * n0.coeffs) / (1.0 + 2.0 * a))
+    n1 = _drive(pred, forcing, params, config, profile)[1]
+    return FourierField._wrap(
+        u.M,
+        ((1.0 - a) * u.coeffs + 0.5 * dt * (n0.coeffs + n1.coeffs)) / (1.0 + a),
+    )
 
 
 def step(
@@ -146,38 +156,43 @@ def step(
     params: SpectralParams,
     config: SimConfig,
     profile: CutoffProfile | None = None,
-    *,
-    n0: FourierField | None = None,
 ) -> FourierField:
-    """Advance one time step with the integrator named in config.
-
-    n0, when given, is f - B(W(u), W(u)) at u, for a caller that already has
-    it; it must be exactly what the step would compute itself.
-    """
+    """Advance one time step with the integrator named in config."""
     profile = profile or _DEFAULT_PROFILE
-    dt = config.dt
-    if n0 is None:
-        n0 = _nonlinear_rhs(u, forcing, params, config, profile)
-    if config.integrator == "eif":
-        E = _decay_factors(params, u.M, dt)
-        # Exact linear propagation: with v = e^{t nu A^beta} u the equation
-        # becomes dv/dt = e^{t nu A^beta} N(u), and Heun in v gives
-        #   u* = E (u + dt N(u)),  u+ = E u + (dt/2) (E N(u) + N(u*)).
-        pred = FourierField._wrap(u.M, (u.coeffs + dt * n0.coeffs) * E)
-        n1 = _nonlinear_rhs(pred, forcing, params, config, profile)
-        out = FourierField._wrap(
-            u.M, u.coeffs * E + 0.5 * dt * (n0.coeffs * E + n1.coeffs)
-        )
-    else:
-        a = 0.5 * dt * params.nu * laplacian_power(u.M, params.beta)
-        pred = FourierField._wrap(u.M, (u.coeffs + dt * n0.coeffs) / (1.0 + 2.0 * a))
-        n1 = _nonlinear_rhs(pred, forcing, params, config, profile)
-        out = FourierField._wrap(
-            u.M,
-            ((1.0 - a) * u.coeffs + 0.5 * dt * (n0.coeffs + n1.coeffs))
-            / (1.0 + a),
-        )
-    return out
+    n0 = _drive(u, forcing, params, config, profile)[1]
+    return _advance(u, n0, forcing, params, config, profile)
+
+
+def _run(
+    states: list[FourierField],
+    forcing: FourierField | None,
+    params: SpectralParams,
+    config: SimConfig,
+    profile: CutoffProfile,
+    record: Callable[[float, list[FourierField], tuple], None],
+) -> None:
+    """Step the members of states config.n_steps times, calling record(t,
+    states, bs) at t = 0, every record_every steps and at the end; bs are the
+    members' B(W(u), W(u)), which the next step reuses.  An overflow needs no
+    warning: a non-finite state raises BlowUpError, a non-finite record is
+    the caller's to report."""
+    n = config.n_steps
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n + 1):
+            if i:
+                states = [
+                    _advance(u, n0, forcing, params, config, profile)
+                    for u, n0 in zip(states, n0s)
+                ]
+                # the loop holds one set of drives at a time: each set is
+                # dropped once used, before the next one is computed
+                del n0s
+                if not all(np.all(np.isfinite(u.coeffs)) for u in states):
+                    raise BlowUpError(f"non-finite coefficients at t = {i * config.dt:.6g}")
+            bs, n0s = zip(*(_drive(u, forcing, params, config, profile) for u in states))
+            if i % config.record_every == 0 or i == n:
+                record(i * config.dt, states, bs)
+            del bs
 
 
 @dataclass
@@ -199,21 +214,13 @@ def evolve(
     profile: CutoffProfile | None = None,
 ) -> Trajectory:
     """Integrate from u0, sampling every record_every steps (and the endpoint)."""
-    profile = profile or _DEFAULT_PROFILE
-    times = [0.0]
-    fields = [u0]
-    u = u0
-    n = config.n_steps
-    # a state that overflows raises BlowUpError below, so the overflow itself
-    # needs no warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, n + 1):
-            u = step(u, forcing, params, config, profile)
-            t = i * config.dt
-            _check_finite(u, t)
-            if i % config.record_every == 0 or i == n:
-                times.append(t)
-                fields.append(u)
+    times, fields = [], []
+
+    def keep(t, states, bs):
+        times.append(t)
+        fields.append(states[0])
+
+    _run([u0], forcing, params, config, profile or _DEFAULT_PROFILE, keep)
     return Trajectory(np.asarray(times), fields)
 
 
@@ -308,9 +315,10 @@ def _cone_sample(
 ) -> tuple[float, float, float, float, float, float]:
     """One trace row (V, dVdt, norm_v_sq, rhs_bound, margin, norm_u_sq); b1,
     b2 are B(W(u), W(u)) of the members, None when the nonlinearity is off."""
-    v = u1 - u2
-    p = FourierField._wrap(v.M, v.coeffs * low_mask)
-    q = FourierField._wrap(v.M, v.coeffs * (1.0 - low_mask))
+    v = (u1 - u2).coeffs
+    p = FourierField._wrap(u1.M, v * low_mask)
+    q = FourierField._wrap(u1.M, v * (1.0 - low_mask))
+    del v  # a trace row is the loop's memory peak: hold p and q, not v too
     norm_p2 = inner_product(p, p)
     norm_q2 = inner_product(q, q)
     V = norm_q2 - norm_p2
@@ -346,45 +354,22 @@ def evolve_pair(
     """
     if u1_0.M != u2_0.M:
         raise ValueError("pair members must share a truncation")
-    profile = profile or _DEFAULT_PROFILE
-    M = u1_0.M
-    low_mask = family.low.mask(M).astype(np.float64)
+    low_mask = family.low.mask(u1_0.M).astype(np.float64)
     alpha = 0.5 * (
         float(family.lambda_next) ** params.beta
         + float(family.lambda_N) ** params.beta
     )
-    # B(W(u), W(u)) is evaluated once per member and state: the trace row and
-    # the next step's f - B share it, and only that one field is held between
-    # steps
-    u1, u2 = u1_0, u2_0
-    b1 = _B_of_W(u1, params, config, profile)
-    b2 = _B_of_W(u2, params, config, profile)
-    rows = [(0.0,) + _cone_sample(u1, u2, b1, b2, params, family, low_mask, alpha)]
-    n = config.n_steps
-    # as in evolve: an overflowed state raises BlowUpError
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, n + 1):
-            u1 = step(u1, forcing, params, config, profile, n0=_forced(b1, forcing, M))
-            u2 = step(u2, forcing, params, config, profile, n0=_forced(b2, forcing, M))
-            t = i * config.dt
-            _check_finite(u1, t)
-            _check_finite(u2, t)
-            b1 = _B_of_W(u1, params, config, profile)
-            b2 = _B_of_W(u2, params, config, profile)
-            if i % config.record_every == 0 or i == n:
-                rows.append(
-                    (t,) + _cone_sample(u1, u2, b1, b2, params, family, low_mask, alpha)
-                )
+    rows = []
+
+    def sample(t, states, bs):
+        rows.append((t,) + _cone_sample(*states, *bs, params, family, low_mask, alpha))
+
+    _run([u1_0, u2_0], forcing, params, config, profile or _DEFAULT_PROFILE, sample)
     arr = np.asarray(rows, dtype=np.float64)
+    names = ("t", "V", "dVdt", "norm_v_sq", "rhs_bound", "margin", "norm_u_sq")
     return ConeTrace(
-        t=arr[:, 0],
-        V=arr[:, 1],
-        dVdt=arr[:, 2],
-        norm_v_sq=arr[:, 3],
+        **dict(zip(names, arr.T)),
         alpha=np.full(arr.shape[0], alpha),
-        rhs_bound=arr[:, 4],
-        margin=arr[:, 5],
-        norm_u_sq=arr[:, 6],
         lambda_N=family.lambda_N,
         lambda_next=family.lambda_next,
         k=family.k,

@@ -138,10 +138,13 @@ _DEFAULT_PROFILE = CutoffProfile()
 
 
 def theta(xi, profile: CutoffProfile | None = None):
-    """Scalar cutoff theta(xi) = xi psi(|xi|), elementwise on complex input."""
+    """Scalar cutoff theta(xi) = xi psi(|xi|), elementwise on complex input;
+    exactly 0 where |xi| is infinite (beyond the outer radius) instead of
+    inf * 0 = NaN.  NaN stays NaN."""
     prof = profile or _DEFAULT_PROFILE
     xi = np.asarray(xi, dtype=np.complex128)
-    return xi * prof.psi(np.abs(xi))
+    r = np.abs(xi)
+    return np.multiply(xi, prof.psi(r), out=np.zeros_like(xi), where=~np.isinf(r))
 
 
 def _theta_prime(xi, h, profile: CutoffProfile | None) -> np.ndarray:
@@ -180,7 +183,8 @@ def _truncate(
     (2, 2K+1, 2K+1).  W acts mode by mode, so this is the block of W of any
     field that holds c there; a new array."""
     scale = _amplitude_scale(params, (c.shape[-1] - 1) // 2)
-    th = theta(c * scale, profile)
+    with np.errstate(over="ignore"):  # theta is 0 at an overflowed amplitude
+        th = theta(c * scale, profile)
     inv = np.divide(1.0, scale, out=np.zeros_like(scale), where=scale > 0)
     return _leray_coeffs(th * inv)
 

@@ -301,6 +301,20 @@ def test_cone_check_reports_a_blow_up(tmp_path):
     assert results["runs"] == []
 
 
+def test_cone_check_reports_overflowed_diagnostics_as_blow_up(tmp_path):
+    # the states stay finite, but max(||u1||^2, ||u2||^2) overflows from t = 0
+    out = tmp_path / "big"
+    rc = main(["cone-check", "--mu", "1e3", "--s", "0.15", "--ic-amplitude", "1e300",
+               "--T", "0.002", "--out", str(out)])
+    assert rc == 0
+    results = _strict_loads((out / "cone.json").read_text())["results"]
+    assert results["blow_up"] is True
+    assert results["message"] == (
+        "non-finite norm_u_sq in cone_trace_delta_0p001.csv from t = 0"
+    )
+    assert len(results["runs"]) == 2
+
+
 @pytest.mark.parametrize(
     "args, named",
     [
@@ -322,6 +336,11 @@ def test_cone_check_reports_a_blow_up(tmp_path):
         # flag values go through the config file's parser
         (["simulate", "--include-nonlinear", "maybe"], "include_nonlinear must be boolean"),
         (["simulate", "--M", "1e3"], "M must be an integer"),
+        # the step count round(T / dt) must exist
+        (["simulate", "--T", "1e308", "--dt", "1e-10"], "T / dt must be finite"),
+        (["simulate", "--T", "1e300", "--dt", "1e-300"], "T / dt must be finite"),
+        (["cone-check", "--mu", "1e3", "--s", "0.15", "--T", "1e308", "--dt", "1e-10"],
+         "T / dt must be finite"),
     ],
 )
 def test_hostile_inputs_exit_2_naming_the_invariant(tmp_path, capsys, args, named):

@@ -49,6 +49,8 @@ def test_config_validation():
         SimConfig(integrator="euler")
     with pytest.raises(ValueError):
         SimConfig(record_every=0)
+    with pytest.raises(ValueError, match="T / dt must be finite"):
+        SimConfig(T=1e308, dt=1e-10)
     assert SimConfig(dt=1e-3, T=0.5).n_steps == 500
 
 
@@ -115,6 +117,30 @@ def test_blow_up_raises():
         evolve(u0, f, PARAMS, cfg)
 
 
+def test_blow_up_of_one_pair_member_raises():
+    # only the member holding a coefficient near the float maximum leaves the
+    # range at the first step: u + dt (f - B) overflows at j = (0, 1)
+    params = SpectralParams(M=8, nu=1e-12)
+    rng = np.random.default_rng(2)
+    small = random_field(8, rng, decay=4.0) * 1e-3
+    big = small + single_mode((0, 1), (1.7e308, 0.0))
+    forcing = single_mode((0, 1), (1e307, 0.0))
+    cfg = SimConfig(dt=1.0, T=2.0)
+    for pair in ((small, big), (big, small)):
+        with pytest.raises(BlowUpError, match="at t = 1$"):
+            evolve_pair(*pair, forcing, params, cfg, FAMILY)
+
+
+def test_evolve_survives_a_mode_whose_scaled_amplitude_overflows():
+    # W zeroes the mode (theta vanishes beyond the outer radius), so the
+    # truncated nonlinearity stays bounded and the state finite
+    params = SpectralParams(M=8, rho=1e-12)
+    rng = np.random.default_rng(3)
+    u0 = random_field(8, rng, decay=4.0) * 1e-14 + single_mode((0, 3), (1e300, 0.0))
+    traj = evolve(u0, None, params, SimConfig(dt=1e-3, T=2e-3))
+    assert all(np.all(np.isfinite(u.coeffs)) for u in traj.fields)
+
+
 def test_determinism_bitwise():
     cfg = SimConfig(dt=1e-3, T=0.02, seed=7)
     rng1 = np.random.default_rng(cfg.seed)
@@ -168,6 +194,18 @@ def reference_pair_rows(u1, u2, forcing, params, cfg, fam):
     return np.asarray(rows)
 
 
+def reference_path(u, forcing, params, cfg):
+    """The recorded times and states of evolve, by plain step() calls."""
+    times, fields = [0.0], [u]
+    n = cfg.n_steps
+    for i in range(1, n + 1):
+        u = step(u, forcing, params, cfg)
+        if i % cfg.record_every == 0 or i == n:
+            times.append(i * cfg.dt)
+            fields.append(u)
+    return np.asarray(times), fields
+
+
 @pytest.mark.parametrize(
     "integrator, forced, nonlinear, record_every",
     [
@@ -193,6 +231,11 @@ def test_evolve_pair_is_bitwise_the_plain_step_loop(integrator, forced, nonlinea
     )
     assert got.shape == ref.shape
     assert np.array_equal(got, ref)
+    traj = evolve(u1, forcing, PARAMS, cfg)
+    times, fields = reference_path(u1, forcing, PARAMS, cfg)
+    assert np.array_equal(traj.times, times)
+    assert len(traj.fields) == len(fields)
+    assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(traj.fields, fields))
 
 
 def test_pair_trace_alpha_and_columns():

@@ -73,6 +73,33 @@ def test_theta_identity_and_support():
     assert 0.0 < abs(mid) < 2.0
 
 
+def test_theta_vanishes_at_infinity_and_keeps_nan():
+    infinite = np.array([np.inf, -np.inf, complex(0.0, np.inf), complex(np.inf, 1.0)])
+    assert np.array_equal(theta(infinite), np.zeros(4))
+    assert theta(np.inf) == 0.0
+    with np.errstate(invalid="ignore"):  # psi(NaN) is 0 / 0
+        assert np.all(np.isnan(theta(np.array([np.nan, complex(np.nan, 1.0)]))))
+    # finite input: bitwise the product xi psi(|xi|)
+    rng = np.random.default_rng(9)
+    xi = (rng.standard_normal(400) + 1j * rng.standard_normal(400)) * 3.0
+    xi[:3] = [1e308, -1e308j, 5.0]
+    prof = CutoffProfile()
+    assert np.array_equal(theta(xi), xi * prof.psi(np.abs(xi)))
+
+
+def test_w_zeroes_a_mode_whose_scaled_amplitude_overflows():
+    params = SpectralParams(M=8, rho=1e-12)
+    rng = np.random.default_rng(10)
+    base = random_field(8, rng, decay=4.0) * 1e-14
+    # |j|^{3+eps} / rho * 1e300 overflows at j = (0, 3)
+    huge = base + FourierField.from_modes(8, {(0, 3): (1e300, 0.0)})
+    zeroed = huge.coeffs.copy()
+    zeroed[0, 8, 8 + 3] = zeroed[0, 8, 8 - 3] = 0.0
+    assert np.array_equal(
+        apply_W(huge, params).coeffs, apply_W(FourierField(8, zeroed), params).coeffs
+    )
+
+
 def test_theta_jacobian_matches_difference_quotient():
     rng = np.random.default_rng(0)
     for _ in range(30):
