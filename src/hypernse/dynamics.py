@@ -16,12 +16,17 @@ stiff, so both integrators treat it implicitly or exactly:
 
 One time loop steps a list of members and evaluates B(W(u), W(u)) once per
 member and state, for the record and, as f - B, for the next step; a state
-that leaves the range of floating point raises BlowUpError.  evolve runs it
-on one member and keeps the states.  evolve_pair runs it on two and records
-the cone quantity V = ||high part||^2 - ||low part||^2 of their difference
-with its analytic time derivative, so the contraction inequality can be
-checked against the trace afterwards.  step is the same step for a caller
-that holds only u.
+that leaves the range of floating point raises BlowUpError.  The loop
+computes the integrator's linear factors once per run, and a step forms its
+predictor and update in place, in the operation order of the formulas, on
+arrays it has just created and that no one else references, before
+FourierField._wrap seals them: the fields stay immutable to every caller.
+evolve runs the loop on one member and keeps the states.  evolve_pair runs
+it on two and records the cone quantity V = ||high part||^2 - ||low part||^2
+of their difference with its analytic time derivative, so the contraction
+inequality can be checked against the trace afterwards; a trace row is read
+from one density |v_hat[j]|^2 of the difference.  step is the same step for
+a caller that holds only u.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .spectral import (
     CutoffFamily,
     FourierField,
     SpectralParams,
+    _pairing,
     apply_A_power,
     inner_product,
     laplacian_power,
@@ -121,6 +127,16 @@ def rhs_prepared(
     return out - apply_A_power(u, params.beta) * params.nu
 
 
+def _linear_factors(M: int, params: SpectralParams, config: SimConfig) -> tuple:
+    """The integrator's linear factors, computed once per run: (E,) with
+    E = exp(-nu dt A^beta) for "eif", (1 + 2a, 1 - a, 1 + a) with
+    a = (dt / 2) nu A^beta for "imex"."""
+    if config.integrator == "eif":
+        return (np.exp(-params.nu * config.dt * laplacian_power(M, params.beta)),)
+    a = 0.5 * config.dt * params.nu * laplacian_power(M, params.beta)
+    return 1.0 + 2.0 * a, 1.0 - a, 1.0 + a
+
+
 def _advance(
     u: FourierField,
     n0: FourierField,
@@ -128,26 +144,35 @@ def _advance(
     params: SpectralParams,
     config: SimConfig,
     profile: CutoffProfile,
+    factors: tuple,
 ) -> FourierField:
-    """One step from u, given n0 = f - B(W(u), W(u)) at u."""
+    """One step from u, given n0 = f - B(W(u), W(u)) at u and the run's
+    _linear_factors; each update is formed in place, in the formulas' order."""
     dt = config.dt
+    c = np.multiply(dt, n0.coeffs)
+    c += u.coeffs
     if config.integrator == "eif":
-        E = np.exp(-params.nu * dt * laplacian_power(u.M, params.beta))
+        (E,) = factors
         # Exact linear propagation: with v = e^{t nu A^beta} u the equation
         # becomes dv/dt = e^{t nu A^beta} N(u), and Heun in v gives
         #   u* = E (u + dt N(u)),  u+ = E u + (dt/2) (E N(u) + N(u*)).
-        pred = FourierField._wrap(u.M, (u.coeffs + dt * n0.coeffs) * E)
-        n1 = _drive(pred, forcing, params, config, profile)[1]
-        return FourierField._wrap(
-            u.M, u.coeffs * E + 0.5 * dt * (n0.coeffs * E + n1.coeffs)
-        )
-    a = 0.5 * dt * params.nu * laplacian_power(u.M, params.beta)
-    pred = FourierField._wrap(u.M, (u.coeffs + dt * n0.coeffs) / (1.0 + 2.0 * a))
-    n1 = _drive(pred, forcing, params, config, profile)[1]
-    return FourierField._wrap(
-        u.M,
-        ((1.0 - a) * u.coeffs + 0.5 * dt * (n0.coeffs + n1.coeffs)) / (1.0 + a),
-    )
+        c *= E
+        n1 = _drive(FourierField._wrap(u.M, c), forcing, params, config, profile)[1]
+        c = np.multiply(n0.coeffs, E)
+        c += n1.coeffs
+        np.multiply(0.5 * dt, c, out=c)
+        c += u.coeffs * E
+        return FourierField._wrap(u.M, c)
+    # u* = (u + dt N(u)) / (1 + 2a),
+    # u+ = ((1 - a) u + (dt/2) (N(u) + N(u*))) / (1 + a)
+    twice_a_plus_one, one_minus_a, one_plus_a = factors
+    c /= twice_a_plus_one
+    n1 = _drive(FourierField._wrap(u.M, c), forcing, params, config, profile)[1]
+    c = np.add(n0.coeffs, n1.coeffs)
+    np.multiply(0.5 * dt, c, out=c)
+    c += one_minus_a * u.coeffs
+    c /= one_plus_a
+    return FourierField._wrap(u.M, c)
 
 
 def step(
@@ -160,7 +185,7 @@ def step(
     """Advance one time step with the integrator named in config."""
     profile = profile or _DEFAULT_PROFILE
     n0 = _drive(u, forcing, params, config, profile)[1]
-    return _advance(u, n0, forcing, params, config, profile)
+    return _advance(u, n0, forcing, params, config, profile, _linear_factors(u.M, params, config))
 
 
 def _run(
@@ -177,11 +202,12 @@ def _run(
     warning: a non-finite state raises BlowUpError, a non-finite record is
     the caller's to report."""
     n = config.n_steps
+    factors = _linear_factors(states[0].M, params, config)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n + 1):
             if i:
                 states = [
-                    _advance(u, n0, forcing, params, config, profile)
+                    _advance(u, n0, forcing, params, config, profile, factors)
                     for u, n0 in zip(states, n0s)
                 ]
                 # the loop holds one set of drives at a time: each set is
@@ -314,19 +340,21 @@ def _cone_sample(
     alpha: float,
 ) -> tuple[float, float, float, float, float, float]:
     """One trace row (V, dVdt, norm_v_sq, rhs_bound, margin, norm_u_sq); b1,
-    b2 are B(W(u), W(u)) of the members, None when the nonlinearity is off."""
-    v = (u1 - u2).coeffs
-    p = FourierField._wrap(u1.M, v * low_mask)
-    q = FourierField._wrap(u1.M, v * (1.0 - low_mask))
-    del v  # a trace row is the loop's memory peak: hold p and q, not v too
-    norm_p2 = inner_product(p, p)
-    norm_q2 = inner_product(q, q)
+    b2 are B(W(u), W(u)) of the members, None when the nonlinearity is off.
+    ||p||^2, ||q||^2 and (weighted by |j|^{2 beta}) their A^{beta/2} norms are
+    dot products of one density |v_hat[j]|^2 of v = u1 - u2 with the masks;
+    the drive 2 (b1 - b2, p - q) is one real pairing with v (2 low - 1)."""
+    v = u1.coeffs - u2.coeffs
+    w = v.view(np.float64).reshape(2, *low_mask.shape, 2)
+    dens = np.einsum("ijkl,ijkl->jk", w, w)
+    high = 1.0 - low_mask
+    norm_p2, norm_q2 = _pairing(dens, low_mask), _pairing(dens, high)
     V = norm_q2 - norm_p2
-    diss = -2.0 * params.nu * (
-        sobolev_norm(q, params.beta) ** 2 - sobolev_norm(p, params.beta) ** 2
-    )
+    dens *= laplacian_power(u1.M, params.beta)
+    diss = -2.0 * params.nu * (_pairing(dens, high) - _pairing(dens, low_mask))
     if b1 is not None:
-        drive = 2.0 * inner_product(b1 - b2, p - q)
+        v *= low_mask - high
+        drive = 2.0 * _pairing(b1.coeffs - b2.coeffs, v)
     else:
         drive = 0.0
     dVdt = diss + drive

@@ -210,10 +210,19 @@ class FourierField:
         return float(np.max(np.abs(J1 * self.coeffs[0] + J2 * self.coeffs[1])))
 
 
+def _pairing(a: np.ndarray, b: np.ndarray) -> float:
+    """sum Re(a conj(b)) over two arrays of one shape and dtype, float64 or
+    complex128, as one pass over their float64 views (Re(a conj(b)) = Re a Re b + Im a Im b).
+    einsum, not np.dot: a threaded BLAS dot sums in an order that depends on
+    the thread count, and the result would too."""
+    a, b = (np.ascontiguousarray(x).reshape(-1).view(np.float64) for x in (a, b))
+    return float(np.einsum("i,i->", a, b))
+
+
 def inner_product(u: FourierField, v: FourierField) -> float:
     """Real L^2 pairing sum_j u_hat[j] . conj(v_hat[j]) (real part)."""
     u._check_compatible(v)
-    return float(np.real(np.sum(u.coeffs * np.conj(v.coeffs))))
+    return _pairing(u.coeffs, v.coeffs)
 
 
 def sobolev_norm(u: FourierField, s: float) -> float:
@@ -222,14 +231,20 @@ def sobolev_norm(u: FourierField, s: float) -> float:
     return float(math.sqrt(np.sum(laplacian_power(u.M, s) * dens)))
 
 
-def _leray_coeffs(c: np.ndarray) -> np.ndarray:
+def _leray_coeffs(c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """P_j = Id - j j^T / |j|^2 on each pair of the centered coefficient block
-    |j|_inf <= K that c holds, shape (2, 2K+1, 2K+1); a new array, zero at j = 0."""
+    |j|_inf <= K that c holds, shape (2, 2K+1, 2K+1), zero at j = 0; written
+    to out (which may be c itself), or to a new array."""
     K = (c.shape[-1] - 1) // 2
     J1, J2, LAM = wavenumbers(K)
     denom = np.where(LAM > 0, LAM, 1).astype(np.float64)
-    d = (J2 * c[0] - J1 * c[1]) / denom
-    out = np.stack([J2 * d, -J1 * d])
+    d = J2 * c[0]
+    d -= J1 * c[1]
+    d /= denom
+    if out is None:
+        out = np.empty(c.shape, dtype=np.complex128)
+    np.multiply(J2, d, out=out[0])
+    np.multiply(-J1, d, out=out[1])
     out[:, K, K] = 0.0
     return out
 
@@ -405,14 +420,21 @@ def _quadratic_fft(w: np.ndarray, N: int) -> np.ndarray:
     half = np.zeros((2, N, K + 1), dtype=np.complex128)
     half[:, : K + 1] = w[:, K:, K:]
     half[:, N - K :] = w[:, :K, K:]
+    # each grid array is dropped once used: this is the solver's memory peak
     g = np.fft.irfft(np.fft.ifft(half, axis=1, norm="forward"), n=N, axis=2, norm="forward")
-    q = np.stack([g[0] * g[0], g[0] * g[1], g[1] * g[1]])
+    del half
+    q = np.empty((3, N, N))
+    np.multiply(g[0], g, out=q[:2])
+    np.multiply(g[1], g[1], out=q[2])
+    del g
     prods = np.fft.fft(np.fft.rfft(q, axis=2, norm="forward")[:, :, : K + 1], axis=1, norm="forward")
+    del q
     p = np.concatenate([prods[:, N - K :], prods[:, : K + 1]], axis=1)
+    del prods
     out = np.empty(w.shape, dtype=np.complex128)
-    out[0, :, K:] = ik1 * p[0] + ik2 * p[1]
-    out[1, :, K:] = ik1 * p[1] + ik2 * p[2]
-    out[:, :, :K] = np.conj(out[:, ::-1, :K:-1])
+    np.multiply(ik1, p[:2], out=out[:, :, K:])
+    out[:, :, K:] += ik2 * p[1:]
+    np.conj(out[:, ::-1, :K:-1], out=out[:, :, :K])
     return out
 
 

@@ -108,15 +108,15 @@ class CutoffProfile:
     def psi(self, r) -> np.ndarray:
         """Radial factor: 1 on [0, inner], 0 beyond outer, smooth between.
 
-        The smooth step is evaluated only on the transition shell (and at
-        NaN, which it propagates); everywhere else 1 or 0 is written directly.
+        The smooth step is evaluated only on the transition shell; everywhere
+        else 1 or 0 is written directly, and NaN, which is in none of the
+        three regions, stays NaN.
         """
         r = np.asarray(r, dtype=float)
-        inner = r <= self.inner_radius
-        shell = ~(inner | (r >= self.outer_radius))
+        shell = (r > self.inner_radius) & (r < self.outer_radius)
         width = self.outer_radius - self.inner_radius
         step = _smoothstep((self.outer_radius - r[shell]) / width)
-        out = np.where(inner, 1.0, 0.0)
+        out = np.where(r <= self.inner_radius, 1.0, np.where(r >= self.outer_radius, 0.0, np.nan))
         out[shell] = step
         return out
 
@@ -185,8 +185,8 @@ def _truncate(
     scale = _amplitude_scale(params, (c.shape[-1] - 1) // 2)
     with np.errstate(over="ignore"):  # theta is 0 at an overflowed amplitude
         th = theta(c * scale, profile)
-    inv = np.divide(1.0, scale, out=np.zeros_like(scale), where=scale > 0)
-    return _leray_coeffs(th * inv)
+    th *= np.divide(1.0, scale, out=np.zeros_like(scale), where=scale > 0)
+    return _leray_coeffs(th, out=th)
 
 
 def apply_W(
@@ -233,7 +233,7 @@ def prepared_product(
     blk = slice(M - K, M + K + 1)
     out = np.zeros((2, 2 * M + 1, 2 * M + 1), dtype=np.complex128)
     w = _truncate(u.coeffs[:, blk, blk], params, profile)
-    out[:, blk, blk] = _leray_coeffs(_quadratic_fft(w, N))
+    _leray_coeffs(_quadratic_fft(w, N), out=out[:, blk, blk])
     return FourierField._wrap(M, out)
 
 

@@ -19,6 +19,7 @@ from hypernse import (
     evolve_pair,
     inner_product,
     perturbed_copy,
+    project,
     random_field,
     rhs_prepared,
     sobolev_norm,
@@ -26,7 +27,7 @@ from hypernse import (
     tracking_distance,
 )
 from hypernse.dynamics import _cone_sample
-from hypernse.spectral import CutoffFamily
+from hypernse.spectral import CutoffFamily, laplacian_power
 from hypernse.truncation import prepared_product
 
 PARAMS = SpectralParams(M=8)
@@ -69,6 +70,38 @@ def test_integrating_factor_is_exact_on_linear_flow():
         exact = u0.coeffs * math.exp(-PARAMS.nu * lam**PARAMS.beta * t)
         num = np.max(np.abs(u.coeffs - exact))
         assert num <= 1e-12 * np.max(np.abs(exact) + 1e-300)
+
+
+@pytest.mark.parametrize("integrator", ["eif", "imex"])
+@pytest.mark.parametrize("forced", [False, True])
+def test_step_is_bitwise_the_closed_form_update(integrator, forced):
+    """step against the integrators' formulas written out of place, with
+    N(u) = f - B(W(u), W(u)):
+      eif   u* = E (u + dt N(u)),  u+ = E u + (dt/2) (E N(u) + N(u*)),
+            E = exp(-nu dt A^beta);
+      imex  u* = (u + dt N(u)) / (1 + 2a),
+            u+ = ((1 - a) u + (dt/2) (N(u) + N(u*))) / (1 + a),
+            a = (dt/2) nu A^beta."""
+    rng = np.random.default_rng(11)
+    u = random_field(8, rng, decay=2.0) * 3.0
+    f = random_field(8, rng, decay=3.0) * 5.0 if forced else None
+    cfg = SimConfig(dt=2e-3, T=0.01, integrator=integrator)
+    dt, lam = cfg.dt, laplacian_power(8, PARAMS.beta)
+
+    def N(c):
+        b = prepared_product(FourierField(8, c), PARAMS, cfg.dealias).coeffs
+        return -b if f is None else f.coeffs - b
+
+    c = u.coeffs
+    if integrator == "eif":
+        E = np.exp(-PARAMS.nu * dt * lam)
+        star = (c + dt * N(c)) * E
+        want = c * E + 0.5 * dt * (N(c) * E + N(star))
+    else:
+        a = 0.5 * dt * PARAMS.nu * lam
+        star = (c + dt * N(c)) / (1.0 + 2.0 * a)
+        want = ((1.0 - a) * c + 0.5 * dt * (N(c) + N(star))) / (1.0 + a)
+    assert np.array_equal(step(u, f, PARAMS, cfg).coeffs, want)
 
 
 def test_imex_route_is_second_order():
@@ -376,26 +409,47 @@ def test_absorbing_radius_warns_when_still_growing():
 
 
 def test_cone_drive_is_the_A_power_form_to_rounding():
-    """A^{-1/2} and A^{1/2} cancel mode by mode in the trace's drive."""
+    """A trace row against its definition, with p and q built from the masks;
+    A^{-1/2} and A^{1/2} cancel mode by mode in the drive."""
     rng = np.random.default_rng(8)
     params = SpectralParams(M=16)
     fam = CutoffFamily(lambda_N=25, lambda_next=26, k=3.0)
     low_mask = fam.low.mask(16).astype(np.float64)
+    alpha = 0.5 * (26.0**params.beta + 25.0**params.beta)
+    pairs = []
     for _ in range(5):
         u2 = random_field(16, rng, decay=3.0) * 3.0
-        u1 = u2 + random_field(16, rng, decay=2.0) * 0.1
+        pairs.append((u2 + random_field(16, rng, decay=2.0) * 0.1, u2))
+    # a resolved pair whose difference barely reaches above the cutoff:
+    # ||q||^2 is about 1e-8 ||p||^2
+    d = random_field(16, rng, decay=2.0) * 0.1
+    d_low, d_high = project(d, fam.low), project(d, fam.high)
+    shrink = 1e-4 * math.sqrt(inner_product(d_low, d_low) / inner_product(d_high, d_high))
+    pairs.append((u2 + d_low + d_high * shrink, u2))
+    for u1, u2 in pairs:
         b1, b2 = prepared_product(u1, params), prepared_product(u2, params)
-        _, dvdt, *_ = _cone_sample(u1, u2, b1, b2, params, fam, low_mask, 1.0)
-        _, diss, *_ = _cone_sample(u1, u2, None, None, params, fam, low_mask, 1.0)
-        v = u1 - u2
-        p = FourierField(16, v.coeffs * low_mask)
-        q = v - p
-        old = 2.0 * inner_product(
+        row = _cone_sample(u1, u2, b1, b2, params, fam, low_mask, alpha)
+        diss = _cone_sample(u1, u2, None, None, params, fam, low_mask, alpha)[1]
+        v = (u1 - u2).coeffs
+        p = FourierField(16, v * low_mask)
+        q = FourierField(16, v * (1.0 - low_mask))
+        norm_p2, norm_q2 = inner_product(p, p), inner_product(q, q)
+        drive = 2.0 * inner_product(
             apply_A_power(b1, -0.5) - apply_A_power(b2, -0.5),
             apply_A_power(p, 0.5) - apply_A_power(q, 0.5),
         )
-        assert abs(old) > 1e-3 * abs(diss)
-        assert abs((dvdt - diss) - old) <= 1e-13 * abs(old)
+        assert abs(drive) > 1e-3 * abs(diss)
+        assert abs((row[1] - diss) - drive) <= 1e-13 * abs(drive)
+        V = norm_q2 - norm_p2
+        dvdt = drive - 2.0 * params.nu * (
+            sobolev_norm(q, params.beta) ** 2 - sobolev_norm(p, params.beta) ** 2
+        )
+        rhs = -(25.0 ** (params.beta - 1.0) / 8.0) * (norm_p2 + norm_q2)
+        want = (
+            V, dvdt, norm_p2 + norm_q2, rhs, rhs - (dvdt + 2.0 * alpha * V),
+            max(inner_product(u1, u1), inner_product(u2, u2)),
+        )
+        assert np.allclose(row, want, rtol=1e-13, atol=0.0)
 
 
 def test_cone_report_counts_unresolved_differences_as_degenerate():

@@ -185,11 +185,14 @@ def power_gap_60_digits(a: float, b: float, beta: float) -> tuple[Decimal, ...]:
     """(lhs, rhs, a^beta) of the power-gap inequality in 60-digit decimals.
 
     The doubles a, b, beta convert exactly.  The rhs halves the sum of powers
-    before multiplying, so that at beta = 1 it is the lhs digit for digit.
+    before multiplying, and x^1 is x itself, not x rounded to 60 digits, so
+    that at beta = 1 the rhs is the lhs digit for digit.
     """
 
     def power(x: Decimal, e: Decimal) -> Decimal:
-        return Decimal(1) if e == 0 else x**e  # 0^0 = 1, as for doubles
+        if e == 0:
+            return Decimal(1)  # 0^0 = 1, as for doubles
+        return x if e == 1 else x**e
 
     with decimal.localcontext() as ctx:
         ctx.prec = 60
@@ -213,6 +216,9 @@ CANCELLING_DRAW = example(x=358681.0, y=358682.0, beta=1.0 + 2.0**-52)
 
 @POWER_GAP_INPUTS
 @CANCELLING_DRAW
+# at beta = 1 both sides are a - b; rounding a^1 and b^1 to 60 digits put the
+# lhs one digit in the 60th place below the rhs
+@example(x=1.1169036460946042e-183, y=6.97190659976603e-224, beta=1.0)
 @settings(max_examples=300, deadline=None)
 def test_power_gap_inequality(x, y, beta):
     a, b = max(x, y), min(x, y)

@@ -77,8 +77,10 @@ def test_theta_vanishes_at_infinity_and_keeps_nan():
     infinite = np.array([np.inf, -np.inf, complex(0.0, np.inf), complex(np.inf, 1.0)])
     assert np.array_equal(theta(infinite), np.zeros(4))
     assert theta(np.inf) == 0.0
-    with np.errstate(invalid="ignore"):  # psi(NaN) is 0 / 0
-        assert np.all(np.isnan(theta(np.array([np.nan, complex(np.nan, 1.0)]))))
+    # NaN fails both radius comparisons; psi keeps it out of the transition
+    # shell, where the smooth step would warn of 0 / 0 (an error here)
+    assert np.isnan(theta(np.nan)) and np.isnan(CutoffProfile().psi(np.nan))
+    assert np.all(np.isnan(theta(np.array([np.nan, complex(np.nan, 1.0)]))))
     # finite input: bitwise the product xi psi(|xi|)
     rng = np.random.default_rng(9)
     xi = (rng.standard_normal(400) + 1j * rng.standard_normal(400)) * 3.0
