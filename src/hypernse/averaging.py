@@ -46,9 +46,8 @@ from .spectral import (
     sobolev_norm,
 )
 from .truncation import (
-    _DEFAULT_PROFILE,
-    CutoffProfile,
     _amplitude_scale,
+    _scaled_amplitude,
     _theta_prime,
     apply_W,
     nonlinearity_F_prime,
@@ -117,10 +116,7 @@ def _gather(c: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 
 def assemble_restricted_operator(
-    u: FourierField,
-    basis: AnnulusBasis,
-    params: SpectralParams,
-    profile: CutoffProfile | None = None,
+    u: FourierField, basis: AnnulusBasis, params: SpectralParams
 ) -> np.ndarray:
     """Dense matrix of the band compression of the linearized nonlinearity.
 
@@ -141,10 +137,10 @@ def assemble_restricted_operator(
         raise ValueError("basis is empty")
     k = np.array([m.j for m in basis.modes]).T
     d = np.array([m.direction for m in basis.modes]).T
-    xi = _gather(u.coeffs * _amplitude_scale(params, u.M), k)
-    a = np.sum(d * _theta_prime(xi, d.astype(np.complex128), profile), axis=0) * d
+    xi = _gather(_scaled_amplitude(u.coeffs, _amplitude_scale(params, u.M)), k)
+    a = np.sum(d * _theta_prime(xi, d.astype(np.complex128)), axis=0) * d
     delta = k[:, :, None] - k[:, None, :]
-    wd = _gather(apply_W(u, params, profile).coeffs, delta)
+    wd = _gather(apply_W(u, params).coeffs, delta)
     adv_of_w = (a[0] * delta[0] + a[1] * delta[1]) * 1j
     adv_of_mode = (wd[0] * k[0] + wd[1] * k[1]) * 1j
     d_r = d[:, :, None]
@@ -180,11 +176,7 @@ def coords_from_field(basis: AnnulusBasis, u: FourierField) -> np.ndarray:
 
 
 def weak_restricted_operator(
-    u: FourierField,
-    basis: AnnulusBasis,
-    params: SpectralParams,
-    profile: CutoffProfile | None = None,
-    dealias: str = "padded",
+    u: FourierField, basis: AnnulusBasis, params: SpectralParams, dealias: str = "padded"
 ) -> np.ndarray:
     """Oracle assembly through the full field machinery.
 
@@ -195,20 +187,14 @@ def weak_restricted_operator(
     """
     if len(basis) == 0:
         raise ValueError("basis is empty")
-    profile = profile or _DEFAULT_PROFILE
     M = u.M
     if basis.lambda_N + basis.k > M * M:
         raise ValueError("band does not fit inside the sample truncation")
     n = len(basis)
     out = np.zeros((n, n), dtype=np.complex128)
-    for c in range(n):
-        e = np.zeros(n, dtype=np.complex128)
-        e[c] = 1.0
+    for c, e in enumerate(np.eye(n, dtype=np.complex128)):
         v = field_from_coords(basis, e, M)
-        image = nonlinearity_F_prime(
-            u, v, params, dealias=dealias, profile=profile
-        )
-        out[:, c] = coords_from_field(basis, image)
+        out[:, c] = coords_from_field(basis, nonlinearity_F_prime(u, v, params, dealias))
     return out
 
 
@@ -407,7 +393,6 @@ def check_averaging(
     u_samples: list[FourierField],
     annulus: SparseAnnulus,
     params: SpectralParams,
-    profile: CutoffProfile | None = None,
     n_cancellation_pairs: int = 20,
     seed: int = 0,
 ) -> AveragingReport:
@@ -418,7 +403,6 @@ def check_averaging(
     Per-sample norm comparisons against the target bound are findings, not
     assertions.
     """
-    profile = profile or _DEFAULT_PROFILE
     fam = CutoffFamily(annulus.lambda_N, annulus.lambda_next, annulus.half_width)
     basis_M = math.isqrt(int(fam.lambda_N + math.ceil(fam.k))) + 1
     basis = annulus_basis(fam.lambda_N, fam.k, basis_M)
@@ -433,11 +417,11 @@ def check_averaging(
     product_factors: list[float] = []
     high = ModeProjector("above", r * r, 0.0)
     for i, u in enumerate(u_samples):
-        mat = assemble_restricted_operator(u, basis, params, profile)
+        mat = assemble_restricted_operator(u, basis, params)
         norm = restricted_norm(mat)
         sampled_norms.append((i, float(norm)))
         pass_flags.append(bool(norm <= bound))
-        w = apply_W(u, params, profile)
+        w = apply_W(u, params)
         tail = project(w, high)
         tail_sup = max(tail_sup, math.sqrt(inner_product(tail, tail)))
         h2 = sobolev_norm(w, 2.0)

@@ -5,7 +5,8 @@ The evolved system is
     du/dt + nu * A^beta u + B(W(u), W(u)) = f,
 
 with A = -Laplacian acting diagonally as |j|^2 in Fourier space and W the
-amplitude truncation from :mod:`hypernse.truncation`.  The linear part is
+amplitude truncation from :mod:`hypernse.truncation`, which has one cutoff
+profile; the tests build others only to test psi.  The linear part is
 stiff, so both integrators treat it implicitly or exactly:
 
 * ``"eif"``   integrating-factor Heun.  Coefficients are multiplied by
@@ -26,7 +27,9 @@ it on two and records the cone quantity V = ||high part||^2 - ||low part||^2
 of their difference with its analytic time derivative, so the contraction
 inequality can be checked against the trace afterwards; a trace row is read
 from one density |v_hat[j]|^2 of the difference.  step is the same step for
-a caller that holds only u.
+a caller that holds only u; its fifth argument accepts None or the one
+profile, because the grid-size sweep of bench/spans.py still passes
+CutoffProfile().
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .spectral import (
     random_field,
     sobolev_norm,
 )
-from .truncation import _DEFAULT_PROFILE, CutoffProfile, prepared_product
+from .truncation import _PROFILE, prepared_product
 
 
 class BlowUpError(RuntimeError):
@@ -101,29 +104,21 @@ class SimConfig:
 
 
 def _drive(
-    u: FourierField,
-    forcing: FourierField | None,
-    params: SpectralParams,
-    config: SimConfig,
-    profile: CutoffProfile,
+    u: FourierField, forcing: FourierField | None, params: SpectralParams, config: SimConfig
 ) -> tuple[FourierField | None, FourierField]:
     """(b, f - b) at u, with b = B(W(u), W(u)) or None when the nonlinearity
     is dropped; a missing f counts as zero."""
     if not config.include_nonlinear:
         return None, (FourierField.zeros(u.M) if forcing is None else forcing)
-    b = prepared_product(u, params, config.dealias, profile)
+    b = prepared_product(u, params, config.dealias)
     return b, (-b if forcing is None else forcing - b)
 
 
 def rhs_prepared(
-    u: FourierField,
-    forcing: FourierField | None,
-    params: SpectralParams,
-    config: SimConfig,
-    profile: CutoffProfile | None = None,
+    u: FourierField, forcing: FourierField | None, params: SpectralParams, config: SimConfig
 ) -> FourierField:
     """Full right-hand side f - nu A^beta u - B(W(u), W(u))."""
-    out = _drive(u, forcing, params, config, profile or _DEFAULT_PROFILE)[1]
+    out = _drive(u, forcing, params, config)[1]
     return out - apply_A_power(u, params.beta) * params.nu
 
 
@@ -143,7 +138,6 @@ def _advance(
     forcing: FourierField | None,
     params: SpectralParams,
     config: SimConfig,
-    profile: CutoffProfile,
     factors: tuple,
 ) -> FourierField:
     """One step from u, given n0 = f - B(W(u), W(u)) at u and the run's
@@ -157,7 +151,7 @@ def _advance(
         # becomes dv/dt = e^{t nu A^beta} N(u), and Heun in v gives
         #   u* = E (u + dt N(u)),  u+ = E u + (dt/2) (E N(u) + N(u*)).
         c *= E
-        n1 = _drive(FourierField._wrap(u.M, c), forcing, params, config, profile)[1]
+        n1 = _drive(FourierField._wrap(u.M, c), forcing, params, config)[1]
         c = np.multiply(n0.coeffs, E)
         c += n1.coeffs
         np.multiply(0.5 * dt, c, out=c)
@@ -167,7 +161,7 @@ def _advance(
     # u+ = ((1 - a) u + (dt/2) (N(u) + N(u*))) / (1 + a)
     twice_a_plus_one, one_minus_a, one_plus_a = factors
     c /= twice_a_plus_one
-    n1 = _drive(FourierField._wrap(u.M, c), forcing, params, config, profile)[1]
+    n1 = _drive(FourierField._wrap(u.M, c), forcing, params, config)[1]
     c = np.add(n0.coeffs, n1.coeffs)
     np.multiply(0.5 * dt, c, out=c)
     c += one_minus_a * u.coeffs
@@ -180,12 +174,14 @@ def step(
     forcing: FourierField | None,
     params: SpectralParams,
     config: SimConfig,
-    profile: CutoffProfile | None = None,
+    profile: object = None,
 ) -> FourierField:
-    """Advance one time step with the integrator named in config."""
-    profile = profile or _DEFAULT_PROFILE
-    n0 = _drive(u, forcing, params, config, profile)[1]
-    return _advance(u, n0, forcing, params, config, profile, _linear_factors(u.M, params, config))
+    """Advance one time step with the integrator named in config; profile
+    is None or the one cutoff profile (see the module docstring)."""
+    if profile is not None and profile != _PROFILE:
+        raise ValueError(f"the prepared equation has one cutoff profile, not {profile}")
+    n0 = _drive(u, forcing, params, config)[1]
+    return _advance(u, n0, forcing, params, config, _linear_factors(u.M, params, config))
 
 
 def _run(
@@ -193,7 +189,6 @@ def _run(
     forcing: FourierField | None,
     params: SpectralParams,
     config: SimConfig,
-    profile: CutoffProfile,
     record: Callable[[float, list[FourierField], tuple], None],
 ) -> None:
     """Step the members of states config.n_steps times, calling record(t,
@@ -207,7 +202,7 @@ def _run(
         for i in range(n + 1):
             if i:
                 states = [
-                    _advance(u, n0, forcing, params, config, profile, factors)
+                    _advance(u, n0, forcing, params, config, factors)
                     for u, n0 in zip(states, n0s)
                 ]
                 # the loop holds one set of drives at a time: each set is
@@ -215,7 +210,7 @@ def _run(
                 del n0s
                 if not all(np.all(np.isfinite(u.coeffs)) for u in states):
                     raise BlowUpError(f"non-finite coefficients at t = {i * config.dt:.6g}")
-            bs, n0s = zip(*(_drive(u, forcing, params, config, profile) for u in states))
+            bs, n0s = zip(*(_drive(u, forcing, params, config) for u in states))
             if i % config.record_every == 0 or i == n:
                 record(i * config.dt, states, bs)
             del bs
@@ -233,11 +228,7 @@ class Trajectory:
 
 
 def evolve(
-    u0: FourierField,
-    forcing: FourierField | None,
-    params: SpectralParams,
-    config: SimConfig,
-    profile: CutoffProfile | None = None,
+    u0: FourierField, forcing: FourierField | None, params: SpectralParams, config: SimConfig
 ) -> Trajectory:
     """Integrate from u0, sampling every record_every steps (and the endpoint)."""
     times, fields = [], []
@@ -246,7 +237,7 @@ def evolve(
         times.append(t)
         fields.append(states[0])
 
-    _run([u0], forcing, params, config, profile or _DEFAULT_PROFILE, keep)
+    _run([u0], forcing, params, config, keep)
     return Trajectory(np.asarray(times), fields)
 
 
@@ -372,7 +363,6 @@ def evolve_pair(
     params: SpectralParams,
     config: SimConfig,
     family: CutoffFamily,
-    profile: CutoffProfile | None = None,
 ) -> ConeTrace:
     """Co-evolve two solutions and record the cone diagnostics of u1 - u2.
 
@@ -392,7 +382,7 @@ def evolve_pair(
     def sample(t, states, bs):
         rows.append((t,) + _cone_sample(*states, *bs, params, family, low_mask, alpha))
 
-    _run([u1_0, u2_0], forcing, params, config, profile or _DEFAULT_PROFILE, sample)
+    _run([u1_0, u2_0], forcing, params, config, sample)
     arr = np.asarray(rows, dtype=np.float64)
     names = ("t", "V", "dVdt", "norm_v_sq", "rhs_bound", "margin", "norm_u_sq")
     return ConeTrace(
@@ -495,7 +485,6 @@ def estimate_absorbing_radius(
     config: SimConfig,
     n_samples: int = 4,
     ic_scale: float = 1.0,
-    profile: CutoffProfile | None = None,
 ) -> float:
     """Empirical absorbing radius in the H^{3+epsilon} norm.
 
@@ -504,7 +493,6 @@ def estimate_absorbing_radius(
     when some trajectory is still growing at the horizon, since then the
     estimate is only a lower bound.
     """
-    profile = profile or _DEFAULT_PROFILE
     s_norm = 3.0 + params.epsilon
     rng = np.random.default_rng(config.seed)
     radius = 0.0
@@ -514,7 +502,7 @@ def estimate_absorbing_radius(
         n0 = np.sqrt(inner_product(u0, u0))
         if n0 > 0:
             u0 = u0 * (ic_scale * rng.uniform(0.2, 1.0) / n0)
-        traj = evolve(u0, forcing, params, config, profile)
+        traj = evolve(u0, forcing, params, config)
         norms = np.array([sobolev_norm(u, s_norm) for u in traj.fields])
         start = int(np.floor(ABSORBING_TRANSIENT_FRACTION * norms.size))
         tail = norms[start:]

@@ -472,12 +472,6 @@ def _advect_direct(u: FourierField, v: FourierField) -> np.ndarray:
     return out
 
 
-def _padded_size(M: int) -> int:
-    # any N > 3M makes the product exact (module docstring); the route keeps
-    # its margin of N >= 3M + 2 and takes the next 2-3-5-smooth size
-    return _smooth_size(3 * M + 2)
-
-
 def _route_grid(M: int, dealias: str) -> tuple[int, int]:
     """(K, N) of a transform route: it reads and returns the block
     |j|_inf <= K and transforms on an N-point grid."""
@@ -485,7 +479,9 @@ def _route_grid(M: int, dealias: str) -> tuple[int, int]:
         K = two_thirds_limit(M)
         return K, _smooth_size(3 * K + 1)
     if dealias == "padded":
-        return M, _padded_size(M)
+        # any N > 3M makes the product exact (module docstring); the route keeps
+        # its margin of N >= 3M + 2 and takes the next 2-3-5-smooth size
+        return M, _smooth_size(3 * M + 2)
     raise ValueError(f"unknown dealias mode {dealias!r}")
 
 
@@ -497,8 +493,6 @@ def bilinear_B(u: FourierField, v: FourierField, dealias: str = "two-thirds") ->
     returns zero above them.
     """
     u._check_compatible(v)
-    if dealias not in DEALIAS_MODES:
-        raise ValueError(f"unknown dealias mode {dealias!r}")
     M = u.M
     if dealias == "direct":
         raw = _advect_direct(u, v)

@@ -5,14 +5,19 @@ from the exp(-1/t) gluing: psi = 1 on [0, 1], psi = 0 beyond the outer radius
 R, smooth and monotone between.  The identity region makes the truncation a
 no-op on coefficients below the amplitude budget; the outer radius is the
 largest value keeping sup |theta| <= 2, found numerically once and stored as
-DEFAULT_OUTER_RADIUS (re-verified by the test suite).
+DEFAULT_OUTER_RADIUS (re-verified by the test suite).  The prepared equation
+has one cutoff: theta, W and W' all read the module's CutoffProfile() with
+these radii, _PROFILE.  The tests build other profiles only to test psi.
 
 The field-level truncation is
     W(u) = sum_j (rho / |j|^{3+eps}) P_j theta_vec(|j|^{3+eps} u_hat[j] / rho) e^{ijx}
 with theta_vec acting componentwise and P_j the divergence-free projection;
 W equals the identity on the ball ||u||_{H^{3+eps}} <= rho and its image is
 bounded in H^2 uniformly in u (w_image_h2_bound evaluates the coefficient
-tail sum for the configured truncation).
+tail sum for the configured truncation).  A tiny rho may overflow the
+amplitude scale |j|^{3+eps}/rho to inf: a nonzero coefficient there is
+beyond the outer radius and truncated to 0, and a zero one has amplitude
+exactly 0, not 0 * inf = NaN (_scaled_amplitude).
 
 The Gateaux derivative of theta at xi is the real-linear map
     J(xi) h = psi(r) h + (psi'(r)/r) Re(conj(xi) h) xi,   r = |xi|,
@@ -134,85 +139,87 @@ class CutoffProfile:
         return float(np.max(t * self.psi(t)))
 
 
-_DEFAULT_PROFILE = CutoffProfile()
+# the prepared equation's one cutoff profile; W and W' read it
+_PROFILE = CutoffProfile()
 
 
-def theta(xi, profile: CutoffProfile | None = None):
+def theta(xi):
     """Scalar cutoff theta(xi) = xi psi(|xi|), elementwise on complex input;
     exactly 0 where |xi| is infinite (beyond the outer radius) instead of
     inf * 0 = NaN.  NaN stays NaN."""
-    prof = profile or _DEFAULT_PROFILE
     xi = np.asarray(xi, dtype=np.complex128)
     r = np.abs(xi)
-    return np.multiply(xi, prof.psi(r), out=np.zeros_like(xi), where=~np.isinf(r))
+    return np.multiply(xi, _PROFILE.psi(r), out=np.zeros_like(xi), where=~np.isinf(r))
 
 
-def _theta_prime(xi, h, profile: CutoffProfile | None) -> np.ndarray:
+def _theta_prime(xi, h) -> np.ndarray:
     """J(xi) h = psi(r) h + (psi'(r)/r) Re(conj(xi) h) xi elementwise, r = |xi|,
     for h of xi's shape.  The correction is evaluated on the transition shell
     inner < r < outer only: J is exactly 1 up to inner and 0 from outer on."""
-    prof = profile or _DEFAULT_PROFILE
     r = np.abs(xi)
-    out = prof.psi(r) * h
-    shell = (r > prof.inner_radius) & (r < prof.outer_radius)
+    out = _PROFILE.psi(r) * h
+    shell = (r > _PROFILE.inner_radius) & (r < _PROFILE.outer_radius)
     xs, rs = xi[shell], r[shell]
-    out[shell] += prof.psi_prime(rs) / rs * np.real(np.conj(xs) * h[shell]) * xs
+    out[shell] += _PROFILE.psi_prime(rs) / rs * np.real(np.conj(xs) * h[shell]) * xs
     return out
 
 
-def theta_jacobian(xi: complex, profile: CutoffProfile | None = None) -> np.ndarray:
+def theta_jacobian(xi: complex) -> np.ndarray:
     """Real 2x2 Jacobian of theta at xi, acting on (Re h, Im h).
 
     Its columns are J(xi) 1 and J(xi) i: the identity up to the inner radius,
     zero from the outer radius on, psi(r) I + (psi'(r)/r) xi_vec xi_vec^T
     between.
     """
-    cols = _theta_prime(np.full(2, complex(xi)), np.array([1.0, 1j]), profile)
+    cols = _theta_prime(np.full(2, complex(xi)), np.array([1.0, 1j]))
     return np.array([cols.real, cols.imag])
 
 
 def _amplitude_scale(params: SpectralParams, M: int) -> np.ndarray:
-    """|j|^{3+eps} / rho on the centered grid, zero slot at the origin."""
-    return laplacian_power(M, (3.0 + params.epsilon) / 2.0) / params.rho
+    """|j|^{3+eps} / rho on the centered grid, zero slot at the origin; inf
+    where a tiny rho overflows it."""
+    with np.errstate(over="ignore"):
+        return laplacian_power(M, (3.0 + params.epsilon) / 2.0) / params.rho
 
 
-def _truncate(
-    c: np.ndarray, params: SpectralParams, profile: CutoffProfile | None
-) -> np.ndarray:
+def _scaled_amplitude(c: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """xi = c * scale, with 0 where c is 0 and the scale overflowed: the
+    product there is 0 * inf = NaN, but the amplitude is exactly 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        xi = c * scale
+    # the check allocates nothing; the repair's temporaries, small as they
+    # are, measurably raise a cone run's page faults when made on every call
+    if np.isinf(scale.max()):
+        dead = np.isinf(scale)
+        xi[:, dead] = np.where(c[:, dead] == 0, 0.0, xi[:, dead])
+    return xi
+
+
+def _truncate(c: np.ndarray, params: SpectralParams) -> np.ndarray:
     """W on the centered coefficient block |j|_inf <= K that c holds, shape
     (2, 2K+1, 2K+1).  W acts mode by mode, so this is the block of W of any
     field that holds c there; a new array."""
     scale = _amplitude_scale(params, (c.shape[-1] - 1) // 2)
     with np.errstate(over="ignore"):  # theta is 0 at an overflowed amplitude
-        th = theta(c * scale, profile)
+        th = theta(_scaled_amplitude(c, scale))
     th *= np.divide(1.0, scale, out=np.zeros_like(scale), where=scale > 0)
     return _leray_coeffs(th, out=th)
 
 
-def apply_W(
-    u: FourierField, params: SpectralParams, profile: CutoffProfile | None = None
-) -> FourierField:
+def apply_W(u: FourierField, params: SpectralParams) -> FourierField:
     """Amplitude truncation W(u); identity on the ball ||u||_{H^{3+eps}} <= rho."""
-    return FourierField._wrap(u.M, _truncate(u.coeffs, params, profile))
+    return FourierField._wrap(u.M, _truncate(u.coeffs, params))
 
 
-def apply_W_prime(
-    u: FourierField,
-    v: FourierField,
-    params: SpectralParams,
-    profile: CutoffProfile | None = None,
-) -> FourierField:
+def apply_W_prime(u: FourierField, v: FourierField, params: SpectralParams) -> FourierField:
     """Gateaux derivative of W at u in direction v (the scales cancel)."""
     u._check_compatible(v)
-    xi = u.coeffs * _amplitude_scale(params, u.M)
-    return FourierField._wrap(u.M, _leray_coeffs(_theta_prime(xi, v.coeffs, profile)))
+    xi = _scaled_amplitude(u.coeffs, _amplitude_scale(params, u.M))
+    return FourierField._wrap(u.M, _leray_coeffs(_theta_prime(xi, v.coeffs)))
 
 
 def prepared_product(
-    u: FourierField,
-    params: SpectralParams,
-    dealias: str = "two-thirds",
-    profile: CutoffProfile | None = None,
+    u: FourierField, params: SpectralParams, dealias: str = "two-thirds"
 ) -> FourierField:
     """B(W(u), W(u)), the quadratic term of the prepared equation.
 
@@ -226,38 +233,31 @@ def prepared_product(
     is the oracle: apply_W followed by bilinear_B(..., "direct").
     """
     if dealias == "direct":
-        w = apply_W(u, params, profile)
+        w = apply_W(u, params)
         return bilinear_B(w, w, "direct")
     M = u.M
     K, N = _route_grid(M, dealias)
     blk = slice(M - K, M + K + 1)
     out = np.zeros((2, 2 * M + 1, 2 * M + 1), dtype=np.complex128)
-    w = _truncate(u.coeffs[:, blk, blk], params, profile)
+    w = _truncate(u.coeffs[:, blk, blk], params)
     _leray_coeffs(_quadratic_fft(w, N), out=out[:, blk, blk])
     return FourierField._wrap(M, out)
 
 
 def nonlinearity_F(
-    u: FourierField,
-    params: SpectralParams,
-    dealias: str = "two-thirds",
-    profile: CutoffProfile | None = None,
+    u: FourierField, params: SpectralParams, dealias: str = "two-thirds"
 ) -> FourierField:
     """Prepared nonlinearity in abstract form: A^{-1/2} B(W(u), W(u))."""
-    return apply_A_power(prepared_product(u, params, dealias, profile), -0.5)
+    return apply_A_power(prepared_product(u, params, dealias), -0.5)
 
 
 def nonlinearity_F_prime(
-    u: FourierField,
-    v: FourierField,
-    params: SpectralParams,
-    dealias: str = "two-thirds",
-    profile: CutoffProfile | None = None,
+    u: FourierField, v: FourierField, params: SpectralParams, dealias: str = "two-thirds"
 ) -> FourierField:
     """Gateaux derivative of the prepared nonlinearity at u in direction v:
     A^{-1/2} [B(W'(u)v, W(u)) + B(W(u), W'(u)v)]."""
-    w = apply_W(u, params, profile)
-    dw = apply_W_prime(u, v, params, profile)
+    w = apply_W(u, params)
+    dw = apply_W_prime(u, v, params)
     s = bilinear_B(dw, w, dealias) + bilinear_B(w, dw, dealias)
     return apply_A_power(s, -0.5)
 

@@ -182,6 +182,22 @@ def test_simulate_reports_overflowed_diagnostics_as_blow_up(tmp_path):
     assert results["final_energy"] == "inf"
 
 
+def test_an_overflowed_amplitude_scale_is_neither_an_error_nor_a_blow_up(tmp_path):
+    # at rho = 1e-308, |j|^{3+eps} / rho overflows; W is 0 at the zero
+    # coefficients there, not 0 * inf = NaN
+    out = tmp_path / "avg"
+    rc = main(["averaging-check", "--mu", "1e4", "--s", "0.15", "--rho", "1e-308",
+               "--samples", "2", "--out", str(out)])
+    assert rc == 0
+    norms = _strict_loads((out / "averaging.json").read_text())["results"]["sampled_norms"]
+    assert len(norms) == 2
+    assert all(isinstance(n, float) and math.isfinite(n) for _, n in norms)
+    out = tmp_path / "sim"
+    rc = main(["simulate", "--M", "8", "--T", "0.002", "--rho", "1e-308", "--out", str(out)])
+    assert rc == 0
+    assert _strict_loads((out / "simulate.json").read_text())["results"]["blow_up"] is False
+
+
 def test_reports_encode_non_finite_floats_as_strings(tmp_path):
     path = tmp_path / "r.json"
     hypernse.cli._write_json(

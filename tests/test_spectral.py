@@ -155,7 +155,7 @@ def test_smooth_size_matches_brute_force():
 def test_bilinear_B_rejects_unknown_route():
     rng = np.random.default_rng(6)
     u = random_field(4, rng)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown dealias mode"):
         bilinear_B(u, u, dealias="none")
 
 

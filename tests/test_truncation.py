@@ -102,6 +102,19 @@ def test_w_zeroes_a_mode_whose_scaled_amplitude_overflows():
     )
 
 
+def test_w_and_w_prime_are_finite_where_the_amplitude_scale_overflows():
+    # at rho = 1e-308, |j|^{3+eps} / rho is inf for |j| >= 2; a zero
+    # coefficient there has amplitude exactly 0, not 0 * inf = NaN
+    params = SpectralParams(M=8, rho=1e-308)
+    assert np.isinf(_amplitude_scale(params, 8)).any()
+    u = FourierField.from_modes(8, {(0, 3): (1e-300, 0.0)})
+    assert np.array_equal(apply_W(u, params).coeffs, np.zeros_like(u.coeffs))
+    v = leray_project(random_field(8, np.random.default_rng(13), decay=2.0))
+    want = v.coeffs.copy()
+    want[:, 8, 8 + 3] = want[:, 8, 8 - 3] = 0.0  # J = 0 at the saturated mode
+    assert np.allclose(apply_W_prime(u, v, params).coeffs, want, rtol=0.0, atol=1e-15)
+
+
 def test_theta_jacobian_matches_difference_quotient():
     rng = np.random.default_rng(0)
     for _ in range(30):
@@ -315,7 +328,7 @@ def test_prepared_product_is_zero_outside_the_two_thirds_block():
     outside[12 - K : 12 + K + 1, 12 - K : 12 + K + 1] = False
     assert np.all(b.coeffs[:, outside] == 0.0)
     assert not b.coeffs.flags.writeable
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown dealias mode"):
         prepared_product(u, params, "none")
 
 
