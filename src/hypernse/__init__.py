@@ -60,7 +60,7 @@ from .dynamics import (
     cone_report,
     estimate_absorbing_radius,
     evolve,
-    evolve_pair,
+    evolve_pairs,
     perturbed_copy,
     rhs_prepared,
     step,

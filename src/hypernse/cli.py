@@ -54,7 +54,7 @@ from .dynamics import (
     SimConfig,
     cone_report,
     evolve,
-    evolve_pair,
+    evolve_pairs,
     perturbed_copy,
 )
 from .lattice import (
@@ -445,28 +445,35 @@ def stage_cone(
     rng = np.random.default_rng(cfg.seed)
     u1 = _initial_field(cfg, params, rng)
     forcing = _forcing_field(cfg, params, rng)
-    runs = []
+    copies = [perturbed_copy(u1, fam, delta, rng, where="band") for delta in PERTURBATION_DELTAS]
+    # hand the initial states over without keeping them: evolve_pairs frees
+    # each one after its first step
+    members = [u1, copies]
+    del u1, copies
+    failure = None
     try:
-        for delta in PERTURBATION_DELTAS:
-            u2 = perturbed_copy(u1, fam, delta, rng, where="band")
-            trace = evolve_pair(u1, u2, forcing, params, sim, fam)
-            tag = f"{delta:g}".replace(".", "p")
-            trace_path = os.path.join(outdir, f"cone_trace_delta_{tag}.csv")
-            trace.to_csv(trace_path)
-            rep = cone_report(trace)
-            rep["delta"] = delta
-            rep["trace_csv"] = os.path.basename(trace_path)
-            runs.append(rep)
-            # finite states whose diagnostics overflow have left the range of
-            # floating point all the same; the first such trace names it
-            bad = np.argwhere(~np.isfinite([getattr(trace, c) for c in TRACE_COLUMNS]).T)
-            if bad.size and "message" not in summary:
-                (row, col), csv = bad[0], rep["trace_csv"]
-                summary.update(blow_up=True, message=f"non-finite {TRACE_COLUMNS[col]} "
-                               f"in {csv} from t = {trace.t[row]:.6g}")
+        traces = evolve_pairs(members.pop(0), members.pop(), forcing, params, sim, fam)
     except BlowUpError as exc:
-        # runs holds the pairs that finished before the blow-up
-        summary.update(blow_up=True, message=summary.get("message", str(exc)))
+        # traces holds the pairs that finished before the first failed one
+        traces, failure = exc.traces, str(exc)
+    runs = []
+    for delta, trace in zip(PERTURBATION_DELTAS, traces):
+        tag = f"{delta:g}".replace(".", "p")
+        trace_path = os.path.join(outdir, f"cone_trace_delta_{tag}.csv")
+        trace.to_csv(trace_path)
+        rep = cone_report(trace)
+        rep["delta"] = delta
+        rep["trace_csv"] = os.path.basename(trace_path)
+        runs.append(rep)
+        # finite states whose diagnostics overflow have left the range of
+        # floating point all the same; the first such trace names it
+        bad = np.argwhere(~np.isfinite([getattr(trace, c) for c in TRACE_COLUMNS]).T)
+        if bad.size and "message" not in summary:
+            (row, col), csv = bad[0], rep["trace_csv"]
+            summary.update(blow_up=True, message=f"non-finite {TRACE_COLUMNS[col]} "
+                           f"in {csv} from t = {trace.t[row]:.6g}")
+    if failure is not None:
+        summary.update(blow_up=True, message=summary.get("message", failure))
     summary.update(skipped=False, truncation=M_run, runs=runs)
     return summary, None
 

@@ -15,21 +15,24 @@ stiff, so both integrators treat it implicitly or exactly:
 * ``"imex"``  Crank-Nicolson on the linear part, Heun (explicit predictor,
   trapezoidal corrector) on the nonlinearity.
 
-One time loop steps a list of members and evaluates B(W(u), W(u)) once per
-member and state, for the record and, as f - B, for the next step; a state
-that leaves the range of floating point raises BlowUpError.  The loop
-computes the integrator's linear factors once per run, and a step forms its
-predictor and update in place, in the operation order of the formulas, on
-arrays it has just created and that no one else references, before
-FourierField._wrap seals them: the fields stay immutable to every caller.
-evolve runs the loop on one member and keeps the states.  evolve_pair runs
-it on two and records the cone quantity V = ||high part||^2 - ||low part||^2
-of their difference with its analytic time derivative, so the contraction
-inequality can be checked against the trace afterwards; a trace row is read
-from one density |v_hat[j]|^2 of the difference.  step is the same step for
-a caller that holds only u; its fifth argument accepts None or the one
-profile, because the grid-size sweep of bench/spans.py still passes
-CutoffProfile().
+One time loop steps a list of members, one member at a time, and evaluates
+B(W(u), W(u)) once per member and state, for the record and, as f - B, for
+the next step; it keeps B until that step, and each old state and its f - B
+are dropped as soon as the step has used them.  A member whose state leaves the range of floating point is
+dropped with the members after it, and the loop reports it as a
+BlowUpError.  The loop computes the integrator's linear factors once per
+run, and a step forms its predictor and update in place, in the operation
+order of the formulas, on arrays it has just created and that no one else
+references, before FourierField._wrap seals them: the fields stay immutable
+to every caller.  evolve runs the loop on one member and keeps the states.
+evolve_pairs runs it on one reference and its copies, so the reference is
+stepped once however many copies share it, and records for each pair the
+cone quantity V = ||high part||^2 - ||low part||^2 of reference - copy with
+its analytic time derivative, so the contraction inequality can be checked
+against the trace afterwards; a trace row is read from one density
+|v_hat[j]|^2 of the difference.  step is the same step for a caller that
+holds only u; its fifth argument accepts None or the one profile, because
+the grid-size sweep of bench/spans.py still passes CutoffProfile().
 """
 
 from __future__ import annotations
@@ -56,7 +59,13 @@ from .truncation import _PROFILE, prepared_product
 
 
 class BlowUpError(RuntimeError):
-    """Raised when a trajectory leaves the range of floating point."""
+    """Raised when a trajectory leaves the range of floating point.  From
+    evolve_pairs, traces holds the ConeTraces of the pairs before the first
+    failed one."""
+
+    def __init__(self, message: str) -> None:
+        super().__init__(message)
+        self.traces: list = []
 
 
 @dataclass(frozen=True)
@@ -103,22 +112,23 @@ class SimConfig:
         return max(n, 1)
 
 
-def _drive(
-    u: FourierField, forcing: FourierField | None, params: SpectralParams, config: SimConfig
-) -> tuple[FourierField | None, FourierField]:
-    """(b, f - b) at u, with b = B(W(u), W(u)) or None when the nonlinearity
-    is dropped; a missing f counts as zero."""
-    if not config.include_nonlinear:
-        return None, (FourierField.zeros(u.M) if forcing is None else forcing)
-    b = prepared_product(u, params, config.dealias)
-    return b, (-b if forcing is None else forcing - b)
+def _product(u: FourierField, params: SpectralParams, config: SimConfig) -> FourierField | None:
+    """b = B(W(u), W(u)), or None when the nonlinearity is dropped."""
+    return prepared_product(u, params, config.dealias) if config.include_nonlinear else None
+
+
+def _drive(b: FourierField | None, forcing: FourierField | None, M: int) -> FourierField:
+    """f - b for a b from _product; a missing f or b counts as zero."""
+    if b is None:
+        return FourierField.zeros(M) if forcing is None else forcing
+    return -b if forcing is None else forcing - b
 
 
 def rhs_prepared(
     u: FourierField, forcing: FourierField | None, params: SpectralParams, config: SimConfig
 ) -> FourierField:
     """Full right-hand side f - nu A^beta u - B(W(u), W(u))."""
-    out = _drive(u, forcing, params, config)[1]
+    out = _drive(_product(u, params, config), forcing, u.M)
     return out - apply_A_power(u, params.beta) * params.nu
 
 
@@ -151,7 +161,7 @@ def _advance(
         # becomes dv/dt = e^{t nu A^beta} N(u), and Heun in v gives
         #   u* = E (u + dt N(u)),  u+ = E u + (dt/2) (E N(u) + N(u*)).
         c *= E
-        n1 = _drive(FourierField._wrap(u.M, c), forcing, params, config)[1]
+        n1 = _drive(_product(FourierField._wrap(u.M, c), params, config), forcing, u.M)
         c = np.multiply(n0.coeffs, E)
         c += n1.coeffs
         np.multiply(0.5 * dt, c, out=c)
@@ -161,7 +171,7 @@ def _advance(
     # u+ = ((1 - a) u + (dt/2) (N(u) + N(u*))) / (1 + a)
     twice_a_plus_one, one_minus_a, one_plus_a = factors
     c /= twice_a_plus_one
-    n1 = _drive(FourierField._wrap(u.M, c), forcing, params, config)[1]
+    n1 = _drive(_product(FourierField._wrap(u.M, c), params, config), forcing, u.M)
     c = np.add(n0.coeffs, n1.coeffs)
     np.multiply(0.5 * dt, c, out=c)
     c += one_minus_a * u.coeffs
@@ -180,7 +190,7 @@ def step(
     is None or the one cutoff profile (see the module docstring)."""
     if profile is not None and profile != _PROFILE:
         raise ValueError(f"the prepared equation has one cutoff profile, not {profile}")
-    n0 = _drive(u, forcing, params, config)[1]
+    n0 = _drive(_product(u, params, config), forcing, u.M)
     return _advance(u, n0, forcing, params, config, _linear_factors(u.M, params, config))
 
 
@@ -189,31 +199,45 @@ def _run(
     forcing: FourierField | None,
     params: SpectralParams,
     config: SimConfig,
-    record: Callable[[float, list[FourierField], tuple], None],
-) -> None:
-    """Step the members of states config.n_steps times, calling record(t,
-    states, bs) at t = 0, every record_every steps and at the end; bs are the
-    members' B(W(u), W(u)), which the next step reuses.  An overflow needs no
-    warning: a non-finite state raises BlowUpError, a non-finite record is
-    the caller's to report."""
+    record: Callable[[float, int, list[FourierField], list], None],
+) -> BlowUpError | None:
+    """Step the members of states, in place, config.n_steps times.  At t = 0,
+    every record_every steps and at the end, record(t, j, states, bs) is
+    called for member j as soon as its state states[j] and its
+    bs[j] = B(W(u), W(u)) are at t; so are those of the members before it.
+
+    Members advance one at a time.  Each member's b is kept until its next
+    step forms f - b from it, and each old state and its f - b are dropped
+    as soon as the step has used them.  A member whose state goes non-finite
+    is dropped with every member after it.  The loop ends when fewer than
+    min(2, len(states)) members are left, since a lone member runs by itself
+    but a copy needs the member before it, and returns the BlowUpError of
+    the last drop, or None.  An overflow needs no warning: a non-finite
+    record is the caller's to report."""
     n = config.n_steps
-    factors = _linear_factors(states[0].M, params, config)
+    needed = min(len(states), 2)
+    M = states[0].M
+    factors = _linear_factors(M, params, config)
+    bs: list = [None] * len(states)
+    failure = None
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n + 1):
-            if i:
-                states = [
-                    _advance(u, n0, forcing, params, config, factors)
-                    for u, n0 in zip(states, n0s)
-                ]
-                # the loop holds one set of drives at a time: each set is
-                # dropped once used, before the next one is computed
-                del n0s
-                if not all(np.all(np.isfinite(u.coeffs)) for u in states):
-                    raise BlowUpError(f"non-finite coefficients at t = {i * config.dt:.6g}")
-            bs, n0s = zip(*(_drive(u, forcing, params, config) for u in states))
-            if i % config.record_every == 0 or i == n:
-                record(i * config.dt, states, bs)
-            del bs
+            for j in range(len(states)):
+                if i:
+                    n0 = _drive(bs[j], forcing, M)
+                    bs[j] = None
+                    states[j] = _advance(states[j], n0, forcing, params, config, factors)
+                    del n0
+                    if not np.all(np.isfinite(states[j].coeffs)):
+                        del states[j:], bs[j:]
+                        failure = BlowUpError(f"non-finite coefficients at t = {i * config.dt:.6g}")
+                        break
+                bs[j] = _product(states[j], params, config)
+                if i % config.record_every == 0 or i == n:
+                    record(i * config.dt, j, states, bs)
+            if len(states) < needed:
+                break
+    return failure
 
 
 @dataclass
@@ -233,11 +257,13 @@ def evolve(
     """Integrate from u0, sampling every record_every steps (and the endpoint)."""
     times, fields = [], []
 
-    def keep(t, states, bs):
+    def keep(t, j, states, bs):
         times.append(t)
         fields.append(states[0])
 
-    _run([u0], forcing, params, config, keep)
+    failure = _run([u0], forcing, params, config, keep)
+    if failure is not None:
+        raise failure
     return Trajectory(np.asarray(times), fields)
 
 
@@ -356,44 +382,67 @@ def _cone_sample(
     return V, dVdt, norm_v2, rhs, margin, norm_u2
 
 
-def evolve_pair(
-    u1_0: FourierField,
-    u2_0: FourierField,
+def evolve_pairs(
+    reference: FourierField,
+    copies: list[FourierField],
     forcing: FourierField | None,
     params: SpectralParams,
     config: SimConfig,
     family: CutoffFamily,
-) -> ConeTrace:
-    """Co-evolve two solutions and record the cone diagnostics of u1 - u2.
+) -> list[ConeTrace]:
+    """Co-evolve reference and its copies; one ConeTrace of the cone
+    diagnostics of reference - copy per copy.
 
-    Both solutions see the same forcing and the same integrator settings; the
-    diagnostic nonlinearity is evaluated through the same dealias route as the
-    stepper so the recorded derivative matches the discrete flow.
+    All members see the same forcing and the same integrator settings, and
+    the reference is stepped once for every copy; the diagnostic nonlinearity
+    is evaluated through the same dealias route as the stepper so the
+    recorded derivative matches the discrete flow.  A copy that goes
+    non-finite fails its pair and every later one, a failed reference fails
+    them all, and the other pairs are stepped to the end; then BlowUpError
+    names the time at which the first failed pair failed, and its traces are
+    those of the pairs before it.  The function keeps no initial state past
+    the first step, so a caller that hands them over without keeping its own
+    references gets their memory back.
     """
-    if u1_0.M != u2_0.M:
+    if not copies:
+        raise ValueError("evolve_pairs needs at least one copy")
+    if any(u.M != reference.M for u in copies):
         raise ValueError("pair members must share a truncation")
-    low_mask = family.low.mask(u1_0.M).astype(np.float64)
+    low_mask = family.low.mask(reference.M).astype(np.float64)
     alpha = 0.5 * (
         float(family.lambda_next) ** params.beta
         + float(family.lambda_N) ** params.beta
     )
-    rows = []
+    rows = [[] for _ in copies]
+    states = [reference, *copies]
+    del reference, copies
 
-    def sample(t, states, bs):
-        rows.append((t,) + _cone_sample(*states, *bs, params, family, low_mask, alpha))
+    def sample(t, j, states, bs):
+        if j:
+            rows[j - 1].append(
+                (t,) + _cone_sample(states[0], states[j], bs[0], bs[j], params, family, low_mask, alpha)
+            )
 
-    _run([u1_0, u2_0], forcing, params, config, sample)
-    arr = np.asarray(rows, dtype=np.float64)
+    failure = _run(states, forcing, params, config, sample)
     names = ("t", "V", "dVdt", "norm_v_sq", "rhs_bound", "margin", "norm_u_sq")
-    return ConeTrace(
-        **dict(zip(names, arr.T)),
-        alpha=np.full(arr.shape[0], alpha),
-        lambda_N=family.lambda_N,
-        lambda_next=family.lambda_next,
-        k=family.k,
-        beta=params.beta,
-        nu=params.nu,
-    )
+    traces = []
+    # after a failure, states holds the reference and the copies before the
+    # first failed one, or nothing when the reference failed
+    for pair_rows in rows[: max(len(states) - 1, 0)]:
+        arr = np.asarray(pair_rows, dtype=np.float64)
+        traces.append(ConeTrace(
+            **dict(zip(names, arr.T)),
+            alpha=np.full(arr.shape[0], alpha),
+            lambda_N=family.lambda_N,
+            lambda_next=family.lambda_next,
+            k=family.k,
+            beta=params.beta,
+            nu=params.nu,
+        ))
+    if failure is not None:
+        failure.traces = traces
+        raise failure
+    return traces
 
 
 def cone_report(trace: ConeTrace) -> dict:

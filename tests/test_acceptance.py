@@ -26,7 +26,7 @@ from hypernse import (
     check_averaging,
     draw_averaging_samples,
     evolve,
-    evolve_pair,
+    evolve_pairs,
     find_sparse_annulus,
     inner_product,
     is_representable,
@@ -344,7 +344,7 @@ def test_criterion_10_pair_trace_integrity(record):
     dts = (2e-3, 1e-3, 5e-4)
     for dt in dts:
         cfg = SimConfig(dt=dt, T=0.04)
-        tr = evolve_pair(base + bump, base, None, params, cfg, fam)
+        tr = evolve_pairs(base + bump, [base], None, params, cfg, fam)[0]
         cd = (tr.V[2:] - tr.V[:-2]) / (tr.t[2:] - tr.t[:-2])
         errs.append(float(np.max(np.abs(cd - tr.dVdt[1:-1]))))
     slope = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
@@ -353,7 +353,7 @@ def test_criterion_10_pair_trace_integrity(record):
     # (b) a single mode above the cutoff decays at its exact linear rate
     q = FourierField.from_modes(8, {(0, 3): (0.3 + 0.1j, 0.0)})
     cfg = SimConfig(dt=1e-3, T=0.05, include_nonlinear=False)
-    tr = evolve_pair(q, FourierField.zeros(8), None, params, cfg, fam)
+    tr = evolve_pairs(q, [FourierField.zeros(8)], None, params, cfg, fam)[0]
     expect = tr.V[0] * np.exp(-2.0 * params.nu * 9.0**params.beta * tr.t)
     ok_b = float(np.max(np.abs(tr.V - expect))) <= 1e-8 * abs(tr.V[0])
 

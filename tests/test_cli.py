@@ -7,6 +7,8 @@ import os
 import pytest
 
 import hypernse.cli
+import hypernse.dynamics
+from hypernse import FourierField
 from hypernse.cli import ConfigError, main, resolve_config
 
 # a certified annulus at mu = 50 keeps the cone run at M = 13
@@ -315,6 +317,76 @@ def test_cone_check_reports_a_blow_up(tmp_path):
     assert results["blow_up"] is True
     assert "non-finite" in results["message"]
     assert results["runs"] == []
+
+
+def _cone_check_with_bumps(monkeypatch, out, bumps, T):
+    """cone-check at mu = 50 with bumps[m] added at mode (0, 1) of member m
+    (0 the reference, 1 and 2 the copies) and a forcing that pushes that mode
+    up by 1e306 per step (dt = 1, nu = 1e-12): a bump near the float maximum
+    overflows after a number of steps set by its size."""
+    def bump(M, member):
+        return FourierField.from_modes(M, {(0, 1): (bumps.get(member, 0.0), 0.0)})
+
+    real_initial, real_copy = hypernse.cli._initial_field, hypernse.cli.perturbed_copy
+    monkeypatch.setattr(hypernse.cli, "_initial_field",
+                        lambda cfg, params, rng: real_initial(cfg, params, rng) + bump(params.M, 0))
+    monkeypatch.setattr(hypernse.cli, "_forcing_field",
+                        lambda cfg, params, rng: FourierField.from_modes(params.M, {(0, 1): (1e306, 0.0)}))
+
+    def copy(u, fam, delta, rng, where):
+        member = 1 + hypernse.cli.PERTURBATION_DELTAS.index(delta)
+        return real_copy(u, fam, delta, rng, where=where) + bump(u.M, member) - bump(u.M, 0)
+
+    monkeypatch.setattr(hypernse.cli, "perturbed_copy", copy)
+    rc = main(["cone-check", "--mu", "50", "--s", "0.15", "--nu", "1e-12", "--dt", "1",
+               "--T", str(T), "--out", str(out)])
+    assert rc == 0
+    return _strict_loads((out / "cone.json").read_text())["results"]
+
+
+def test_cone_check_keeps_the_pairs_before_a_failed_copy(monkeypatch, tmp_path):
+    # copy 2 is non-finite from the start; the reference and copy 1 run on
+    results = _cone_check_with_bumps(monkeypatch, tmp_path / "c2", {2: math.nan}, T=3)
+    assert results["blow_up"] is True
+    assert [run["delta"] for run in results["runs"]] == [1e-3]
+    assert results["runs"][0]["n_samples"] == 4
+    assert (tmp_path / "c2" / "cone_trace_delta_0p001.csv").exists()
+    assert not (tmp_path / "c2" / "cone_trace_delta_0p1.csv").exists()
+
+
+def test_cone_check_fails_every_pair_with_the_reference(monkeypatch, tmp_path):
+    results = _cone_check_with_bumps(monkeypatch, tmp_path / "ref", {0: 1.79e308}, T=3)
+    assert results["blow_up"] is True
+    assert results["message"] == "non-finite coefficients at t = 1"
+    assert results["runs"] == []
+
+
+def test_cone_check_names_the_first_pair_that_failed(monkeypatch, tmp_path):
+    # copy 2 overflows at the first step, copy 1 only at the tenth; the report
+    # names pair 1, as a run of the pairs one after the other would
+    results = _cone_check_with_bumps(monkeypatch, tmp_path / "order",
+                                     {1: 1.70e308, 2: 1.79e308}, T=12)
+    assert results["blow_up"] is True
+    assert results["message"] == "non-finite coefficients at t = 10"
+    assert results["runs"] == []
+
+
+def test_cone_check_steps_the_shared_reference_once(monkeypatch, tmp_path):
+    # each member takes 2n + 1 products over n steps: one at every state and
+    # one at every predictor
+    calls = []
+    real = hypernse.dynamics.prepared_product
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hypernse.dynamics, "prepared_product", counted)
+    rc = main(["cone-check", "--mu", "50", "--s", "0.15", "--T", "0.003",
+               "--out", str(tmp_path / "count")])
+    assert rc == 0
+    n = 3
+    assert len(calls) == (1 + len(hypernse.cli.PERTURBATION_DELTAS)) * (2 * n + 1)
 
 
 def test_cone_check_reports_overflowed_diagnostics_as_blow_up(tmp_path):

@@ -17,7 +17,7 @@ from hypernse import (
     cone_report,
     estimate_absorbing_radius,
     evolve,
-    evolve_pair,
+    evolve_pairs,
     inner_product,
     perturbed_copy,
     project,
@@ -27,7 +27,7 @@ from hypernse import (
     step,
     tracking_distance,
 )
-from hypernse.dynamics import _cone_sample
+from hypernse.dynamics import TRACE_COLUMNS, _cone_sample
 from hypernse.spectral import CutoffFamily, laplacian_power
 from hypernse.truncation import prepared_product
 
@@ -169,11 +169,29 @@ def test_blow_up_of_one_pair_member_raises():
     rng = np.random.default_rng(2)
     small = random_field(8, rng, decay=4.0) * 1e-3
     big = small + single_mode((0, 1), (1.7e308, 0.0))
+    other = small * 2.0
     forcing = single_mode((0, 1), (1e307, 0.0))
     cfg = SimConfig(dt=1.0, T=2.0)
-    for pair in ((small, big), (big, small)):
-        with pytest.raises(BlowUpError, match="at t = 1$"):
-            evolve_pair(*pair, forcing, params, cfg, FAMILY)
+    # a failed reference fails every pair, a failed first copy the later ones
+    for reference, copies in ((small, [big]), (big, [small]), (big, [other, small]), (small, [big, other])):
+        with pytest.raises(BlowUpError, match="at t = 1$") as info:
+            evolve_pairs(reference, copies, forcing, params, cfg, FAMILY)
+        assert info.value.traces == []
+    # a failed later copy leaves the pairs before it whole
+    with pytest.raises(BlowUpError, match="at t = 1$") as info:
+        evolve_pairs(small, [other, big], forcing, params, cfg, FAMILY)
+    (got,) = info.value.traces
+    want = evolve_pairs(small, [other], forcing, params, cfg, FAMILY)[0]
+    for name in TRACE_COLUMNS:
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_evolve_pairs_checks_its_members():
+    u = shear_field()
+    with pytest.raises(ValueError, match="at least one copy"):
+        evolve_pairs(u, [], None, PARAMS, SimConfig(T=0.002), FAMILY)
+    with pytest.raises(ValueError, match="pair members must share a truncation"):
+        evolve_pairs(u, [u, shear_field(M=10)], None, PARAMS, SimConfig(T=0.002), FAMILY)
 
 
 def test_evolve_survives_a_mode_whose_scaled_amplitude_overflows():
@@ -209,7 +227,7 @@ def test_pair_trace_matches_linear_decay():
     """With the nonlinearity off, V(t) = V(0) exp(-2 nu lambda^beta t)."""
     u1, u2 = band_pair()
     cfg = SimConfig(dt=1e-3, T=0.05, include_nonlinear=False)
-    tr = evolve_pair(u1, u2, None, PARAMS, cfg, FAMILY)
+    tr = evolve_pairs(u1, [u2], None, PARAMS, cfg, FAMILY)[0]
     lam = 9.0
     v0 = tr.V[0]
     expect = v0 * np.exp(-2.0 * PARAMS.nu * lam**PARAMS.beta * tr.t)
@@ -267,15 +285,19 @@ def test_evolve_pair_is_bitwise_the_plain_step_loop(integrator, forced, nonlinea
     u2 = random_field(8, rng, decay=3.0)
     u1 = u2 + single_mode((0, 3), (1e-2, 0.0))
     forcing = random_field(8, rng, decay=4.0) * 5.0 if forced else None
+    u3 = u1 + random_field(8, rng, decay=2.0) * 1e-2
     cfg = SimConfig(dt=1e-3, T=0.01, integrator=integrator,
                     include_nonlinear=nonlinear, record_every=record_every)
-    tr = evolve_pair(u1, u2, forcing, PARAMS, cfg, FAMILY)
-    ref = reference_pair_rows(u1, u2, forcing, PARAMS, cfg, FAMILY)
-    got = np.column_stack(
-        [tr.t, tr.V, tr.dVdt, tr.norm_v_sq, tr.rhs_bound, tr.margin, tr.norm_u_sq]
-    )
-    assert got.shape == ref.shape
-    assert np.array_equal(got, ref)
+    # one reference, two copies: each trace is its pair's on its own
+    traces = evolve_pairs(u1, [u2, u3], forcing, PARAMS, cfg, FAMILY)
+    assert len(traces) == 2
+    for copy, tr in zip((u2, u3), traces):
+        ref = reference_pair_rows(u1, copy, forcing, PARAMS, cfg, FAMILY)
+        got = np.column_stack(
+            [tr.t, tr.V, tr.dVdt, tr.norm_v_sq, tr.rhs_bound, tr.margin, tr.norm_u_sq]
+        )
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
     traj = evolve(u1, forcing, PARAMS, cfg)
     times, fields = reference_path(u1, forcing, PARAMS, cfg)
     assert np.array_equal(traj.times, times)
@@ -286,7 +308,7 @@ def test_evolve_pair_is_bitwise_the_plain_step_loop(integrator, forced, nonlinea
 def test_pair_trace_alpha_and_columns():
     u1, u2 = band_pair()
     cfg = SimConfig(dt=1e-3, T=0.01)
-    tr = evolve_pair(u1, u2, None, PARAMS, cfg, FAMILY)
+    tr = evolve_pairs(u1, [u2], None, PARAMS, cfg, FAMILY)[0]
     expect_alpha = 0.5 * (9.0**PARAMS.beta + 8.0**PARAMS.beta)
     assert np.all(tr.alpha == expect_alpha)
     assert tr.lambda_N == 8 and tr.lambda_next == 9
@@ -300,7 +322,7 @@ def test_pair_derivative_matches_central_difference():
     u2 = random_field(8, rng, decay=4.0) * 0.1
     u1 = u2 + single_mode((0, 3), (1e-2, 0.0))
     cfg = SimConfig(dt=5e-4, T=0.02)
-    tr = evolve_pair(u1, u2, None, PARAMS, cfg, FAMILY)
+    tr = evolve_pairs(u1, [u2], None, PARAMS, cfg, FAMILY)[0]
     cd = (tr.V[2:] - tr.V[:-2]) / (tr.t[2:] - tr.t[:-2])
     err = np.abs(cd - tr.dVdt[1:-1])
     scale = np.max(np.abs(tr.dVdt)) + 1e-300
@@ -310,7 +332,7 @@ def test_pair_derivative_matches_central_difference():
 def test_cone_report_fields():
     u1, u2 = band_pair()
     cfg = SimConfig(dt=1e-3, T=0.01, include_nonlinear=False)
-    tr = evolve_pair(u1, u2, None, PARAMS, cfg, FAMILY)
+    tr = evolve_pairs(u1, [u2], None, PARAMS, cfg, FAMILY)[0]
     rep = cone_report(tr)
     assert rep["n_samples"] == len(tr.t)
     assert rep["lambda_N"] == 8
@@ -351,7 +373,7 @@ def test_cone_report_worst_row_skips_degenerate_rows():
 def test_trace_csv_round_trip(tmp_path):
     u1, u2 = band_pair()
     cfg = SimConfig(dt=1e-3, T=0.01)
-    tr = evolve_pair(u1, u2, None, PARAMS, cfg, FAMILY)
+    tr = evolve_pairs(u1, [u2], None, PARAMS, cfg, FAMILY)[0]
     path = tmp_path / "trace.csv"
     tr.to_csv(path)
     header = path.read_text().splitlines()[0]
@@ -467,7 +489,7 @@ def test_cone_drive_is_the_A_power_form_to_rounding():
 def test_cone_report_counts_unresolved_differences_as_degenerate():
     u1, u2 = band_pair()
     cfg = SimConfig(dt=1e-3, T=0.003, include_nonlinear=False)
-    tr = evolve_pair(u1, u2, None, PARAMS, cfg, FAMILY)
+    tr = evolve_pairs(u1, [u2], None, PARAMS, cfg, FAMILY)[0]
     assert np.array_equal(
         tr.norm_u_sq,
         [max(inner_product(a, a), inner_product(b, b))
