@@ -474,7 +474,17 @@ def stage_cone(
                            f"in {csv} from t = {trace.t[row]:.6g}")
     if failure is not None:
         summary.update(blow_up=True, message=summary.get("message", failure))
-    summary.update(skipped=False, truncation=M_run, runs=runs)
+    summary.update(
+        skipped=False,
+        truncation=M_run,
+        # the run takes whole steps, so its horizon may differ from the requested T
+        n_steps=sim.n_steps,
+        t_end=sim.n_steps * sim.dt,
+        # nu lambda_next^beta dt: the decay exponent per step of the slowest
+        # mode above the band; far above 1, the band decays to rounding in a step
+        stiffness=params.nu * float(fam.lambda_next) ** params.beta * sim.dt,
+        runs=runs,
+    )
     return summary, None
 
 

@@ -30,13 +30,18 @@ counterpart is mask(direct(mask u, mask v)).  Any grid N >= 3 Kc + 1 gives the
 same result up to rounding; 2-3-5-smooth sizes keep the transforms fast.
 
 bilinear_B is the general product B(u, v) and moves complex blocks (eight
-complex 2-D transforms per call).  The square (w . grad) w of one real,
-divergence-free block has a cheaper form, _quadratic_fft: w . grad w =
-div(w w^T) needs two inverse and three forward real transforms on the same
-grid, with j2 < 0 filled by conjugate symmetry.  truncation.prepared_product
-uses it for B(W(u), W(u)), and the Leray projection and W act on coefficient
-blocks through the array helpers _leray_coeffs and truncation._truncate, which
-leray_project and apply_W share.
+complex 2-D transforms per call).  The projected square P (w . grad) w of one
+real, divergence-free block has a cheaper form, _quadratic_fft: with
+Q = w w^T, (w . grad) w = div Q, and its projection is
+j_perp (j_perp . i j Q_hat) / |j|^2, j_perp = (j2, -j1), which reads Q only
+through Q12 and Q11 - Q22.  So it takes two inverse real transforms (w1, w2)
+and two forward ones (w1 w2, w1^2 - w2^2) on the same grid, forms the
+projected block with the cached multipliers of _curl_plan, and fills j2 < 0
+by conjugate symmetry; no projection pass follows.  truncation.prepared_product
+uses it for B(W(u), W(u)) and hands it W on the half j2 >= 0 of the block,
+the only half the transforms read.  W acts on a block or its half through
+truncation._truncate, which apply_W shares; the Leray projection of either is
+the array helper _leray_coeffs, which leray_project and W share.
 """
 
 from __future__ import annotations
@@ -233,10 +238,11 @@ def sobolev_norm(u: FourierField, s: float) -> float:
 
 def _leray_coeffs(c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """P_j = Id - j j^T / |j|^2 on each pair of the centered coefficient block
-    |j|_inf <= K that c holds, shape (2, 2K+1, 2K+1), zero at j = 0; written
-    to out (which may be c itself), or to a new array."""
-    K = (c.shape[-1] - 1) // 2
-    J1, J2, LAM = wavenumbers(K)
+    |j|_inf <= K that c holds, shape (2, 2K+1, 2K+1), or of its half j2 >= 0,
+    shape (2, 2K+1, K+1); zero at j = 0, which is at [K, -(K+1)] either way;
+    written to out (which may be c itself), or to a new array."""
+    K = (c.shape[-2] - 1) // 2
+    J1, J2, LAM = (a[:, -c.shape[-1] :] for a in wavenumbers(K))
     denom = np.where(LAM > 0, LAM, 1).astype(np.float64)
     d = J2 * c[0]
     d -= J1 * c[1]
@@ -245,7 +251,7 @@ def _leray_coeffs(c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         out = np.empty(c.shape, dtype=np.complex128)
     np.multiply(J2, d, out=out[0])
     np.multiply(-J1, d, out=out[1])
-    out[:, K, K] = 0.0
+    out[:, K, -(K + 1)] = 0.0
     return out
 
 
@@ -380,6 +386,20 @@ def _fft_plan(K: int, N: int):
     return np.ix_(r % N, r % N), ik1, ik2
 
 
+@lru_cache(maxsize=32)
+def _curl_plan(K: int):
+    """The read-only multipliers that take Q12 and Q11 - Q22 of Q = w w^T to
+    P div Q on the half block |j|_inf <= K, j2 >= 0, each of shape (2, 2K+1, K+1):
+    (j2, -j1) i (j2^2 - j1^2) / |j|^2 and (j2, -j1) i j1 j2 / |j|^2, 0 at j = 0."""
+    J1, J2, LAM = (a[:, K:] for a in wavenumbers(K))
+    perp = np.stack([J2, -J1]) / np.where(LAM > 0, LAM, 1)
+    m12 = 1j * perp * (J2 * J2 - J1 * J1)
+    mdiff = 1j * perp * (J1 * J2)
+    for a in (m12, mdiff):
+        a.setflags(write=False)
+    return m12, mdiff
+
+
 def _advect_fft(u: np.ndarray, v: np.ndarray, N: int) -> np.ndarray:
     """(u . grad) v on the centered coefficient block |j|_inf <= K that u and v
     hold, shape (2, 2K+1, 2K+1), via transforms on an N-point grid; the product
@@ -401,40 +421,46 @@ def _advect_fft(u: np.ndarray, v: np.ndarray, N: int) -> np.ndarray:
     return out
 
 
-def _quadratic_fft(w: np.ndarray, N: int) -> np.ndarray:
-    """(w . grad) w on the centered coefficient block |j|_inf <= K that w holds,
-    shape (2, 2K+1, 2K+1), via real transforms on an N-point grid; the product
-    is read back on the same block (no masking).
+def _quadratic_fft(w: np.ndarray, N: int, out: np.ndarray) -> np.ndarray:
+    """P (w . grad) w, the Leray-projected square, on the centered coefficient
+    block |j|_inf <= K, shape (2, 2K+1, 2K+1), of a field w given by the half
+    j2 >= 0 of that block, shape (2, 2K+1, K+1), via real transforms on an
+    N-point grid; written to out and read back on the same block (no masking).
 
     w must be real (w_hat[-j] = conj(w_hat[j])) and divergence-free mode by
-    mode; then (w . grad) w = div(w w^T), so two inverse real transforms take
-    w1 and w2 onto the grid from their j2 >= 0 half, three forward real
-    transforms bring back w1^2, w1 w2 and w2^2, the divergence is taken in
-    spectral space, and j2 < 0 is filled by conjugate symmetry.  Each 2-D
-    transform is done as its two 1-D passes, so that the j1 pass skips the
-    columns j2 > K, which are zero on the way in and not read on the way out.
+    mode; then (w . grad) w = div Q with Q = w w^T, and its projection is
+    j_perp (j_perp . i j Q_hat) / |j|^2 with j_perp = (j2, -j1) and
+    j_perp . i j Q_hat = i [(j2^2 - j1^2) Q12 + j1 j2 (Q11 - Q22)].  So two
+    inverse real transforms take w1 and w2 onto the grid from their j2 >= 0
+    half, two forward real transforms bring back w1 w2 and w1^2 - w2^2, the
+    multipliers of _curl_plan give the projected block, and j2 < 0 is filled by
+    conjugate symmetry.  The j = 0 coefficient is written as 0, not as 0 times
+    the mean, which is NaN when w holds inf or NaN.  Each 2-D transform is done
+    as its two 1-D passes, so that the j1 pass skips the columns j2 > K, which
+    are zero on the way in and not read on the way out.
     """
-    K = (w.shape[-1] - 1) // 2
-    _, ik1, ik2 = _fft_plan(K, N)
-    ik1, ik2 = ik1[:, K:], ik2[:, K:]
+    K = (w.shape[-2] - 1) // 2
+    m12, mdiff = _curl_plan(K)
     half = np.zeros((2, N, K + 1), dtype=np.complex128)
-    half[:, : K + 1] = w[:, K:, K:]
-    half[:, N - K :] = w[:, :K, K:]
+    half[:, : K + 1] = w[:, K:]
+    half[:, N - K :] = w[:, :K]
     # each grid array is dropped once used: this is the solver's memory peak
     g = np.fft.irfft(np.fft.ifft(half, axis=1, norm="forward"), n=N, axis=2, norm="forward")
     del half
-    q = np.empty((3, N, N))
-    np.multiply(g[0], g, out=q[:2])
-    np.multiply(g[1], g[1], out=q[2])
+    q = np.empty((2, N, N))
+    np.multiply(g[0], g[1], out=q[0])
+    np.subtract(g[0], g[1], out=q[1])
+    g[0] += g[1]
+    q[1] *= g[0]
     del g
     prods = np.fft.fft(np.fft.rfft(q, axis=2, norm="forward")[:, :, : K + 1], axis=1, norm="forward")
     del q
     p = np.concatenate([prods[:, N - K :], prods[:, : K + 1]], axis=1)
     del prods
-    out = np.empty(w.shape, dtype=np.complex128)
-    np.multiply(ik1, p[:2], out=out[:, :, K:])
-    out[:, :, K:] += ik2 * p[1:]
+    np.multiply(m12, p[0], out=out[:, :, K:])
+    out[:, :, K:] += mdiff * p[1]
     np.conj(out[:, ::-1, :K:-1], out=out[:, :, :K])
+    out[:, K, K] = 0.0
     return out
 
 

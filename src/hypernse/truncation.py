@@ -31,17 +31,24 @@ gains of averaging.assemble_restricted_operator all evaluate it.
 The quadratic term of the prepared equation, B(W(u), W(u)), is computed by
 prepared_product alone.  Because W and the Leray projection act mode by mode,
 the transform routes compute W only on the block |j|_inf <= K that the route
-reads (K = floor(2M/3) for "two-thirds", K = M for "padded"), form the
-product there by real transforms in divergence form and project the block;
-this requires u real (conjugate-symmetric), so that W(u) is real and
-divergence-free mode by mode.  It agrees with bilinear_B(apply_W(u),
-apply_W(u)) to rounding; the "direct" route is that composition, the oracle.
+reads (K = floor(2M/3) for "two-thirds", K = M for "padded"), on the half
+j2 >= 0 that the real transforms read, and form the projected product there
+in one pass (spectral._quadratic_fft: two inverse and two forward real
+transforms, the projection folded into the multipliers that take w1 w2 and
+w1^2 - w2^2 back to the block); this requires u real (conjugate-symmetric),
+so that W(u) is real and divergence-free mode by mode.
+It agrees with bilinear_B(apply_W(u), apply_W(u)) to rounding; the "direct"
+route is that composition, the oracle.  The amplitude scale and its
+reciprocal are cached per (params, K), and W applies theta in place on the
+scaled amplitudes; W's values are those of theta itself, and only the sign
+of some zero coefficients can differ.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -143,13 +150,24 @@ class CutoffProfile:
 _PROFILE = CutoffProfile()
 
 
+def _theta_in_place(xi: np.ndarray) -> np.ndarray:
+    """theta on a complex128 array, in place, and the array: the identity
+    region is left as it is, the transition shell is multiplied by psi, and
+    from the outer radius on (an infinite |xi| included) xi is set to 0.
+    NaN, in none of the three regions, stays NaN."""
+    with np.errstate(over="ignore"):  # an |xi| that overflows is beyond the outer radius
+        r = np.abs(xi)
+    shell = (r > _PROFILE.inner_radius) & (r < _PROFILE.outer_radius)
+    xi[shell] *= _PROFILE.psi(r[shell])
+    xi[r >= _PROFILE.outer_radius] = 0.0
+    return xi
+
+
 def theta(xi):
     """Scalar cutoff theta(xi) = xi psi(|xi|), elementwise on complex input;
     exactly 0 where |xi| is infinite (beyond the outer radius) instead of
     inf * 0 = NaN.  NaN stays NaN."""
-    xi = np.asarray(xi, dtype=np.complex128)
-    r = np.abs(xi)
-    return np.multiply(xi, _PROFILE.psi(r), out=np.zeros_like(xi), where=~np.isinf(r))
+    return _theta_in_place(np.array(xi, dtype=np.complex128))
 
 
 def _theta_prime(xi, h) -> np.ndarray:
@@ -175,11 +193,24 @@ def theta_jacobian(xi: complex) -> np.ndarray:
     return np.array([cols.real, cols.imag])
 
 
+@lru_cache(maxsize=32)
 def _amplitude_scale(params: SpectralParams, M: int) -> np.ndarray:
     """|j|^{3+eps} / rho on the centered grid, zero slot at the origin; inf
-    where a tiny rho overflows it."""
+    where a tiny rho overflows it.  Read-only and cached."""
     with np.errstate(over="ignore"):
-        return laplacian_power(M, (3.0 + params.epsilon) / 2.0) / params.rho
+        scale = laplacian_power(M, (3.0 + params.epsilon) / 2.0) / params.rho
+    scale.setflags(write=False)
+    return scale
+
+
+@lru_cache(maxsize=32)
+def _inverse_amplitude_scale(params: SpectralParams, M: int) -> np.ndarray:
+    """rho / |j|^{3+eps}, the reciprocal of _amplitude_scale, 0 at the origin
+    (and 0 where the scale overflowed).  Read-only and cached."""
+    scale = _amplitude_scale(params, M)
+    inv = np.divide(1.0, scale, out=np.zeros_like(scale), where=scale > 0)
+    inv.setflags(write=False)
+    return inv
 
 
 def _scaled_amplitude(c: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -197,13 +228,14 @@ def _scaled_amplitude(c: np.ndarray, scale: np.ndarray) -> np.ndarray:
 
 def _truncate(c: np.ndarray, params: SpectralParams) -> np.ndarray:
     """W on the centered coefficient block |j|_inf <= K that c holds, shape
-    (2, 2K+1, 2K+1).  W acts mode by mode, so this is the block of W of any
-    field that holds c there; a new array."""
-    scale = _amplitude_scale(params, (c.shape[-1] - 1) // 2)
-    with np.errstate(over="ignore"):  # theta is 0 at an overflowed amplitude
-        th = theta(_scaled_amplitude(c, scale))
-    th *= np.divide(1.0, scale, out=np.zeros_like(scale), where=scale > 0)
-    return _leray_coeffs(th, out=th)
+    (2, 2K+1, 2K+1), or on its half j2 >= 0, shape (2, 2K+1, K+1).  W acts
+    mode by mode, so this is the block of W of any field that holds c there;
+    a new array.  theta acts in place on the scaled amplitudes, and the
+    cached reciprocal scale takes them back."""
+    K, cols = (c.shape[-2] - 1) // 2, c.shape[-1]
+    xi = _theta_in_place(_scaled_amplitude(c, _amplitude_scale(params, K)[:, -cols:]))
+    xi *= _inverse_amplitude_scale(params, K)[:, -cols:]
+    return _leray_coeffs(xi, out=xi)
 
 
 def apply_W(u: FourierField, params: SpectralParams) -> FourierField:
@@ -224,13 +256,17 @@ def prepared_product(
     """B(W(u), W(u)), the quadratic term of the prepared equation.
 
     Equal to bilinear_B(apply_W(u), apply_W(u), dealias) up to rounding.  The
-    transform routes compute W only on the block |j|_inf <= K that the route
-    reads (K = floor(2M/3) for "two-thirds", K = M for "padded"), form
-    (w . grad) w = div(w w^T) there by real transforms on the route's grid,
-    Leray-project the block and return zero outside it.  Preconditions: u is
-    real (conjugate-symmetric), and W(u) is then real and divergence-free mode
-    by mode; every state the integrators produce is real.  The "direct" route
-    is the oracle: apply_W followed by bilinear_B(..., "direct").
+    transform routes compute W only on the half j2 >= 0 of the block
+    |j|_inf <= K that the route reads (K = floor(2M/3) for "two-thirds",
+    K = M for "padded"), form the Leray projection of
+    (w . grad) w = div(w w^T) on the block with two inverse and two forward
+    real transforms on the route's grid (spectral._quadratic_fft), and return
+    zero outside it.  The j = 0 coefficient is an exact 0 even when the block
+    holds inf or NaN, so such a state is reported as a blow-up, not rejected
+    as a field with a mean.  Preconditions: u is real (conjugate-symmetric),
+    and W(u) is then real and divergence-free mode by mode; every state the
+    integrators produce is real.  The "direct" route is the oracle: apply_W
+    followed by bilinear_B(..., "direct").
     """
     if dealias == "direct":
         w = apply_W(u, params)
@@ -239,8 +275,7 @@ def prepared_product(
     K, N = _route_grid(M, dealias)
     blk = slice(M - K, M + K + 1)
     out = np.zeros((2, 2 * M + 1, 2 * M + 1), dtype=np.complex128)
-    w = _truncate(u.coeffs[:, blk, blk], params)
-    _leray_coeffs(_quadratic_fft(w, N), out=out[:, blk, blk])
+    _quadratic_fft(_truncate(u.coeffs[:, blk, M : M + K + 1], params), N, out[:, blk, blk])
     return FourierField._wrap(M, out)
 
 

@@ -389,6 +389,37 @@ def test_cone_check_steps_the_shared_reference_once(monkeypatch, tmp_path):
     assert len(calls) == (1 + len(hypernse.cli.PERTURBATION_DELTAS)) * (2 * n + 1)
 
 
+@pytest.mark.parametrize("T, n_steps, t_end", [(1e-9, 1, 0.001), (0.0025, 2, 0.002)])
+def test_cone_check_reports_the_horizon_it_ran(tmp_path, T, n_steps, t_end):
+    # the run takes whole steps of dt = 1e-3: at least one, and T / dt rounded
+    out = tmp_path / "horizon"
+    rc = main(["cone-check", "--mu", "50", "--s", "0.15", "--T", repr(T), "--out", str(out)])
+    assert rc == 0
+    report = _strict_loads((out / "cone.json").read_text())
+    results = report["results"]
+    assert report["config"]["T"] == T
+    assert results["n_steps"] == n_steps
+    assert results["t_end"] == pytest.approx(t_end, rel=1e-15)
+    for run in results["runs"]:
+        rows = (out / run["trace_csv"]).read_text().splitlines()[1:]
+        assert len(rows) == n_steps + 1
+        assert float(rows[-1].split(",")[0]) == results["t_end"]
+    cut = results["cutoff"]
+    nu, beta, dt = report["config"]["nu"], report["config"]["beta"], report["config"]["dt"]
+    assert results["stiffness"] == pytest.approx(nu * cut["lambda_next"] ** beta * dt, rel=1e-15)
+
+
+def test_cone_check_reports_the_stiffness_of_the_cone_workload(tmp_path):
+    # nu lambda_next^beta dt at mu = 1e4: the band decays by about e^-632 per step
+    out = tmp_path / "stiff"
+    rc = main(["cone-check", "--mu", "1e4", "--s", "0.15", "--T", "0.001", "--out", str(out)])
+    assert rc == 0
+    results = _strict_loads((out / "cone.json").read_text())["results"]
+    assert results["cutoff"]["lambda_next"] == 10009
+    assert results["stiffness"] == pytest.approx(10009**1.45 * 1e-3, rel=1e-15)
+    assert 631 < results["stiffness"] < 633
+
+
 def test_cone_check_reports_overflowed_diagnostics_as_blow_up(tmp_path):
     # the states stay finite, but max(||u1||^2, ||u2||^2) overflows from t = 0
     out = tmp_path / "big"

@@ -26,7 +26,8 @@ from hypernse import (
     apply_A_power,
     bilinear_B,
 )
-from hypernse.spectral import two_thirds_limit
+from hypernse import spectral, truncation
+from hypernse.spectral import _route_grid, two_thirds_limit, wavenumbers
 from hypernse.truncation import (
     _amplitude_scale,
     _smoothstep,
@@ -337,3 +338,82 @@ def test_nonlinearity_F_is_the_prepared_product():
     u = random_field(12, np.random.default_rng(4), decay=3.0)
     want = apply_A_power(prepared_product(u, params), -0.5)
     assert np.array_equal(nonlinearity_F(u, params).coeffs, want.coeffs)
+
+
+def _relative_defects(b: FourierField) -> tuple[float, float]:
+    """reality_defect over the largest coefficient, and divergence_defect over
+    the largest |j| |b_hat[j]|, the size of the terms it sums."""
+    _, _, LAM = wavenumbers(b.M)
+    size = np.max(np.abs(b.coeffs))
+    return b.reality_defect() / size, b.divergence_defect() / np.max(np.sqrt(LAM) * np.abs(b.coeffs))
+
+
+@pytest.mark.parametrize("route", ["two-thirds", "padded"])
+@pytest.mark.parametrize("M", [12, 16, 40])
+def test_prepared_product_is_real_and_divergence_free(route, M):
+    # M = 12 on the two-thirds route transforms on an odd grid, N = 25
+    params = SpectralParams(M=M)
+    rng = np.random.default_rng(100 + M)
+    for decay, size in ((3.0, 0.5), (3.0, 30.0), (1.0, 3.0)):
+        b = prepared_product(scaled_to(random_field(M, rng, decay=decay), size), params, route)
+        reality, divergence = _relative_defects(b)
+        assert reality <= 1e-13 and divergence <= 1e-13
+    assert _route_grid(12, "two-thirds") == (8, 25)
+
+
+@pytest.mark.parametrize("route", ["two-thirds", "padded"])
+def test_prepared_product_keeps_the_zero_mode_at_zero_on_non_finite_input(route):
+    # NaN passes through W; at rho = 1e300, W is the identity on a field of
+    # size 1e200 and its squares overflow on the grid.  Either way the
+    # transforms spread inf and NaN over every mode, and the j = 0 slot must
+    # still hold an exact 0 for the result to be a field at all.
+    M = 12
+    u = random_field(M, np.random.default_rng(5), decay=3.0)
+    nan_mode = FourierField.from_modes(M, {(1, 2): (math.nan, 0.0)})
+    cases = [(u + nan_mode, SpectralParams(M=M)), (u * 1e200, SpectralParams(M=M, rho=1e300))]
+    for field, params in cases:
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = prepared_product(field, params, route)
+        assert not np.all(np.isfinite(b.coeffs))
+        assert np.all(b.coeffs[:, M, M] == 0.0)
+
+
+# the numpy.fft functions, each with the number of grid axes one call transforms
+_FFT_FUNCTIONS = {
+    "fft": 1, "ifft": 1, "rfft": 1, "irfft": 1,
+    "fft2": 2, "ifft2": 2, "rfft2": 2, "irfft2": 2,
+}
+
+
+@pytest.mark.parametrize("route", ["two-thirds", "padded"])
+def test_prepared_product_moves_two_component_arrays_each_way(monkeypatch, route):
+    # a work count, not a timing: w1 and w2 go to the grid, w1 w2 and
+    # w1^2 - w2^2 come back, and the block is projected once, inside W
+    params = SpectralParams(M=16)
+    u = random_field(16, np.random.default_rng(6), decay=3.0)
+    moved = {"forward": 0.0, "inverse": 0.0}
+    projections = []
+
+    def counted(name, real):
+        def wrapper(a, *args, **kwargs):
+            # the transforms act on the last two axes of a stack of 2-D arrays;
+            # a 2-D transform done as two 1-D passes counts half per pass
+            arrays = int(np.prod(np.shape(a)[:-2]))
+            direction = "inverse" if name.startswith("i") else "forward"
+            moved[direction] += arrays * _FFT_FUNCTIONS[name] / 2
+            return real(a, *args, **kwargs)
+        return wrapper
+
+    for name in _FFT_FUNCTIONS:
+        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+    real_leray = spectral._leray_coeffs
+
+    def leray(*args, **kwargs):
+        projections.append(None)
+        return real_leray(*args, **kwargs)
+
+    for module in (spectral, truncation):
+        monkeypatch.setattr(module, "_leray_coeffs", leray)
+    prepared_product(u, params, route)
+    assert moved == {"forward": 2.0, "inverse": 2.0}
+    assert len(projections) == 1
