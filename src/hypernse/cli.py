@@ -74,6 +74,7 @@ from .spectral import (
     random_field,
     save_field_csv,
     sobolev_norm,
+    two_thirds_limit,
 )
 
 PERTURBATION_DELTAS = (1e-3, 1e-1)
@@ -430,6 +431,13 @@ def _cutoff_summary(ann: SparseAnnulus) -> dict:
     }
 
 
+def _cone_truncations(fam: CutoffFamily) -> tuple[int, int]:
+    """(M_run, K): the cone stage draws at M_run and steps the block
+    K = floor(2 M_run / 3), which holds the band |j| <= sqrt(lambda_N + k)."""
+    M_run = int(math.ceil(1.5 * math.sqrt(fam.lambda_N + fam.k))) + 2
+    return M_run, two_thirds_limit(M_run)
+
+
 def stage_cone(
     cfg: RunConfig, outdir: str, ann: SparseAnnulus | None
 ) -> tuple[dict, None]:
@@ -437,18 +445,24 @@ def stage_cone(
         return {"skipped": True, "reason": "no sparse annulus was certified"}, None
     fam = CutoffFamily(ann.lambda_N, ann.lambda_next, ann.half_width)
     summary: dict = {"cutoff": _cutoff_summary(ann)}
-    # headroom factor keeps the band inside the two-thirds product mask, so
-    # band-mode nonlinear interactions are not dealiased away
-    M_run = int(math.ceil(1.5 * math.sqrt(fam.lambda_N + fam.k))) + 2
-    params = cfg.spectral_params(M=M_run)
+    # The two-thirds product at M_run reads and writes only the block K, so
+    # the modes outside it never reach the band: the fields are cut to K and
+    # the pairs step there, where the padded product is the same (Orszag
+    # 1971); --dealias picks only how that product is formed.
+    M_run, K = _cone_truncations(fam)
+    draw = cfg.spectral_params(M=M_run)
+    params = cfg.spectral_params(M=K)
     sim = cfg.sim_config()
+    route = "direct" if sim.dealias == "direct" else "padded"
+    sim = dataclasses.replace(sim, dealias=route)
     rng = np.random.default_rng(cfg.seed)
-    u1 = _initial_field(cfg, params, rng)
-    forcing = _forcing_field(cfg, params, rng)
-    copies = [perturbed_copy(u1, fam, delta, rng, where="band") for delta in PERTURBATION_DELTAS]
+    u1 = _initial_field(cfg, draw, rng)
+    forcing = _forcing_field(cfg, draw, rng)
+    forcing = None if forcing is None else forcing.block(K)
+    copies = [perturbed_copy(u1, fam, delta, rng, where="band").block(K) for delta in PERTURBATION_DELTAS]
     # hand the initial states over without keeping them: evolve_pairs frees
     # each one after its first step
-    members = [u1, copies]
+    members = [u1.block(K), copies]
     del u1, copies
     failure = None
     try:
@@ -476,7 +490,9 @@ def stage_cone(
         summary.update(blow_up=True, message=summary.get("message", failure))
     summary.update(
         skipped=False,
-        truncation=M_run,
+        truncation=K,
+        draw_truncation=M_run,
+        route=route,
         # the run takes whole steps, so its horizon may differ from the requested T
         n_steps=sim.n_steps,
         t_end=sim.n_steps * sim.dt,

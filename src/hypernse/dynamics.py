@@ -213,10 +213,13 @@ def _run(
     min(2, len(states)) members are left, since a lone member runs by itself
     but a copy needs the member before it, and returns the BlowUpError of
     the last drop, or None.  An overflow needs no warning: a non-finite
-    record is the caller's to report."""
+    record is the caller's to report.  A forcing at another truncation than
+    the members' is a ValueError, raised before any product."""
     n = config.n_steps
     needed = min(len(states), 2)
     M = states[0].M
+    if forcing is not None and forcing.M != M:
+        raise ValueError(f"forcing truncation M = {forcing.M} != member truncation M = {M}")
     factors = _linear_factors(M, params, config)
     bs: list = [None] * len(states)
     failure = None

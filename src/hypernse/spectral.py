@@ -184,6 +184,13 @@ class FourierField:
             return np.zeros(2, dtype=np.complex128)
         return self.coeffs[:, j1 + self.M, j2 + self.M].copy()
 
+    def block(self, K: int) -> "FourierField":
+        """The modes |j|_inf <= K of this field, as a field at truncation K."""
+        if not 1 <= K <= self.M:
+            raise ValueError(f"block K = {K} outside 1..{self.M}")
+        s = slice(self.M - K, self.M + K + 1)
+        return FourierField._wrap(K, self.coeffs[:, s, s].copy())
+
     def __add__(self, other: "FourierField") -> "FourierField":
         self._check_compatible(other)
         return FourierField._wrap(self.M, self.coeffs + other.coeffs)

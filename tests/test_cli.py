@@ -4,14 +4,15 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 import hypernse.cli
 import hypernse.dynamics
-from hypernse import FourierField
+from hypernse import CutoffFamily, FourierField, evolve_pairs, find_sparse_annulus, perturbed_copy
 from hypernse.cli import ConfigError, main, resolve_config
 
-# a certified annulus at mu = 50 keeps the cone run at M = 13
+# a certified annulus at mu = 50 keeps the cone run at M = 8 (drawn at 13)
 SMALL = ["--mu", "50", "--s", "0.15", "--M", "8", "--T", "0.002",
          "--samples", "2", "--gap-limit", "1000"]
 
@@ -418,6 +419,84 @@ def test_cone_check_reports_the_stiffness_of_the_cone_workload(tmp_path):
     assert results["cutoff"]["lambda_next"] == 10009
     assert results["stiffness"] == pytest.approx(10009**1.45 * 1e-3, rel=1e-15)
     assert 631 < results["stiffness"] < 633
+
+
+def test_cone_check_steps_the_two_thirds_block_of_the_cone_workload(tmp_path):
+    # fields drawn at M_run = 153 are stepped on its two-thirds block K = 102,
+    # where the padded product is the two-thirds product at 153 (grid N = 320)
+    out = tmp_path / "block"
+    rc = main(["cone-check", "--mu", "1e4", "--s", "0.15", "--T", "0.001", "--out", str(out)])
+    assert rc == 0
+    results = _strict_loads((out / "cone.json").read_text())["results"]
+    assert (results["truncation"], results["draw_truncation"], results["route"]) == (102, 153, "padded")
+
+
+@pytest.mark.parametrize("dealias, route", [("two-thirds", "padded"), ("padded", "padded"), ("direct", "direct")])
+def test_cone_check_names_the_route_it_stepped(tmp_path, dealias, route):
+    out = tmp_path / dealias
+    rc = main(["cone-check", "--mu", "50", "--s", "0.15", "--T", "0.002",
+               "--dealias", dealias, "--out", str(out)])
+    assert rc == 0
+    report = _strict_loads((out / "cone.json").read_text())
+    results = report["results"]
+    assert report["config"]["dealias"] == dealias
+    assert (results["truncation"], results["draw_truncation"], results["route"]) == (8, 13, route)
+
+
+@pytest.mark.parametrize("mu", [50, 1e3, 1e4, 1e5])
+def test_the_band_lies_inside_the_stepped_block(mu):
+    # a band mode outside the block would be cut away with the perturbation
+    ann = find_sparse_annulus(mu, 0.15)
+    fam = CutoffFamily(ann.lambda_N, ann.lambda_next, ann.half_width)
+    M_run, K = hypernse.cli._cone_truncations(fam)
+    band = fam.band.mask(M_run)
+    inside = np.zeros_like(band)
+    inside[M_run - K : M_run + K + 1, M_run - K : M_run + K + 1] = True
+    assert band.any()
+    assert not np.any(band & ~inside)
+
+
+# largest difference between the cut cone run and the full-grid run, relative
+# to each trace column's largest magnitude; the outer modes of u1, which the
+# cut drops, move norm_u_sq by 1.8e-12 at mu = 1e3
+CUT_TOL = 1e-11
+
+
+def _trace_columns(path) -> dict:
+    lines = path.read_text().splitlines()
+    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    return dict(zip(lines[0].split(","), np.array(rows).T))
+
+
+def _assert_columns_close(got: dict, want: dict) -> None:
+    assert list(got) == list(want)
+    for name, col in want.items():
+        assert np.max(np.abs(got[name] - col)) <= CUT_TOL * np.max(np.abs(col)), name
+
+
+def test_the_cut_cone_run_matches_the_full_grid_run(tmp_path):
+    # the full-grid run: the stage's draws at M_run, stepped there with the
+    # two-thirds route; at mu = 1e3 the rows after the first are resolved
+    args = {"mu": "1e3", "s": "0.15", "T": "0.005"}
+    cfg = resolve_config(None, args)
+    ann = find_sparse_annulus(cfg.mu, cfg.s)
+    fam = CutoffFamily(ann.lambda_N, ann.lambda_next, ann.half_width)
+    M_run, K = hypernse.cli._cone_truncations(fam)
+    params = cfg.spectral_params(M=M_run)
+    rng = np.random.default_rng(cfg.seed)
+    u1 = hypernse.cli._initial_field(cfg, params, rng)
+    forcing = hypernse.cli._forcing_field(cfg, params, rng)
+    copies = [perturbed_copy(u1, fam, d, rng, where="band") for d in hypernse.cli.PERTURBATION_DELTAS]
+    full = evolve_pairs(u1, copies, forcing, params, cfg.sim_config(), fam)
+    flags = [x for key, value in args.items() for x in (f"--{key}", value)]
+    for dealias in ("two-thirds", "padded"):
+        out = tmp_path / dealias
+        assert main(["cone-check", *flags, "--dealias", dealias, "--out", str(out)]) == 0
+        results = _strict_loads((out / "cone.json").read_text())["results"]
+        assert (results["truncation"], results["draw_truncation"]) == (K, M_run) == (33, 50)
+        for run, want in zip(results["runs"], full, strict=True):
+            got = _trace_columns(out / run["trace_csv"])
+            _assert_columns_close(got, {name: getattr(want, name) for name in got})
 
 
 def test_cone_check_reports_overflowed_diagnostics_as_blow_up(tmp_path):

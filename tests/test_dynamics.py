@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import hypernse.dynamics
 from hypernse import (
     BlowUpError,
     ConeTrace,
@@ -192,6 +193,28 @@ def test_evolve_pairs_checks_its_members():
         evolve_pairs(u, [], None, PARAMS, SimConfig(T=0.002), FAMILY)
     with pytest.raises(ValueError, match="pair members must share a truncation"):
         evolve_pairs(u, [u, shear_field(M=10)], None, PARAMS, SimConfig(T=0.002), FAMILY)
+
+
+@pytest.mark.parametrize("nonlinear", [True, False])
+@pytest.mark.parametrize("entry", ["evolve", "evolve_pairs"])
+def test_a_forcing_at_another_truncation_is_refused_before_any_product(monkeypatch, entry, nonlinear):
+    products = []
+    real = hypernse.dynamics.prepared_product
+
+    def counted(*args, **kwargs):
+        products.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hypernse.dynamics, "prepared_product", counted)
+    u = random_field(8, np.random.default_rng(5), decay=2.0)
+    forcing = random_field(12, np.random.default_rng(6), decay=2.0)
+    cfg = SimConfig(T=0.002, include_nonlinear=nonlinear)
+    with pytest.raises(ValueError, match="forcing truncation M = 12 != member truncation M = 8"):
+        if entry == "evolve":
+            evolve(u, forcing, PARAMS, cfg)
+        else:
+            evolve_pairs(u, [u * 1.5], forcing, PARAMS, cfg, FAMILY)
+    assert products == []
 
 
 def test_evolve_survives_a_mode_whose_scaled_amplitude_overflows():

@@ -320,6 +320,40 @@ def test_prepared_product_at_the_cone_truncation():
     assert _oracle_rel(u, params, "two-thirds") <= 1e-13
 
 
+@pytest.mark.parametrize("M, grid, grid_on_block, identical", [(153, 320, 320, True), (125, 250, 256, False)])
+def test_padded_product_on_the_block_is_the_two_thirds_product(M, grid, grid_on_block, identical):
+    """The two-thirds product at M and the padded product on its block
+    K = floor(2M/3) are the same (Orszag 1971).  Where both routes transform
+    on the same grid they agree bit for bit (the cone stage's M_run = 153);
+    where the grids differ (250 = 2 * 5^3 against 256) only to rounding."""
+    K = two_thirds_limit(M)
+    assert _route_grid(M, "two-thirds") == (K, grid)
+    assert _route_grid(K, "padded") == (K, grid_on_block)
+    rng = np.random.default_rng(M)
+    blk = slice(M - K, M + K + 1)
+    for size in (0.5, 30.0):  # inside the ball and saturated
+        u = scaled_to(random_field(M, rng, decay=3.0), size)
+        full = prepared_product(u, SpectralParams(M=M), "two-thirds").coeffs
+        cut = prepared_product(u.block(K), SpectralParams(M=K), "padded").coeffs
+        assert np.array_equal(full[:, blk, blk], cut) is identical
+        assert np.max(np.abs(full[:, blk, blk] - cut)) <= 1e-13 * np.max(np.abs(cut))
+        rest = full.copy()
+        rest[:, blk, blk] = 0.0
+        assert np.all(rest == 0.0)
+
+
+def test_block_is_the_field_on_the_smaller_truncation():
+    u = random_field(6, np.random.default_rng(2), decay=1.0)
+    b = u.block(4)
+    assert b.M == 4 and not b.coeffs.flags.writeable
+    assert np.array_equal(b.coeffs, u.coeffs[:, 2:11, 2:11])
+    assert all(np.array_equal(b.mode(j), u.mode(j)) for j in [(4, -4), (1, 3), (-2, 0)])
+    assert np.array_equal(u.block(6).coeffs, u.coeffs)
+    for K in (0, 7):
+        with pytest.raises(ValueError, match=f"block K = {K} outside 1..6"):
+            u.block(K)
+
+
 def test_prepared_product_is_zero_outside_the_two_thirds_block():
     params = SpectralParams(M=12)
     u = random_field(12, np.random.default_rng(3), decay=2.0)
