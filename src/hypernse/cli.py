@@ -58,6 +58,7 @@ from .dynamics import (
     perturbed_copy,
 )
 from .lattice import (
+    _NORM_BOUND,
     AnnulusFamily,
     SparseAnnulus,
     annulus_points,
@@ -122,6 +123,8 @@ class RunConfig:
         AnnulusFamily(self.mu, self.s)
         if self.gap_limit < 2:
             raise ValueError(f"gap_limit must be >= 2, got {self.gap_limit}")
+        if self.gap_limit >= _NORM_BOUND:
+            raise ValueError(f"gap_limit must be below 2^52, got {self.gap_limit}")
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         if self.ic_amplitude < 0 or self.forcing_amplitude < 0:

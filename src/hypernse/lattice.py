@@ -9,17 +9,29 @@ bounds themselves are doubles, so membership at a boundary follows strict
 double semantics; the CLI warns when a requested bound sits within 1e-9 of an
 integer.
 
-One enumerator, _points_with_norm_range, lists the lattice points of any
-window n_min <= |j|^2 <= n_max, for n_max < 2^52, as an (n, 2) int64 array
-in lexicographic order.  It is array arithmetic over the 2 isqrt(n_max) + 1
-rows j1: each row's two j2 segments come from an integer square root (a
-float64 root corrected by one step in int64, so exact), and np.repeat expands
-the segments without a per-point Python object.  The sparse-annulus scan and
-the strip count select their sets from that array with boolean masks; only
-the public boundary (annulus_points, strip_directions, SparseAnnulus.points)
-turns rows into LatticePoints of Python ints.  Only the gap records, which
-need every integer up to a limit, use the full-range sieve, and they find
-their records with a running maximum instead of a loop over the gaps.
+Two enumerators share one row arithmetic: each row's segment bounds come
+from an integer square root (a float64 root corrected by one step in int64,
+so exact below 2^52), and np.repeat expands the segments without a
+per-point Python object.
+
+* _points_with_norm_range lists every lattice point of a window
+  n_min <= |j|^2 <= n_max as an (n, 2) int64 array in lexicographic order.
+  The sparse-annulus scan selects its sets from that array with boolean
+  masks; only the public boundary (annulus_points, strip_directions,
+  SparseAnnulus.points) turns rows into LatticePoints of Python ints.
+* _octant lists only the points 0 <= a <= b of lo <= a^2 + b^2 < hi, one
+  representative of each orbit of the square's symmetry group (the signed
+  permutations of (a, b)).  The gap records and the strip count walk their
+  range with it in windows of _WINDOW consecutive norms, so their memory is
+  set by the window and not by the limit or mu.  The gap records mark each
+  window's sums in a window-sized mask and carry the last representable and
+  the largest gap so far across window edges.  The strip count weights each
+  hit by its orbit size, 4 on the axes and diagonals and 8 elsewhere; this is
+  exact because the admissible directions, the scan range and |x . j| are all
+  invariant under the group.
+
+The full-range sieve representable_sieve is kept as the tests' oracle; no
+computation here uses it.
 
 The sparse-annulus scan is the one place that certifies sparsity.  With the
 annulus it certifies the projector window around lambda_N, the largest
@@ -40,6 +52,10 @@ import numpy as np
 # the enumerator's bound on |j|^2: below it every norm, and every dot product
 # of a point with a strip direction, is exact in float64 as well as in int64
 _NORM_BOUND = 2**52
+
+# the number of consecutive norms the gap records and the strip count take
+# from _octant at once; their memory follows it and not the range they walk
+_WINDOW = 2**18
 
 # how far past its annulus the sparse-annulus scan enumerates, to find lambda_N
 # and lambda_next; gaps between sums of two squares stay far below it at any
@@ -168,7 +184,8 @@ def is_representable(n: int) -> bool:
 def representable_sieve(limit: int) -> np.ndarray:
     """Boolean mask over 0..limit marking sums of two squares.
 
-    Marks a^2 + b^2 for all admissible pairs; O(limit) marks total.
+    Marks a^2 + b^2 for all admissible pairs; O(limit) marks total.  The tests
+    check the windowed marks of record_gaps against it.
     """
     if limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
@@ -187,23 +204,40 @@ def record_gaps(limit: int) -> list[GapRecord]:
     A record must be strictly larger than every earlier gap; unit steps
     (adjacent representable integers) never open a gap, so the first record is
     the jump from 2 to 4.  The record sequence is strictly increasing by
-    construction.
+    construction.  The integers are marked one window of _WINDOW at a time;
+    the last representable and the largest gap so far carry across window
+    edges.  Raises ValueError unless 0 <= limit < 2^52 (_NORM_BOUND).
     """
-    mask = representable_sieve(limit)
-    reps = np.flatnonzero(mask)[1:]  # 0 = 0^2 + 0^2 is always marked
-    del mask
-    if reps.size < 2:
-        return []
-    gaps = np.diff(reps)
-    # gap i > 0 is a record when it beats the running maximum up to i - 1;
-    # gap 0 has only the unit step before it
-    at = np.flatnonzero(gaps[1:] > np.maximum.accumulate(gaps)[:-1]) + 1
-    if gaps[0] > 1:
-        at = np.concatenate(([0], at))
-    return [
-        GapRecord(lo, lo + g, g)
-        for lo, g in zip(reps[at].tolist(), gaps[at].tolist())
-    ]
+    if not 0 <= limit < _NORM_BOUND:
+        raise ValueError(f"limit must lie in [0, 2^52), got {limit}")
+    records: list[GapRecord] = []
+    prev, best = 1, 1  # 1 = 0^2 + 1^2 is the first representable
+    for lo in range(2, limit + 1, _WINDOW):
+        reps = lo + np.flatnonzero(_marks(lo, min(lo + _WINDOW, limit + 1)))
+        if not reps.size:
+            continue
+        gaps = np.diff(reps, prepend=prev)
+        # gap i is a record when it beats best and every gap before it
+        at = np.flatnonzero(gaps > np.maximum.accumulate(np.r_[best, gaps[:-1]]))
+        records += [
+            GapRecord(up - g, up, g)
+            for up, g in zip(reps[at].tolist(), gaps[at].tolist())
+        ]
+        prev, best = int(reps[-1]), max(best, int(gaps.max()))
+    return records
+
+
+def _marks(lo: int, hi: int) -> np.ndarray:
+    """Boolean mask over lo..hi - 1 marking sums of two squares, 0 <= lo < hi <= 2^52."""
+    a, b = _octant(lo, hi)
+    # in place, so a and b are the only arrays as long as the point list
+    a *= a
+    b *= b
+    b += a
+    b -= lo
+    mask = np.zeros(hi - lo, dtype=bool)
+    mask[b] = True
+    return mask
 
 
 def _isqrt(n: np.ndarray) -> np.ndarray:
@@ -217,6 +251,29 @@ def _isqrt(n: np.ndarray) -> np.ndarray:
     r = np.sqrt(n).astype(np.int64)
     r -= r * r > n
     return r
+
+
+def _isqrt_up(n: np.ndarray) -> np.ndarray:
+    """Elementwise smallest b >= 0 with b^2 >= n, for int64 n < 2^62."""
+    return np.where(n > 0, _isqrt(np.maximum(n - 1, 0)) + 1, 0)
+
+
+def _segments(
+    rows: np.ndarray, starts: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The points (r, starts[i] + t), 0 <= t < counts[i], segment by segment.
+
+    Each row holds k = len(counts) // len(rows) consecutive segments, so
+    segment i lies in row r = rows[i // k]; a segment with counts[i] <= 0 is
+    empty.  Returned as two int64 coordinate arrays.
+    """
+    live = np.flatnonzero(counts > 0)
+    rows = rows[live // (len(counts) // len(rows))]
+    starts, counts = starts[live], counts[live]
+    first = np.cumsum(counts) - counts  # each segment's offset in the output
+    col = np.arange(int(counts.sum()), dtype=np.int64)
+    col += np.repeat(starts - first, counts)
+    return np.repeat(rows, counts), col
 
 
 def _points_with_norm_range(n_min: int, n_max: int) -> np.ndarray:
@@ -236,20 +293,32 @@ def _points_with_norm_range(n_min: int, n_max: int) -> np.ndarray:
     R = math.isqrt(n_max)
     j1 = np.arange(-R, R + 1, dtype=np.int64)
     b_hi = _isqrt(n_max - j1 * j1)
-    lo2 = n_min - j1 * j1
-    b_lo = np.where(lo2 > 0, _isqrt(np.maximum(lo2 - 1, 0)) + 1, 0)
-    # per row: the negative segment, then the nonnegative one; n_min <= n_max
-    # keeps b_lo <= b_hi + 1, so no count is negative.  Segment i lies in row
-    # j1[i // 2], and a thin window leaves most segments empty.
-    starts = np.stack([-b_hi, b_lo], axis=1).ravel()
-    counts = np.stack([b_hi - np.maximum(b_lo, 1) + 1, b_hi - b_lo + 1], axis=1).ravel()
-    live = np.flatnonzero(counts)
-    starts, counts = starts[live], counts[live]
-    first = np.cumsum(counts) - counts  # each segment's offset in the output
-    pts = np.empty((int(counts.sum()), 2), dtype=np.int64)
-    pts[:, 0] = np.repeat(j1[live // 2], counts)
-    pts[:, 1] = np.arange(len(pts), dtype=np.int64) + np.repeat(starts - first, counts)
-    return pts
+    b_lo = _isqrt_up(n_min - j1 * j1)
+    # per row: the negative segment, then the nonnegative one
+    segments = _segments(
+        j1,
+        np.stack([-b_hi, b_lo], axis=1).ravel(),
+        np.stack([b_hi - np.maximum(b_lo, 1) + 1, b_hi - b_lo + 1], axis=1).ravel(),
+    )
+    return np.stack(segments, axis=1)
+
+
+def _octant(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The points 0 <= a <= b with lo <= a^2 + b^2 < hi: int64 arrays a and b.
+
+    Lexicographic.  Row a runs from 0 to isqrt((hi - 1) // 2), the largest a
+    with 2 a^2 < hi, and holds the segment max(a, b_lo) <= b <= isqrt(hi - 1 - a^2),
+    b_lo the smallest b >= 0 with b^2 >= lo - a^2.  Each orbit of the square's
+    symmetry group in the range has exactly one point here.  Raises ValueError
+    when hi > 2^52 (_NORM_BOUND).
+    """
+    if hi > _NORM_BOUND:
+        raise ValueError(f"hi must be at most 2^52, got {hi}")
+    if hi <= max(lo, 0):
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    a = np.arange(math.isqrt((hi - 1) // 2) + 1, dtype=np.int64)
+    b_lo = np.maximum(a, _isqrt_up(lo - a * a))
+    return _segments(a, b_lo, _isqrt(hi - 1 - a * a) - b_lo + 1)
 
 
 def _as_points(pts: np.ndarray) -> list[LatticePoint]:
@@ -390,28 +459,33 @@ def strip_statistics(mu: float, s: float) -> StripStats:
     """Count annulus-family lattice points inside the union of admissible strips.
 
     The strip for direction j is {x : |x . j| < mu^s}; admissible directions
-    satisfy 0 < |j| <= mu^{s/2}.  Membership is tested directly for every
-    lattice point of the scan range mu < |x|^2 <= mu + (J+1) kappa, read as
-    one int64 array from the enumerator.  Since |x . (-j)| = |x . j|, only one
+    satisfy 0 < |j| <= mu^{s/2}.  The scan range mu < |x|^2 <= mu + (J+1) kappa
+    is walked in windows of _WINDOW norms, and membership is tested directly
+    for the octant points 0 <= x1 <= x2 of each window.  The admissible
+    directions, the scan range and |x . j| are invariant under the signed
+    permutations of coordinates, so a hit stands for its whole orbit: 4 points
+    for (0, b) and (a, a), 8 otherwise.  Since |x . (-j)| = |x . j|, only one
     direction of each pair +-j is tested (the set is symmetric and listed
     lexicographically, so its second half is the j > 0 of each pair);
     strip_count still counts every direction.
     """
     fam = AnnulusFamily(mu, s)
     js = _points_with_norm_range(1, math.floor(mu**s))
-    top = fam.bin_edge(fam.J + 1)
-    # integers n with mu < n <= top are exactly floor(mu) + 1 .. floor(top)
-    pts = _points_with_norm_range(math.floor(mu) + 1, math.floor(top))
-    x1 = np.ascontiguousarray(pts[:, 0])
-    x2 = np.ascontiguousarray(pts[:, 1])
+    directions = js[len(js) // 2 :].tolist()
     width = mu**s
-    # one direction at a time, into one buffer: a points x directions matrix
-    # is hundreds of MB
-    hit = np.zeros(len(pts), dtype=bool)
-    dot = np.empty(len(pts), dtype=np.int64)
-    for a, b in js[len(js) // 2 :].tolist():
-        np.multiply(x1, a, out=dot)
-        dot += b * x2
-        hit |= np.abs(dot, out=dot) < width
-    hits = int(np.count_nonzero(hit))
+    # the integers n with mu < n <= mu + (J+1) kappa are exactly lo <= n < hi
+    lo, hi = math.floor(mu) + 1, math.floor(fam.bin_edge(fam.J + 1)) + 1
+    hits = 0
+    for w in range(lo, hi, _WINDOW):
+        x1, x2 = _octant(w, min(w + _WINDOW, hi))
+        # one direction at a time, into one buffer: a points x directions
+        # matrix is hundreds of MB
+        hit = np.zeros(len(x1), dtype=bool)
+        dot = np.empty(len(x1), dtype=np.int64)
+        for a, b in directions:
+            np.multiply(x1, a, out=dot)
+            dot += b * x2
+            hit |= np.abs(dot, out=dot) < width
+        orbit4 = hit & ((x1 == 0) | (x1 == x2))
+        hits += 8 * int(np.count_nonzero(hit)) - 4 * int(np.count_nonzero(orbit4))
     return StripStats(mu=mu, s=s, strip_count=len(js), lattice_hits=hits)

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,10 @@ from hypernse.lattice import (
     AnnulusFamily,
     GapRecord,
     LatticePoint,
+    StripStats,
     _isqrt,
+    _marks,
+    _octant,
     _points_with_norm_range,
     strip_directions,
 )
@@ -81,6 +85,51 @@ def test_gap_records_to_a_million():
     assert (recs[-1].lower, recs[-1].upper, recs[-1].gap) == (685541, 685576, 35)
     gaps = [r.gap for r in recs]
     assert gaps == sorted(set(gaps))  # strictly increasing
+
+
+@pytest.mark.parametrize("window", [7, 64])
+def test_gap_records_across_window_edges(monkeypatch, window):
+    monkeypatch.setattr(lattice, "_WINDOW", window)
+    for limit in [*range(201), 5_000]:
+        assert record_gaps(limit) == loop_record_gaps(limit), limit
+    # windows start at 2; (377, 386) straddles an edge at both sizes
+    assert any(
+        (r.lower - 2) // window != (r.upper - 2) // window for r in record_gaps(5_000)
+    )
+
+
+@pytest.mark.parametrize("window", [1, 7, 64, 1000])
+def test_window_marks_match_the_sieve_slice_by_slice(window):
+    limit = 5_000
+    sieve = representable_sieve(limit)
+    for lo in range(0, limit + 1, window):
+        hi = min(lo + window, limit + 1)
+        assert np.array_equal(_marks(lo, hi), sieve[lo:hi]), lo
+
+
+@pytest.mark.parametrize("limit", [-1, 2**52])
+def test_gap_records_name_their_bound(limit):
+    with pytest.raises(ValueError, match=r"\[0, 2\^52\)"):
+        record_gaps(limit)
+
+
+def _traced_peak(f, *args) -> int:
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gap_records_run_in_window_sized_memory():
+    # a full-range mask with its representables and gaps peaks at 19.6 MiB
+    assert _traced_peak(record_gaps, 4_000_000) < 8 * 2**20
+
+
+def test_strip_statistics_runs_in_window_sized_memory():
+    # every point of the scan range at once peaks at 103.9 MiB
+    assert _traced_peak(strip_statistics, 1.0e9, 0.15) < 16 * 2**20
 
 
 def test_gap_record_endpoints_and_interiors():
@@ -166,6 +215,58 @@ def test_enumerator_names_its_bound():
         _points_with_norm_range(0, 2**52)
 
 
+def brute_octant(lo: int, hi: int) -> list[tuple[int, int]]:
+    """Every 0 <= a <= b with lo <= a^2 + b^2 < hi, by a double loop."""
+    r = math.isqrt(max(hi - 1, 0))
+    return [
+        (a, b)
+        for a in range(r + 1)
+        for b in range(a, r + 1)
+        if lo <= a * a + b * b < hi
+    ]
+
+
+def _assert_octant(lo, hi, expected):
+    a, b = _octant(lo, hi)
+    assert a.dtype == b.dtype == np.int64
+    assert list(zip(a.tolist(), b.tolist())) == sorted(expected)
+
+
+@given(st.integers(-50, 2500), st.integers(-5, 2500))
+@settings(max_examples=300, deadline=None)
+def test_octant_matches_the_double_loop(lo, hi):
+    _assert_octant(lo, hi, brute_octant(lo, hi))
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        # empty
+        (5, 5), (10, 3), (-3, 0), (0, 0), (2, 3), (3, 4),
+        # lo = 0, so the origin is listed
+        (0, 1), (0, 2), (0, 3), (0, 51), (0, 1000),
+        # lo = hi - 1: the points of one norm, axis and diagonal included
+        (1, 2), (2, 3), (25, 26), (50, 51), (65, 66), (10_000, 10_001),
+    ],
+)
+def test_octant_small_ranges(lo, hi):
+    _assert_octant(lo, hi, brute_octant(lo, hi))
+
+
+@pytest.mark.parametrize("k", [99_999, 100_000])
+def test_octant_at_perfect_squares(k):
+    lo, hi = k * k - 1, k * k + 2
+    expected = [
+        p for n in range(lo, hi) for p in points_of_norm(n) if 0 <= p[0] <= p[1]
+    ]
+    _assert_octant(lo, hi, expected)
+
+
+def test_octant_names_its_bound():
+    with pytest.raises(ValueError, match=r"2\^52"):
+        _octant(0, 2**52 + 1)
+
+
 def test_annulus_points_boundary_membership():
     pts = annulus_points(25.0, 3.0)
     norms = sorted({p.j1 * p.j1 + p.j2 * p.j2 for p in pts})
@@ -244,6 +345,20 @@ def test_strip_statistics_against_oracle():
         n_dirs, hits = oracle_strip_hits(mu, s)
         assert st_fast.strip_count == n_dirs
         assert st_fast.lattice_hits == hits
+
+
+@pytest.mark.parametrize("window", [None, 7, 64])
+@pytest.mark.parametrize("mu, s", [(2.0e4, 0.15), (3.0e3, 0.1), (2.5e4, 0.1)])
+def test_strip_statistics_weighs_axis_and_diagonal_orbits(monkeypatch, mu, s, window):
+    fam = AnnulusFamily(mu, s)
+    lo, top = math.floor(mu) + 1, math.floor(fam.bin_edge(fam.J + 1))
+    r = math.isqrt(top)
+    # the range holds (0, b) and (a, a), whose orbits have 4 points, not 8
+    assert any(lo <= b * b for b in range(r + 1))
+    assert any(lo <= 2 * a * a <= top for a in range(r + 1))
+    if window is not None:
+        monkeypatch.setattr(lattice, "_WINDOW", window)
+    assert strip_statistics(mu, s) == StripStats(mu, s, *oracle_strip_hits(mu, s))
 
 
 def test_strip_statistics_frozen_values():
