@@ -527,7 +527,6 @@ def test_cone_check_reports_overflowed_diagnostics_as_blow_up(tmp_path):
         (["averaging-check", "--seed", "-1"], "seed must be >= 0"),
         (["lattice", "gaps", "--seed", "-1"], "seed must be >= 0"),
         (["lattice", "sparse", "--mu", "1e16"], "2^52"),
-        (["lattice", "gaps", "--gap-limit", str(2**52)], "gap_limit must be below 2^52"),
         (["lattice", "annulus", "--lambda", "inf", "--k", "1"], "must be finite"),
         (["lattice", "annulus", "--lambda", "25", "--k", "nan"], "must be finite"),
         (["lattice", "annulus", "--lambda", "5", "--k", "10"], "lam > k >= 0"),
@@ -540,6 +539,7 @@ def test_cone_check_reports_overflowed_diagnostics_as_blow_up(tmp_path):
         (["simulate", "--T", "1e300", "--dt", "1e-300"], "T / dt must be finite"),
         (["cone-check", "--mu", "1e3", "--s", "0.15", "--T", "1e308", "--dt", "1e-10"],
          "T / dt must be finite"),
+        (["lattice", "gaps", "--gap-limit", str(2**52)], "gap_limit must be below 2^52"),
     ],
 )
 def test_hostile_inputs_exit_2_naming_the_invariant(tmp_path, capsys, args, named):
