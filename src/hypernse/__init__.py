@@ -58,13 +58,11 @@ from .dynamics import (
     SimConfig,
     Trajectory,
     cone_report,
-    estimate_absorbing_radius,
     evolve,
     evolve_pairs,
     perturbed_copy,
     rhs_prepared,
     step,
-    tracking_distance,
 )
 from .averaging import (
     AnnulusBasis,

@@ -274,12 +274,14 @@ def _warn_near_integer_bounds(lam: float, k: float) -> None:
             )
 
 
-def _write_points_csv(path: str, points) -> str:
+def _write_csv(path: str, header: tuple[str, ...], rows) -> str:
+    """One header line, then one line per row: floats as .17g, which reads
+    back as the same double, and ints with str.  Returns the file name."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("j1,j2\n")
-        for p in points:
-            fh.write(f"{p.j1},{p.j2}\n")
-    return path
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{x:.17g}" if isinstance(x, float) else str(x) for x in row) + "\n")
+    return os.path.basename(path)
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +292,8 @@ def _write_points_csv(path: str, points) -> str:
 
 def stage_gaps(cfg: RunConfig, outdir: str) -> tuple[dict, None]:
     records = record_gaps(cfg.gap_limit)
-    csv_path = os.path.join(outdir, "gap_records.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("lower,upper,gap\n")
-        for r in records:
-            fh.write(f"{r.lower},{r.upper},{r.gap}\n")
+    rows = ((r.lower, r.upper, r.gap) for r in records)
+    csv = _write_csv(os.path.join(outdir, "gap_records.csv"), ("lower", "upper", "gap"), rows)
     last = records[-1] if records else None
     return {
         "limit": cfg.gap_limit,
@@ -302,21 +301,21 @@ def stage_gaps(cfg: RunConfig, outdir: str) -> tuple[dict, None]:
         "largest": None
         if last is None
         else {"lower": last.lower, "upper": last.upper, "gap": last.gap},
-        "csv": os.path.basename(csv_path),
+        "csv": csv,
     }, None
 
 
 def stage_annulus(lam: float, k: float, pts: list, outdir: str) -> dict:
     """Report the points annulus_points(lam, k) returned."""
     _warn_near_integer_bounds(lam, k)
-    csv_path = _write_points_csv(os.path.join(outdir, "annulus_points.csv"), pts)
+    csv = _write_csv(os.path.join(outdir, "annulus_points.csv"), ("j1", "j2"), pts)
     sep = min_pairwise_distance(pts)
     return {
         "lambda": lam,
         "k": k,
         "n_points": len(pts),
         "min_separation": sep,
-        "csv": os.path.basename(csv_path),
+        "csv": csv,
     }
 
 
@@ -324,9 +323,7 @@ def stage_sparse(cfg: RunConfig, outdir: str) -> tuple[dict, SparseAnnulus | Non
     ann = find_sparse_annulus(cfg.mu, cfg.s)
     if ann is None:
         return {"found": False, "mu": cfg.mu, "s": cfg.s}, None
-    csv_path = _write_points_csv(
-        os.path.join(outdir, "sparse_annulus_points.csv"), ann.points
-    )
+    csv = _write_csv(os.path.join(outdir, "sparse_annulus_points.csv"), ("j1", "j2"), ann.points)
     return {
         "found": True,
         "mu": ann.mu,
@@ -339,7 +336,7 @@ def stage_sparse(cfg: RunConfig, outdir: str) -> tuple[dict, SparseAnnulus | Non
         "min_separation": ann.min_separation,
         "n_points": len(ann.points),
         "width_ratio": ann.width_ratio,
-        "csv": os.path.basename(csv_path),
+        "csv": csv,
     }, ann
 
 
@@ -391,7 +388,6 @@ def stage_simulate(cfg: RunConfig, outdir: str) -> tuple[dict, None]:
             "n_steps": sim.n_steps,
         }, None
     save_field_csv(traj.fields[-1], os.path.join(outdir, "final_field.csv"))
-    csv_path = os.path.join(outdir, "trajectory.csv")
     s_norm = 3.0 + params.epsilon
     # an overflowed row is reported as a blow-up below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -399,17 +395,16 @@ def stage_simulate(cfg: RunConfig, outdir: str) -> tuple[dict, None]:
             (t, inner_product(u, u), sobolev_norm(u, s_norm))
             for t, u in zip(traj.times, traj.fields)
         ]
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("t,energy,regularity_norm\n")
-        for t, energy, norm in rows:
-            fh.write(f"{t:.17g},{energy:.17g},{norm:.17g}\n")
+    csv = _write_csv(
+        os.path.join(outdir, "trajectory.csv"), ("t", "energy", "regularity_norm"), rows
+    )
     summary = {
         "blow_up": False,
         "n_steps": sim.n_steps,
         "n_recorded": len(traj),
         "final_energy": rows[-1][1],
         "final_regularity_norm": rows[-1][2],
-        "trajectory_csv": os.path.basename(csv_path),
+        "trajectory_csv": csv,
     }
     # finite coefficients whose energy or norm overflows have left the range
     # of floating point all the same
@@ -516,14 +511,13 @@ def stage_averaging(
     rng = np.random.default_rng(cfg.seed)
     samples = draw_averaging_samples(params, cfg.samples, rng)
     report = check_averaging(samples, ann, params, seed=cfg.seed)
-    csv_path = os.path.join(outdir, "averaging_norms.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("sample_id,norm,within_bound\n")
-        for (i, n), ok in zip(report.sampled_norms, report.pass_flags):
-            fh.write(f"{i},{n:.17g},{int(ok)}\n")
+    rows = ((i, n, int(ok)) for (i, n), ok in zip(report.sampled_norms, report.pass_flags))
+    csv = _write_csv(
+        os.path.join(outdir, "averaging_norms.csv"), ("sample_id", "norm", "within_bound"), rows
+    )
     out = report.to_dict()
     out["skipped"] = False
-    out["norms_csv"] = os.path.basename(csv_path)
+    out["norms_csv"] = csv
     return out, None
 
 
@@ -562,12 +556,15 @@ def _run_stages(cfg: RunConfig, outdir: str, names, table: dict) -> dict[str, di
     return summaries
 
 
-def _add_override_flags(p: argparse.ArgumentParser) -> None:
+def _override_flags() -> argparse.ArgumentParser:
+    """The flags every subcommand takes, declared once for parents=."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--config", help="key=value configuration file")
     p.add_argument("--out", help="output directory (default: timestamped)")
     # one flag per setting, parsed like a config file value by resolve_config
     for key, kind in _TYPES.items():
         p.add_argument(f"--{key.replace('_', '-')}", metavar=kind.upper())
+    return p
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -581,6 +578,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    flags = [_override_flags()]
 
     lattice = sub.add_parser("lattice", help="integer lattice searches")
     lsub = lattice.add_subparsers(dest="lattice_command", required=True)
@@ -589,9 +587,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ("sparse", "search for a certified sparse annulus"),
         ("strips", "strip-union cardinality statistics"),
     ):
-        _add_override_flags(lsub.add_parser(name, help=descr))
-    ann = lsub.add_parser("annulus", help="list lattice points in an annulus")
-    _add_override_flags(ann)
+        lsub.add_parser(name, help=descr, parents=flags)
+    ann = lsub.add_parser("annulus", help="list lattice points in an annulus", parents=flags)
     ann.add_argument("--lambda", dest="lam", type=float, required=True,
                      help="annulus center |j|^2")
     ann.add_argument("--k", type=float, required=True,
@@ -603,8 +600,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("averaging-check", "restricted operator norms on a sparse annulus"),
         ("pipeline", "run all stages in dependency order"),
     ):
-        p = sub.add_parser(name, help=descr)
-        _add_override_flags(p)
+        p = sub.add_parser(name, help=descr, parents=flags)
         if name == "pipeline":
             p.add_argument(
                 "--stages",
@@ -631,6 +627,10 @@ def main(argv: list[str] | None = None) -> int:
     if command == "pipeline":
         target = None
         names = [s.strip() for s in args.stages.split(",") if s.strip()]
+        if not names:
+            print(f"empty stage list {args.stages!r}: name at least one of "
+                  f"{', '.join(table)}", file=sys.stderr)
+            return 2
         unknown = [s for s in names if s not in table]
         if unknown:
             print(f"unknown stage(s): {', '.join(unknown)}", file=sys.stderr)

@@ -37,7 +37,6 @@ the grid-size sweep of bench/spans.py still passes CutoffProfile().
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -53,7 +52,6 @@ from .spectral import (
     inner_product,
     laplacian_power,
     random_field,
-    sobolev_norm,
 )
 from .truncation import _PROFILE, prepared_product
 
@@ -427,7 +425,8 @@ def evolve_pairs(
             )
 
     failure = _run(states, forcing, params, config, sample)
-    names = ("t", "V", "dVdt", "norm_v_sq", "rhs_bound", "margin", "norm_u_sq")
+    # a row is t and _cone_sample's values: every column but the constant alpha
+    names = [c for c in TRACE_COLUMNS if c != "alpha"]
     traces = []
     # after a failure, states holds the reference and the copies before the
     # first failed one, or nothing when the reference failed
@@ -485,90 +484,6 @@ def cone_report(trace: ConeTrace) -> dict:
         "lambda_next": int(trace.lambda_next),
         "alpha": float(trace.alpha[0]) if trace.alpha.size else 0.0,
     }
-
-
-# ---------------------------------------------------------------------------
-# tracking and absorption
-
-# leading share of the samples treated as transient: dropped from the tracking
-# rate fit, and ignored by the absorbing-radius estimate
-TRACKING_SKIP_FRACTION = 0.2
-ABSORBING_TRANSIENT_FRACTION = 0.5
-
-
-def tracking_distance(traj_a: Trajectory, traj_b: Trajectory) -> dict:
-    """Distance ||a(t) - b(t)|| along two sampled paths plus a fitted rate.
-
-    The exponential rate is the least-squares slope of log distance over the
-    samples after dropping the leading TRACKING_SKIP_FRACTION (transient).
-    Samples where the distance has hit exact zero are excluded from the fit.
-    """
-    if len(traj_a) != len(traj_b):
-        raise ValueError("trajectories have different sample counts")
-    if not np.array_equal(traj_a.times, traj_b.times):
-        raise ValueError("trajectories sampled at different times")
-    t = traj_a.times
-    d = np.array(
-        [
-            np.sqrt(inner_product(a - b, a - b))
-            for a, b in zip(traj_a.fields, traj_b.fields)
-        ]
-    )
-    start = int(np.floor(TRACKING_SKIP_FRACTION * d.size))
-    tail_t, tail_d = t[start:], d[start:]
-    keep = tail_d > 0.0
-    if np.count_nonzero(keep) >= 2:
-        slope, intercept = np.polyfit(tail_t[keep], np.log(tail_d[keep]), 1)
-        rate = float(slope)
-    else:
-        rate = float("-inf")
-    return {
-        "times": t,
-        "distances": d,
-        "rate": rate,
-        "initial_distance": float(d[0]),
-        "final_distance": float(d[-1]),
-    }
-
-
-def estimate_absorbing_radius(
-    forcing: FourierField | None,
-    params: SpectralParams,
-    config: SimConfig,
-    n_samples: int = 4,
-    ic_scale: float = 1.0,
-) -> float:
-    """Empirical absorbing radius in the H^{3+epsilon} norm.
-
-    Runs n_samples trajectories from randomized initial data of size about
-    ic_scale and returns the largest norm observed after the transient.  Warns
-    when some trajectory is still growing at the horizon, since then the
-    estimate is only a lower bound.
-    """
-    s_norm = 3.0 + params.epsilon
-    rng = np.random.default_rng(config.seed)
-    radius = 0.0
-    still_growing = False
-    for _ in range(n_samples):
-        u0 = random_field(params.M, rng, decay=3.0)
-        n0 = np.sqrt(inner_product(u0, u0))
-        if n0 > 0:
-            u0 = u0 * (ic_scale * rng.uniform(0.2, 1.0) / n0)
-        traj = evolve(u0, forcing, params, config)
-        norms = np.array([sobolev_norm(u, s_norm) for u in traj.fields])
-        start = int(np.floor(ABSORBING_TRANSIENT_FRACTION * norms.size))
-        tail = norms[start:]
-        radius = max(radius, float(np.max(tail)))
-        if tail.size >= 3 and tail[-1] > 1.05 * np.min(tail):
-            still_growing = True
-    if still_growing:
-        warnings.warn(
-            "trajectory norm still growing at the time horizon; "
-            "absorbing radius estimate is a lower bound",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return radius
 
 
 def perturbed_copy(

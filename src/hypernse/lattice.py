@@ -17,8 +17,8 @@ per-point Python object.
 * _points_with_norm_range lists every lattice point of a window
   n_min <= |j|^2 <= n_max as an (n, 2) int64 array in lexicographic order.
   The sparse-annulus scan selects its sets from that array with boolean
-  masks; only the public boundary (annulus_points, strip_directions,
-  SparseAnnulus.points) turns rows into LatticePoints of Python ints.
+  masks; only the public boundary (annulus_points and SparseAnnulus.points)
+  turns rows into LatticePoints of Python ints.
 * _octant lists only the points 0 <= a <= b of lo <= a^2 + b^2 < hi, one
   representative of each orbit of the square's symmetry group (the signed
   permutations of (a, b)).  The gap records and the strip count walk their
@@ -448,11 +448,6 @@ def find_sparse_annulus(mu: float, s: float) -> SparseAnnulus | None:
             window_min_separation=win_sep,
         )
     return None
-
-
-def strip_directions(mu: float, s: float) -> list[LatticePoint]:
-    """All j != 0 with |j| <= mu^{s/2}, i.e. |j|^2 <= mu^s, lexicographic."""
-    return _as_points(_points_with_norm_range(1, math.floor(mu**s)))
 
 
 def strip_statistics(mu: float, s: float) -> StripStats:

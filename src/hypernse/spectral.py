@@ -87,10 +87,6 @@ class SpectralParams:
     def epsilon(self) -> float:
         return 2.0 * self.beta - 17.0 / 6.0
 
-    @property
-    def supercritical(self) -> bool:
-        return self.beta < 1.5
-
 
 @lru_cache(maxsize=32)
 def wavenumbers(M: int):
@@ -314,16 +310,15 @@ def random_field(
 class ModeProjector:
     """Sharp spectral projector selecting modes by their eigenvalue |j|^2.
 
-    kind is one of "at_most" (lam_j <= lambda_N), "above" (lam_j > lambda_N),
-    "below_band" (lam_j < lambda_N - k), "band" (lambda_N - k <= lam_j <=
-    lambda_N + k), "above_band" (lam_j > lambda_N + k).
+    kind is one of "at_most" (lam_j <= lambda_N), "above" (lam_j > lambda_N)
+    and "band" (lambda_N - k <= lam_j <= lambda_N + k).
     """
 
     kind: str
     lambda_N: float
     k: float = 0.0
 
-    _KINDS = ("at_most", "above", "below_band", "band", "above_band")
+    _KINDS = ("at_most", "above", "band")
 
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
@@ -337,12 +332,8 @@ class ModeProjector:
             m = LAM <= self.lambda_N
         elif self.kind == "above":
             m = LAM > self.lambda_N
-        elif self.kind == "below_band":
-            m = LAM < self.lambda_N - self.k
-        elif self.kind == "band":
+        else:  # band
             m = (LAM >= self.lambda_N - self.k) & (LAM <= self.lambda_N + self.k)
-        else:  # above_band
-            m = LAM > self.lambda_N + self.k
         m = m & (LAM > 0)
         return m
 
@@ -654,13 +645,5 @@ class CutoffFamily:
         return ModeProjector("above", self.lambda_N)
 
     @property
-    def below_band(self) -> ModeProjector:
-        return ModeProjector("below_band", self.lambda_N, self.k)
-
-    @property
     def band(self) -> ModeProjector:
         return ModeProjector("band", self.lambda_N, self.k)
-
-    @property
-    def above_band(self) -> ModeProjector:
-        return ModeProjector("above_band", self.lambda_N, self.k)

@@ -58,6 +58,14 @@ SETTING_STRINGS = {
 }
 
 
+# every subcommand, with the arguments it requires besides the setting flags
+SUBCOMMANDS = (
+    ["lattice", "gaps"], ["lattice", "sparse"], ["lattice", "strips"],
+    ["lattice", "annulus", "--lambda", "25", "--k", "1"],
+    ["simulate"], ["cone-check"], ["averaging-check"], ["pipeline"],
+)
+
+
 @pytest.mark.parametrize("key", sorted(SETTING_STRINGS))
 def test_file_key_and_flag_resolve_alike(tmp_path, key):
     assert set(SETTING_STRINGS) == set(resolve_config(None, {}).to_dict())
@@ -65,11 +73,11 @@ def test_file_key_and_flag_resolve_alike(tmp_path, key):
     path = tmp_path / "run.cfg"
     path.write_text(f"{key} = {value}\n")
     from_file = resolve_config(str(path), {})
-    args = hypernse.cli._build_parser().parse_args(
-        ["simulate", f"--{key.replace('_', '-')}", value]
-    )
-    from_flag = resolve_config(None, {k: getattr(args, k) for k in SETTING_STRINGS})
-    assert from_file == from_flag
+    parser = hypernse.cli._build_parser()
+    for command in SUBCOMMANDS:
+        args = parser.parse_args(command + [f"--{key.replace('_', '-')}", value])
+        from_flag = resolve_config(None, {k: getattr(args, k) for k in SETTING_STRINGS})
+        assert from_file == from_flag, command
     assert from_file != resolve_config(None, {})
 
 
@@ -234,6 +242,14 @@ def test_pipeline_stage_subset_and_bitwise_determinism(tmp_path):
 def test_pipeline_rejects_unknown_stage(tmp_path):
     rc = main(["pipeline", "--stages", "gaps,nonsense", "--out", str(tmp_path / "x")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("stages", [",", ""])
+def test_pipeline_rejects_an_empty_stage_list(tmp_path, capsys, stages):
+    out = tmp_path / "x"
+    assert main(["pipeline", "--stages", stages, "--out", str(out)]) == 2
+    assert "empty stage list" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_pipeline_cone_requires_sparse(tmp_path):

@@ -1,7 +1,6 @@
 """Time stepping, pair evolution, cone diagnostics, long-run statistics."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from hypernse import (
     SpectralParams,
     apply_A_power,
     cone_report,
-    estimate_absorbing_radius,
     evolve,
     evolve_pairs,
     inner_product,
@@ -26,7 +24,6 @@ from hypernse import (
     rhs_prepared,
     sobolev_norm,
     step,
-    tracking_distance,
 )
 from hypernse.dynamics import TRACE_COLUMNS, _cone_sample
 from hypernse.spectral import CutoffFamily, laplacian_power
@@ -239,10 +236,10 @@ def test_determinism_bitwise():
         assert np.array_equal(a.coeffs, b.coeffs)
 
 
-def band_pair(scale=1e-3):
+def band_pair():
     """Two copies differing by one mode above the cutoff."""
     base = shear_field()
-    q = single_mode((0, 3), (scale * (1.0 + 0.5j), 0.0))
+    q = single_mode((0, 3), (1e-3 * (1.0 + 0.5j), 0.0))
     return base + q, base
 
 
@@ -414,18 +411,6 @@ def test_trace_csv_rejects_wrong_header(tmp_path):
         ConeTrace.from_csv(path)
 
 
-def test_tracking_distance_reports_contraction():
-    u1, u2 = band_pair(scale=1e-2)
-    cfg = SimConfig(dt=1e-3, T=0.05, include_nonlinear=False)
-    ta = evolve(u1, None, PARAMS, cfg)
-    tb = evolve(u2, None, PARAMS, cfg)
-    rep = tracking_distance(ta, tb)
-    assert rep["initial_distance"] > rep["final_distance"] > 0.0
-    assert rep["rate"] < 0.0  # exponential contraction
-    # linear flow: the contraction rate is -nu lambda^beta exactly
-    assert rep["rate"] == pytest.approx(-PARAMS.nu * 9.0**PARAMS.beta, rel=1e-6)
-
-
 def test_perturbed_copy_supports():
     rng = np.random.default_rng(3)
     base = shear_field(M=10)
@@ -445,24 +430,6 @@ def test_perturbed_copy_supports():
         assert size == pytest.approx(1e-3, rel=1e-9)
     with pytest.raises(ValueError):
         perturbed_copy(base, fam, 1e-3, rng, where="middle")
-
-
-def test_absorbing_radius_settles_without_warning():
-    rng = np.random.default_rng(4)
-    f = random_field(8, rng, decay=6.0) * 0.05
-    cfg = SimConfig(dt=5e-3, T=0.8, seed=11)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        r = estimate_absorbing_radius(f, PARAMS, cfg, n_samples=3)
-    assert r > 0.0
-
-
-def test_absorbing_radius_warns_when_still_growing():
-    rng = np.random.default_rng(5)
-    f = random_field(8, rng, decay=4.0) * 50.0
-    cfg = SimConfig(dt=1e-3, T=0.01, seed=12)  # far too short to settle
-    with pytest.warns(RuntimeWarning):
-        estimate_absorbing_radius(f, PARAMS, cfg, n_samples=2, ic_scale=1e-6)
 
 
 def test_cone_drive_is_the_A_power_form_to_rounding():

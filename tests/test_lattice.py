@@ -28,7 +28,6 @@ from hypernse.lattice import (
     _marks,
     _octant,
     _points_with_norm_range,
-    strip_directions,
 )
 
 
@@ -374,7 +373,7 @@ def test_strip_membership_near_parallel_pair():
     # |n|^2 = 9941, |l|^2 = 9941, n . (1, -1) = -1 inside every unit-direction strip
     n, ell = (70, 71), (71, 70)
     assert n[0] ** 2 + n[1] ** 2 == 9941
-    dirs = strip_directions(mu, s)
+    dirs = _points_with_norm_range(1, math.floor(mu**s)).tolist()
     in_n = any(abs(n[0] * a + n[1] * b) < width for a, b in dirs)
     in_l = any(abs(ell[0] * a + ell[1] * b) < width for a, b in dirs)
     assert in_n and in_l
@@ -510,7 +509,7 @@ def test_sparse_annulus_returns_python_ints(mu):
     for p in ann.points:
         assert type(p) is LatticePoint
         assert (type(p.j1), type(p.j2)) == (int, int)
-    for p in annulus_points(ann.lambda_N, ann.half_width) + strip_directions(mu, 0.15):
+    for p in annulus_points(ann.lambda_N, ann.half_width):
         assert type(p) is LatticePoint
         assert (type(p.j1), type(p.j2)) == (int, int)
 

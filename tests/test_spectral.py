@@ -44,7 +44,6 @@ def rel(a: FourierField, b: FourierField) -> float:
 
 def test_params_validation():
     p = SpectralParams()
-    assert p.supercritical
     assert math.isclose(p.epsilon, 2 * 1.45 - 17.0 / 6.0)
     with pytest.raises(ValueError):
         SpectralParams(beta=1.3)
@@ -256,16 +255,12 @@ def test_mode_projectors_partition():
     M = 101
     low = fam.low.mask(M)
     high = fam.high.mask(M)
-    below = fam.below_band.mask(M)
     band = fam.band.mask(M)
-    above = fam.above_band.mask(M)
     _, _, LAM = wavenumbers(M)
     nonzero = LAM > 0
     assert np.array_equal(low | high, nonzero)
     assert not np.any(low & high)
-    assert np.array_equal(below | band | above, nonzero)
-    assert not np.any(below & band)
-    assert not np.any(band & above)
+    assert np.array_equal(band, nonzero & (LAM >= 10004 - 1.99) & (LAM <= 10004 + 1.99))
 
 
 def test_project_restricts_support():
