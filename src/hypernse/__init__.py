@@ -31,11 +31,9 @@ from .spectral import (
     bilinear_B,
     inner_product,
     leray_project,
-    load_field_csv,
     power_gap_lower_bound,
     project,
     random_field,
-    save_field_csv,
     sobolev_norm,
     trilinear_b,
 )

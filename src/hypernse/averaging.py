@@ -202,15 +202,15 @@ def weak_restricted_operator(
 # operator norm
 
 POWER_ITERATION_CAP = 5000
+POWER_ITERATION_TOL = 1e-8
 
 
-def restricted_norm(
-    matrix: np.ndarray, tol: float = 1e-8, max_iter: int = POWER_ITERATION_CAP
-) -> float:
+def restricted_norm(matrix: np.ndarray) -> float:
     """Largest singular value by power iteration on the Gram matrix.
 
-    Deterministic start vector; relative tolerance on successive estimates.
-    Raises RuntimeError if the cap is hit before the estimate settles.
+    Deterministic start vector; relative tolerance POWER_ITERATION_TOL on
+    successive estimates.  Raises RuntimeError if POWER_ITERATION_CAP steps
+    pass before the estimate settles.
     """
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2:
@@ -225,7 +225,7 @@ def restricted_norm(
     x = np.ones(n, dtype=np.complex128) + np.arange(n) / max(n, 1)
     x /= np.linalg.norm(x)
     sigma = 0.0
-    for _ in range(max_iter):
+    for _ in range(POWER_ITERATION_CAP):
         y = m @ x
         ny = np.linalg.norm(y)
         if ny == 0.0:
@@ -233,12 +233,12 @@ def restricted_norm(
         z = m.conj().T @ y
         nz = np.linalg.norm(z)
         new_sigma = ny
-        if abs(new_sigma - sigma) <= tol * max(new_sigma, 1e-300):
+        if abs(new_sigma - sigma) <= POWER_ITERATION_TOL * max(new_sigma, 1e-300):
             return float(new_sigma)
         sigma = new_sigma
         x = z / nz
     raise RuntimeError(
-        f"power iteration did not converge in {max_iter} steps "
+        f"power iteration did not converge in {POWER_ITERATION_CAP} steps "
         f"(last estimate {sigma})"
     )
 
@@ -363,7 +363,6 @@ def draw_averaging_samples(
     params: SpectralParams,
     n_samples: int,
     rng: np.random.Generator,
-    M: int | None = None,
 ) -> list[FourierField]:
     """Sample fields for the averaging check, half small and half saturated.
 
@@ -371,12 +370,10 @@ def draw_averaging_samples(
     (where the truncation is the identity); the second half is scaled to
     10x - 1000x rho (where the truncation saturates).
     """
-    if M is None:
-        M = params.M
     s_norm = 3.0 + params.epsilon
     out = []
     for i in range(n_samples):
-        u = random_field(M, rng, divergence_free=True, decay=s_norm + 1.0)
+        u = random_field(params.M, rng, divergence_free=True, decay=s_norm + 1.0)
         norm = sobolev_norm(u, s_norm)
         if norm == 0.0:
             out.append(u)

@@ -27,6 +27,12 @@ margins, averaging bound exceeded) are data: they land in the reports and
 the exit status stays 0.  Only engineering failures (bad config, missing
 stage dependencies, I/O) exit nonzero.
 
+Every CSV file goes through one writer, _write_csv: a header line, then one
+line per row, floats at 17 significant digits, which read back as the same
+doubles.  The cone traces take TRACE_COLUMNS as their header; the field
+snapshots of simulate hold the lexicographically positive modes, whose
+conjugates are the rest.
+
 Outputs go under a timestamped directory beneath --out, the
 HYPERNSE_OUTPUT_DIR environment variable, or ./runs, in that order of
 preference; passing --out uses that directory directly, which keeps repeated
@@ -73,9 +79,9 @@ from .spectral import (
     SpectralParams,
     inner_product,
     random_field,
-    save_field_csv,
     sobolev_norm,
     two_thirds_limit,
+    wavenumbers,
 )
 
 PERTURBATION_DELTAS = (1e-3, 1e-1)
@@ -105,7 +111,6 @@ class RunConfig:
     M: int = SpectralParams.M
     dt: float = SimConfig.dt
     T: float = SimConfig.T
-    integrator: str = SimConfig.integrator
     dealias: str = SimConfig.dealias
     seed: int = SimConfig.seed
     include_nonlinear: bool = SimConfig.include_nonlinear
@@ -284,6 +289,17 @@ def _write_csv(path: str, header: tuple[str, ...], rows) -> str:
     return os.path.basename(path)
 
 
+def _write_field_csv(path: str, u: FourierField) -> None:
+    """A snapshot of u: j1, j2 and the real and imaginary parts of u1 and u2
+    per lexicographically positive mode (j1 > 0, or j1 = 0 and j2 > 0), in
+    lexicographic order; the conjugate modes follow from reality."""
+    J1, J2, _ = wavenumbers(u.M)
+    positive = (J1 > 0) | ((J1 == 0) & (J2 > 0))
+    c1, c2 = u.coeffs[:, positive]
+    rows = zip(J1[positive], J2[positive], c1.real, c1.imag, c2.real, c2.imag)
+    _write_csv(path, ("j1", "j2", "re_u1", "im_u1", "re_u2", "im_u2"), rows)
+
+
 # ---------------------------------------------------------------------------
 # stages: each writes its own files and returns (summary, product): the
 # JSON-ready summary for the report, and the object that the stages depending
@@ -378,7 +394,7 @@ def stage_simulate(cfg: RunConfig, outdir: str) -> tuple[dict, None]:
     rng = np.random.default_rng(cfg.seed)
     u0 = _initial_field(cfg, params, rng)
     forcing = _forcing_field(cfg, params, rng)
-    save_field_csv(u0, os.path.join(outdir, "initial_field.csv"))
+    _write_field_csv(os.path.join(outdir, "initial_field.csv"), u0)
     try:
         traj = evolve(u0, forcing, params, sim)
     except BlowUpError as exc:
@@ -387,7 +403,7 @@ def stage_simulate(cfg: RunConfig, outdir: str) -> tuple[dict, None]:
             "message": str(exc),
             "n_steps": sim.n_steps,
         }, None
-    save_field_csv(traj.fields[-1], os.path.join(outdir, "final_field.csv"))
+    _write_field_csv(os.path.join(outdir, "final_field.csv"), traj.fields[-1])
     s_norm = 3.0 + params.epsilon
     # an overflowed row is reported as a blow-up below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -471,15 +487,16 @@ def stage_cone(
     runs = []
     for delta, trace in zip(PERTURBATION_DELTAS, traces):
         tag = f"{delta:g}".replace(".", "p")
-        trace_path = os.path.join(outdir, f"cone_trace_delta_{tag}.csv")
-        trace.to_csv(trace_path)
+        cols = [getattr(trace, c) for c in TRACE_COLUMNS]
         rep = cone_report(trace)
         rep["delta"] = delta
-        rep["trace_csv"] = os.path.basename(trace_path)
+        rep["trace_csv"] = _write_csv(
+            os.path.join(outdir, f"cone_trace_delta_{tag}.csv"), TRACE_COLUMNS, zip(*cols)
+        )
         runs.append(rep)
         # finite states whose diagnostics overflow have left the range of
         # floating point all the same; the first such trace names it
-        bad = np.argwhere(~np.isfinite([getattr(trace, c) for c in TRACE_COLUMNS]).T)
+        bad = np.argwhere(~np.isfinite(cols).T)
         if bad.size and "message" not in summary:
             (row, col), csv = bad[0], rep["trace_csv"]
             summary.update(blow_up=True, message=f"non-finite {TRACE_COLUMNS[col]} "

@@ -7,38 +7,36 @@ The evolved system is
 with A = -Laplacian acting diagonally as |j|^2 in Fourier space and W the
 amplitude truncation from :mod:`hypernse.truncation`, which has one cutoff
 profile; the tests build others only to test psi.  The linear part is
-stiff, so both integrators treat it implicitly or exactly:
-
-* ``"eif"``   integrating-factor Heun.  Coefficients are multiplied by
-  exp(-nu |j|^(2 beta) dt) exactly, and the nonlinearity is advanced with a
-  two-stage second-order rule.  A pure linear solve is reproduced to rounding.
-* ``"imex"``  Crank-Nicolson on the linear part, Heun (explicit predictor,
-  trapezoidal corrector) on the nonlinearity.
+stiff, so the integrator propagates it exactly: integrating-factor Heun
+multiplies the coefficients by exp(-nu |j|^(2 beta) dt) and advances the
+nonlinearity with a two-stage second-order rule, so a pure linear solve is
+reproduced to rounding.
 
 One time loop steps a list of members, one member at a time, and evaluates
 B(W(u), W(u)) once per member and state, for the record and, as f - B, for
 the next step; it keeps B until that step, and each old state and its f - B
-are dropped as soon as the step has used them.  A member whose state leaves the range of floating point is
-dropped with the members after it, and the loop reports it as a
-BlowUpError.  The loop computes the integrator's linear factors once per
-run, and a step forms its predictor and update in place, in the operation
-order of the formulas, on arrays it has just created and that no one else
-references, before FourierField._wrap seals them: the fields stay immutable
-to every caller.  evolve runs the loop on one member and keeps the states.
-evolve_pairs runs it on one reference and its copies, so the reference is
-stepped once however many copies share it, and records for each pair the
-cone quantity V = ||high part||^2 - ||low part||^2 of reference - copy with
-its analytic time derivative, so the contraction inequality can be checked
-against the trace afterwards; a trace row is read from one density
-|v_hat[j]|^2 of the difference.  step is the same step for a caller that
-holds only u; its fifth argument accepts None or the one profile, because
-the grid-size sweep of bench/spans.py still passes CutoffProfile().
+are dropped as soon as the step has used them.  A member whose state leaves
+the range of floating point is dropped with the members after it, and the
+loop reports it as a BlowUpError.  The loop computes the integrating factor
+once per run, and a step forms its predictor and update in place, in the
+operation order of the formulas, on arrays it has just created and that no
+one else references, before FourierField._wrap seals them: the fields stay
+immutable to every caller.  evolve runs the loop on one member and keeps the
+states.  evolve_pairs runs it on one reference and its copies, so the
+reference is stepped once however many copies share it, and records for each
+pair the cone quantity V = ||high part||^2 - ||low part||^2 of
+reference - copy with its analytic time derivative, so the contraction
+inequality can be checked against the trace afterwards; a trace row is read
+from one density |v_hat[j]|^2 of the difference.  step is the same step for
+a caller that holds only u; its fifth argument accepts None or the one
+profile, because the grid-size sweep of bench/spans.py still passes
+CutoffProfile().
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,7 +70,6 @@ class SimConfig:
 
     dt                time step
     T                 final time (number of steps is round(T / dt))
-    integrator        "eif" or "imex"
     dealias           dealias route of the product B(W(u), W(u))
     seed              seed for any randomized initial data
     include_nonlinear when False the quadratic term is dropped and the flow
@@ -82,7 +79,6 @@ class SimConfig:
 
     dt: float = 1e-3
     T: float = 0.5
-    integrator: str = "eif"
     dealias: str = "two-thirds"
     seed: int = 0
     include_nonlinear: bool = True
@@ -95,8 +91,6 @@ class SimConfig:
             raise ValueError(f"T must be positive, got {self.T}")
         if not np.isfinite(self.T / self.dt):
             raise ValueError(f"T / dt must be finite, got {self.T} / {self.dt}")
-        if self.integrator not in ("eif", "imex"):
-            raise ValueError(f"unknown integrator {self.integrator!r}")
         if self.dealias not in DEALIAS_MODES:
             raise ValueError(f"unknown dealias route {self.dealias!r}")
         if self.seed < 0:
@@ -130,14 +124,11 @@ def rhs_prepared(
     return out - apply_A_power(u, params.beta) * params.nu
 
 
-def _linear_factors(M: int, params: SpectralParams, config: SimConfig) -> tuple:
-    """The integrator's linear factors, computed once per run: (E,) with
-    E = exp(-nu dt A^beta) for "eif", (1 + 2a, 1 - a, 1 + a) with
-    a = (dt / 2) nu A^beta for "imex"."""
-    if config.integrator == "eif":
-        return (np.exp(-params.nu * config.dt * laplacian_power(M, params.beta)),)
-    a = 0.5 * config.dt * params.nu * laplacian_power(M, params.beta)
-    return 1.0 + 2.0 * a, 1.0 - a, 1.0 + a
+def _linear_factor(M: int, params: SpectralParams, config: SimConfig) -> np.ndarray:
+    """E = exp(-nu dt A^beta), computed once per run."""
+    # -nu dt |j|^(2 beta) may overflow to -inf, whose exp, 0, is the exact decay
+    with np.errstate(over="ignore"):
+        return np.exp(-params.nu * config.dt * laplacian_power(M, params.beta))
 
 
 def _advance(
@@ -146,34 +137,23 @@ def _advance(
     forcing: FourierField | None,
     params: SpectralParams,
     config: SimConfig,
-    factors: tuple,
+    E: np.ndarray,
 ) -> FourierField:
     """One step from u, given n0 = f - B(W(u), W(u)) at u and the run's
-    _linear_factors; each update is formed in place, in the formulas' order."""
+    _linear_factor E; each update is formed in place, in the formulas' order.
+
+    Exact linear propagation: with v = e^{t nu A^beta} u the equation becomes
+    dv/dt = e^{t nu A^beta} N(u), and Heun in v gives
+      u* = E (u + dt N(u)),  u+ = E u + (dt/2) (E N(u) + N(u*))."""
     dt = config.dt
     c = np.multiply(dt, n0.coeffs)
     c += u.coeffs
-    if config.integrator == "eif":
-        (E,) = factors
-        # Exact linear propagation: with v = e^{t nu A^beta} u the equation
-        # becomes dv/dt = e^{t nu A^beta} N(u), and Heun in v gives
-        #   u* = E (u + dt N(u)),  u+ = E u + (dt/2) (E N(u) + N(u*)).
-        c *= E
-        n1 = _drive(_product(FourierField._wrap(u.M, c), params, config), forcing, u.M)
-        c = np.multiply(n0.coeffs, E)
-        c += n1.coeffs
-        np.multiply(0.5 * dt, c, out=c)
-        c += u.coeffs * E
-        return FourierField._wrap(u.M, c)
-    # u* = (u + dt N(u)) / (1 + 2a),
-    # u+ = ((1 - a) u + (dt/2) (N(u) + N(u*))) / (1 + a)
-    twice_a_plus_one, one_minus_a, one_plus_a = factors
-    c /= twice_a_plus_one
+    c *= E
     n1 = _drive(_product(FourierField._wrap(u.M, c), params, config), forcing, u.M)
-    c = np.add(n0.coeffs, n1.coeffs)
+    c = np.multiply(n0.coeffs, E)
+    c += n1.coeffs
     np.multiply(0.5 * dt, c, out=c)
-    c += one_minus_a * u.coeffs
-    c /= one_plus_a
+    c += u.coeffs * E
     return FourierField._wrap(u.M, c)
 
 
@@ -184,12 +164,12 @@ def step(
     config: SimConfig,
     profile: object = None,
 ) -> FourierField:
-    """Advance one time step with the integrator named in config; profile
-    is None or the one cutoff profile (see the module docstring)."""
+    """Advance one time step; profile is None or the one cutoff profile (see
+    the module docstring)."""
     if profile is not None and profile != _PROFILE:
         raise ValueError(f"the prepared equation has one cutoff profile, not {profile}")
     n0 = _drive(_product(u, params, config), forcing, u.M)
-    return _advance(u, n0, forcing, params, config, _linear_factors(u.M, params, config))
+    return _advance(u, n0, forcing, params, config, _linear_factor(u.M, params, config))
 
 
 def _run(
@@ -218,7 +198,7 @@ def _run(
     M = states[0].M
     if forcing is not None and forcing.M != M:
         raise ValueError(f"forcing truncation M = {forcing.M} != member truncation M = {M}")
-    factors = _linear_factors(M, params, config)
+    E = _linear_factor(M, params, config)
     bs: list = [None] * len(states)
     failure = None
     with np.errstate(over="ignore", invalid="ignore"):
@@ -227,7 +207,7 @@ def _run(
                 if i:
                     n0 = _drive(bs[j], forcing, M)
                     bs[j] = None
-                    states[j] = _advance(states[j], n0, forcing, params, config, factors)
+                    states[j] = _advance(states[j], n0, forcing, params, config, E)
                     del n0
                     if not np.all(np.isfinite(states[j].coeffs)):
                         del states[j:], bs[j:]
@@ -309,42 +289,7 @@ class ConeTrace:
     norm_u_sq: np.ndarray
     lambda_N: int
     lambda_next: int
-    k: float
     beta: float
-    nu: float
-    meta: dict = field(default_factory=dict)
-
-    def to_csv(self, path) -> None:
-        cols = [getattr(self, name) for name in TRACE_COLUMNS]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(TRACE_COLUMNS) + "\n")
-            for row in zip(*cols):
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
-
-    @classmethod
-    def from_csv(cls, path, **metadata) -> "ConeTrace":
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != ",".join(TRACE_COLUMNS):
-                raise ValueError(f"unrecognized trace header: {header!r}")
-            data = [
-                [float(x) for x in line.strip().split(",")]
-                for line in fh
-                if line.strip()
-            ]
-        arr = np.asarray(data, dtype=np.float64).reshape(-1, len(TRACE_COLUMNS))
-        kwargs = {
-            name: arr[:, i].copy() for i, name in enumerate(TRACE_COLUMNS)
-        }
-        kwargs.update(
-            lambda_N=metadata.pop("lambda_N", 0),
-            lambda_next=metadata.pop("lambda_next", 0),
-            k=metadata.pop("k", 0.0),
-            beta=metadata.pop("beta", 0.0),
-            nu=metadata.pop("nu", 1.0),
-            meta=metadata,
-        )
-        return cls(**kwargs)
 
 
 def _cone_sample(
@@ -394,7 +339,7 @@ def evolve_pairs(
     """Co-evolve reference and its copies; one ConeTrace of the cone
     diagnostics of reference - copy per copy.
 
-    All members see the same forcing and the same integrator settings, and
+    All members see the same forcing and the same step settings, and
     the reference is stepped once for every copy; the diagnostic nonlinearity
     is evaluated through the same dealias route as the stepper so the
     recorded derivative matches the discrete flow.  A copy that goes
@@ -437,9 +382,7 @@ def evolve_pairs(
             alpha=np.full(arr.shape[0], alpha),
             lambda_N=family.lambda_N,
             lambda_next=family.lambda_next,
-            k=family.k,
             beta=params.beta,
-            nu=params.nu,
         ))
     if failure is not None:
         failure.traces = traces

@@ -547,65 +547,6 @@ def trilinear_b(u: FourierField, v: FourierField, w: FourierField) -> float:
 
 
 # ---------------------------------------------------------------------------
-# snapshots
-
-
-def save_field_csv(u: FourierField, path) -> None:
-    """Write a field snapshot: header j1,j2,re_u1,im_u1,re_u2,im_u2, one row per
-    lexicographically positive mode (j1 > 0, or j1 = 0 and j2 > 0), 17
-    significant digits.  Conjugate modes are implied by reality."""
-    M = u.M
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("j1,j2,re_u1,im_u1,re_u2,im_u2\n")
-        for j1 in range(0, M + 1):
-            j2_start = 1 if j1 == 0 else -M
-            for j2 in range(j2_start, M + 1):
-                c1 = u.coeffs[0, j1 + M, j2 + M]
-                c2 = u.coeffs[1, j1 + M, j2 + M]
-                fh.write(
-                    f"{j1},{j2},{c1.real:.17g},{c1.imag:.17g},"
-                    f"{c2.real:.17g},{c2.imag:.17g}\n"
-                )
-
-
-def load_field_csv(path, M: int | None = None) -> FourierField:
-    """Read a snapshot written by save_field_csv, rebuilding conjugate modes.
-
-    M defaults to the largest |j|_inf present in the file.
-    """
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "j1,j2,re_u1,im_u1,re_u2,im_u2":
-            raise ValueError(f"unrecognized snapshot header: {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 6:
-                raise ValueError(f"malformed snapshot row: {line!r}")
-            j1, j2 = int(parts[0]), int(parts[1])
-            vals = [float(x) for x in parts[2:]]
-            rows.append((j1, j2, vals))
-    if M is None:
-        M = max((max(abs(j1), abs(j2)) for j1, j2, _ in rows), default=1)
-    c = np.zeros((2, 2 * M + 1, 2 * M + 1), dtype=np.complex128)
-    for j1, j2, vals in rows:
-        if not (j1 > 0 or (j1 == 0 and j2 > 0)):
-            raise ValueError(f"snapshot stores non-positive mode ({j1}, {j2})")
-        if max(abs(j1), abs(j2)) > M:
-            raise ValueError(f"mode ({j1}, {j2}) outside truncation M={M}")
-        c1 = complex(vals[0], vals[1])
-        c2 = complex(vals[2], vals[3])
-        c[0, j1 + M, j2 + M] = c1
-        c[1, j1 + M, j2 + M] = c2
-        c[0, -j1 + M, -j2 + M] = np.conj(c1)
-        c[1, -j1 + M, -j2 + M] = np.conj(c2)
-    return FourierField(M, c)
-
-
-# ---------------------------------------------------------------------------
 # the elementary power-gap inequality
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import hypernse.cli
 import hypernse.dynamics
 from hypernse import CutoffFamily, FourierField, evolve_pairs, find_sparse_annulus, perturbed_copy
 from hypernse.cli import ConfigError, main, resolve_config
+from hypernse.dynamics import TRACE_COLUMNS
 
 # a certified annulus at mu = 50 keeps the cone run at M = 8 (drawn at 13)
 SMALL = ["--mu", "50", "--s", "0.15", "--M", "8", "--T", "0.002",
@@ -22,7 +24,6 @@ def test_defaults():
     assert cfg.mu == 1.0e4
     assert cfg.beta == 1.45
     assert cfg.s == pytest.approx((3.0 - 2.0 * 1.45 + 1.0 / 6.0) / 2.0)
-    assert cfg.integrator == "eif"
     assert cfg.include_nonlinear is True
 
 
@@ -36,7 +37,6 @@ def test_default_values_and_types_are_pinned():
         ("M", 16, int),
         ("dt", 0.001, float),
         ("T", 0.5, float),
-        ("integrator", "eif", str),
         ("dealias", "two-thirds", str),
         ("seed", 0, int),
         ("include_nonlinear", True, bool),
@@ -51,8 +51,7 @@ def test_default_values_and_types_are_pinned():
 # one non-default value per setting, as a file or a flag would spell it
 SETTING_STRINGS = {
     "mu": "500", "s": "0.1", "beta": "1.47", "nu": "2", "rho": "0.5",
-    "M": "12", "dt": "1e-4", "T": "0.1", "integrator": "imex",
-    "dealias": "padded", "seed": "3", "include_nonlinear": "no",
+    "M": "12", "dt": "1e-4", "T": "0.1", "dealias": "padded", "seed": "3", "include_nonlinear": "no",
     "record_every": "2", "gap_limit": "1000", "samples": "3",
     "ic_amplitude": "0.25", "forcing_amplitude": "0",
 }
@@ -173,6 +172,46 @@ def test_simulate_command(tmp_path):
     assert traj[0] == "t,energy,regularity_norm"
     assert len(traj) == 12  # header + 11 samples
     assert (out / "final_field.csv").exists()
+
+
+def test_write_csv_floats_read_back_bit_exactly(tmp_path):
+    values = (1.0 / 3.0, 5e-324, -0.0, 1e308, np.float64(0.1) * 3.0, -2.5e-310)
+    name = hypernse.cli._write_csv(str(tmp_path / "x.csv"), ("i", "x"), enumerate(values))
+    lines = (tmp_path / name).read_text().splitlines()
+    assert lines[0] == "i,x"
+    for i, (line, x) in enumerate(zip(lines[1:], values, strict=True)):
+        j, text = line.split(",")
+        assert int(j) == i
+        back = float(text)
+        assert back == x and math.copysign(1.0, back) == math.copysign(1.0, x), text
+
+
+def test_initial_field_csv_rebuilds_the_drawn_field(tmp_path):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--M", "8", "--T", "0.002", "--out", str(out)]) == 0
+    cfg = resolve_config(None, {"M": 8})
+    u0 = hypernse.cli._initial_field(cfg, cfg.spectral_params(), np.random.default_rng(cfg.seed))
+    lines = (out / "initial_field.csv").read_text().splitlines()
+    assert lines[0] == "j1,j2,re_u1,im_u1,re_u2,im_u2"
+    c = np.zeros((2, 17, 17), dtype=np.complex128)
+    for j1, j2, *parts in (line.split(",") for line in lines[1:]):
+        x = [float(p) for p in parts]
+        c[:, int(j1) + 8, int(j2) + 8] = complex(x[0], x[1]), complex(x[2], x[3])
+    # the file holds the positive modes; the others are their conjugates
+    c += c[:, ::-1, ::-1].conj()
+    assert np.array_equal(c, u0.coeffs)
+
+
+def test_simulate_at_an_overflowing_decay_rate_takes_the_exact_decay(tmp_path):
+    # nu dt |j|^(2 beta) overflows to inf; exp(-inf) = 0 is the exact factor
+    out = tmp_path / "stiff"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["simulate", "--nu", "1e308", "--T", "0.002", "--out", str(out)])
+    assert rc == 0
+    results = _strict_loads((out / "simulate.json").read_text())["results"]
+    assert results["blow_up"] is False
+    assert math.isfinite(results["final_energy"]) and math.isfinite(results["final_regularity_norm"])
 
 
 def _strict_loads(text: str):
@@ -323,6 +362,27 @@ def test_cone_check_counts_a_rounding_level_difference_as_degenerate(tmp_path):
         rows = [dict(zip(lines[0].split(","), map(float, ln.split(",")))) for ln in lines[1:]]
         eps2 = 2.0**-104
         assert [r["norm_v_sq"] <= eps2 * r["norm_u_sq"] for r in rows] == [False, True, True]
+
+
+def test_trace_csv_round_trip(tmp_path, monkeypatch):
+    # the trace files hold the traces evolve_pairs returned, bit for bit
+    traces = []
+    real = hypernse.cli.evolve_pairs
+
+    def kept(*args):
+        traces.extend(real(*args))
+        return traces
+
+    monkeypatch.setattr(hypernse.cli, "evolve_pairs", kept)
+    out = tmp_path / "trace"
+    assert main(["cone-check", *SMALL, "--out", str(out)]) == 0
+    runs = json.loads((out / "cone.json").read_text())["results"]["runs"]
+    assert len(runs) == len(traces) == 2
+    for run, trace in zip(runs, traces):
+        lines = (out / run["trace_csv"]).read_text().splitlines()
+        assert lines[0] == ",".join(TRACE_COLUMNS)
+        back = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+        assert np.array_equal(back, np.column_stack([getattr(trace, c) for c in TRACE_COLUMNS]))
 
 
 def test_cone_check_reports_a_blow_up(tmp_path):

@@ -18,11 +18,9 @@ from hypernse import (
     bilinear_B,
     inner_product,
     leray_project,
-    load_field_csv,
     power_gap_lower_bound,
     project,
     random_field,
-    save_field_csv,
     sobolev_norm,
     trilinear_b,
 )
@@ -271,30 +269,6 @@ def test_project_restricts_support():
     _, _, LAM = wavenumbers(8)
     assert np.all(v.coeffs[:, LAM > 9.0] == 0.0)
     assert np.all(v.coeffs[:, (LAM > 0) & (LAM <= 9.0)] == u.coeffs[:, (LAM > 0) & (LAM <= 9.0)])
-
-
-def test_field_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(10)
-    u = random_field(7, rng)
-    path = tmp_path / "field.csv"
-    save_field_csv(u, path)
-    v = load_field_csv(path)
-    assert v.M == 7
-    assert np.array_equal(u.coeffs, v.coeffs)
-
-
-def test_field_csv_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("j1,j2,bogus\n")
-    with pytest.raises(ValueError):
-        load_field_csv(path)
-
-
-def test_field_csv_rejects_nonpositive_mode(tmp_path):
-    path = tmp_path / "bad2.csv"
-    path.write_text("j1,j2,re_u1,im_u1,re_u2,im_u2\n-1,0,1.0,0.0,0.0,0.0\n")
-    with pytest.raises(ValueError):
-        load_field_csv(path)
 
 
 def test_field_operator_results_are_read_only_and_inputs_are_copied():
