@@ -25,14 +25,12 @@ from .lattice import (
 from .spectral import (
     CutoffFamily,
     FourierField,
-    ModeProjector,
     SpectralParams,
     apply_A_power,
     bilinear_B,
     inner_product,
     leray_project,
     power_gap_lower_bound,
-    project,
     random_field,
     sobolev_norm,
     trilinear_b,
@@ -63,12 +61,10 @@ from .dynamics import (
     step,
 )
 from .averaging import (
-    AnnulusBasis,
-    AnnulusMode,
     AveragingReport,
-    annulus_basis,
     assemble_restricted_operator,
     averaging_trend,
+    band_basis,
     cancellation_defect,
     check_averaging,
     draw_averaging_samples,

@@ -5,6 +5,8 @@ nonlinearity to the band of eigenvalues [lambda_N - k, lambda_N + k], where I
 is the band projector.  On a certified sparse annulus the band contains few
 lattice modes, each carrying a single divergence-free direction, so the
 compression is a small dense complex matrix indexed by those modes.
+:func:`band_basis` gives the band as two arrays: the modes' wavenumbers j
+and their unit directions d, both of shape (2, n).
 
 Two independent routes to the matrix are provided:
 
@@ -14,10 +16,11 @@ Two independent routes to the matrix are provided:
   of W(u) at the difference wavenumber, and the band gains come from
   truncation's one cutoff derivative.  Array arithmetic over the n x n grid
   of differences; no transforms, no dense grids, so it scales to mu = 1e6.
-* :func:`weak_restricted_operator` materializes each basis mode as a field and
+* :func:`weak_restricted_operator` embeds each basis mode as a field and
   pushes it through the full derivative machinery (truncation derivative,
-  dealiased advection, half-inverse Laplacian), then reads band coefficients.
-  Small truncations only; it is the cross-check oracle.
+  dealiased advection, half-inverse Laplacian), then reads the band
+  coefficients by index.  Small truncations only; it is the cross-check
+  oracle.
 
 The truncation derivative is real-linear but not complex-linear wherever a
 coefficient magnitude falls in the transition shell of the radial profile.
@@ -36,14 +39,12 @@ import numpy as np
 
 from .lattice import SparseAnnulus, _points_with_norm_range, annulus_points
 from .spectral import (
-    CutoffFamily,
     FourierField,
-    ModeProjector,
     SpectralParams,
-    inner_product,
-    project,
+    _pairing,
     random_field,
     sobolev_norm,
+    wavenumbers,
 )
 from .truncation import (
     _amplitude_scale,
@@ -54,55 +55,18 @@ from .truncation import (
 )
 
 
-@dataclass(frozen=True)
-class AnnulusMode:
-    """One band lattice mode: wavenumber j and its divergence-free direction.
+def band_basis(lambda_N: int, k: float) -> tuple[np.ndarray, np.ndarray]:
+    """The band of eigenvalues [lambda_N - k, lambda_N + k] as two arrays (j, d).
 
-    The projector onto divergence-free fields has rank one at each nonzero
-    wavenumber; direction is the unit vector (-j2, j1)/|j| spanning its range.
+    j is the (2, n) int64 array of the band's lattice points in lexicographic
+    order; d is the (2, n) float64 array of their unit directions
+    (-j2, j1)/|j|, which span the range of the divergence-free projector at
+    each mode.  The band is symmetric under j -> -j, so the negation of point
+    i is point n - 1 - i.  An empty band gives n = 0, not an error.
     """
-
-    j: tuple[int, int]
-    direction: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class AnnulusBasis:
-    """Ordered divergence-free single-mode basis of a spectral band.
-
-    modes are sorted lexicographically by wavenumber; conj_index[i] locates
-    the mode at the negated wavenumber, recording the reality pairing.
-    """
-
-    lambda_N: int
-    k: float
-    M: int
-    modes: tuple[AnnulusMode, ...]
-    conj_index: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.modes)
-
-
-def annulus_basis(lambda_N: int, k: float, M: int) -> AnnulusBasis:
-    """Build the band basis for eigenvalues in [lambda_N - k, lambda_N + k].
-
-    M is the ambient truncation the band must fit inside (lambda_N + k <= M^2).
-    An empty band yields an empty basis, not an error.
-    """
-    if lambda_N + k > M * M:
-        raise ValueError(
-            f"band [{lambda_N - k}, {lambda_N + k}] does not fit inside "
-            f"truncation M={M} (M^2 = {M * M})"
-        )
-    pts = sorted(annulus_points(lambda_N, k))
-    modes = []
-    for (a, b) in pts:
-        n = math.hypot(a, b)
-        modes.append(AnnulusMode((a, b), (-b / n, a / n)))
-    index = {m.j: i for i, m in enumerate(modes)}
-    conj = tuple(index[(-a, -b)] for (a, b) in pts)
-    return AnnulusBasis(lambda_N, float(k), M, tuple(modes), conj)
+    j = np.array(annulus_points(lambda_N, k), dtype=np.int64).reshape(-1, 2).T
+    norm = np.sqrt(j[0] * j[0] + j[1] * j[1])
+    return j, np.stack([-j[1] / norm, j[0] / norm])
 
 
 def _gather(c: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -116,14 +80,14 @@ def _gather(c: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 
 def assemble_restricted_operator(
-    u: FourierField, basis: AnnulusBasis, params: SpectralParams
+    u: FourierField, basis: tuple[np.ndarray, np.ndarray], params: SpectralParams
 ) -> np.ndarray:
     """Dense matrix of the band compression of the linearized nonlinearity.
 
-    Entry (r, c) is the coefficient of basis mode r in
-    I F'(u) (basis mode c), with F(u) = A^{-1/2} B(W(u), W(u)).  Writing
-    a = gain * d_c for the image of mode c under W'(u), delta = k_r - k_c,
-    and w = W(u):
+    basis is band_basis's (j, d).  Entry (r, c) is the coefficient of basis
+    mode r in I F'(u) (basis mode c), with F(u) = A^{-1/2} B(W(u), W(u)).
+    Writing a = gain * d_c for the image of mode c under W'(u),
+    delta = k_r - k_c, and w = W(u):
 
         entry = (1/|k_r|) * ( [a . i delta] (d_r . w_hat(delta))
                               + [w_hat(delta) . i k_c] (d_r . a) )
@@ -133,10 +97,9 @@ def assemble_restricted_operator(
     over the n x n grid of differences; u and w_hat are zero beyond u's
     truncation (a sample with exactly zero tail) and w_hat(0) = 0.
     """
-    if len(basis) == 0:
+    k, d = basis
+    if k.shape[1] == 0:
         raise ValueError("basis is empty")
-    k = np.array([m.j for m in basis.modes]).T
-    d = np.array([m.direction for m in basis.modes]).T
     xi = _gather(_scaled_amplitude(u.coeffs, _amplitude_scale(params, u.M)), k)
     a = np.sum(d * _theta_prime(xi, d.astype(np.complex128)), axis=0) * d
     delta = k[:, :, None] - k[:, None, :]
@@ -149,52 +112,33 @@ def assemble_restricted_operator(
     return entry / np.sqrt(k[0] * k[0] + k[1] * k[1])[:, None]
 
 
-def field_from_coords(
-    basis: AnnulusBasis, coords: np.ndarray, M: int
-) -> FourierField:
-    """Embed basis coordinates as a Fourier field at truncation M."""
-    coords = np.asarray(coords, dtype=np.complex128)
-    if coords.shape != (len(basis),):
-        raise ValueError("coordinate vector length does not match basis")
-    c = np.zeros((2, 2 * M + 1, 2 * M + 1), dtype=np.complex128)
-    for z, mode in zip(coords, basis.modes):
-        j1, j2 = mode.j
-        if abs(j1) > M or abs(j2) > M:
-            raise ValueError(f"mode {mode.j} exceeds truncation M={M}")
-        c[0, j1 + M, j2 + M] += z * mode.direction[0]
-        c[1, j1 + M, j2 + M] += z * mode.direction[1]
-    return FourierField(M, c)
-
-
-def coords_from_field(basis: AnnulusBasis, u: FourierField) -> np.ndarray:
-    """Coordinates of the band part of u in the basis."""
-    out = np.empty(len(basis), dtype=np.complex128)
-    for i, mode in enumerate(basis.modes):
-        uc = u.mode(mode.j)
-        out[i] = uc[0] * mode.direction[0] + uc[1] * mode.direction[1]
-    return out
-
-
 def weak_restricted_operator(
-    u: FourierField, basis: AnnulusBasis, params: SpectralParams, dealias: str = "padded"
+    u: FourierField,
+    basis: tuple[np.ndarray, np.ndarray],
+    params: SpectralParams,
+    dealias: str = "padded",
 ) -> np.ndarray:
     """Oracle assembly through the full field machinery.
 
-    Each basis mode is materialized at u's truncation, pushed through the
-    derivative of the truncated nonlinearity, and the band coefficients are
-    read off.  Requires the band to fit inside u's truncation; intended for
-    small cross-check scales only.
+    Each basis mode of band_basis's (j, d) is embedded at u's truncation,
+    pushed through the derivative of the truncated nonlinearity, and the band
+    coefficients are read off by index.  Requires every band point inside
+    u's truncation; intended for small cross-check scales only.
     """
-    if len(basis) == 0:
+    j, d = basis
+    n = j.shape[1]
+    if n == 0:
         raise ValueError("basis is empty")
     M = u.M
-    if basis.lambda_N + basis.k > M * M:
+    if np.any(np.abs(j) > M):
         raise ValueError("band does not fit inside the sample truncation")
-    n = len(basis)
+    rows, cols = j[0] + M, j[1] + M
     out = np.zeros((n, n), dtype=np.complex128)
-    for c, e in enumerate(np.eye(n, dtype=np.complex128)):
-        v = field_from_coords(basis, e, M)
-        out[:, c] = coords_from_field(basis, nonlinearity_F_prime(u, v, params, dealias))
+    for c in range(n):
+        e = np.zeros((2, 2 * M + 1, 2 * M + 1), dtype=np.complex128)
+        e[:, rows[c], cols[c]] = d[:, c]
+        img = nonlinearity_F_prime(u, FourierField._wrap(M, e), params, dealias).coeffs
+        out[:, c] = img[0, rows, cols] * d[0] + img[1, rows, cols] * d[1]
     return out
 
 
@@ -400,43 +344,40 @@ def check_averaging(
     Per-sample norm comparisons against the target bound are findings, not
     assertions.
     """
-    fam = CutoffFamily(annulus.lambda_N, annulus.lambda_next, annulus.half_width)
-    basis_M = math.isqrt(int(fam.lambda_N + math.ceil(fam.k))) + 1
-    basis = annulus_basis(fam.lambda_N, fam.k, basis_M)
-    r = float(fam.lambda_N) ** (annulus.s / 2.0)
-    bound = (1.0 / 16.0) * float(fam.lambda_N) ** (
-        -(3.0 - 2.0 * params.beta) / 2.0
-    )
+    lambda_N, k = annulus.lambda_N, annulus.half_width
+    j, d = band_basis(lambda_N, k)
+    r = float(lambda_N) ** (annulus.s / 2.0)
+    bound = (1.0 / 16.0) * float(lambda_N) ** (-(3.0 - 2.0 * params.beta) / 2.0)
     sampled_norms: list[tuple[int, float]] = []
     pass_flags: list[bool] = []
     tail_sup = 0.0
     h2_sup = 0.0
     product_factors: list[float] = []
-    high = ModeProjector("above", r * r, 0.0)
     for i, u in enumerate(u_samples):
-        mat = assemble_restricted_operator(u, basis, params)
+        mat = assemble_restricted_operator(u, (j, d), params)
         norm = restricted_norm(mat)
         sampled_norms.append((i, float(norm)))
         pass_flags.append(bool(norm <= bound))
         w = apply_W(u, params)
-        tail = project(w, high)
-        tail_sup = max(tail_sup, math.sqrt(inner_product(tail, tail)))
+        # the modes |j|^2 > r^2 of W(u); r >= 1 leaves j = 0 out
+        tail = w.coeffs * (wavenumbers(w.M)[2] > r * r)
+        tail_sup = max(tail_sup, math.sqrt(_pairing(tail, tail)))
         h2 = sobolev_norm(w, 2.0)
         h2_sup = max(h2_sup, h2)
         product_factors.append(h2 / r)
-    window_pts = tuple(m.j for m in basis.modes)
+    window_pts = tuple(zip(*j.tolist()))
     rng = np.random.default_rng(seed)
     defects = []
     for _ in range(n_cancellation_pairs):
         phi, psi = random_cancellation_pair(window_pts, r, rng)
         defects.append(cancellation_defect(phi, psi, window_pts))
     return AveragingReport(
-        lambda_N=fam.lambda_N,
-        k=fam.k,
+        lambda_N=lambda_N,
+        k=k,
         beta=params.beta,
         s=annulus.s,
         r=r,
-        dimension=len(basis),
+        dimension=j.shape[1],
         bound=bound,
         sampled_norms=sampled_norms,
         pass_flags=pass_flags,
@@ -444,7 +385,7 @@ def check_averaging(
         tail_bound=h2_sup / (r * r),
         product_factors=product_factors,
         cancellation_defects=defects,
-        achieved_k_ratio=float(fam.k) / float(fam.lambda_N) ** annulus.s,
+        achieved_k_ratio=float(k) / float(lambda_N) ** annulus.s,
         meta={
             "mu": annulus.mu,
             # the scan returns no annulus whose window fails

@@ -100,7 +100,8 @@ class RunConfig:
     parser; its default applies when neither sets it.  Settings that
     SpectralParams or SimConfig own take their defaults from those classes.
     An unset s is the midpoint of (3 - 2 beta, 1/6).  Construction validates
-    by building SpectralParams, SimConfig and the annulus family.
+    by building SpectralParams, SimConfig and the annulus family, and checks
+    the settings that only the run reads.
     """
 
     mu: float = 1e4
@@ -112,7 +113,7 @@ class RunConfig:
     dt: float = SimConfig.dt
     T: float = SimConfig.T
     dealias: str = SimConfig.dealias
-    seed: int = SimConfig.seed
+    seed: int = 0
     include_nonlinear: bool = SimConfig.include_nonlinear
     record_every: int = SimConfig.record_every
     gap_limit: int = 1_000_000
@@ -125,6 +126,8 @@ class RunConfig:
             object.__setattr__(self, "s", ((3.0 - 2.0 * self.beta) + 1.0 / 6.0) / 2.0)
         self.spectral_params()
         self.sim_config()
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         AnnulusFamily(self.mu, self.s)
         if self.gap_limit < 2:
             raise ValueError(f"gap_limit must be >= 2, got {self.gap_limit}")

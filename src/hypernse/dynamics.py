@@ -71,7 +71,6 @@ class SimConfig:
     dt                time step
     T                 final time (number of steps is round(T / dt))
     dealias           dealias route of the product B(W(u), W(u))
-    seed              seed for any randomized initial data
     include_nonlinear when False the quadratic term is dropped and the flow
                       is exactly linear; used by decay and identity tests
     record_every      trajectory / trace sampling stride in steps
@@ -80,7 +79,6 @@ class SimConfig:
     dt: float = 1e-3
     T: float = 0.5
     dealias: str = "two-thirds"
-    seed: int = 0
     include_nonlinear: bool = True
     record_every: int = 1
 
@@ -93,8 +91,6 @@ class SimConfig:
             raise ValueError(f"T / dt must be finite, got {self.T} / {self.dt}")
         if self.dealias not in DEALIAS_MODES:
             raise ValueError(f"unknown dealias route {self.dealias!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -126,9 +122,14 @@ def rhs_prepared(
 
 def _linear_factor(M: int, params: SpectralParams, config: SimConfig) -> np.ndarray:
     """E = exp(-nu dt A^beta), computed once per run."""
-    # -nu dt |j|^(2 beta) may overflow to -inf, whose exp, 0, is the exact decay
+    lam = laplacian_power(M, params.beta)
+    # the exponent is 0 at j = 0, where -nu dt overflowed to -inf would give
+    # -inf * 0 = NaN; elsewhere -nu dt |j|^(2 beta) may overflow to -inf,
+    # whose exp, 0, is the exact decay
+    x = np.zeros(lam.shape)
     with np.errstate(over="ignore"):
-        return np.exp(-params.nu * config.dt * laplacian_power(M, params.beta))
+        np.multiply(-params.nu * config.dt, lam, out=x, where=lam > 0)
+    return np.exp(x)
 
 
 def _advance(
@@ -354,7 +355,7 @@ def evolve_pairs(
         raise ValueError("evolve_pairs needs at least one copy")
     if any(u.M != reference.M for u in copies):
         raise ValueError("pair members must share a truncation")
-    low_mask = family.low.mask(reference.M).astype(np.float64)
+    low_mask = family.mask(reference.M, "low").astype(np.float64)
     alpha = 0.5 * (
         float(family.lambda_next) ** params.beta
         + float(family.lambda_N) ** params.beta
@@ -438,20 +439,12 @@ def perturbed_copy(
 ) -> FourierField:
     """Return u plus a random divergence-free perturbation of given size.
 
-    where selects the spectral support: "band" (the certified window),
-    "low" (at or below the cutoff) or "high" (above it).
+    where selects the spectral support, a part of CutoffFamily.mask: "band"
+    (the certified window), "low" (at or below the cutoff) or "high" (above
+    it).
     """
-    selector = {
-        "band": family.band,
-        "low": family.low,
-        "high": family.high,
-    }
-    try:
-        proj = selector[where]
-    except KeyError:
-        raise ValueError(f"unknown perturbation support {where!r}") from None
     noise = random_field(u.M, rng, decay=0.0)
-    mask = proj.mask(u.M).astype(np.float64)
+    mask = family.mask(u.M, where).astype(np.float64)
     nc = noise.coeffs * mask
     pert = FourierField(u.M, nc)
     size = np.sqrt(inner_product(pert, pert))

@@ -5,7 +5,9 @@ A field u is stored by its Fourier coefficients u_hat[j] in C^2 for the modes
 indexing [component, j1+M, j2+M].  All inner products and integrals carry the
 measure dx/(2pi)^2, so pairings and norms are plain coefficient sums:
 (u, v) = sum_j u_hat[j] . conj(v_hat[j]) and the H^s norm squared is
-sum_j |j|^{2s} |u_hat[j]|^2.
+sum_j |j|^{2s} |u_hat[j]|^2.  The sharp spectral projectors at a cutoff are
+boolean masks on that grid: CutoffFamily.mask(M, part) selects the "low",
+"high" or "band" modes, and a caller multiplies coefficients by it.
 
 Product evaluation routes (the `dealias` flag):
 
@@ -303,47 +305,6 @@ def random_field(
 
 
 # ---------------------------------------------------------------------------
-# mode projectors
-
-
-@dataclass(frozen=True)
-class ModeProjector:
-    """Sharp spectral projector selecting modes by their eigenvalue |j|^2.
-
-    kind is one of "at_most" (lam_j <= lambda_N), "above" (lam_j > lambda_N)
-    and "band" (lambda_N - k <= lam_j <= lambda_N + k).
-    """
-
-    kind: str
-    lambda_N: float
-    k: float = 0.0
-
-    _KINDS = ("at_most", "above", "band")
-
-    def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown projector kind {self.kind!r}")
-        if self.k < 0:
-            raise ValueError(f"k must be nonnegative, got {self.k}")
-
-    def mask(self, M: int) -> np.ndarray:
-        _, _, LAM = wavenumbers(M)
-        if self.kind == "at_most":
-            m = LAM <= self.lambda_N
-        elif self.kind == "above":
-            m = LAM > self.lambda_N
-        else:  # band
-            m = (LAM >= self.lambda_N - self.k) & (LAM <= self.lambda_N + self.k)
-        m = m & (LAM > 0)
-        return m
-
-
-def project(u: FourierField, proj: ModeProjector) -> FourierField:
-    """Zero every coefficient outside the projector's eigenvalue window."""
-    return FourierField._wrap(u.M, u.coeffs * proj.mask(u.M))
-
-
-# ---------------------------------------------------------------------------
 # products
 
 
@@ -577,14 +538,18 @@ class CutoffFamily:
     lambda_next: int
     k: float
 
-    @property
-    def low(self) -> ModeProjector:
-        return ModeProjector("at_most", self.lambda_N)
-
-    @property
-    def high(self) -> ModeProjector:
-        return ModeProjector("above", self.lambda_N)
-
-    @property
-    def band(self) -> ModeProjector:
-        return ModeProjector("band", self.lambda_N, self.k)
+    def mask(self, M: int, part: str) -> np.ndarray:
+        """Boolean mask on the centered grid of truncation M selecting the
+        modes j != 0 of one part of the family by their eigenvalue |j|^2:
+        "low" (|j|^2 <= lambda_N), "high" (|j|^2 > lambda_N) or "band"
+        (lambda_N - k <= |j|^2 <= lambda_N + k)."""
+        _, _, LAM = wavenumbers(M)
+        if part == "low":
+            m = LAM <= self.lambda_N
+        elif part == "high":
+            m = LAM > self.lambda_N
+        elif part == "band":
+            m = (LAM >= self.lambda_N - self.k) & (LAM <= self.lambda_N + self.k)
+        else:
+            raise ValueError(f"unknown part {part!r}: expected 'low', 'high' or 'band'")
+        return m & (LAM > 0)

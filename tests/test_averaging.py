@@ -7,16 +7,16 @@ import pytest
 
 from hypernse import (
     CutoffProfile,
+    FourierField,
     SpectralParams,
-    annulus_basis,
     annulus_points,
     assemble_restricted_operator,
     averaging_trend,
+    band_basis,
     cancellation_defect,
     check_averaging,
     draw_averaging_samples,
     find_sparse_annulus,
-    inner_product,
     nonlinearity_F,
     nonlinearity_F_prime,
     random_field,
@@ -25,11 +25,7 @@ from hypernse import (
     weak_restricted_operator,
 )
 from hypernse import lattice
-from hypernse.averaging import (
-    coords_from_field,
-    field_from_coords,
-    random_cancellation_pair,
-)
+from hypernse.averaging import random_cancellation_pair
 from hypernse.spectral import _convolve_direct
 from hypernse.truncation import _amplitude_scale
 
@@ -39,45 +35,43 @@ PARAMS = SpectralParams(M=16)
 @pytest.fixture(scope="module")
 def small_basis():
     # |j|^2 = 25 with half-width 3 picks up 25 and 26
-    return annulus_basis(25, 3.0, 16)
+    return band_basis(25, 3.0)
 
 
-def test_basis_layout(small_basis):
-    b = small_basis
-    assert len(b) == len(b.modes)
-    norms = {m.j[0] ** 2 + m.j[1] ** 2 for m in b.modes}
-    assert norms == {25, 26}
-    for i, m in enumerate(b.modes):
-        # direction is the unit divergence-free vector at j
-        j1, j2 = m.j
-        n = math.hypot(j1, j2)
-        assert m.direction == pytest.approx((-j2 / n, j1 / n))
-        ci = b.conj_index[i]
-        assert b.modes[ci].j == (-j1, -j2)
+def mode_field(basis, c, M=16):
+    """Basis mode c as a field at truncation M."""
+    j, d = basis
+    e = np.zeros((2, 2 * M + 1, 2 * M + 1), dtype=np.complex128)
+    e[:, j[0, c] + M, j[1, c] + M] = d[:, c]
+    return FourierField(M, e)
 
 
-def test_basis_requires_truncation_coverage():
-    with pytest.raises(ValueError):
-        annulus_basis(25, 3.0, 4)
+def band_coords(basis, u):
+    """Coordinates of the band part of u in the basis."""
+    j, d = basis
+    return np.array([u.mode((a, b)) @ d[:, i] for i, (a, b) in enumerate(j.T.tolist())])
 
 
-def test_coords_round_trip(small_basis):
-    rng = np.random.default_rng(0)
-    coords = rng.standard_normal(len(small_basis)) + 1j * rng.standard_normal(
-        len(small_basis)
-    )
-    u = field_from_coords(small_basis, coords, 16)
-    back = coords_from_field(small_basis, u)
-    assert np.max(np.abs(back - coords)) <= 1e-13 * max(1.0, np.max(np.abs(coords)))
-
-
-def test_field_from_coords_is_isometric(small_basis):
-    rng = np.random.default_rng(1)
-    z = rng.standard_normal(len(small_basis)) + 1j * rng.standard_normal(
-        len(small_basis)
-    )
-    u = field_from_coords(small_basis, z, 16)
-    assert inner_product(u, u) == pytest.approx(float(np.sum(np.abs(z) ** 2)), rel=1e-12)
+def test_basis_layout():
+    for lam, k, norms in [(25, 3.0, {25, 26}), (3, 0.5, set()), (50, 0.0, {50}),
+                          (10004, 1.99, {10004}), (2000, 40.0, None)]:
+        j, d = band_basis(lam, k)
+        n = j.shape[1]
+        assert j.shape == d.shape == (2, n)
+        assert j.dtype == np.int64 and d.dtype == np.float64
+        pts = [tuple(p) for p in j.T.tolist()]
+        assert pts == sorted(pts) == [tuple(p) for p in annulus_points(lam, k)]
+        sq = j[0] * j[0] + j[1] * j[1]
+        assert np.all((lam - k <= sq) & (sq <= lam + k))
+        if norms is not None:
+            assert set(sq.tolist()) == norms
+        # the band is symmetric: reversing the order negates the points
+        assert np.array_equal(j[:, ::-1], -j)
+        # d is the unit divergence-free direction at each point
+        assert np.allclose(np.hypot(d[0], d[1]), 1.0, rtol=0.0, atol=1e-15)
+        assert np.all(np.abs(j[0] * d[0] + j[1] * d[1]) <= 1e-12)
+        want = [(-b / math.hypot(a, b), a / math.hypot(a, b)) for a, b in pts]
+        assert np.array_equal(d, np.array(want).reshape(-1, 2).T)
 
 
 def in_ball_sample(rng, size=0.5):
@@ -104,13 +98,14 @@ def test_strong_and_weak_assembly_agree(small_basis):
     # where the band gain is only real-linear; both routes take it from the
     # one cutoff derivative, so a central difference of F checks that column
     xi = u.coeffs * _amplitude_scale(PARAMS, u.M)
-    r = np.abs([xi[:, a + u.M, b + u.M] for a, b in (m.j for m in small_basis.modes)])
+    j = small_basis[0]
+    r = np.abs(xi[:, j[0] + u.M, j[1] + u.M]).T
     in_shell = (prof.inner_radius < r) & (r < prof.outer_radius)
     c = int(np.flatnonzero(np.any(in_shell, axis=1))[0])
-    v = field_from_coords(small_basis, np.eye(len(small_basis))[c], 16)
+    v = mode_field(small_basis, c)
     h = 1e-6
     fd = nonlinearity_F(u + v * h, PARAMS, "direct") - nonlinearity_F(u - v * h, PARAMS, "direct")
-    col = coords_from_field(small_basis, fd) / (2.0 * h)
+    col = band_coords(small_basis, fd) / (2.0 * h)
     assert np.max(np.abs(col - strong[:, c])) <= 1e-7 * den
 
 
@@ -121,20 +116,27 @@ def test_weak_assembly_is_the_derivative_pairing(small_basis):
     u = in_ball_sample(rng)
     weak = weak_restricted_operator(u, small_basis, PARAMS, dealias="padded")
     c = 2
-    vc = field_from_coords(
-        small_basis, np.eye(len(small_basis))[c].astype(np.complex128), 16
-    )
-    img = nonlinearity_F_prime(u, vc, PARAMS, dealias="padded")
-    col = coords_from_field(small_basis, img)
+    img = nonlinearity_F_prime(u, mode_field(small_basis, c), PARAMS, dealias="padded")
+    col = band_coords(small_basis, img)
     assert np.max(np.abs(col - weak[:, c])) <= 1e-12 * max(1.0, np.max(np.abs(weak)))
+
+
+def test_weak_assembly_needs_the_band_inside_the_sample(small_basis):
+    # |j|^2 = 25 reaches |j|_inf = 5: inside M = 5, outside M = 4
+    rng = np.random.default_rng(11)
+    weak_restricted_operator(random_field(5, rng) * 1e-3, small_basis, PARAMS)
+    with pytest.raises(ValueError, match="does not fit"):
+        weak_restricted_operator(random_field(4, rng) * 1e-3, small_basis, PARAMS)
+    with pytest.raises(ValueError, match="empty"):
+        weak_restricted_operator(random_field(4, rng), band_basis(3, 0.5), PARAMS)
 
 
 def test_assembly_conjugation_symmetry(small_basis):
     rng = np.random.default_rng(4)
     u = in_ball_sample(rng)
     mat = assemble_restricted_operator(u, small_basis, PARAMS)
-    ci = small_basis.conj_index
-    sym = np.conj(mat[np.ix_(ci, ci)])
+    # point n - 1 - i is the negation of point i
+    sym = np.conj(mat[::-1, ::-1])
     num = np.max(np.abs(mat - sym))
     assert num <= 1e-12 * max(1.0, np.max(np.abs(mat)))
 

@@ -214,6 +214,19 @@ def test_simulate_at_an_overflowing_decay_rate_takes_the_exact_decay(tmp_path):
     assert math.isfinite(results["final_energy"]) and math.isfinite(results["final_regularity_norm"])
 
 
+def test_simulate_at_an_overflowing_viscosity_step_keeps_the_zero_mode(tmp_path):
+    # -nu dt itself overflows to -inf; the factor at j = 0 stays 1, not
+    # exp(-inf * 0) = NaN
+    out = tmp_path / "stiff"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["simulate", "--nu", "1e308", "--dt", "10", "--T", "10", "--out", str(out)])
+    assert rc == 0
+    results = _strict_loads((out / "simulate.json").read_text())["results"]
+    assert results["blow_up"] is False
+    assert math.isfinite(results["final_energy"]) and math.isfinite(results["final_regularity_norm"])
+
+
 def _strict_loads(text: str):
     def reject(constant):
         raise ValueError(f"non-strict JSON constant {constant}")
@@ -525,7 +538,7 @@ def test_the_band_lies_inside_the_stepped_block(mu):
     ann = find_sparse_annulus(mu, 0.15)
     fam = CutoffFamily(ann.lambda_N, ann.lambda_next, ann.half_width)
     M_run, K = hypernse.cli._cone_truncations(fam)
-    band = fam.band.mask(M_run)
+    band = fam.mask(M_run, "band")
     inside = np.zeros_like(band)
     inside[M_run - K : M_run + K + 1, M_run - K : M_run + K + 1] = True
     assert band.any()

@@ -1,5 +1,6 @@
 """Time stepping, pair evolution, cone diagnostics, long-run statistics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,12 +20,12 @@ from hypernse import (
     evolve_pairs,
     inner_product,
     perturbed_copy,
-    project,
     random_field,
     rhs_prepared,
     sobolev_norm,
     step,
 )
+from hypernse.cli import RunConfig
 from hypernse.dynamics import TRACE_COLUMNS, _cone_sample
 from hypernse.spectral import CutoffFamily, laplacian_power
 from hypernse.truncation import prepared_product
@@ -55,9 +56,11 @@ def test_config_validation():
 
 
 def test_config_rejects_a_negative_seed():
+    # the seed is the run's setting: SimConfig has none, RunConfig checks it
+    assert "seed" not in {f.name for f in dataclasses.fields(SimConfig)}
     with pytest.raises(ValueError, match="seed must be >= 0"):
-        SimConfig(seed=-1)
-    assert SimConfig(seed=0).seed == 0
+        RunConfig(seed=-1)
+    assert RunConfig(seed=0).seed == 0
 
 
 def test_step_takes_only_the_one_cutoff_profile():
@@ -215,9 +218,9 @@ def test_evolve_survives_a_mode_whose_scaled_amplitude_overflows():
 
 
 def test_determinism_bitwise():
-    cfg = SimConfig(dt=1e-3, T=0.02, seed=7)
-    rng1 = np.random.default_rng(cfg.seed)
-    rng2 = np.random.default_rng(cfg.seed)
+    cfg = SimConfig(dt=1e-3, T=0.02)
+    rng1 = np.random.default_rng(7)
+    rng2 = np.random.default_rng(7)
     u1 = random_field(8, rng1)
     u2 = random_field(8, rng2)
     t1 = evolve(u1, None, PARAMS, cfg)
@@ -247,7 +250,7 @@ def test_pair_trace_matches_linear_decay():
 def reference_pair_rows(u1, u2, forcing, params, cfg, fam):
     """Pair trace rows by plain step() calls, with B(W(u), W(u)) recomputed
     for every sample instead of shared with the next step."""
-    low_mask = fam.low.mask(params.M).astype(np.float64)
+    low_mask = fam.mask(params.M, "low").astype(np.float64)
     alpha = 0.5 * (float(fam.lambda_next) ** params.beta + float(fam.lambda_N) ** params.beta)
 
     def row(t, a, b):
@@ -394,7 +397,7 @@ def test_perturbed_copy_supports():
         assert np.all(diff[:, ~sel] == 0.0)
         size = math.sqrt(inner_product(FourierField(10, diff), FourierField(10, diff)))
         assert size == pytest.approx(1e-3, rel=1e-9)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown part 'middle'"):
         perturbed_copy(base, fam, 1e-3, rng, where="middle")
 
 
@@ -404,7 +407,7 @@ def test_cone_drive_is_the_A_power_form_to_rounding():
     rng = np.random.default_rng(8)
     params = SpectralParams(M=16)
     fam = CutoffFamily(lambda_N=25, lambda_next=26, k=3.0)
-    low_mask = fam.low.mask(16).astype(np.float64)
+    low_mask = fam.mask(16, "low").astype(np.float64)
     alpha = 0.5 * (26.0**params.beta + 25.0**params.beta)
     pairs = []
     for _ in range(5):
@@ -413,7 +416,7 @@ def test_cone_drive_is_the_A_power_form_to_rounding():
     # a resolved pair whose difference barely reaches above the cutoff:
     # ||q||^2 is about 1e-8 ||p||^2
     d = random_field(16, rng, decay=2.0) * 0.1
-    d_low, d_high = project(d, fam.low), project(d, fam.high)
+    d_low, d_high = (FourierField(16, d.coeffs * fam.mask(16, part)) for part in ("low", "high"))
     shrink = 1e-4 * math.sqrt(inner_product(d_low, d_low) / inner_product(d_high, d_high))
     pairs.append((u2 + d_low + d_high * shrink, u2))
     for u1, u2 in pairs:

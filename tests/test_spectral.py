@@ -12,14 +12,12 @@ from hypothesis import strategies as st
 
 from hypernse import (
     FourierField,
-    ModeProjector,
     SpectralParams,
     apply_A_power,
     bilinear_B,
     inner_product,
     leray_project,
     power_gap_lower_bound,
-    project,
     random_field,
     sobolev_norm,
     trilinear_b,
@@ -249,33 +247,28 @@ def test_power_gap_rejects_bad_input():
 
 
 def test_mode_projectors_partition():
-    fam = CutoffFamily(lambda_N=10004, lambda_next=10009, k=1.99)
-    M = 101
-    low = fam.low.mask(M)
-    high = fam.high.mask(M)
-    band = fam.band.mask(M)
-    _, _, LAM = wavenumbers(M)
-    nonzero = LAM > 0
-    assert np.array_equal(low | high, nonzero)
-    assert not np.any(low & high)
-    assert np.array_equal(band, nonzero & (LAM >= 10004 - 1.99) & (LAM <= 10004 + 1.99))
+    for lam, nxt, k, M in [(10004, 10009, 1.99, 101), (25, 26, 3.0, 16), (8, 9, 2.0, 2), (2, 4, 0.0, 8)]:
+        fam = CutoffFamily(lambda_N=lam, lambda_next=nxt, k=k)
+        low, high, band = (fam.mask(M, part) for part in ("low", "high", "band"))
+        _, _, LAM = wavenumbers(M)
+        nonzero = LAM > 0
+        assert np.array_equal(low, nonzero & (LAM <= lam))
+        assert np.array_equal(low | high, nonzero)
+        assert not np.any(low & high)
+        assert np.array_equal(band, nonzero & (LAM >= lam - k) & (LAM <= lam + k))
 
 
-def test_project_restricts_support():
-    rng = np.random.default_rng(9)
-    u = random_field(8, rng)
-    pr = ModeProjector("at_most", 9.0, 0.0)
-    v = project(u, pr)
-    _, _, LAM = wavenumbers(8)
-    assert np.all(v.coeffs[:, LAM > 9.0] == 0.0)
-    assert np.all(v.coeffs[:, (LAM > 0) & (LAM <= 9.0)] == u.coeffs[:, (LAM > 0) & (LAM <= 9.0)])
+def test_cutoff_family_mask_rejects_an_unknown_part():
+    fam = CutoffFamily(lambda_N=25, lambda_next=26, k=3.0)
+    with pytest.raises(ValueError, match="'middle'"):
+        fam.mask(8, "middle")
 
 
 def test_field_operator_results_are_read_only_and_inputs_are_copied():
     rng = np.random.default_rng(9)
     u, v = random_field(6, rng), random_field(6, rng)
     for out in (u + v, u - v, u * 2.0, 3.0 * u, -u, leray_project(u),
-                apply_A_power(u, 1.0), project(u, ModeProjector("at_most", 9.0))):
+                apply_A_power(u, 1.0)):
         assert out.coeffs.dtype == np.complex128
         assert not out.coeffs.flags.writeable
     # a writeable array handed in is copied, so later writes do not reach the field
