@@ -12,29 +12,37 @@ multiplies the coefficients by exp(-nu |j|^(2 beta) dt) and advances the
 nonlinearity with a two-stage second-order rule, so a pure linear solve is
 reproduced to rounding.
 
-One time loop steps a list of members, one member at a time, and evaluates
-B(W(u), W(u)) once per member and state, for the record and, as f - B, for
-the next step; it keeps B until that step, and each old state and its f - B
-are dropped as soon as the step has used them.  A member whose state leaves
-the range of floating point is dropped with the members after it, and the
-loop reports it as a BlowUpError.  The loop computes the integrating factor
-once per run, and a step forms its predictor and update in place, in the
-operation order of the formulas, on arrays it has just created and that no
-one else references, before FourierField._wrap seals them: the fields stay
-immutable to every caller.  evolve runs the loop on one member and keeps the
-states.  evolve_pairs runs it on one reference and its copies, so the
-reference is stepped once however many copies share it, and records for each
-pair the cone quantity V = ||high part||^2 - ||low part||^2 of
-reference - copy with its analytic time derivative, so the contraction
-inequality can be checked against the trace afterwards; a trace row is read
-from one density |v_hat[j]|^2 of the difference.  step is the same step for
-a caller that holds only u; its fifth argument accepts None or the one
-profile, because the grid-size sweep of bench/spans.py still passes
-CutoffProfile().
+One time loop steps a list of members, one member at a time, on the half
+j2 >= 0 of the coefficient grid: a real field is determined by that half
+(u_hat[-j] = conj(u_hat[j])), every step acts on it mode by mode, and the
+product's transforms read only it.  So each state, its B(W(u), W(u)) and the
+forcing are (2, 2M+1, M+1) arrays for the whole loop, and FourierFields are
+converted only at its edges: a member or forcing that is not real is refused
+before any product, and evolve fills each recorded state back into a field
+(spectral._field_from_half).  The loop evaluates B(W(u), W(u)) once per
+member and state, for the record and, as f - B, for the next step; it keeps B
+until that step, and each old state and its f - B are dropped as soon as the
+step has used them.  A member whose state leaves the range of floating point
+is dropped with the members after it, and the loop reports it as a
+BlowUpError.  The loop computes the integrating factor once per run, and a
+step forms its predictor and update in place, in the operation order of the
+formulas, on arrays it has just created and that no one else references.
+evolve runs the loop on one member and keeps the states.  evolve_pairs runs
+it on one reference and its copies, so the reference is stepped once however
+many copies share it, and records for each pair the cone quantity
+V = ||high part||^2 - ||low part||^2 of reference - copy with its analytic
+time derivative, so the contraction inequality can be checked against the
+trace afterwards; a trace row is read from one density |v_hat[j]|^2 of the
+difference on the half, weighted 1 on the column j2 = 0 and 2 beyond it,
+which counts each dropped mode with its conjugate.  step is the same step for
+a caller that holds only u, converting on the way in and out; its fifth
+argument accepts None or the one profile, because the grid-size sweep of
+bench/spans.py still passes CutoffProfile().
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -45,13 +53,13 @@ from .spectral import (
     CutoffFamily,
     FourierField,
     SpectralParams,
+    _field_from_half,
     _pairing,
     apply_A_power,
-    inner_product,
     laplacian_power,
     random_field,
 )
-from .truncation import _PROFILE, prepared_product
+from .truncation import _PROFILE, _prepared_half, prepared_product
 
 
 class BlowUpError(RuntimeError):
@@ -100,29 +108,48 @@ class SimConfig:
         return max(n, 1)
 
 
-def _product(u: FourierField, params: SpectralParams, config: SimConfig) -> FourierField | None:
-    """b = B(W(u), W(u)), or None when the nonlinearity is dropped."""
-    return prepared_product(u, params, config.dealias) if config.include_nonlinear else None
+def _product(h: np.ndarray, params: SpectralParams, config: SimConfig) -> np.ndarray | None:
+    """b = B(W(u), W(u)) on the half h of u, or None when the nonlinearity is
+    dropped."""
+    return _prepared_half(h, params, config.dealias) if config.include_nonlinear else None
 
 
-def _drive(b: FourierField | None, forcing: FourierField | None, M: int) -> FourierField:
+def _drive(b: np.ndarray | None, forcing: np.ndarray | None, shape: tuple) -> np.ndarray:
     """f - b for a b from _product; a missing f or b counts as zero."""
     if b is None:
-        return FourierField.zeros(M) if forcing is None else forcing
+        return np.zeros(shape, dtype=np.complex128) if forcing is None else forcing
     return -b if forcing is None else forcing - b
+
+
+def _real_half(u: FourierField, name: str) -> np.ndarray:
+    """A copy of the half j2 >= 0 of u, which determines u when u is real.
+    The modes j2 < 0 must be exactly the conjugates of the modes j2 > 0,
+    since the half-plane loop drops them and fills them back as those
+    conjugates (NaN matched by NaN counts, so a non-finite state is left for
+    the loop to report as a blow-up); otherwise it is a ValueError naming the
+    reality defect.  The column j2 = 0 is kept whole, so nothing of it is
+    replaced."""
+    M = u.M
+    kept = u.coeffs[:, :, M + 1 :]
+    dropped = u.coeffs[:, ::-1, M - 1 :: -1]
+    if not np.array_equal(dropped, np.conj(kept), equal_nan=True):
+        defect = float(np.max(np.abs(dropped - np.conj(kept))))
+        raise ValueError(f"{name} is not a real field: its reality defect is {defect:.3g}")
+    return u.coeffs[:, :, M:].copy()
 
 
 def rhs_prepared(
     u: FourierField, forcing: FourierField | None, params: SpectralParams, config: SimConfig
 ) -> FourierField:
     """Full right-hand side f - nu A^beta u - B(W(u), W(u))."""
-    out = _drive(_product(u, params, config), forcing, u.M)
-    return out - apply_A_power(u, params.beta) * params.nu
+    b = prepared_product(u, params, config.dealias).coeffs if config.include_nonlinear else None
+    out = _drive(b, None if forcing is None else forcing.coeffs, u.coeffs.shape)
+    return FourierField._wrap(u.M, out) - apply_A_power(u, params.beta) * params.nu
 
 
 def _linear_factor(M: int, params: SpectralParams, config: SimConfig) -> np.ndarray:
-    """E = exp(-nu dt A^beta), computed once per run."""
-    lam = laplacian_power(M, params.beta)
+    """E = exp(-nu dt A^beta) on the half j2 >= 0, computed once per run."""
+    lam = laplacian_power(M, params.beta)[:, M:]
     # the exponent is 0 at j = 0, where -nu dt overflowed to -inf would give
     # -inf * 0 = NaN; elsewhere -nu dt |j|^(2 beta) may overflow to -inf,
     # whose exp, 0, is the exact decay
@@ -133,29 +160,30 @@ def _linear_factor(M: int, params: SpectralParams, config: SimConfig) -> np.ndar
 
 
 def _advance(
-    u: FourierField,
-    n0: FourierField,
-    forcing: FourierField | None,
+    u: np.ndarray,
+    n0: np.ndarray,
+    forcing: np.ndarray | None,
     params: SpectralParams,
     config: SimConfig,
     E: np.ndarray,
-) -> FourierField:
-    """One step from u, given n0 = f - B(W(u), W(u)) at u and the run's
-    _linear_factor E; each update is formed in place, in the formulas' order.
+) -> np.ndarray:
+    """One step from the half u, given n0 = f - B(W(u), W(u)) at u and the
+    run's _linear_factor E; each update is formed in place, in the formulas'
+    order, and returned as a new half.
 
     Exact linear propagation: with v = e^{t nu A^beta} u the equation becomes
     dv/dt = e^{t nu A^beta} N(u), and Heun in v gives
       u* = E (u + dt N(u)),  u+ = E u + (dt/2) (E N(u) + N(u*))."""
     dt = config.dt
-    c = np.multiply(dt, n0.coeffs)
-    c += u.coeffs
+    c = np.multiply(dt, n0)
+    c += u
     c *= E
-    n1 = _drive(_product(FourierField._wrap(u.M, c), params, config), forcing, u.M)
-    c = np.multiply(n0.coeffs, E)
-    c += n1.coeffs
+    n1 = _drive(_product(c, params, config), forcing, u.shape)
+    c = np.multiply(n0, E)
+    c += n1
     np.multiply(0.5 * dt, c, out=c)
-    c += u.coeffs * E
-    return FourierField._wrap(u.M, c)
+    c += u * E
+    return c
 
 
 def step(
@@ -166,24 +194,28 @@ def step(
     profile: object = None,
 ) -> FourierField:
     """Advance one time step; profile is None or the one cutoff profile (see
-    the module docstring)."""
+    the module docstring).  u and the forcing must be real."""
     if profile is not None and profile != _PROFILE:
         raise ValueError(f"the prepared equation has one cutoff profile, not {profile}")
-    n0 = _drive(_product(u, params, config), forcing, u.M)
-    return _advance(u, n0, forcing, params, config, _linear_factor(u.M, params, config))
+    h = _real_half(u, "the state")
+    f = None if forcing is None else _real_half(forcing, "the forcing")
+    n0 = _drive(_product(h, params, config), f, h.shape)
+    return _field_from_half(_advance(h, n0, f, params, config, _linear_factor(u.M, params, config)))
 
 
 def _run(
-    states: list[FourierField],
+    states: list,
     forcing: FourierField | None,
     params: SpectralParams,
     config: SimConfig,
-    record: Callable[[float, int, list[FourierField], list], None],
+    record: Callable[[float, int, list[np.ndarray], list], None],
 ) -> BlowUpError | None:
-    """Step the members of states, in place, config.n_steps times.  At t = 0,
-    every record_every steps and at the end, record(t, j, states, bs) is
-    called for member j as soon as its state states[j] and its
-    bs[j] = B(W(u), W(u)) are at t; so are those of the members before it.
+    """Step the members of states, in place, config.n_steps times: the
+    FourierFields in states are replaced by their halves j2 >= 0, and every
+    later state is such a half.  At t = 0, every record_every steps and at the
+    end, record(t, j, states, bs) is called for member j as soon as its state
+    states[j] and its bs[j] = B(W(u), W(u)), a half too, are at t; so are
+    those of the members before it.
 
     Members advance one at a time.  Each member's b is kept until its next
     step forms f - b from it, and each old state and its f - b are dropped
@@ -193,12 +225,18 @@ def _run(
     but a copy needs the member before it, and returns the BlowUpError of
     the last drop, or None.  An overflow needs no warning: a non-finite
     record is the caller's to report.  A forcing at another truncation than
-    the members' is a ValueError, raised before any product."""
+    the members', and a member or forcing that is not real, is a ValueError,
+    raised before any product."""
     n = config.n_steps
     needed = min(len(states), 2)
     M = states[0].M
     if forcing is not None and forcing.M != M:
         raise ValueError(f"forcing truncation M = {forcing.M} != member truncation M = {M}")
+    if forcing is not None:
+        forcing = _real_half(forcing, "the forcing")
+    for j, u in enumerate(states):
+        states[j] = _real_half(u, f"member {j}")
+    del u  # a field no caller keeps is freed here, before the first product
     E = _linear_factor(M, params, config)
     bs: list = [None] * len(states)
     failure = None
@@ -206,11 +244,11 @@ def _run(
         for i in range(n + 1):
             for j in range(len(states)):
                 if i:
-                    n0 = _drive(bs[j], forcing, M)
+                    n0 = _drive(bs[j], forcing, states[j].shape)
                     bs[j] = None
                     states[j] = _advance(states[j], n0, forcing, params, config, E)
                     del n0
-                    if not np.all(np.isfinite(states[j].coeffs)):
+                    if not np.all(np.isfinite(states[j])):
                         del states[j:], bs[j:]
                         failure = BlowUpError(f"non-finite coefficients at t = {i * config.dt:.6g}")
                         break
@@ -241,7 +279,7 @@ def evolve(
 
     def keep(t, j, states, bs):
         times.append(t)
-        fields.append(states[0])
+        fields.append(_field_from_half(states[0]))
 
     failure = _run([u0], forcing, params, config, keep)
     if failure is not None:
@@ -293,39 +331,70 @@ class ConeTrace:
     beta: float
 
 
+def _cone_masks(M: int, params: SpectralParams, family: CutoffFamily) -> tuple[np.ndarray, ...]:
+    """The arrays a cone trace row reads on the half j2 >= 0, built once per
+    run: the low and high masks weighted 1 on the column j2 = 0 and 2 beyond
+    it, where each kept mode stands for itself and its dropped conjugate, the
+    sign mask low - high and the symbol |j|^{2 beta}."""
+    low = family.mask(M, "low")[:, M:]
+    weight = np.full(low.shape, 2.0)
+    weight[:, 0] = 1.0
+    low = weight * low
+    high = weight - low
+    return low, high, low - high, laplacian_power(M, params.beta)[:, M:]
+
+
+def _energy(h: np.ndarray) -> float:
+    """||u||^2 of the real field whose half j2 >= 0 is h: twice the half's
+    sum, less the column j2 = 0, which holds no dropped conjugates.  An
+    infinite column makes the energy infinite, not inf - inf = NaN."""
+    half, axis = _pairing(h, h), _pairing(h[:, :, 0], h[:, :, 0])
+    return 2.0 * half - axis if math.isfinite(axis) else axis
+
+
+def _masked_sum(dens: np.ndarray, mask: np.ndarray) -> float:
+    """sum dens * mask, pairwise: at mu = 1e4 the margin is about 4e-4 of the
+    2 alpha V it is taken from, so one unit in the last place of V moves it
+    by several 1e-13 of itself, and a sum in one pass (_pairing) rounds V by
+    more than a pairwise one."""
+    return float(np.sum(dens * mask))
+
+
 def _cone_sample(
-    u1: FourierField,
-    u2: FourierField,
-    b1: FourierField | None,
-    b2: FourierField | None,
+    h1: np.ndarray,
+    h2: np.ndarray,
+    b1: np.ndarray | None,
+    b2: np.ndarray | None,
     params: SpectralParams,
     family: CutoffFamily,
-    low_mask: np.ndarray,
+    masks: tuple[np.ndarray, ...],
     alpha: float,
 ) -> tuple[float, float, float, float, float, float]:
-    """One trace row (V, dVdt, norm_v_sq, rhs_bound, margin, norm_u_sq); b1,
-    b2 are B(W(u), W(u)) of the members, None when the nonlinearity is off.
-    ||p||^2, ||q||^2 and (weighted by |j|^{2 beta}) their A^{beta/2} norms are
-    dot products of one density |v_hat[j]|^2 of v = u1 - u2 with the masks;
-    the drive 2 (b1 - b2, p - q) is one real pairing with v (2 low - 1)."""
-    v = u1.coeffs - u2.coeffs
-    w = v.view(np.float64).reshape(2, *low_mask.shape, 2)
+    """One trace row (V, dVdt, norm_v_sq, rhs_bound, margin, norm_u_sq) from
+    the halves h1, h2 of the members; b1, b2 are the halves of their
+    B(W(u), W(u)), None when the nonlinearity is off, and masks is
+    _cone_masks of the run.  ||p||^2, ||q||^2 and (weighted by |j|^{2 beta})
+    their A^{beta/2} norms are sums of one density |v_hat[j]|^2 of
+    v = u1 - u2 times the weighted masks; the drive 2 (b1 - b2, p - q) is one
+    real pairing with v times the sign mask."""
+    low, high, sign, lam = masks
+    v = h1 - h2
+    w = v.view(np.float64).reshape(*v.shape, 2)
     dens = np.einsum("ijkl,ijkl->jk", w, w)
-    high = 1.0 - low_mask
-    norm_p2, norm_q2 = _pairing(dens, low_mask), _pairing(dens, high)
+    norm_p2, norm_q2 = _masked_sum(dens, low), _masked_sum(dens, high)
     V = norm_q2 - norm_p2
-    dens *= laplacian_power(u1.M, params.beta)
-    diss = -2.0 * params.nu * (_pairing(dens, high) - _pairing(dens, low_mask))
+    dens *= lam
+    diss = -2.0 * params.nu * (_masked_sum(dens, high) - _masked_sum(dens, low))
     if b1 is not None:
-        v *= low_mask - high
-        drive = 2.0 * _pairing(b1.coeffs - b2.coeffs, v)
+        v *= sign
+        drive = 2.0 * _pairing(b1 - b2, v)
     else:
         drive = 0.0
     dVdt = diss + drive
     norm_v2 = norm_p2 + norm_q2
     rhs = -(family.lambda_N ** (params.beta - 1.0) / 8.0) * norm_v2
     margin = rhs - (dVdt + 2.0 * alpha * V)
-    norm_u2 = max(inner_product(u1, u1), inner_product(u2, u2))
+    norm_u2 = max(_energy(h1), _energy(h2))
     return V, dVdt, norm_v2, rhs, margin, norm_u2
 
 
@@ -355,7 +424,7 @@ def evolve_pairs(
         raise ValueError("evolve_pairs needs at least one copy")
     if any(u.M != reference.M for u in copies):
         raise ValueError("pair members must share a truncation")
-    low_mask = family.mask(reference.M, "low").astype(np.float64)
+    masks = _cone_masks(reference.M, params, family)
     alpha = 0.5 * (
         float(family.lambda_next) ** params.beta
         + float(family.lambda_N) ** params.beta
@@ -367,7 +436,7 @@ def evolve_pairs(
     def sample(t, j, states, bs):
         if j:
             rows[j - 1].append(
-                (t,) + _cone_sample(states[0], states[j], bs[0], bs[j], params, family, low_mask, alpha)
+                (t,) + _cone_sample(states[0], states[j], bs[0], bs[j], params, family, masks, alpha)
             )
 
     failure = _run(states, forcing, params, config, sample)
@@ -444,10 +513,13 @@ def perturbed_copy(
     it).
     """
     noise = random_field(u.M, rng, decay=0.0)
-    mask = family.mask(u.M, where).astype(np.float64)
-    nc = noise.coeffs * mask
-    pert = FourierField(u.M, nc)
-    size = np.sqrt(inner_product(pert, pert))
+    # in place: at the cone stage's draw truncation every full-plane
+    # temporary adds to the run's peak memory
+    c = noise.coeffs * family.mask(u.M, where)
+    del noise
+    size = np.sqrt(_pairing(c, c))
     if size == 0.0:
         raise ValueError(f"no modes available for support {where!r}")
-    return u + pert * (amplitude / size)
+    c *= amplitude / size
+    c += u.coeffs
+    return FourierField._wrap(u.M, c)

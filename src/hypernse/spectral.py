@@ -37,13 +37,17 @@ real, divergence-free block has a cheaper form, _quadratic_fft: with
 Q = w w^T, (w . grad) w = div Q, and its projection is
 j_perp (j_perp . i j Q_hat) / |j|^2, j_perp = (j2, -j1), which reads Q only
 through Q12 and Q11 - Q22.  So it takes two inverse real transforms (w1, w2)
-and two forward ones (w1 w2, w1^2 - w2^2) on the same grid, forms the
-projected block with the cached multipliers of _curl_plan, and fills j2 < 0
-by conjugate symmetry; no projection pass follows.  truncation.prepared_product
-uses it for B(W(u), W(u)) and hands it W on the half j2 >= 0 of the block,
-the only half the transforms read.  W acts on a block or its half through
-truncation._truncate, which apply_W shares; the Leray projection of either is
-the array helper _leray_coeffs, which leray_project and W share.
+and two forward ones (w1 w2, w1^2 - w2^2) on the same grid, and forms the
+half j2 >= 0 of the projected block with the cached multipliers of
+_curl_plan; no projection pass follows, and no conjugate fill.  A real field
+is determined by that half, u_hat[-j] = conj(u_hat[j]), and _field_from_half
+turns a half back into a FourierField by that conjugate fill.
+truncation._prepared_half uses _quadratic_fft for B(W(u), W(u)) and hands it
+W on the half of the block, the only half the transforms read; the time loop
+of dynamics keeps its states, products and forcing as such halves.  W acts on
+a block or its half through truncation._truncate, which apply_W shares; the
+Leray projection of either is the array helper _leray_coeffs, which
+leray_project and W share.
 """
 
 from __future__ import annotations
@@ -220,6 +224,17 @@ class FourierField:
         return float(np.max(np.abs(J1 * self.coeffs[0] + J2 * self.coeffs[1])))
 
 
+def _field_from_half(h: np.ndarray) -> FourierField:
+    """The real field whose half j2 >= 0 is h, shape (2, 2M+1, M+1): the
+    modes j2 < 0 are filled as u_hat[-j] = conj(u_hat[j]), and the column
+    j2 = 0 is taken as it is."""
+    M = h.shape[-1] - 1
+    c = np.empty((2, 2 * M + 1, 2 * M + 1), dtype=np.complex128)
+    c[:, :, M:] = h
+    np.conj(h[:, ::-1, :0:-1], out=c[:, :, :M])
+    return FourierField._wrap(M, c)
+
+
 def _pairing(a: np.ndarray, b: np.ndarray) -> float:
     """sum Re(a conj(b)) over two arrays of one shape and dtype, float64 or
     complex128, as one pass over their float64 views (Re(a conj(b)) = Re a Re b + Im a Im b).
@@ -238,7 +253,8 @@ def inner_product(u: FourierField, v: FourierField) -> float:
 def sobolev_norm(u: FourierField, s: float) -> float:
     """H^s norm: sqrt(sum_j |j|^{2s} |u_hat[j]|^2); s=0 gives the L^2 norm."""
     dens = np.sum(np.abs(u.coeffs) ** 2, axis=0)
-    return float(math.sqrt(np.sum(laplacian_power(u.M, s) * dens)))
+    # not cached: a norm at the draw truncation would keep its symbol alive
+    return float(math.sqrt(np.sum(_power_symbol(u.M, s) * dens)))
 
 
 def _leray_coeffs(c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -287,21 +303,26 @@ def random_field(
     only modes with lo <= |j|^2 <= hi.
     """
     K = 2 * M + 1
-    z = rng.standard_normal((2, K, K)) + 1j * rng.standard_normal((2, K, K))
-    c = 0.5 * (z + np.conj(z[:, ::-1, ::-1]))
-    _, _, LAM = wavenumbers(M)
+    # built in place: at the cone stage's draw truncation each full-plane
+    # temporary is a measurable share of the run's peak memory
+    z = np.empty((2, K, K), dtype=np.complex128)
+    z.real = rng.standard_normal((2, K, K))
+    z.imag = rng.standard_normal((2, K, K))
+    c = np.conj(z[:, ::-1, ::-1])
+    c += z
+    del z
+    c *= 0.5
     if decay > 0.0:
         # each decay is used about once per run, so its symbol is not cached
-        c = c * _power_symbol(M, -decay / 2.0)
+        c *= _power_symbol(M, -decay / 2.0)
     if band is not None:
         lo, hi = band
-        keep = (LAM >= lo) & (LAM <= hi)
-        c = c * keep
+        _, _, LAM = wavenumbers(M)
+        c *= (LAM >= lo) & (LAM <= hi)
     c[:, M, M] = 0.0
-    out = FourierField(M, c)
     if divergence_free:
-        out = leray_project(out)
-    return out
+        _leray_coeffs(c, out=c)
+    return FourierField._wrap(M, c)
 
 
 # ---------------------------------------------------------------------------
@@ -380,11 +401,11 @@ def _advect_fft(u: np.ndarray, v: np.ndarray, N: int) -> np.ndarray:
     return out
 
 
-def _quadratic_fft(w: np.ndarray, N: int, out: np.ndarray) -> np.ndarray:
-    """P (w . grad) w, the Leray-projected square, on the centered coefficient
-    block |j|_inf <= K, shape (2, 2K+1, 2K+1), of a field w given by the half
-    j2 >= 0 of that block, shape (2, 2K+1, K+1), via real transforms on an
-    N-point grid; written to out and read back on the same block (no masking).
+def _quadratic_fft(w: np.ndarray, N: int) -> np.ndarray:
+    """P (w . grad) w, the Leray-projected square, on the half j2 >= 0 of the
+    centered coefficient block |j|_inf <= K, shape (2, 2K+1, K+1), of a field
+    w given by its half of that block, via real transforms on an N-point grid;
+    a new array, read back on the same block (no masking).
 
     w must be real (w_hat[-j] = conj(w_hat[j])) and divergence-free mode by
     mode; then (w . grad) w = div Q with Q = w w^T, and its projection is
@@ -392,9 +413,10 @@ def _quadratic_fft(w: np.ndarray, N: int, out: np.ndarray) -> np.ndarray:
     j_perp . i j Q_hat = i [(j2^2 - j1^2) Q12 + j1 j2 (Q11 - Q22)].  So two
     inverse real transforms take w1 and w2 onto the grid from their j2 >= 0
     half, two forward real transforms bring back w1 w2 and w1^2 - w2^2, the
-    multipliers of _curl_plan give the projected block, and j2 < 0 is filled by
-    conjugate symmetry.  The j = 0 coefficient is written as 0, not as 0 times
-    the mean, which is NaN when w holds inf or NaN.  Each 2-D transform is done
+    multipliers of _curl_plan give the projected half; the modes j2 < 0 are
+    the conjugates of its modes (_field_from_half).  The j = 0 coefficient is
+    written as 0, not as 0 times the mean, which is NaN when w holds inf or
+    NaN.  Each 2-D transform is done
     as its two 1-D passes, so that the j1 pass skips the columns j2 > K, which
     are zero on the way in and not read on the way out.
     """
@@ -416,10 +438,9 @@ def _quadratic_fft(w: np.ndarray, N: int, out: np.ndarray) -> np.ndarray:
     del q
     p = np.concatenate([prods[:, N - K :], prods[:, : K + 1]], axis=1)
     del prods
-    np.multiply(m12, p[0], out=out[:, :, K:])
-    out[:, :, K:] += mdiff * p[1]
-    np.conj(out[:, ::-1, :K:-1], out=out[:, :, :K])
-    out[:, K, K] = 0.0
+    out = m12 * p[0]
+    out += mdiff * p[1]
+    out[:, K, 0] = 0.0
     return out
 
 

@@ -465,13 +465,13 @@ def test_cone_check_steps_the_shared_reference_once(monkeypatch, tmp_path):
     # each member takes 2n + 1 products over n steps: one at every state and
     # one at every predictor
     calls = []
-    real = hypernse.dynamics.prepared_product
+    real = hypernse.dynamics._prepared_half
 
     def counted(*args, **kwargs):
         calls.append(None)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(hypernse.dynamics, "prepared_product", counted)
+    monkeypatch.setattr(hypernse.dynamics, "_prepared_half", counted)
     rc = main(["cone-check", "--mu", "50", "--s", "0.15", "--T", "0.003",
                "--out", str(tmp_path / "count")])
     assert rc == 0

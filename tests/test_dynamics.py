@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import hypernse.cli
 import hypernse.dynamics
 from hypernse import (
     BlowUpError,
@@ -25,8 +26,9 @@ from hypernse import (
     sobolev_norm,
     step,
 )
-from hypernse.cli import RunConfig
-from hypernse.dynamics import TRACE_COLUMNS, _cone_sample
+from hypernse.cli import RunConfig, resolve_config
+from hypernse.dynamics import TRACE_COLUMNS, _cone_masks, _cone_sample
+from hypernse.lattice import find_sparse_annulus
 from hypernse.spectral import CutoffFamily, laplacian_power
 from hypernse.truncation import prepared_product
 
@@ -185,17 +187,24 @@ def test_evolve_pairs_checks_its_members():
         evolve_pairs(u, [u, shear_field(M=10)], None, PARAMS, SimConfig(T=0.002), FAMILY)
 
 
-@pytest.mark.parametrize("nonlinear", [True, False])
-@pytest.mark.parametrize("entry", ["evolve", "evolve_pairs"])
-def test_a_forcing_at_another_truncation_is_refused_before_any_product(monkeypatch, entry, nonlinear):
+def count_products(monkeypatch) -> list:
+    """The list that gains one entry per product the time loop takes, at the
+    loop's product entry point."""
     products = []
-    real = hypernse.dynamics.prepared_product
+    real = hypernse.dynamics._prepared_half
 
     def counted(*args, **kwargs):
         products.append(None)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(hypernse.dynamics, "prepared_product", counted)
+    monkeypatch.setattr(hypernse.dynamics, "_prepared_half", counted)
+    return products
+
+
+@pytest.mark.parametrize("nonlinear", [True, False])
+@pytest.mark.parametrize("entry", ["evolve", "evolve_pairs"])
+def test_a_forcing_at_another_truncation_is_refused_before_any_product(monkeypatch, entry, nonlinear):
+    products = count_products(monkeypatch)
     u = random_field(8, np.random.default_rng(5), decay=2.0)
     forcing = random_field(12, np.random.default_rng(6), decay=2.0)
     cfg = SimConfig(T=0.002, include_nonlinear=nonlinear)
@@ -204,6 +213,29 @@ def test_a_forcing_at_another_truncation_is_refused_before_any_product(monkeypat
             evolve(u, forcing, PARAMS, cfg)
         else:
             evolve_pairs(u, [u * 1.5], forcing, PARAMS, cfg, FAMILY)
+    assert products == []
+
+
+@pytest.mark.parametrize("entry", ["evolve", "evolve_pairs"])
+@pytest.mark.parametrize("which", ["reference", "copy", "forcing"])
+def test_a_field_that_is_not_real_is_refused_before_any_product(monkeypatch, entry, which):
+    """The loop keeps the half j2 >= 0 and would replace the other half by the
+    conjugates; a field whose other half is not that is refused instead."""
+    products = count_products(monkeypatch)
+    rng = np.random.default_rng(5)
+    fields = {name: random_field(8, rng, decay=2.0) for name in ("reference", "copy", "forcing")}
+    # one mode without its conjugate: the reality defect is 0.5
+    lopsided = single_mode((1, 2), (0.5, 0.0)).coeffs.copy()
+    lopsided[:, 8 - 1, 8 - 2] = 0.0
+    fields[which] = FourierField(8, fields[which].coeffs + lopsided)
+    cfg = SimConfig(T=0.002)
+    with pytest.raises(ValueError, match="is not a real field: its reality defect is 0.5"):
+        if entry == "evolve":
+            # evolve's one member stands for the reference or the copy
+            member = fields["copy" if which == "copy" else "reference"]
+            evolve(member, fields["forcing"], PARAMS, cfg)
+        else:
+            evolve_pairs(fields["reference"], [fields["copy"]], fields["forcing"], PARAMS, cfg, FAMILY)
     assert products == []
 
 
@@ -249,16 +281,18 @@ def test_pair_trace_matches_linear_decay():
 
 def reference_pair_rows(u1, u2, forcing, params, cfg, fam):
     """Pair trace rows by plain step() calls, with B(W(u), W(u)) recomputed
-    for every sample instead of shared with the next step."""
-    low_mask = fam.mask(params.M, "low").astype(np.float64)
+    for every sample instead of shared with the next step; each row is read
+    from the halves j2 >= 0 of the states and products."""
+    M = params.M
+    masks = _cone_masks(M, params, fam)
     alpha = 0.5 * (float(fam.lambda_next) ** params.beta + float(fam.lambda_N) ** params.beta)
 
     def row(t, a, b):
         ba = bb = None
         if cfg.include_nonlinear:
-            ba = prepared_product(a, params, cfg.dealias)
-            bb = prepared_product(b, params, cfg.dealias)
-        return (t,) + _cone_sample(a, b, ba, bb, params, fam, low_mask, alpha)
+            ba = prepared_product(a, params, cfg.dealias).coeffs[:, :, M:]
+            bb = prepared_product(b, params, cfg.dealias).coeffs[:, :, M:]
+        return (t,) + _cone_sample(a.coeffs[:, :, M:], b.coeffs[:, :, M:], ba, bb, params, fam, masks, alpha)
 
     rows = [row(0.0, u1, u2)]
     n = cfg.n_steps
@@ -408,6 +442,7 @@ def test_cone_drive_is_the_A_power_form_to_rounding():
     params = SpectralParams(M=16)
     fam = CutoffFamily(lambda_N=25, lambda_next=26, k=3.0)
     low_mask = fam.mask(16, "low").astype(np.float64)
+    masks = _cone_masks(16, params, fam)
     alpha = 0.5 * (26.0**params.beta + 25.0**params.beta)
     pairs = []
     for _ in range(5):
@@ -421,8 +456,9 @@ def test_cone_drive_is_the_A_power_form_to_rounding():
     pairs.append((u2 + d_low + d_high * shrink, u2))
     for u1, u2 in pairs:
         b1, b2 = prepared_product(u1, params), prepared_product(u2, params)
-        row = _cone_sample(u1, u2, b1, b2, params, fam, low_mask, alpha)
-        diss = _cone_sample(u1, u2, None, None, params, fam, low_mask, alpha)[1]
+        h1, h2, hb1, hb2 = (x.coeffs[:, :, 16:] for x in (u1, u2, b1, b2))
+        row = _cone_sample(h1, h2, hb1, hb2, params, fam, masks, alpha)
+        diss = _cone_sample(h1, h2, None, None, params, fam, masks, alpha)[1]
         v = (u1 - u2).coeffs
         p = FourierField(16, v * low_mask)
         q = FourierField(16, v * (1.0 - low_mask))
@@ -464,3 +500,106 @@ def test_cone_report_counts_unresolved_differences_as_degenerate():
     assert rep["degenerate_samples"] == 2
     assert rep["fraction_satisfied"] == 0.5
     assert rep["all_satisfied"] is False
+
+
+# ---------------------------------------------------------------------------
+# an independent full-plane oracle of the half-plane time loop
+
+
+def prepared(params, cfg):
+    """B(W(u), W(u)) of a field, by the run's route."""
+    return lambda w: prepared_product(w, params, cfg.dealias)
+
+
+def oracle_states(u, forcing, params, cfg, product):
+    """The recorded states of a Heun loop over whole coefficient arrays, the
+    formulas of test_step_is_bitwise_the_closed_form_update; product(field)
+    is B(W(u), W(u))."""
+    M, dt = u.M, cfg.dt
+    E = np.exp(-params.nu * dt * laplacian_power(M, params.beta))
+
+    def N(c):
+        b = product(FourierField(M, c)).coeffs
+        return -b if forcing is None else forcing.coeffs - b
+
+    c, states = u.coeffs, [u.coeffs]
+    for i in range(1, cfg.n_steps + 1):
+        star = (c + dt * N(c)) * E
+        c = c * E + 0.5 * dt * (N(c) * E + N(star))
+        if i % cfg.record_every == 0 or i == cfg.n_steps:
+            states.append(c)
+    return states
+
+
+def oracle_rows(u1, u2, forcing, params, cfg, fam, product):
+    """Cone trace rows of the pair by the defining formulas on the whole
+    grid: p and q are v = u1 - u2 at and above the cutoff."""
+    M, beta = u1.M, params.beta
+    low = fam.mask(M, "low")
+    lam = laplacian_power(M, beta)
+    alpha = 0.5 * (float(fam.lambda_next) ** beta + float(fam.lambda_N) ** beta)
+    rows = []
+    for c1, c2 in zip(oracle_states(u1, forcing, params, cfg, product),
+                      oracle_states(u2, forcing, params, cfg, product)):
+        v = c1 - c2
+        dens = np.sum(np.abs(v) ** 2, axis=0)
+        norm_p2, norm_q2 = np.sum(dens[low]), np.sum(dens[~low])
+        V = norm_q2 - norm_p2
+        diss = -2.0 * params.nu * (np.sum((lam * dens)[~low]) - np.sum((lam * dens)[low]))
+        db = product(FourierField(M, c1)).coeffs - product(FourierField(M, c2)).coeffs
+        dVdt = diss + 2.0 * np.sum(np.real(db * np.conj(np.where(low, v, -v))))
+        rhs = -(fam.lambda_N ** (beta - 1.0) / 8.0) * (norm_p2 + norm_q2)
+        norm_u2 = max(np.sum(np.abs(c1) ** 2), np.sum(np.abs(c2) ** 2))
+        rows.append((V, dVdt, norm_p2 + norm_q2, rhs, rhs - (dVdt + 2.0 * alpha * V), norm_u2))
+    return dict(zip(("V", "dVdt", "norm_v_sq", "rhs_bound", "margin", "norm_u_sq"), np.array(rows).T))
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("route", ["two-thirds", "padded"])
+def test_evolve_is_bitwise_the_full_plane_oracle(route, forced):
+    rng = np.random.default_rng(13)
+    u = random_field(8, rng, decay=2.0) * 3.0
+    f = random_field(8, rng, decay=3.0) * 5.0 if forced else None
+    cfg = SimConfig(dt=2e-3, T=0.01, dealias=route, record_every=2)
+    traj = evolve(u, f, PARAMS, cfg)
+    want = oracle_states(u, f, PARAMS, cfg, prepared(PARAMS, cfg))
+    assert len(traj.fields) == len(want) == 4
+    assert all(np.array_equal(a.coeffs, b) for a, b in zip(traj.fields, want))
+
+
+def cone_stage_members():
+    """The cone stage's members at mu = 1e3, where the rows after the first
+    are resolved: drawn at M_run, cut to the block K, padded product."""
+    cfg = resolve_config(None, {"mu": "1e3", "s": "0.15", "T": "0.005"})
+    ann = find_sparse_annulus(cfg.mu, cfg.s)
+    fam = CutoffFamily(ann.lambda_N, ann.lambda_next, ann.half_width)
+    M_run, K = hypernse.cli._cone_truncations(fam)
+    rng = np.random.default_rng(cfg.seed)
+    draw = cfg.spectral_params(M=M_run)
+    u1 = hypernse.cli._initial_field(cfg, draw, rng)
+    forcing = hypernse.cli._forcing_field(cfg, draw, rng).block(K)
+    copies = [perturbed_copy(u1, fam, d, rng, where="band").block(K) for d in hypernse.cli.PERTURBATION_DELTAS]
+    sim = dataclasses.replace(cfg.sim_config(), dealias="padded")
+    return u1.block(K), copies, forcing, cfg.spectral_params(M=K), sim, fam
+
+
+def test_evolve_pairs_matches_the_full_plane_oracle():
+    """The trace columns against the oracle's to 1e-12 of each column's
+    largest magnitude; the half-plane row reorders the sums.  The first row
+    is the dissipation of the drawn perturbation, which the first step damps
+    by about e^-22, so it and the later rows, which the product drives, are
+    each held to their own largest magnitude.  The oracle with its product
+    set to zero is far off on the later rows of the first pair, so the
+    comparison sees the product; in the second pair the damped perturbation
+    still outweighs the product on the second row."""
+    u1, copies, forcing, params, cfg, fam = cone_stage_members()
+    traces = evolve_pairs(u1, copies, forcing, params, cfg, fam)
+    for copy, tr in zip(copies, traces, strict=True):
+        want = oracle_rows(u1, copy, forcing, params, cfg, fam, prepared(params, cfg))
+        for rows in (slice(0, 1), slice(1, None)):
+            for name, col in want.items():
+                got = getattr(tr, name)[rows]
+                assert np.max(np.abs(got - col[rows])) <= 1e-12 * np.max(np.abs(col[rows])), name
+    linear = oracle_rows(u1, copies[0], forcing, params, cfg, fam, lambda w: FourierField.zeros(w.M))
+    later = traces[0].dVdt[1:]
+    assert np.max(np.abs(later - linear["dVdt"][1:])) > 1e-6 * np.max(np.abs(later))
