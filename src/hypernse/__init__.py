@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .lattice import (
     AnnulusFamily,
     GapRecord,
-    LatticePoint,
     SparseAnnulus,
     StripStats,
     annulus_points,

@@ -6,7 +6,10 @@ is the band projector.  On a certified sparse annulus the band contains few
 lattice modes, each carrying a single divergence-free direction, so the
 compression is a small dense complex matrix indexed by those modes.
 :func:`band_basis` gives the band as two arrays: the modes' wavenumbers j
-and their unit directions d, both of shape (2, n).
+and their unit directions d, both of shape (2, n); j is the transpose of
+lattice's (n, 2) int64 point array.  A coefficient block read at the band
+differences j[:, :, None] - j[:, None, :] is the restricted convolution on
+the band; the assembly and the cancellation check both read it so.
 
 Two independent routes to the matrix are provided:
 
@@ -64,18 +67,19 @@ def band_basis(lambda_N: int, k: float) -> tuple[np.ndarray, np.ndarray]:
     each mode.  The band is symmetric under j -> -j, so the negation of point
     i is point n - 1 - i.  An empty band gives n = 0, not an error.
     """
-    j = np.array(annulus_points(lambda_N, k), dtype=np.int64).reshape(-1, 2).T
+    j = annulus_points(lambda_N, k).T
     norm = np.sqrt(j[0] * j[0] + j[1] * j[1])
     return j, np.stack([-j[1] / norm, j[0] / norm])
 
 
 def _gather(c: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Coefficient pairs of the centered block c at the lattice points j, an
-    integer array of shape (2, ...); zero beyond the block's truncation."""
+    """The centered block c, of shape (..., 2M+1, 2M+1), read at the lattice
+    points j, an integer array of shape (2, ...): coefficient pairs for a
+    field's block, values for a scalar block; zero beyond the truncation M."""
     M = (c.shape[-1] - 1) // 2
     inside = np.all(np.abs(j) <= M, axis=0)
-    out = np.zeros(j.shape, dtype=np.complex128)
-    out[:, inside] = c[:, j[0, inside] + M, j[1, inside] + M]
+    out = np.zeros(c.shape[:-2] + j.shape[1:], dtype=np.complex128)
+    out[..., inside] = c[..., j[0, inside] + M, j[1, inside] + M]
     return out
 
 
@@ -190,57 +194,46 @@ def restricted_norm(matrix: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # cancellation
 
-def cancellation_defect(
-    phi: dict[tuple[int, int], complex],
-    psi: dict[tuple[int, int], complex],
-    window_points: tuple[tuple[int, int], ...],
-) -> float:
+def cancellation_defect(phi: np.ndarray, psi: np.ndarray, band: np.ndarray) -> float:
     """Max band coefficient of band_project(phi * band_project(psi)).
 
-    phi is a low-frequency scalar factor given by its Fourier coefficients;
-    psi is a scalar field supported on the band lattice points.  The product
-    coefficient at each band point p is the direct sum over phi's modes q of
-    phi[q] psi[p - q].  On a certified sparse band whose separation exceeds
-    phi's support radius the result is exactly zero: no difference of band
-    points is reachable by a phi mode, so no term exists.
+    band is band_basis's (2, n) j; phi is the centered (2R+1, 2R+1) block of a
+    mean-zero low-frequency scalar factor; psi holds one value per band point.
+    The coefficient at band point p is sum_p' phi(p - p') psi(p'): phi gathered
+    at the band differences, applied to psi, and zero on a certified band
+    whose separation exceeds phi's support radius.  np.einsum, unlike a
+    threaded BLAS product, sums in an order that ignores the thread count.
     """
-    if not psi or not phi:
-        return 0.0
-    window = set(window_points)
-    for p in psi:
-        if p not in window:
-            raise ValueError(f"psi mode {p} lies outside the band")
-    if (0, 0) in phi:
+    R = (phi.shape[-1] - 1) // 2
+    if phi[R, R] != 0:
         raise ValueError("phi must be mean-zero")
-    defect = 0.0
-    for (a, b) in window:
-        coeff = sum(z * psi.get((a - q, b - r), 0j) for (q, r), z in phi.items())
-        defect = max(defect, abs(coeff))
-    return float(defect)
+    if psi.shape != band.shape[1:]:
+        raise ValueError(f"psi holds {psi.size} values for {band.shape[1]} band points")
+    Phi = _gather(phi, band[:, :, None] - band[:, None, :])
+    return float(np.abs(np.einsum("pq,q->p", Phi, psi)).max(initial=0.0))
 
 
 def random_cancellation_pair(
-    band_points: tuple[tuple[int, int], ...],
-    support_radius: float,
-    rng: np.random.Generator,
-) -> tuple[dict, dict]:
+    band: np.ndarray, support_radius: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
     """Random real low-frequency factor and band field for the defect check.
 
-    phi gets conjugate-symmetric coefficients on 0 < |j| <= support_radius
-    (a real scalar field); psi gets independent complex values on the band.
+    phi is the centered block |j|_inf <= R, R = isqrt(floor(support_radius^2)),
+    with conjugate-symmetric coefficients on 0 < |j| <= support_radius (a
+    real scalar field) and zero elsewhere; psi holds an independent complex
+    value per point of the (2, n) band.  The draws run over the positive
+    modes of the disk in lexicographic order, real part then imaginary part,
+    then over the band points in order.
     """
-    phi: dict[tuple[int, int], complex] = {}
     n_max = math.floor(support_radius * support_radius)
-    for (a, b) in _points_with_norm_range(1, n_max).tolist():
-        if (a, b) <= (0, 0):
-            continue
-        z = complex(rng.standard_normal(), rng.standard_normal())
-        phi[(a, b)] = z
-        phi[(-a, -b)] = z.conjugate()
-    psi = {
-        p: complex(rng.standard_normal(), rng.standard_normal())
-        for p in band_points
-    }
+    q = _points_with_norm_range(1, n_max)
+    q = q[len(q) // 2 :]  # the set is symmetric and lexicographic: the j > 0
+    R = math.isqrt(n_max)
+    z = rng.standard_normal((len(q), 2)).view(np.complex128)[:, 0]
+    phi = np.zeros((2 * R + 1, 2 * R + 1), dtype=np.complex128)
+    phi[R + q[:, 0], R + q[:, 1]] = z
+    phi[R - q[:, 0], R - q[:, 1]] = z.conj()
+    psi = rng.standard_normal((band.shape[1], 2)).view(np.complex128)[:, 0]
     return phi, psi
 
 
@@ -365,12 +358,11 @@ def check_averaging(
         h2 = sobolev_norm(w, 2.0)
         h2_sup = max(h2_sup, h2)
         product_factors.append(h2 / r)
-    window_pts = tuple(zip(*j.tolist()))
     rng = np.random.default_rng(seed)
     defects = []
     for _ in range(n_cancellation_pairs):
-        phi, psi = random_cancellation_pair(window_pts, r, rng)
-        defects.append(cancellation_defect(phi, psi, window_pts))
+        phi, psi = random_cancellation_pair(j, r, rng)
+        defects.append(cancellation_defect(phi, psi, j))
     return AveragingReport(
         lambda_N=lambda_N,
         k=k,

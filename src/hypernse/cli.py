@@ -324,7 +324,7 @@ def stage_gaps(cfg: RunConfig, outdir: str) -> tuple[dict, None]:
     }, None
 
 
-def stage_annulus(lam: float, k: float, pts: list, outdir: str) -> dict:
+def stage_annulus(lam: float, k: float, pts: np.ndarray, outdir: str) -> dict:
     """Report the points annulus_points(lam, k) returned."""
     _warn_near_integer_bounds(lam, k)
     csv = _write_csv(os.path.join(outdir, "annulus_points.csv"), ("j1", "j2"), pts)

@@ -96,12 +96,15 @@ class SpectralParams:
 
 @lru_cache(maxsize=32)
 def wavenumbers(M: int):
-    """Centered wavenumber grids (J1, J2, LAM) for truncation M, read-only."""
+    """Centered wavenumber grids (J1, J2, LAM) for truncation M, read-only.
+
+    J1 and J2 are broadcast views of one arange (a zero stride each), so LAM
+    is the only full grid the cache keeps."""
     r = np.arange(-M, M + 1)
-    J1, J2 = np.meshgrid(r, r, indexing="ij")
-    LAM = J1 * J1 + J2 * J2
-    for a in (J1, J2, LAM):
-        a.setflags(write=False)
+    J1 = np.broadcast_to(r[:, None], (r.size, r.size))
+    J2 = np.broadcast_to(r, J1.shape)
+    LAM = (r * r)[:, None] + r * r
+    LAM.setflags(write=False)
     return J1, J2, LAM
 
 
@@ -357,10 +360,10 @@ def _smooth_size(n: int) -> int:
 @lru_cache(maxsize=32)
 def _fft_plan(K: int, N: int):
     """Grid positions of the modes |j|_inf <= K on an N-point grid (an np.ix_
-    index) and the read-only derivative multipliers i*j1, i*j2 on that block."""
+    index) and the read-only derivative multipliers i*j1, i*j2, of shapes
+    (2K+1, 1) and (2K+1,), which broadcast over that block."""
     r = np.arange(-K, K + 1)
-    J1, J2 = np.meshgrid(r, r, indexing="ij")
-    ik1, ik2 = 1j * J1, 1j * J2
+    ik1, ik2 = 1j * r[:, None], 1j * r
     for a in (ik1, ik2):
         a.setflags(write=False)
     return np.ix_(r % N, r % N), ik1, ik2

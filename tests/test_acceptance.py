@@ -17,7 +17,6 @@ from hypernse import (
     FourierField,
     SimConfig,
     SpectralParams,
-    annulus_points,
     apply_A_power,
     apply_W,
     apply_W_prime,
@@ -90,7 +89,7 @@ def averaging_reports(certified_annuli):
 
 def brute_min_separation(points) -> float:
     best = math.inf
-    pts = [(p.j1, p.j2) for p in points]
+    pts = points.tolist()
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             best = min(best, math.hypot(pts[i][0] - pts[j][0], pts[i][1] - pts[j][1]))

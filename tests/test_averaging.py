@@ -60,7 +60,8 @@ def test_basis_layout():
         assert j.shape == d.shape == (2, n)
         assert j.dtype == np.int64 and d.dtype == np.float64
         pts = [tuple(p) for p in j.T.tolist()]
-        assert pts == sorted(pts) == [tuple(p) for p in annulus_points(lam, k)]
+        assert pts == sorted(pts)
+        assert np.array_equal(j.T, annulus_points(lam, k))
         sq = j[0] * j[0] + j[1] * j[1]
         assert np.all((lam - k <= sq) & (sq <= lam + k))
         if norms is not None:
@@ -166,20 +167,20 @@ def test_restricted_norm_against_svd():
 
 def test_cancellation_defect_zero_on_certified_window():
     ann = find_sparse_annulus(1.0e4, 0.15)
-    pts = tuple((p.j1, p.j2) for p in ann.points)
+    band = ann.points.T
     r = ann.mu ** (0.15 / 2.0)
     rng = np.random.default_rng(7)
     for _ in range(5):
-        phi, psi = random_cancellation_pair(pts, r, rng)
-        assert cancellation_defect(phi, psi, pts) == 0.0
+        phi, psi = random_cancellation_pair(band, r, rng)
+        assert cancellation_defect(phi, psi, band) == 0.0
 
 
 def test_cancellation_defect_positive_on_dense_band():
     # a band with unit gaps cannot separate products from the window
-    pts = tuple((a, 5) for a in range(-3, 4))
+    band = np.array([np.arange(-3, 4), np.full(7, 5)])
     rng = np.random.default_rng(8)
-    phi, psi = random_cancellation_pair(pts, 2.0, rng)
-    assert cancellation_defect(phi, psi, pts) > 0.0
+    phi, psi = random_cancellation_pair(band, 2.0, rng)
+    assert cancellation_defect(phi, psi, band) > 0.0
 
 
 @pytest.mark.parametrize(
@@ -188,47 +189,76 @@ def test_cancellation_defect_positive_on_dense_band():
 def test_cancellation_defect_matches_dense_convolution(lam, k, radius):
     # oracle: embed both factors on a centered grid covering the band and
     # convolve directly; the defect is the largest product coefficient on it
-    pts = tuple((p.j1, p.j2) for p in annulus_points(lam, k))
-    half = max(max(abs(a), abs(b)) for (a, b) in pts)
+    band = annulus_points(lam, k).T
+    half = int(np.abs(band).max())
     rng = np.random.default_rng(lam)
     for _ in range(3):
-        phi, psi = random_cancellation_pair(pts, radius, rng)
+        phi, psi = random_cancellation_pair(band, radius, rng)
+        R = (phi.shape[0] - 1) // 2
         dense_phi = np.zeros((2 * half + 1, 2 * half + 1), dtype=np.complex128)
         dense_psi = np.zeros_like(dense_phi)
-        for (a, b), z in phi.items():
-            dense_phi[a + half, b + half] = z
-        for (a, b), z in psi.items():
-            dense_psi[a + half, b + half] = z
+        dense_phi[half - R : half + R + 1, half - R : half + R + 1] = phi
+        dense_psi[band[0] + half, band[1] + half] = psi
         prod = _convolve_direct(dense_phi, dense_psi)
-        expected = max(abs(prod[a + half, b + half]) for (a, b) in pts)
-        got = cancellation_defect(phi, psi, pts)
+        expected = np.abs(prod[band[0] + half, band[1] + half]).max()
+        got = cancellation_defect(phi, psi, band)
         assert expected > 0.0
         assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("radius", [1.0, 2.0, 2.5, math.sqrt(5.0), 3.7])
 def test_random_cancellation_pair_support_and_symmetry(radius):
-    band = ((0, 9), (9, 0), (0, -9), (-9, 0))
+    band = np.array([[0, 9, 0, -9], [9, 0, -9, 0]])
     phi, psi = random_cancellation_pair(band, radius, np.random.default_rng(3))
-    R = int(radius) + 1
+    R = (phi.shape[0] - 1) // 2
+    assert phi.shape == (2 * R + 1, 2 * R + 1)
     disk = {
         (a, b)
-        for a in range(-R, R + 1)
-        for b in range(-R, R + 1)
+        for a in range(-R - 1, R + 2)
+        for b in range(-R - 1, R + 2)
         if 0 < a * a + b * b <= radius * radius
     }
-    assert set(phi) == disk
-    for (a, b), z in phi.items():
-        assert phi[(-a, -b)] == z.conjugate()
-    assert set(psi) == set(band)
+    support = {(a - R, b - R) for a, b in zip(*np.nonzero(phi))}
+    assert support == disk
+    # phi(-q) = conj phi(q), and the centre is the zero mean
+    assert np.array_equal(phi[::-1, ::-1], phi.conj())
+    assert phi[R, R] == 0
+    assert psi.shape == (4,) and np.all(psi != 0)
+
+
+@pytest.mark.parametrize("radius, n_band", [(1.0, 4), (2.5, 16), (3.7, 0)])
+def test_random_cancellation_pair_draw_order(radius, n_band):
+    # scalar draws in the documented order: the positive modes of the disk
+    # lexicographically, real part then imaginary part, then the band points
+    band = annulus_points(10004.0, 1.99).T[:, :n_band]
+    drawn = np.random.default_rng(11)
+    phi, psi = random_cancellation_pair(band, radius, drawn)
+    rng = np.random.default_rng(11)
+    R = (phi.shape[0] - 1) // 2
+    want_phi = np.zeros_like(phi)
+    for a in range(0, R + 1):
+        for b in range(-R, R + 1):
+            if (a, b) > (0, 0) and a * a + b * b <= radius * radius:
+                z = complex(rng.standard_normal(), rng.standard_normal())
+                want_phi[R + a, R + b] = z
+                want_phi[R - a, R - b] = z.conjugate()
+    want_psi = [complex(rng.standard_normal(), rng.standard_normal()) for _ in range(n_band)]
+    assert np.array_equal(phi, want_phi)
+    assert np.array_equal(psi, np.array(want_psi, dtype=np.complex128))
+    # and no draw besides
+    assert drawn.bit_generator.state == rng.bit_generator.state
 
 
 def test_cancellation_defect_validates_input():
-    pts = ((0, 5), (5, 0))
-    with pytest.raises(ValueError):
-        cancellation_defect({(1, 0): 1.0}, {(3, 3): 1.0}, pts)  # psi off the band
-    with pytest.raises(ValueError):
-        cancellation_defect({(0, 0): 1.0}, {(0, 5): 1.0}, pts)  # phi not mean-zero
+    band = np.array([[0, 5], [5, 0]])
+    phi = np.zeros((3, 3), dtype=np.complex128)
+    phi[2, 1] = phi[0, 1] = 1.0
+    assert cancellation_defect(phi, np.ones(2), band) == 0.0
+    with pytest.raises(ValueError, match="band points"):
+        cancellation_defect(phi, np.ones(3), band)  # psi is not one value per point
+    phi[1, 1] = 1.0
+    with pytest.raises(ValueError, match="mean-zero"):
+        cancellation_defect(phi, np.ones(2), band)
 
 
 def test_check_averaging_desk_scale():
@@ -259,13 +289,13 @@ def test_check_averaging_uses_the_window_the_scan_certified(monkeypatch):
     min_squared_distance = lattice._min_squared_distance
 
     def recorded(pts):
-        certified.append(list(pts))
+        certified.append(pts)
         return min_squared_distance(pts)
 
     monkeypatch.setattr(lattice, "_min_squared_distance", recorded)
     ann = find_sparse_annulus(1.0e4, 0.15)
     window = annulus_points(ann.lambda_N, ann.half_width)
-    assert certified[-1] == window
+    assert np.array_equal(certified[-1], window)
     params = SpectralParams(M=16, s=0.15)
     samples = draw_averaging_samples(params, 2, np.random.default_rng(10))
     rep = check_averaging(samples, ann, params, n_cancellation_pairs=2)

@@ -22,7 +22,6 @@ from hypernse import lattice
 from hypernse.lattice import (
     AnnulusFamily,
     GapRecord,
-    LatticePoint,
     StripStats,
     _isqrt,
     _marks,
@@ -268,11 +267,11 @@ def test_octant_names_its_bound():
 
 def test_annulus_points_boundary_membership():
     pts = annulus_points(25.0, 3.0)
-    norms = sorted({p.j1 * p.j1 + p.j2 * p.j2 for p in pts})
-    assert norms == [25, 26]  # 23, 24, 27, 28 have no representations
-    for p in pts:
-        assert 22.0 <= p.j1 * p.j1 + p.j2 * p.j2 <= 28.0
-    assert pts == sorted(pts)
+    assert pts.dtype == np.int64 and pts.shape[1] == 2
+    norms = pts[:, 0] ** 2 + pts[:, 1] ** 2
+    assert sorted(set(norms.tolist())) == [25, 26]  # 23, 24, 27, 28 have no representations
+    assert np.all((22.0 <= norms) & (norms <= 28.0))
+    assert pts.tolist() == sorted(pts.tolist())
 
 
 def test_annulus_points_requires_positive_width_margin():
@@ -310,9 +309,25 @@ def test_annulus_family_keeps_the_scan_below_the_enumerator_bound(monkeypatch):
 
 def test_min_pairwise_distance_small_cases():
     assert min_pairwise_distance([]) is None
+    assert min_pairwise_distance(np.empty((0, 2), np.int64)) is None
     assert min_pairwise_distance([(0, 1)]) is None
+    assert min_pairwise_distance(np.array([[0, 1]])) is None
     pts = [(0, 1), (3, 5), (4, 5)]
     assert min_pairwise_distance(pts) == 1.0
+    assert min_pairwise_distance(np.array(pts)) == 1.0
+
+
+@pytest.mark.parametrize("lam, k", [(50.0, 10.0), (400.0, 30.0), (10004.0, 3.0)])
+def test_min_pairwise_distance_matches_brute_force(lam, k):
+    pts = annulus_points(lam, k)
+    rows = pts.tolist()
+    want = min(
+        math.hypot(p[0] - q[0], p[1] - q[1])
+        for i, p in enumerate(rows)
+        for q in rows[i + 1 :]
+    )
+    assert min_pairwise_distance(rows) == want
+    assert min_pairwise_distance(pts) == want
 
 
 def oracle_strip_hits(mu: float, s: float) -> tuple[int, int]:
@@ -390,9 +405,8 @@ def test_sparse_annulus_desk_scale():
     assert ann.min_separation == 4.0
     assert ann.min_separation > ann.certified_threshold
     # every point really sits inside the reported annulus
-    for p in ann.points:
-        n = p.j1 * p.j1 + p.j2 * p.j2
-        assert ann.lam - ann.half_width <= n <= ann.lam + ann.half_width
+    n = ann.points[:, 0] ** 2 + ann.points[:, 1] ** 2
+    assert np.all((ann.lam - ann.half_width <= n) & (n <= ann.lam + ann.half_width))
 
 
 def test_sparse_annulus_desk_scale_window():
@@ -407,10 +421,10 @@ def test_sparse_annulus_desk_scale_window():
 def test_sparse_annulus_separation_is_brute_force_checkable():
     ann = find_sparse_annulus(1.0e4, 0.15)
     best = None
-    pts = list(ann.points)
+    pts = ann.points.tolist()
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            d = math.hypot(pts[i].j1 - pts[j].j1, pts[i].j2 - pts[j].j2)
+            d = math.hypot(pts[i][0] - pts[j][0], pts[i][1] - pts[j][1])
             best = d if best is None else min(best, d)
     assert best == ann.min_separation
 
@@ -470,7 +484,7 @@ def _assert_matches_brute_force(ann, expected):
     assert expected is not None
     m0, pts, sep, lam_N, win_sep = expected
     assert ann.m0 == m0
-    assert [tuple(p) for p in ann.points] == pts
+    assert [tuple(p) for p in ann.points.tolist()] == pts
     assert ann.min_separation == sep
     assert ann.lambda_N == lam_N
     assert ann.window_min_separation == win_sep
@@ -502,16 +516,16 @@ def test_sparse_annulus_window_matches_the_sieve(mu):
 
 @pytest.mark.parametrize("mu", [1.0e4, 1.0e8])
 def test_sparse_annulus_returns_python_ints(mu):
-    # bundles and strict-JSON reports need Python ints, not numpy scalars
+    # bundles and strict-JSON reports need Python ints, not numpy scalars;
+    # the point sets are (n, 2) int64 arrays, the annulus's read-only
     ann = find_sparse_annulus(mu, 0.15)
     assert (type(ann.m0), type(ann.lambda_N), type(ann.lambda_next)) == (int, int, int)
-    assert ann.points
-    for p in ann.points:
-        assert type(p) is LatticePoint
-        assert (type(p.j1), type(p.j2)) == (int, int)
-    for p in annulus_points(ann.lambda_N, ann.half_width):
-        assert type(p) is LatticePoint
-        assert (type(p.j1), type(p.j2)) == (int, int)
+    for pts in (ann.points, annulus_points(ann.lambda_N, ann.half_width)):
+        assert pts.dtype == np.int64 and pts.ndim == 2 and pts.shape[1] == 2
+        assert len(pts) > 0
+    assert not ann.points.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        ann.points[0, 0] = 0
 
 
 def test_sparse_annulus_names_the_margin_when_the_window_is_empty(monkeypatch):

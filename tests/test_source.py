@@ -1,5 +1,6 @@
-"""Source hygiene: no module of the package imports a name it never uses,
-and the package reads every private name that one of its modules defines.
+"""Source hygiene: no module of the package and no test module imports a
+name it never uses, and the package reads every private name that one of its
+modules defines.
 
 No linter is a dependency, so this walks each module's syntax tree.  The
 package __init__ is exempt from the import check: its imports are its
@@ -15,6 +16,7 @@ import hypernse
 
 SOURCES = sorted(pathlib.Path(hypernse.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,7 +37,7 @@ def test_unused_imports_finds_an_orphan():
     assert unused_imports(source) == ["c", "warnings"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -58,6 +58,21 @@ def test_field_reality_and_divergence():
         assert np.all(u.coeffs[:, 8, 8] == 0.0)
 
 
+@pytest.mark.parametrize("M", [2, 7, 152])
+def test_wavenumbers_are_views_of_one_arange(M):
+    J1, J2, LAM = wavenumbers(M)
+    want1, want2 = np.meshgrid(np.arange(-M, M + 1), np.arange(-M, M + 1), indexing="ij")
+    assert np.array_equal(J1, want1) and np.array_equal(J2, want2)
+    assert np.array_equal(LAM, want1 * want1 + want2 * want2)
+    assert LAM.dtype == want1.dtype and LAM.flags.c_contiguous
+    # J1 repeats along j2 and J2 along j1 without storing the grid
+    assert J1.strides[1] == 0 and J2.strides[0] == 0
+    for a in (J1, J2, LAM):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1
+
+
 def test_random_field_band_support():
     rng = np.random.default_rng(1)
     u = random_field(10, rng, band=(9.0, 16.0))
