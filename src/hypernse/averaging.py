@@ -120,14 +120,14 @@ def weak_restricted_operator(
     u: FourierField,
     basis: tuple[np.ndarray, np.ndarray],
     params: SpectralParams,
-    dealias: str = "padded",
 ) -> np.ndarray:
     """Oracle assembly through the full field machinery.
 
     Each basis mode of band_basis's (j, d) is embedded at u's truncation,
-    pushed through the derivative of the truncated nonlinearity, and the band
-    coefficients are read off by index.  Requires every band point inside
-    u's truncation; intended for small cross-check scales only.
+    pushed through the derivative of the truncated nonlinearity on the padded
+    product route, and the band coefficients are read off by index.  Requires
+    every band point inside u's truncation; intended for small cross-check
+    scales only.
     """
     j, d = basis
     n = j.shape[1]
@@ -141,7 +141,7 @@ def weak_restricted_operator(
     for c in range(n):
         e = np.zeros((2, 2 * M + 1, 2 * M + 1), dtype=np.complex128)
         e[:, rows[c], cols[c]] = d[:, c]
-        img = nonlinearity_F_prime(u, FourierField._wrap(M, e), params, dealias).coeffs
+        img = nonlinearity_F_prime(u, FourierField._wrap(M, e), params, "padded").coeffs
         out[:, c] = img[0, rows, cols] * d[0] + img[1, rows, cols] * d[1]
     return out
 
@@ -157,8 +157,11 @@ def restricted_norm(matrix: np.ndarray) -> float:
     """Largest singular value by power iteration on the Gram matrix.
 
     Deterministic start vector; relative tolerance POWER_ITERATION_TOL on
-    successive estimates.  Raises RuntimeError if POWER_ITERATION_CAP steps
-    pass before the estimate settles.
+    successive estimates.  The iteration runs on m 2^-e, e the binary
+    exponent of m's largest real or imaginary part, so the Gram step neither
+    overflows nor underflows; scaling by a power of two is exact, so the
+    iterates are those of m itself up to that factor.  Raises RuntimeError if
+    POWER_ITERATION_CAP steps pass before the estimate settles.
     """
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2:
@@ -167,6 +170,8 @@ def restricted_norm(matrix: np.ndarray) -> float:
         raise ValueError("matrix has non-finite entries")
     if m.size == 0 or not np.any(m):
         return 0.0
+    e = int(np.frexp(np.abs(m.view(np.float64)).max())[1])
+    m = np.ldexp(m.view(np.float64), -e).view(np.complex128)
     n = m.shape[1]
     # fixed start with a mild ramp so symmetric matrices cannot trap it in
     # an eigenvector orthogonal to the top one
@@ -181,13 +186,13 @@ def restricted_norm(matrix: np.ndarray) -> float:
         z = m.conj().T @ y
         nz = np.linalg.norm(z)
         new_sigma = ny
-        if abs(new_sigma - sigma) <= POWER_ITERATION_TOL * max(new_sigma, 1e-300):
-            return float(new_sigma)
+        if abs(new_sigma - sigma) <= POWER_ITERATION_TOL * new_sigma:
+            return float(np.ldexp(new_sigma, e))
         sigma = new_sigma
         x = z / nz
     raise RuntimeError(
         f"power iteration did not converge in {POWER_ITERATION_CAP} steps "
-        f"(last estimate {sigma})"
+        f"(last estimate {np.ldexp(sigma, e)})"
     )
 
 

@@ -9,26 +9,24 @@ bounds themselves are doubles, so membership at a boundary follows strict
 double semantics; the CLI warns when a requested bound sits within 1e-9 of an
 integer.
 
-Two enumerators share one row arithmetic: each row's segment bounds come
-from an integer square root (a float64 root corrected by one step in int64,
-so exact below 2^52), and np.repeat expands the segments without a
-per-point Python object.
+One enumerator, _octant, lists the points 0 <= a <= b of lo <= a^2 + b^2 < hi:
+one per orbit of the square's symmetry group, the signed permutations of
+(a, b).  Its rows' segment bounds come from an integer square root (a
+float64 root corrected by one int64 step, exact below 2^52), and np.repeat
+expands the segments without a per-point Python object.
 
-* _points_with_norm_range lists every lattice point of a window
-  n_min <= |j|^2 <= n_max as an (n, 2) int64 array in lexicographic order.
-  It is the one form a lattice point set takes: annulus_points returns it,
-  the sparse-annulus scan selects its sets from it with boolean masks, and
-  SparseAnnulus.points keeps the certified annulus as a read-only one.
-* _octant lists only the points 0 <= a <= b of lo <= a^2 + b^2 < hi, one
-  representative of each orbit of the square's symmetry group (the signed
-  permutations of (a, b)).  The gap records and the strip count walk their
-  range with it in windows of _WINDOW consecutive norms, so their memory is
-  set by the window and not by the limit or mu.  The gap records mark each
-  window's sums in a window-sized mask and carry the last representable and
-  the largest gap so far across window edges.  The strip count weights each
-  hit by its orbit size, 4 on the axes and diagonals and 8 elsewhere; this is
-  exact because the admissible directions, the scan range and |x . j| are all
-  invariant under the group.
+* _points_with_norm_range adds each octant point's orbit and sorts, giving
+  every point of n_min <= |j|^2 <= n_max as an (n, 2) int64 array in
+  lexicographic order: the one form a lattice point set takes (annulus_points
+  returns it, the sparse-annulus scan masks it, SparseAnnulus.points keeps
+  the certified annulus read-only).
+* The gap records and the strip count walk their range with _octant in
+  windows of _WINDOW consecutive norms, so their memory is set by the window
+  and not by the limit or mu.  The gap records mark each window's sums in a
+  window-sized mask and carry the last representable and the largest gap
+  across window edges.  The strip count weights each hit by its orbit size,
+  4 on the axes and diagonals and 8 elsewhere, exact because the admissible
+  directions, the scan range and |x . j| are invariant under the group.
 
 The full-range sieve representable_sieve is kept as the tests' oracle; no
 computation here uses it.
@@ -249,72 +247,48 @@ def _isqrt(n: np.ndarray) -> np.ndarray:
     return r
 
 
-def _isqrt_up(n: np.ndarray) -> np.ndarray:
-    """Elementwise smallest b >= 0 with b^2 >= n, for int64 n < 2^62."""
-    return np.where(n > 0, _isqrt(np.maximum(n - 1, 0)) + 1, 0)
-
-
-def _segments(
-    rows: np.ndarray, starts: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The points (r, starts[i] + t), 0 <= t < counts[i], segment by segment.
-
-    Each row holds k = len(counts) // len(rows) consecutive segments, so
-    segment i lies in row r = rows[i // k]; a segment with counts[i] <= 0 is
-    empty.  Returned as two int64 coordinate arrays.
-    """
-    live = np.flatnonzero(counts > 0)
-    rows = rows[live // (len(counts) // len(rows))]
-    starts, counts = starts[live], counts[live]
-    first = np.cumsum(counts) - counts  # each segment's offset in the output
-    col = np.arange(int(counts.sum()), dtype=np.int64)
-    col += np.repeat(starts - first, counts)
-    return np.repeat(rows, counts), col
-
-
 def _points_with_norm_range(n_min: int, n_max: int) -> np.ndarray:
     """All j != 0 with n_min <= |j|^2 <= n_max: an (n, 2) int64 array, lexicographic.
 
-    Row j1 in [-R, R], R = isqrt(n_max), holds the two j2 segments
-    [-b_hi, -max(b_lo, 1)] and [b_lo, b_hi], with b_hi = isqrt(n_max - j1^2)
-    and b_lo the smallest b >= 0 with b^2 >= n_min - j1^2.  Row 0 has
-    b_lo >= 1 because n_min is raised to 1, so j = 0 is never listed.  Raises
-    ValueError when n_max >= 2^52 (_NORM_BOUND).
+    The octant points, n_min raised to 1 (never j = 0), reflected in the
+    diagonal and then in each axis; each reflection adds only the images off
+    its mirror, so every point comes once.  Raises ValueError when n_max >= 2^52.
     """
     if n_max >= _NORM_BOUND:
         raise ValueError(f"n_max must be below 2^52, got {n_max}")
-    if n_max < 1 or n_max < n_min:
-        return np.empty((0, 2), dtype=np.int64)
-    n_min = max(n_min, 1)
-    R = math.isqrt(n_max)
-    j1 = np.arange(-R, R + 1, dtype=np.int64)
-    b_hi = _isqrt(n_max - j1 * j1)
-    b_lo = _isqrt_up(n_min - j1 * j1)
-    # per row: the negative segment, then the nonnegative one
-    segments = _segments(
-        j1,
-        np.stack([-b_hi, b_lo], axis=1).ravel(),
-        np.stack([b_hi - np.maximum(b_lo, 1) + 1, b_hi - b_lo + 1], axis=1).ravel(),
-    )
-    return np.stack(segments, axis=1)
+    x, y = _octant(max(n_min, 1), n_max + 1)
+    for mirror in (lambda x, y: (y, x), lambda x, y: (-x, y), lambda x, y: (x, -y)):
+        rx, ry = mirror(x, y)
+        off = (rx != x) | (ry != y)
+        x, y = np.concatenate((x, rx[off])), np.concatenate((y, ry[off]))
+    order = np.lexsort((y, x))
+    return np.stack([x[order], y[order]], axis=1)
 
 
 def _octant(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """The points 0 <= a <= b with lo <= a^2 + b^2 < hi: int64 arrays a and b.
 
-    Lexicographic.  Row a runs from 0 to isqrt((hi - 1) // 2), the largest a
-    with 2 a^2 < hi, and holds the segment max(a, b_lo) <= b <= isqrt(hi - 1 - a^2),
-    b_lo the smallest b >= 0 with b^2 >= lo - a^2.  Each orbit of the square's
-    symmetry group in the range has exactly one point here.  Raises ValueError
-    when hi > 2^52 (_NORM_BOUND).
+    Lexicographic, one point per orbit of the square's symmetry group.  Row
+    a, 2 a^2 < hi, holds the segment max(a, b_lo) <= b <= isqrt(hi - 1 - a^2),
+    b_lo the smallest b >= 0 with b^2 >= lo - a^2.  Raises ValueError when
+    hi > 2^52 (_NORM_BOUND).
     """
     if hi > _NORM_BOUND:
         raise ValueError(f"hi must be at most 2^52, got {hi}")
     if hi <= max(lo, 0):
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     a = np.arange(math.isqrt((hi - 1) // 2) + 1, dtype=np.int64)
-    b_lo = np.maximum(a, _isqrt_up(lo - a * a))
-    return _segments(a, b_lo, _isqrt(hi - 1 - a * a) - b_lo + 1)
+    b_hi = _isqrt(hi - 1 - a * a)
+    n = np.maximum(lo - a * a, 0)
+    b_lo = _isqrt(n)
+    b_lo += b_lo * b_lo < n  # rounded up: the smallest b >= 0 with b^2 >= n
+    counts = b_hi - np.maximum(b_lo, a, out=b_lo) + 1
+    live = np.flatnonzero(counts > 0)
+    a, b_lo, counts = a[live], b_lo[live], counts[live]
+    first = np.cumsum(counts) - counts  # each row's offset in the output
+    b = np.arange(int(counts.sum()), dtype=np.int64)
+    b += np.repeat(b_lo - first, counts)
+    return np.repeat(a, counts), b
 
 
 def annulus_points(lam: float, k: float) -> np.ndarray:

@@ -166,9 +166,9 @@ class FourierField:
         return cls(M, np.zeros((2, 2 * M + 1, 2 * M + 1), dtype=np.complex128))
 
     @classmethod
-    def from_modes(cls, M: int, modes: dict, conjugate: bool = True) -> "FourierField":
-        """Build a field from {(j1, j2): (c1, c2)}; with conjugate=True the
-        mirror coefficient at -j is set to the complex conjugate (real field)."""
+    def from_modes(cls, M: int, modes: dict) -> "FourierField":
+        """Build a field from {(j1, j2): (c1, c2)}; the mirror coefficient at
+        -j is set to the complex conjugate (real field)."""
         c = np.zeros((2, 2 * M + 1, 2 * M + 1), dtype=np.complex128)
         for (j1, j2), val in modes.items():
             if j1 == 0 and j2 == 0:
@@ -177,9 +177,8 @@ class FourierField:
                 raise ValueError(f"mode {(j1, j2)} outside truncation M={M}")
             c[0, j1 + M, j2 + M] = val[0]
             c[1, j1 + M, j2 + M] = val[1]
-            if conjugate:
-                c[0, -j1 + M, -j2 + M] = np.conj(val[0])
-                c[1, -j1 + M, -j2 + M] = np.conj(val[1])
+            c[0, -j1 + M, -j2 + M] = np.conj(val[0])
+            c[1, -j1 + M, -j2 + M] = np.conj(val[1])
         return cls(M, c)
 
     def mode(self, j) -> np.ndarray:

@@ -115,7 +115,7 @@ def test_weak_assembly_is_the_derivative_pairing(small_basis):
     in band coordinates."""
     rng = np.random.default_rng(3)
     u = in_ball_sample(rng)
-    weak = weak_restricted_operator(u, small_basis, PARAMS, dealias="padded")
+    weak = weak_restricted_operator(u, small_basis, PARAMS)
     c = 2
     img = nonlinearity_F_prime(u, mode_field(small_basis, c), PARAMS, dealias="padded")
     col = band_coords(small_basis, img)
@@ -148,7 +148,7 @@ def test_assembly_exact_for_low_frequency_background(small_basis):
     rng = np.random.default_rng(5)
     u = random_field(16, rng, band=(1.0, 4.0)) * 0.01
     strong = assemble_restricted_operator(u, small_basis, PARAMS)
-    weak = weak_restricted_operator(u, small_basis, PARAMS, dealias="padded")
+    weak = weak_restricted_operator(u, small_basis, PARAMS)
     num = np.max(np.abs(strong - weak))
     den = max(np.max(np.abs(strong)), 1e-300)
     assert num / den <= 1e-12
@@ -163,6 +163,14 @@ def test_restricted_norm_against_svd():
         assert got == pytest.approx(want, rel=1e-6)
     assert restricted_norm(np.zeros((4, 4))) == 0.0
     assert restricted_norm(np.diag([3.0, 1.0])) == pytest.approx(3.0, rel=1e-8)
+
+
+@pytest.mark.parametrize("k", [-900, 900])
+def test_restricted_norm_is_exact_under_power_of_two_scaling(k):
+    # unscaled, the Gram step overflows at 2^900 and underflows at 2^-900
+    rng = np.random.default_rng(6)
+    m = rng.standard_normal((17, 17)) + 1j * rng.standard_normal((17, 17))
+    assert restricted_norm(m * 2.0**k) == restricted_norm(m) * 2.0**k
 
 
 def test_cancellation_defect_zero_on_certified_window():

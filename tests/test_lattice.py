@@ -198,6 +198,21 @@ def test_enumerator_windows_at_perfect_squares(k, lo, hi):
     _assert_enumerates(n_min, n_max, expected)
 
 
+@pytest.mark.parametrize("k", [99_999, 100_000])
+@pytest.mark.parametrize("lo, hi", [(-1, -1), (-1, 0), (0, 0), (0, 1), (-2, 2)])
+def test_enumerator_windows_at_twice_a_square(k, lo, hi):
+    # |(k, k)|^2 = 2 k^2: the diagonal points, whose orbits have four members
+    n_min, n_max = 2 * k * k + lo, 2 * k * k + hi
+    expected = [p for n in range(n_min, n_max + 1) for p in points_of_norm(n)]
+    _assert_enumerates(n_min, n_max, expected)
+
+
+def test_enumerator_runs_in_row_sized_memory():
+    # the full plane's 2R + 1 rows, R = 10^6, peak at 137 MiB; the octant's
+    # R / sqrt(2) rows at about 28 MiB
+    assert _traced_peak(_points_with_norm_range, 10**12, 10**12 + 300) < 48 * 2**20
+
+
 @pytest.mark.parametrize(
     "k", [1, 2, 99_999, 100_000, 2**26 - 1, 2**26, 2**26 + 1, 10**9 + 7, 2**31 - 1]
 )
