@@ -254,15 +254,16 @@ def _points_with_norm_range(n_min: int, n_max: int) -> np.ndarray:
     diagonal and then in each axis; each reflection adds only the images off
     its mirror, so every point comes once.  Raises ValueError when n_max >= 2^52.
     """
-    if n_max >= _NORM_BOUND:
-        raise ValueError(f"n_max must be below 2^52, got {n_max}")
     x, y = _octant(max(n_min, 1), n_max + 1)
     for mirror in (lambda x, y: (y, x), lambda x, y: (-x, y), lambda x, y: (x, -y)):
         rx, ry = mirror(x, y)
         off = (rx != x) | (ry != y)
         x, y = np.concatenate((x, rx[off])), np.concatenate((y, ry[off]))
+    # each array is dropped before the next is made
+    del rx, ry, off
     order = np.lexsort((y, x))
-    return np.stack([x[order], y[order]], axis=1)
+    x, y = x[order], y[order]
+    return np.stack((x, y), axis=1)
 
 
 def _octant(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -274,7 +275,7 @@ def _octant(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     hi > 2^52 (_NORM_BOUND).
     """
     if hi > _NORM_BOUND:
-        raise ValueError(f"hi must be at most 2^52, got {hi}")
+        raise ValueError(f"norms must stay below 2^52, got a range up to {hi - 1}")
     if hi <= max(lo, 0):
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     a = np.arange(math.isqrt((hi - 1) // 2) + 1, dtype=np.int64)
