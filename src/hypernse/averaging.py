@@ -44,6 +44,7 @@ from .lattice import SparseAnnulus, _points_with_norm_range, annulus_points
 from .spectral import (
     FourierField,
     SpectralParams,
+    _binary_exponent,
     _pairing,
     random_field,
     sobolev_norm,
@@ -170,7 +171,7 @@ def restricted_norm(matrix: np.ndarray) -> float:
         raise ValueError("matrix has non-finite entries")
     if m.size == 0 or not np.any(m):
         return 0.0
-    e = int(np.frexp(np.abs(m.view(np.float64)).max())[1])
+    e = _binary_exponent(m.view(np.float64))
     m = np.ldexp(m.view(np.float64), -e).view(np.complex128)
     n = m.shape[1]
     # fixed start with a mild ramp so symmetric matrices cannot trap it in
@@ -359,7 +360,12 @@ def check_averaging(
         w = apply_W(u, params)
         # the modes |j|^2 > r^2 of W(u); r >= 1 leaves j = 0 out
         tail = w.coeffs * (wavenumbers(w.M)[2] > r * r)
-        tail_sup = max(tail_sup, math.sqrt(_pairing(tail, tail)))
+        # squared at 2^-e, like sobolev_norm, so a large or small sample's
+        # tail norm neither overflows nor underflows
+        parts = tail.view(np.float64)
+        e = _binary_exponent(parts)
+        np.ldexp(parts, -e, out=parts)
+        tail_sup = max(tail_sup, float(np.ldexp(math.sqrt(_pairing(tail, tail)), e)))
         h2 = sobolev_norm(w, 2.0)
         h2_sup = max(h2_sup, h2)
         product_factors.append(h2 / r)

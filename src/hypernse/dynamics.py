@@ -21,12 +21,16 @@ converted only at its edges: a member or forcing that is not real is refused
 before any product, and evolve fills each recorded state back into a field
 (spectral._field_from_half).  The loop evaluates B(W(u), W(u)) once per
 member and state, for the record and, as f - B, for the next step; it keeps B
-until that step, and each old state and its f - B are dropped as soon as the
-step has used them.  A member whose state leaves the range of floating point
-is dropped with the members after it, and the loop reports it as a
-BlowUpError.  The loop computes the integrating factor once per run, and a
-step forms its predictor and update in place, in the operation order of the
-formulas, on arrays it has just created and that no one else references.
+until that step, which forms f - B in B's own array, and each old state and
+its f - B are dropped as soon as the step has used them.  With the product
+off, f - B is the forcing half itself, which nothing writes.  evolve_pairs
+keeps no forcing field once it holds the forcing's half, so a caller that
+hands the forcing over frees its full block there.  A member whose state
+leaves the range of floating point is dropped with the members after it,
+and the loop reports it as a BlowUpError.  The loop computes the
+integrating factor once per run, and a step forms its predictor and update
+in place, in the operation order of the formulas, on arrays the loop owns:
+a product it has just formed, or an array the step has just created.
 evolve runs the loop on one member and keeps the states.  evolve_pairs runs
 it on one reference and its copies, so the reference is stepped once however
 many copies share it, and records for each pair the cone quantity
@@ -55,9 +59,9 @@ from .spectral import (
     SpectralParams,
     _field_from_half,
     _pairing,
+    _random_coeffs,
     apply_A_power,
     laplacian_power,
-    random_field,
 )
 from .truncation import _PROFILE, _prepared_half, prepared_product
 
@@ -115,10 +119,12 @@ def _product(h: np.ndarray, params: SpectralParams, config: SimConfig) -> np.nda
 
 
 def _drive(b: np.ndarray | None, forcing: np.ndarray | None, shape: tuple) -> np.ndarray:
-    """f - b for a b from _product; a missing f or b counts as zero."""
+    """f - b for a b from _product, formed in b's own array; a missing f or b
+    counts as zero.  Without b it is new zeros or the forcing itself, which
+    the caller must not write."""
     if b is None:
         return np.zeros(shape, dtype=np.complex128) if forcing is None else forcing
-    return -b if forcing is None else forcing - b
+    return np.negative(b, out=b) if forcing is None else np.subtract(forcing, b, out=b)
 
 
 def _real_half(u: FourierField, name: str) -> np.ndarray:
@@ -138,11 +144,22 @@ def _real_half(u: FourierField, name: str) -> np.ndarray:
     return u.coeffs[:, :, M:].copy()
 
 
+def _forcing_half(forcing: FourierField | None, M: int) -> np.ndarray | None:
+    """_real_half of a forcing for members at truncation M; a forcing at
+    another truncation is a ValueError."""
+    if forcing is None:
+        return None
+    if forcing.M != M:
+        raise ValueError(f"forcing truncation M = {forcing.M} != member truncation M = {M}")
+    return _real_half(forcing, "the forcing")
+
+
 def rhs_prepared(
     u: FourierField, forcing: FourierField | None, params: SpectralParams, config: SimConfig
 ) -> FourierField:
     """Full right-hand side f - nu A^beta u - B(W(u), W(u))."""
-    b = prepared_product(u, params, config.dealias).coeffs if config.include_nonlinear else None
+    # a field's coefficients are read-only, and _drive writes f - b into b
+    b = prepared_product(u, params, config.dealias).coeffs.copy() if config.include_nonlinear else None
     out = _drive(b, None if forcing is None else forcing.coeffs, u.coeffs.shape)
     return FourierField._wrap(u.M, out) - apply_A_power(u, params.beta) * params.nu
 
@@ -169,7 +186,11 @@ def _advance(
 ) -> np.ndarray:
     """One step from the half u, given n0 = f - B(W(u), W(u)) at u and the
     run's _linear_factor E; each update is formed in place, in the formulas'
-    order, and returned as a new half.
+    order, and returned as a new half.  n0 is not written: it is the forcing
+    itself when the product is off.  Forming the update in n0's array, or in
+    the predictor's once the product has read it, raised the cone workload's
+    peak resident memory by 0.5 to 0.75 MiB: the heap's layout, not the live
+    set, sets that peak.
 
     Exact linear propagation: with v = e^{t nu A^beta} u the equation becomes
     dv/dt = e^{t nu A^beta} N(u), and Heun in v gives
@@ -198,42 +219,39 @@ def step(
     if profile is not None and profile != _PROFILE:
         raise ValueError(f"the prepared equation has one cutoff profile, not {profile}")
     h = _real_half(u, "the state")
-    f = None if forcing is None else _real_half(forcing, "the forcing")
+    f = _forcing_half(forcing, u.M)
     n0 = _drive(_product(h, params, config), f, h.shape)
     return _field_from_half(_advance(h, n0, f, params, config, _linear_factor(u.M, params, config)))
 
 
 def _run(
     states: list,
-    forcing: FourierField | None,
+    forcing: np.ndarray | None,
     params: SpectralParams,
     config: SimConfig,
     record: Callable[[float, int, list[np.ndarray], list], None],
 ) -> BlowUpError | None:
-    """Step the members of states, in place, config.n_steps times: the
-    FourierFields in states are replaced by their halves j2 >= 0, and every
-    later state is such a half.  At t = 0, every record_every steps and at the
-    end, record(t, j, states, bs) is called for member j as soon as its state
-    states[j] and its bs[j] = B(W(u), W(u)), a half too, are at t; so are
-    those of the members before it.
+    """Step the members of states, in place, config.n_steps times, under the
+    forcing half from _forcing_half: the FourierFields in states are replaced
+    by their halves j2 >= 0, and every later state is such a half.  At t = 0,
+    every record_every steps and at the end, record(t, j, states, bs) is
+    called for member j as soon as its state states[j] and its
+    bs[j] = B(W(u), W(u)), a half too, are at t; so are those of the members
+    before it.  A record may read these arrays but not keep them: the loop
+    writes f - b into b.
 
     Members advance one at a time.  Each member's b is kept until its next
-    step forms f - b from it, and each old state and its f - b are dropped
-    as soon as the step has used them.  A member whose state goes non-finite
+    step forms f - b in it, and each old state and its f - b are dropped as
+    soon as the step has used them.  A member whose state goes non-finite
     is dropped with every member after it.  The loop ends when fewer than
     min(2, len(states)) members are left, since a lone member runs by itself
     but a copy needs the member before it, and returns the BlowUpError of
     the last drop, or None.  An overflow needs no warning: a non-finite
-    record is the caller's to report.  A forcing at another truncation than
-    the members', and a member or forcing that is not real, is a ValueError,
-    raised before any product."""
+    record is the caller's to report.  A member that is not real is a
+    ValueError, raised before any product."""
     n = config.n_steps
     needed = min(len(states), 2)
     M = states[0].M
-    if forcing is not None and forcing.M != M:
-        raise ValueError(f"forcing truncation M = {forcing.M} != member truncation M = {M}")
-    if forcing is not None:
-        forcing = _real_half(forcing, "the forcing")
     for j, u in enumerate(states):
         states[j] = _real_half(u, f"member {j}")
     del u  # a field no caller keeps is freed here, before the first product
@@ -281,7 +299,7 @@ def evolve(
         times.append(t)
         fields.append(_field_from_half(states[0]))
 
-    failure = _run([u0], forcing, params, config, keep)
+    failure = _run([u0], _forcing_half(forcing, u0.M), params, config, keep)
     if failure is not None:
         raise failure
     return Trajectory(np.asarray(times), fields)
@@ -417,13 +435,15 @@ def evolve_pairs(
     them all, and the other pairs are stepped to the end; then BlowUpError
     names the time at which the first failed pair failed, and its traces are
     those of the pairs before it.  The function keeps no initial state past
-    the first step, so a caller that hands them over without keeping its own
-    references gets their memory back.
+    the first step, and no forcing field once it holds the forcing's half, so
+    a caller that hands them over without keeping its own references gets
+    their memory back.
     """
     if not copies:
         raise ValueError("evolve_pairs needs at least one copy")
     if any(u.M != reference.M for u in copies):
         raise ValueError("pair members must share a truncation")
+    forcing = _forcing_half(forcing, reference.M)
     masks = _cone_masks(reference.M, params, family)
     alpha = 0.5 * (
         float(family.lambda_next) ** params.beta
@@ -512,11 +532,10 @@ def perturbed_copy(
     (the certified window), "low" (at or below the cutoff) or "high" (above
     it).
     """
-    noise = random_field(u.M, rng, decay=0.0)
     # in place: at the cone stage's draw truncation every full-plane
     # temporary adds to the run's peak memory
-    c = noise.coeffs * family.mask(u.M, where)
-    del noise
+    c = _random_coeffs(u.M, rng)
+    c *= family.mask(u.M, where)
     size = np.sqrt(_pairing(c, c))
     if size == 0.0:
         raise ValueError(f"no modes available for support {where!r}")

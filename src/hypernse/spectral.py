@@ -48,6 +48,13 @@ of dynamics keeps its states, products and forcing as such halves.  W acts on
 a block or its half through truncation._truncate, which apply_W shares; the
 Leray projection of either is the array helper _leray_coeffs, which
 leray_project and W share.
+
+wavenumbers and laplacian_power cache their grids per truncation, for the
+operators a run applies again and again.  A draw (random_field) caches
+nothing: its decay symbol, its Leray denominator and the masks of
+CutoffFamily are built per call, so a draw leaves no grid at its own
+truncation, which for the cone stage is larger than any it steps at.
+Sobolev norms are formed the same way.
 """
 
 from __future__ import annotations
@@ -94,6 +101,12 @@ class SpectralParams:
         return 2.0 * self.beta - 17.0 / 6.0
 
 
+def _eigenvalues(M: int) -> np.ndarray:
+    """|j|^2 on the centered grid of truncation M, a new int64 array."""
+    r = np.arange(-M, M + 1)
+    return (r * r)[:, None] + r * r
+
+
 @lru_cache(maxsize=32)
 def wavenumbers(M: int):
     """Centered wavenumber grids (J1, J2, LAM) for truncation M, read-only.
@@ -103,17 +116,19 @@ def wavenumbers(M: int):
     r = np.arange(-M, M + 1)
     J1 = np.broadcast_to(r[:, None], (r.size, r.size))
     J2 = np.broadcast_to(r, J1.shape)
-    LAM = (r * r)[:, None] + r * r
+    LAM = _eigenvalues(M)
     LAM.setflags(write=False)
     return J1, J2, LAM
 
 
 def _power_symbol(M: int, p: float) -> np.ndarray:
-    """The symbol (|j|^2)^p on the centered grid, 0 at j = 0, not cached."""
-    _, _, LAM = wavenumbers(M)
-    f = np.zeros(LAM.shape)
-    nz = LAM > 0
-    f[nz] = np.float64(LAM[nz]) ** p
+    """The symbol (|j|^2)^p on the centered grid, 0 at j = 0, not cached;
+    its one array is |j|^2 in float64, raised to p in place."""
+    q = np.arange(-M, M + 1, dtype=np.float64) ** 2
+    f = q[:, None] + q
+    f[M, M] = 1.0  # 0^p is not needed, and is inf for p < 0
+    f **= p
+    f[M, M] = 0.0
     return f
 
 
@@ -252,26 +267,48 @@ def inner_product(u: FourierField, v: FourierField) -> float:
     return _pairing(u.coeffs, v.coeffs)
 
 
+def _binary_exponent(x: np.ndarray) -> int:
+    """The binary exponent e of the largest magnitude in the float64 array x,
+    so that it is 2^e times a number in [1/2, 1); 0 when that magnitude is 0,
+    inf or NaN.  x 2^-e is exact, and its squares and their sums neither
+    overflow nor underflow, bar terms far below its largest."""
+    return int(np.frexp(max(x.max(), -x.min()))[1])
+
+
 def sobolev_norm(u: FourierField, s: float) -> float:
-    """H^s norm: sqrt(sum_j |j|^{2s} |u_hat[j]|^2); s=0 gives the L^2 norm."""
-    dens = np.sum(np.abs(u.coeffs) ** 2, axis=0)
+    """H^s norm: sqrt(sum_j |j|^{2s} |u_hat[j]|^2); s=0 gives the L^2 norm.
+
+    The magnitudes are scaled by 2^-e (_binary_exponent) before they are
+    squared, in place, and the norm by 2^e after, which is exact: a norm in
+    the range of floating point neither overflows nor underflows on the way."""
+    a = np.abs(u.coeffs)
+    e = _binary_exponent(a)
+    np.ldexp(a, -e, out=a)
+    np.square(a, out=a)
+    dens = a[0]
+    dens += a[1]
     # not cached: a norm at the draw truncation would keep its symbol alive
-    return float(math.sqrt(np.sum(_power_symbol(u.M, s) * dens)))
+    dens *= _power_symbol(u.M, s)
+    return float(np.ldexp(math.sqrt(np.sum(dens)), e))
 
 
 def _leray_coeffs(c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """P_j = Id - j j^T / |j|^2 on each pair of the centered coefficient block
     |j|_inf <= K that c holds, shape (2, 2K+1, 2K+1), or of its half j2 >= 0,
     shape (2, 2K+1, K+1); zero at j = 0, which is at [K, -(K+1)] either way;
-    written to out (which may be c itself), or to a new array."""
+    written to out (which may be c itself), or to a new array.  Its one grid
+    is the denominator |j|^2, built per call and not cached, so a draw
+    leaves no grid at its own truncation; out[1] holds j1 c[1] on the way."""
     K = (c.shape[-2] - 1) // 2
-    J1, J2, LAM = (a[:, -c.shape[-1] :] for a in wavenumbers(K))
-    denom = np.where(LAM > 0, LAM, 1).astype(np.float64)
-    d = J2 * c[0]
-    d -= J1 * c[1]
-    d /= denom
+    r = np.arange(-K, K + 1)
+    J1, J2 = r[:, None], r[-c.shape[-1] :]
+    denom = J1 * J1 + J2 * J2
+    denom[K, -(K + 1)] = 1
     if out is None:
         out = np.empty(c.shape, dtype=np.complex128)
+    d = J2 * c[0]
+    d -= np.multiply(J1, c[1], out=out[1])
+    d /= denom
     np.multiply(J2, d, out=out[0])
     np.multiply(-J1, d, out=out[1])
     out[:, K, -(K + 1)] = 0.0
@@ -292,21 +329,21 @@ def apply_A_power(u: FourierField, p: float) -> FourierField:
     return FourierField._wrap(u.M, u.coeffs * laplacian_power(u.M, p))
 
 
-def random_field(
+def _random_coeffs(
     M: int,
     rng: np.random.Generator,
     divergence_free: bool = True,
     decay: float = 0.0,
     band: tuple[float, float] | None = None,
-) -> FourierField:
-    """Random real (conjugate-symmetric) field, optionally divergence-free.
-
-    decay > 0 multiplies coefficients by |j|^{-decay}; band = (lo, hi) keeps
-    only modes with lo <= |j|^2 <= hi.
-    """
+) -> np.ndarray:
+    """The coefficients of random_field, as a new writable array that a
+    caller may scale or mask in place before it wraps them in a field."""
     K = 2 * M + 1
     # built in place: at the cone stage's draw truncation each full-plane
-    # temporary is a measurable share of the run's peak memory
+    # temporary is a measurable share of the run's peak memory.  Writing the
+    # draws straight into c, with no z, raised the cone workload's peak
+    # resident memory by 0.2 to 0.3 MiB all the same: the heap's layout, not
+    # the live set, sets that peak
     z = np.empty((2, K, K), dtype=np.complex128)
     z.real = rng.standard_normal((2, K, K))
     z.imag = rng.standard_normal((2, K, K))
@@ -319,12 +356,28 @@ def random_field(
         c *= _power_symbol(M, -decay / 2.0)
     if band is not None:
         lo, hi = band
-        _, _, LAM = wavenumbers(M)
+        LAM = _eigenvalues(M)
         c *= (LAM >= lo) & (LAM <= hi)
     c[:, M, M] = 0.0
     if divergence_free:
         _leray_coeffs(c, out=c)
-    return FourierField._wrap(M, c)
+    return c
+
+
+def random_field(
+    M: int,
+    rng: np.random.Generator,
+    divergence_free: bool = True,
+    decay: float = 0.0,
+    band: tuple[float, float] | None = None,
+) -> FourierField:
+    """Random real (conjugate-symmetric) field, optionally divergence-free.
+
+    decay > 0 multiplies coefficients by |j|^{-decay}; band = (lo, hi) keeps
+    only modes with lo <= |j|^2 <= hi.  A draw builds every grid it reads
+    and caches none, so it leaves no grid at its own truncation behind.
+    """
+    return FourierField._wrap(M, _random_coeffs(M, rng, divergence_free, decay, band))
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +489,10 @@ def _quadratic_fft(w: np.ndarray, N: int) -> np.ndarray:
     g[0] += g[1]
     q[1] *= g[0]
     del g
-    prods = np.fft.fft(np.fft.rfft(q, axis=2, norm="forward")[:, :, : K + 1], axis=1, norm="forward")
+    r = np.fft.rfft(q, axis=2, norm="forward")
     del q
+    prods = np.fft.fft(r[:, :, : K + 1], axis=1, norm="forward")
+    del r
     p = np.concatenate([prods[:, N - K :], prods[:, : K + 1]], axis=1)
     del prods
     out = m12 * p[0]
@@ -565,8 +620,9 @@ class CutoffFamily:
         """Boolean mask on the centered grid of truncation M selecting the
         modes j != 0 of one part of the family by their eigenvalue |j|^2:
         "low" (|j|^2 <= lambda_N), "high" (|j|^2 > lambda_N) or "band"
-        (lambda_N - k <= |j|^2 <= lambda_N + k)."""
-        _, _, LAM = wavenumbers(M)
+        (lambda_N - k <= |j|^2 <= lambda_N + k).  Not cached, like a draw:
+        the cone stage masks its draws at their own truncation."""
+        LAM = _eigenvalues(M)
         if part == "low":
             m = LAM <= self.lambda_N
         elif part == "high":

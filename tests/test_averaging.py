@@ -1,5 +1,6 @@
 """Band compression of the linearized nonlinearity and its certificates."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -288,6 +289,22 @@ def test_check_averaging_desk_scale():
     assert d["window_certified"] is True
     assert d["window_min_separation"] == 4.0
     assert 0.0 <= d["pass_fraction"] <= 1.0
+
+
+@pytest.mark.parametrize("k", [-900, 900])
+def test_check_averaging_norms_are_exact_under_power_of_two_scaling(k):
+    # W(2^k u) at rho 2^k is 2^k W(u) at rho 1; squared unscaled, the H^2 and
+    # tail norms of W overflow to inf at 2^900 and underflow at 2^-900
+    ann = find_sparse_annulus(1.0e4, 0.15)
+    params = SpectralParams(M=16, s=0.15)
+    samples = draw_averaging_samples(params, 6, np.random.default_rng(9))
+    want = check_averaging(samples, ann, params, n_cancellation_pairs=1)
+    got = check_averaging([u * 2.0**k for u in samples], ann,
+                          dataclasses.replace(params, rho=2.0**k), n_cancellation_pairs=1)
+    for name in ("product_factors", "mechanism_tail", "tail_bound"):
+        want_k = np.multiply(getattr(want, name), 2.0**k)
+        np.testing.assert_allclose(getattr(got, name), want_k, rtol=1e-12, atol=0.0, err_msg=name)
+    assert want.mechanism_tail > 0.0 and min(want.product_factors) > 0.0
 
 
 def test_check_averaging_uses_the_window_the_scan_certified(monkeypatch):

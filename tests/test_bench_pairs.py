@@ -1,0 +1,43 @@
+"""The summary of tools/bench_pairs.py, the paired benchmark runner."""
+
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", PATH)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+
+def test_summary_counts_wins_by_direction_and_ties_for_neither():
+    parent = [{"wall_s": w, "peak_rss_mb": m} for w, m in [(1.0, 54.5), (2.0, 54.4), (3.0, 54.6), (4.0, 54.5)]]
+    change = [{"wall_s": w, "peak_rss_mb": m} for w, m in [(0.5, 50.0), (2.0, 54.5), (3.5, 50.1), (1.0, 50.2)]]
+    summary = bench_pairs.summarize(parent, change, {"wall_s": "lower", "peak_rss_mb": "lower"})
+    wall, rss = summary["wall_s"], summary["peak_rss_mb"]
+    # pair 2 ties on wall_s: it counts for neither side
+    assert (wall["won"], wall["lost"], wall["pairs"]) == (2, 1, 4)
+    assert (rss["won"], rss["lost"]) == (3, 1)
+    # inclusive quartiles of 1, 2, 3, 4
+    assert (wall["parent"]["q1"], wall["parent"]["median"], wall["parent"]["q3"]) == (1.75, 2.5, 3.25)
+    assert wall["change"]["values"] == [0.5, 2.0, 3.5, 1.0]
+    # a metric where higher is better counts the other way, and one the
+    # directions do not name is lower-is-better
+    flipped = bench_pairs.summarize(parent, change, {"wall_s": "higher"})
+    assert (flipped["wall_s"]["won"], flipped["wall_s"]["lost"]) == (1, 2)
+    assert flipped["peak_rss_mb"]["better"] == "lower"
+    json.dumps(summary, allow_nan=False)
+
+
+def test_summary_needs_paired_runs():
+    with pytest.raises(ValueError, match="paired runs"):
+        bench_pairs.summarize([{"wall_s": 1.0}], [], {})
+
+
+def test_checkouts_at_paths_of_unequal_length_are_refused(tmp_path, capsys):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "bb").mkdir()
+    assert bench_pairs.main([str(tmp_path / "a"), str(tmp_path / "bb"), "--workload", "cone"]) == 2
+    assert "differ in length" in capsys.readouterr().err

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,8 @@ import pytest
 
 import hypernse.cli
 import hypernse.dynamics
+import hypernse.spectral
+import hypernse.truncation
 from hypernse import CutoffFamily, FourierField, evolve_pairs, find_sparse_annulus, perturbed_copy
 from hypernse.cli import ConfigError, main, resolve_config
 from hypernse.dynamics import TRACE_COLUMNS
@@ -543,6 +546,55 @@ def test_the_band_lies_inside_the_stepped_block(mu):
     inside[M_run - K : M_run + K + 1, M_run - K : M_run + K + 1] = True
     assert band.any()
     assert not np.any(band & ~inside)
+
+
+def _cone_workload(tmp_path):
+    """The cone workload's configuration and annulus, with every cached grid
+    and symbol of the spectral engine cleared."""
+    cfg = resolve_config(None, {"mu": "1e4", "s": "0.15", "T": "0.01"})
+    ann = find_sparse_annulus(cfg.mu, cfg.s)
+    for module in (hypernse.spectral, hypernse.truncation):
+        for f in vars(module).values():
+            if hasattr(f, "cache_clear"):
+                f.cache_clear()
+    return cfg, str(tmp_path), ann
+
+
+def _cache_sizes() -> dict:
+    return {f"{module.__name__}.{name}": f.cache_info().currsize
+            for module in (hypernse.spectral, hypernse.truncation)
+            for name, f in vars(module).items() if hasattr(f, "cache_info")}
+
+
+def test_cone_draws_leave_no_grid_cached(monkeypatch, tmp_path):
+    # a grid at the draw truncation M_run = 153 would outlive the draws, and
+    # at mu = 1e6 one such grid is 69 MiB; the draws fill no cache at all
+    seen = {}
+
+    def draws_only(*args):
+        seen.update(_cache_sizes())
+        return []
+
+    cfg, outdir, ann = _cone_workload(tmp_path)
+    monkeypatch.setattr(hypernse.cli, "evolve_pairs", draws_only)
+    hypernse.cli.stage_cone(cfg, outdir, ann)
+    assert seen and all(size == 0 for size in seen.values()), seen
+
+
+def test_cone_stage_runs_in_a_smaller_working_set(tmp_path):
+    # traced peak above entry from cleared caches: 15.5 to 16.3 MiB with a
+    # full-block forcing kept beside its half, the step's f - b in new
+    # arrays, a cached grid at M_run and the draws' full-plane temporaries;
+    # 12.9 to 13.8 MiB without them
+    cfg, outdir, ann = _cone_workload(tmp_path)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        hypernse.cli.stage_cone(cfg, outdir, ann)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak < 14.5 * 2**20
 
 
 # largest difference between the cut cone run and the full-grid run, relative

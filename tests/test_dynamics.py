@@ -109,6 +109,24 @@ def test_step_is_bitwise_the_closed_form_update(forced):
     assert np.array_equal(step(u, f, PARAMS, cfg).coeffs, want)
 
 
+def test_a_linear_forced_run_never_writes_its_forcing():
+    """Without the product the step's f - b is the run's forcing itself, which
+    no step may write: every recorded state is bitwise the closed form
+    u+ = E u + (dt/2) (E f + f) built out of place, which a forcing written
+    by one step would change in every later one."""
+    rng = np.random.default_rng(14)
+    u = random_field(8, rng, decay=2.0) * 3.0
+    f = random_field(8, rng, decay=3.0) * 5.0
+    cfg = SimConfig(dt=2e-3, T=0.008, include_nonlinear=False)
+    E = np.exp(-PARAMS.nu * cfg.dt * laplacian_power(8, PARAMS.beta))
+    want = [u.coeffs]
+    for _ in range(cfg.n_steps):
+        want.append(want[-1] * E + 0.5 * cfg.dt * (f.coeffs * E + f.coeffs))
+    traj = evolve(u, f, PARAMS, cfg)
+    assert len(traj) == len(want) == 5
+    assert all(np.array_equal(a.coeffs, b) for a, b in zip(traj.fields, want))
+
+
 def test_integrating_factor_route_is_second_order():
     rng = np.random.default_rng(0)
     u0 = random_field(8, rng, decay=4.0)
