@@ -45,7 +45,6 @@ from .spectral import (
     FourierField,
     SpectralParams,
     _binary_exponent,
-    _pairing,
     random_field,
     sobolev_norm,
     wavenumbers,
@@ -142,7 +141,7 @@ def weak_restricted_operator(
     for c in range(n):
         e = np.zeros((2, 2 * M + 1, 2 * M + 1), dtype=np.complex128)
         e[:, rows[c], cols[c]] = d[:, c]
-        img = nonlinearity_F_prime(u, FourierField._wrap(M, e), params, "padded").coeffs
+        img = nonlinearity_F_prime(u, FourierField._wrap(M, e), params).coeffs
         out[:, c] = img[0, rows, cols] * d[0] + img[1, rows, cols] * d[1]
     return out
 
@@ -358,14 +357,9 @@ def check_averaging(
         sampled_norms.append((i, float(norm)))
         pass_flags.append(bool(norm <= bound))
         w = apply_W(u, params)
-        # the modes |j|^2 > r^2 of W(u); r >= 1 leaves j = 0 out
-        tail = w.coeffs * (wavenumbers(w.M)[2] > r * r)
-        # squared at 2^-e, like sobolev_norm, so a large or small sample's
-        # tail norm neither overflows nor underflows
-        parts = tail.view(np.float64)
-        e = _binary_exponent(parts)
-        np.ldexp(parts, -e, out=parts)
-        tail_sup = max(tail_sup, float(np.ldexp(math.sqrt(_pairing(tail, tail)), e)))
+        # the L^2 norm of the modes |j|^2 > r^2 of W(u); r >= 1 leaves j = 0 out
+        tail = FourierField._wrap(w.M, w.coeffs * (wavenumbers(w.M)[2] > r * r))
+        tail_sup = max(tail_sup, sobolev_norm(tail, 0.0))
         h2 = sobolev_norm(w, 2.0)
         h2_sup = max(h2_sup, h2)
         product_factors.append(h2 / r)

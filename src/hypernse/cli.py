@@ -27,11 +27,15 @@ margins, averaging bound exceeded) are data: they land in the reports and
 the exit status stays 0.  Only engineering failures (bad config, missing
 stage dependencies, I/O) exit nonzero.
 
+The two-thirds rule lives here alone: simulate and cone draw at M (cone at
+M_run), cut the fields to the block floor(2M/3) that the two-thirds product
+reads and writes, and step that block, where the padded product is the same
+(Orszag 1971).
+
 Every CSV file goes through one writer, _write_csv: a header line, then one
 line per row, floats at 17 significant digits, which read back as the same
 doubles.  The cone traces take TRACE_COLUMNS as their header; the field
-snapshots of simulate hold the lexicographically positive modes, whose
-conjugates are the rest.
+snapshots of simulate hold the positive modes of the block.
 
 Outputs go under a timestamped directory beneath --out, the
 HYPERNSE_OUTPUT_DIR environment variable, or ./runs, in that order of
@@ -114,7 +118,6 @@ class RunConfig:
     M: int = SpectralParams.M
     dt: float = SimConfig.dt
     T: float = SimConfig.T
-    dealias: str = SimConfig.dealias
     seed: int = 0
     include_nonlinear: bool = SimConfig.include_nonlinear
     record_every: int = SimConfig.record_every
@@ -126,6 +129,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.s is None:
             object.__setattr__(self, "s", ((3.0 - 2.0 * self.beta) + 1.0 / 6.0) / 2.0)
+        if self.M < 3:
+            raise ValueError(f"M must be at least 3, for a stepped block floor(2M/3) >= 2, got {self.M}")
         self.spectral_params()
         self.sim_config()
         if self.seed < 0:
@@ -170,8 +175,6 @@ def _coerce(key: str, raw: object) -> object:
         if text.lower() in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"{key} must be boolean, got {raw!r}")
-    if kind == "str":
-        return text
     if kind == "int":
         try:
             return int(text)
@@ -385,7 +388,7 @@ def _initial_field(
 
 
 def _forcing_field(
-    cfg: RunConfig, params: SpectralParams, rng: np.random.Generator
+    cfg: RunConfig, params: SpectralParams, rng: np.random.Generator, K: int
 ) -> FourierField | None:
     if cfg.forcing_amplitude == 0.0:
         return None
@@ -394,24 +397,25 @@ def _forcing_field(
     if norm == 0.0:
         return None
     c *= cfg.forcing_amplitude / norm
-    return FourierField._wrap(params.M, c)
+    return FourierField._wrap(params.M, c).block(K)
 
 
 def stage_simulate(cfg: RunConfig, outdir: str) -> tuple[dict, None]:
-    params = cfg.spectral_params()
-    sim = cfg.sim_config()
+    # drawn at M, stepped on its two-thirds block K
+    K = two_thirds_limit(cfg.M)
+    draw = cfg.spectral_params()
     rng = np.random.default_rng(cfg.seed)
-    u0 = _initial_field(cfg, params, rng)
-    forcing = _forcing_field(cfg, params, rng)
+    u0 = _initial_field(cfg, draw, rng).block(K)
+    forcing = _forcing_field(cfg, draw, rng, K)
+    params = cfg.spectral_params(M=K)
+    sim = cfg.sim_config()
     _write_field_csv(os.path.join(outdir, "initial_field.csv"), u0)
+    summary = {"truncation": K, "draw_truncation": cfg.M, "n_steps": sim.n_steps}
     try:
         traj = evolve(u0, forcing, params, sim)
     except BlowUpError as exc:
-        return {
-            "blow_up": True,
-            "message": str(exc),
-            "n_steps": sim.n_steps,
-        }, None
+        summary.update(blow_up=True, message=str(exc))
+        return summary, None
     _write_field_csv(os.path.join(outdir, "final_field.csv"), traj.fields[-1])
     s_norm = 3.0 + params.epsilon
     # an overflowed row is reported as a blow-up below
@@ -423,19 +427,17 @@ def stage_simulate(cfg: RunConfig, outdir: str) -> tuple[dict, None]:
     csv = _write_csv(
         os.path.join(outdir, "trajectory.csv"), ("t", "energy", "regularity_norm"), rows
     )
-    summary = {
-        "blow_up": False,
-        "n_steps": sim.n_steps,
-        "n_recorded": len(traj),
-        "final_energy": rows[-1][1],
-        "final_regularity_norm": rows[-1][2],
-        "trajectory_csv": csv,
-    }
     # finite coefficients whose energy or norm overflows have left the range
     # of floating point all the same
     bad = [t for t, *diag in rows if not all(map(math.isfinite, diag))]
+    summary.update(
+        blow_up=bool(bad),
+        n_recorded=len(traj),
+        final_energy=rows[-1][1],
+        final_regularity_norm=rows[-1][2],
+        trajectory_csv=csv,
+    )
     if bad:
-        summary["blow_up"] = True
         summary["message"] = f"non-finite energy or H^{s_norm:g} norm from t = {bad[0]:.6g}"
     return summary, None
 
@@ -468,20 +470,14 @@ def stage_cone(
         return {"skipped": True, "reason": "no sparse annulus was certified"}, None
     fam = CutoffFamily(ann.lambda_N, ann.lambda_next, ann.half_width)
     summary: dict = {"cutoff": _cutoff_summary(ann)}
-    # The two-thirds product at M_run reads and writes only the block K, so
-    # the modes outside it never reach the band: the fields are cut to K and
-    # the pairs step there, where the padded product is the same (Orszag
-    # 1971); --dealias picks only how that product is formed.
+    # drawn at M_run, stepped on its two-thirds block K, which holds the band
     M_run, K = _cone_truncations(fam)
     draw = cfg.spectral_params(M=M_run)
     params = cfg.spectral_params(M=K)
     sim = cfg.sim_config()
-    route = "direct" if sim.dealias == "direct" else "padded"
-    sim = dataclasses.replace(sim, dealias=route)
     rng = np.random.default_rng(cfg.seed)
     u1 = _initial_field(cfg, draw, rng)
-    forcing = _forcing_field(cfg, draw, rng)
-    forcing = None if forcing is None else forcing.block(K)
+    forcing = _forcing_field(cfg, draw, rng, K)
     copies = [perturbed_copy(u1, fam, delta, rng, where="band").block(K) for delta in PERTURBATION_DELTAS]
     # hand the initial states and the forcing over without keeping them:
     # evolve_pairs frees each state after its first step, and the forcing
@@ -517,7 +513,6 @@ def stage_cone(
         skipped=False,
         truncation=K,
         draw_truncation=M_run,
-        route=route,
         # the run takes whole steps, so its horizon may differ from the requested T
         n_steps=sim.n_steps,
         t_end=sim.n_steps * sim.dt,

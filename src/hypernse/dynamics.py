@@ -10,7 +10,9 @@ profile; the tests build others only to test psi.  The linear part is
 stiff, so the integrator propagates it exactly: integrating-factor Heun
 multiplies the coefficients by exp(-nu |j|^(2 beta) dt) and advances the
 nonlinearity with a two-stage second-order rule, so a pure linear solve is
-reproduced to rounding.
+reproduced to rounding.  B is truncation's one product, over the whole
+truncation M; a caller that wants the two-thirds rule steps the block
+floor(2M/3) of its fields, as cli does.
 
 One time loop steps a list of members, one member at a time, on the half
 j2 >= 0 of the coefficient grid: a real field is determined by that half
@@ -53,7 +55,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (
-    DEALIAS_MODES,
     CutoffFamily,
     FourierField,
     SpectralParams,
@@ -82,7 +83,6 @@ class SimConfig:
 
     dt                time step
     T                 final time (number of steps is round(T / dt))
-    dealias           dealias route of the product B(W(u), W(u))
     include_nonlinear when False the quadratic term is dropped and the flow
                       is exactly linear; used by decay and identity tests
     record_every      trajectory / trace sampling stride in steps
@@ -90,7 +90,6 @@ class SimConfig:
 
     dt: float = 1e-3
     T: float = 0.5
-    dealias: str = "two-thirds"
     include_nonlinear: bool = True
     record_every: int = 1
 
@@ -101,8 +100,6 @@ class SimConfig:
             raise ValueError(f"T must be positive, got {self.T}")
         if not np.isfinite(self.T / self.dt):
             raise ValueError(f"T / dt must be finite, got {self.T} / {self.dt}")
-        if self.dealias not in DEALIAS_MODES:
-            raise ValueError(f"unknown dealias route {self.dealias!r}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -115,7 +112,7 @@ class SimConfig:
 def _product(h: np.ndarray, params: SpectralParams, config: SimConfig) -> np.ndarray | None:
     """b = B(W(u), W(u)) on the half h of u, or None when the nonlinearity is
     dropped."""
-    return _prepared_half(h, params, config.dealias) if config.include_nonlinear else None
+    return _prepared_half(h, params) if config.include_nonlinear else None
 
 
 def _drive(b: np.ndarray | None, forcing: np.ndarray | None, shape: tuple) -> np.ndarray:
@@ -159,7 +156,7 @@ def rhs_prepared(
 ) -> FourierField:
     """Full right-hand side f - nu A^beta u - B(W(u), W(u))."""
     # a field's coefficients are read-only, and _drive writes f - b into b
-    b = prepared_product(u, params, config.dealias).coeffs.copy() if config.include_nonlinear else None
+    b = prepared_product(u, params).coeffs.copy() if config.include_nonlinear else None
     out = _drive(b, None if forcing is None else forcing.coeffs, u.coeffs.shape)
     return FourierField._wrap(u.M, out) - apply_A_power(u, params.beta) * params.nu
 
@@ -429,8 +426,8 @@ def evolve_pairs(
 
     All members see the same forcing and the same step settings, and
     the reference is stepped once for every copy; the diagnostic nonlinearity
-    is evaluated through the same dealias route as the stepper so the
-    recorded derivative matches the discrete flow.  A copy that goes
+    is the stepper's own product, so the recorded derivative matches the
+    discrete flow.  A copy that goes
     non-finite fails its pair and every later one, a failed reference fails
     them all, and the other pairs are stepped to the end; then BlowUpError
     names the time at which the first failed pair failed, and its traces are

@@ -9,27 +9,25 @@ sum_j |j|^{2s} |u_hat[j]|^2.  The sharp spectral projectors at a cutoff are
 boolean masks on that grid: CutoffFamily.mask(M, part) selects the "low",
 "high" or "band" modes, and a caller multiplies coefficients by it.
 
-Product evaluation routes (the `dealias` flag):
+Product evaluation routes of bilinear_B (its `dealias` argument):
 
-* "two-thirds"  only the retained block |j|_inf <= Kc = floor(2M/3) of u and v
-                is transformed, on the smallest 2-3-5-smooth grid of
-                N >= 3 Kc + 1 points per direction, and the product is read
-                back on that block; every mode |j|_inf > Kc of the result is
-                zero.  Alias-free for every retained mode: the true product
-                has modes |k|_inf <= 2 Kc, and an aliased image k +- N can only
-                land on a retained mode (|k +- N| <= Kc) if N <= 3 Kc, which
-                the grid size excludes.
-* "padded"      the same transforms over every mode |j|_inf <= M, on the
-                smallest 2-3-5-smooth grid of N >= 3M + 2 points; by the same
-                argument (N > 3M) it computes the exact truncated convolution
-                of the full inputs.
+* "padded"      transforms every mode |j|_inf <= K = M on the smallest
+                2-3-5-smooth grid of N >= 3K + 1 points per direction and
+                reads the product back on that block.  Alias-free: the true
+                product has modes |k|_inf <= 2K, and an aliased image k +- N
+                can only land on the block (|k +- N| <= K) if N <= 3K, which
+                the grid size excludes; so it is the exact truncated
+                convolution.
+* "two-thirds"  the same rule on the block K = floor(2M/3) of u and v; every
+                mode |j|_inf > K of the result is zero.
 * "direct"      exact convolution summed over all mode pairs, no transforms;
                 the oracle route, intended for M <= 16.
 
 "padded" and "direct" compute the same object through disjoint code paths and
-agree to rounding; "two-thirds" computes the masked object, whose direct-route
-counterpart is mask(direct(mask u, mask v)).  Any grid N >= 3 Kc + 1 gives the
-same result up to rounding; 2-3-5-smooth sizes keep the transforms fast.
+agree to rounding; "two-thirds" computes mask(direct(mask u, mask v)), the
+padded product on the block (Orszag 1971).  The prepared product of
+truncation is the padded rule alone; a run that wants the two-thirds rule
+cuts its fields to the block (cli).
 
 bilinear_B is the general product B(u, v) and moves complex blocks (eight
 complex 2-D transforms per call).  The projected square P (w . grad) w of one
@@ -43,7 +41,7 @@ _curl_plan; no projection pass follows, and no conjugate fill.  A real field
 is determined by that half, u_hat[-j] = conj(u_hat[j]), and _field_from_half
 turns a half back into a FourierField by that conjugate fill.
 truncation._prepared_half uses _quadratic_fft for B(W(u), W(u)) and hands it
-W on the half of the block, the only half the transforms read; the time loop
+W on the half j2 >= 0, the only half the transforms read; the time loop
 of dynamics keeps its states, products and forcing as such halves.  W acts on
 a block or its half through truncation._truncate, which apply_W shares; the
 Leray projection of either is the array helper _leray_coeffs, which
@@ -64,9 +62,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-DEALIAS_MODES = ("two-thirds", "padded", "direct")
-
 
 @dataclass(frozen=True)
 class SpectralParams:
@@ -537,15 +532,12 @@ def _advect_direct(u: FourierField, v: FourierField) -> np.ndarray:
 
 def _route_grid(M: int, dealias: str) -> tuple[int, int]:
     """(K, N) of a transform route: it reads and returns the block
-    |j|_inf <= K and transforms on an N-point grid."""
-    if dealias == "two-thirds":
-        K = two_thirds_limit(M)
-        return K, _smooth_size(3 * K + 1)
-    if dealias == "padded":
-        # any N > 3M makes the product exact (module docstring); the route keeps
-        # its margin of N >= 3M + 2 and takes the next 2-3-5-smooth size
-        return M, _smooth_size(3 * M + 2)
-    raise ValueError(f"unknown dealias mode {dealias!r}")
+    |j|_inf <= K and transforms on the smallest 2-3-5-smooth grid of
+    N >= 3K + 1 points, the one grid rule (module docstring)."""
+    if dealias not in ("two-thirds", "padded"):
+        raise ValueError(f"unknown dealias mode {dealias!r}")
+    K = two_thirds_limit(M) if dealias == "two-thirds" else M
+    return K, _smooth_size(3 * K + 1)
 
 
 def bilinear_B(u: FourierField, v: FourierField, dealias: str = "two-thirds") -> FourierField:

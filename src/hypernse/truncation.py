@@ -32,15 +32,15 @@ The quadratic term of the prepared equation, B(W(u), W(u)), is computed by
 _prepared_half alone, on the half j2 >= 0 of the centered grid, which holds a
 real field; prepared_product is the same product as a FourierField, and the
 time loop of dynamics calls _prepared_half on its half-plane states.  Because
-W and the Leray projection act mode by mode, the transform routes compute W
-only on the block |j|_inf <= K that the route reads (K = floor(2M/3) for
-"two-thirds", K = M for "padded"), on that half, and form the projected
-product there in one pass (spectral._quadratic_fft: two inverse and two
-forward real transforms, the projection folded into the multipliers that take
-w1 w2 and w1^2 - w2^2 back to the block); this requires u real
-(conjugate-symmetric), so that W(u) is real and divergence-free mode by mode.
-It agrees with bilinear_B(apply_W(u), apply_W(u)) to rounding; the "direct"
-route is that composition, the oracle.  The amplitude scale and its
+W and the Leray projection act mode by mode, W is computed on that half and
+the projected product formed there in one pass, on the padded grid of the
+whole truncation (spectral._quadratic_fft: two inverse and two forward real
+transforms, the projection folded into the multipliers that take w1 w2 and
+w1^2 - w2^2 back to the block); this requires u real (conjugate-symmetric),
+so that W(u) is real and divergence-free mode by mode.  It agrees with the
+oracle bilinear_B(apply_W(u), apply_W(u), "direct") to rounding.  There is
+one route: the two-thirds rule at M is this product on the block
+floor(2M/3), which cli cuts its fields to.  The amplitude scale and its
 reciprocal are cached per (params, K), and W applies theta in place on the
 scaled amplitudes; W's values are those of theta itself, and only the sign
 of some zero coefficients can differ.
@@ -256,64 +256,41 @@ def apply_W_prime(u: FourierField, v: FourierField, params: SpectralParams) -> F
     return FourierField._wrap(u.M, _leray_coeffs(_theta_prime(xi, v.coeffs)))
 
 
-def _prepared_half(h: np.ndarray, params: SpectralParams, dealias: str) -> np.ndarray:
+def _prepared_half(h: np.ndarray, params: SpectralParams) -> np.ndarray:
     """B(W(u), W(u)) on the half j2 >= 0 of the centered grid of truncation M,
     shape (2, 2M+1, M+1), for the real field u whose half is h; a new array.
 
-    The transform routes compute W only on the half of the block |j|_inf <= K
-    that the route reads (K = floor(2M/3) for "two-thirds", K = M for
-    "padded"), form the Leray projection of (w . grad) w = div(w w^T) there
-    with two inverse and two forward real transforms on the route's grid
-    (spectral._quadratic_fft), and return zero outside the block.  The j = 0
-    coefficient is an exact 0 even when the block holds inf or NaN, so such a
-    state is reported as a blow-up, not rejected as a field with a mean.  The
-    "direct" route, the oracle for M <= 16, fills the field and takes the half
-    of prepared_product's."""
-    M = h.shape[-1] - 1
-    if dealias == "direct":
-        return prepared_product(_field_from_half(h), params, dealias).coeffs[:, :, M:].copy()
-    K, N = _route_grid(M, dealias)
-    if K == M:
-        return _quadratic_fft(_truncate(h, params), N)
-    blk = slice(M - K, M + K + 1)
-    out = np.zeros(h.shape, dtype=np.complex128)
-    out[:, blk, : K + 1] = _quadratic_fft(_truncate(h[:, blk, : K + 1], params), N)
-    return out
+    W is computed on that half, and the Leray projection of
+    (w . grad) w = div(w w^T) is formed with two inverse and two forward real
+    transforms on the padded grid (spectral._route_grid,
+    spectral._quadratic_fft).  The j = 0 coefficient is an exact 0 even when
+    h holds inf or NaN, so such a state is reported as a blow-up, not
+    rejected as a field with a mean."""
+    return _quadratic_fft(_truncate(h, params), _route_grid(h.shape[-1] - 1, "padded")[1])
 
 
-def prepared_product(
-    u: FourierField, params: SpectralParams, dealias: str = "two-thirds"
-) -> FourierField:
-    """B(W(u), W(u)), the quadratic term of the prepared equation.
-
-    Equal to bilinear_B(apply_W(u), apply_W(u), dealias) up to rounding.  The
-    transform routes form it on the half j2 >= 0 (_prepared_half) and fill
-    the modes j2 < 0 as the conjugates.  Preconditions: u is real
-    (conjugate-symmetric), and W(u) is then real and divergence-free mode by
-    mode; every state the integrators produce is real.  The "direct" route is
-    the oracle: apply_W followed by bilinear_B(..., "direct").
+def prepared_product(u: FourierField, params: SpectralParams) -> FourierField:
+    """B(W(u), W(u)), the quadratic term of the prepared equation: the half
+    j2 >= 0 of _prepared_half with the modes j2 < 0 filled as the conjugates.
+    Equal to bilinear_B(apply_W(u), apply_W(u), "direct") up to rounding.
+    Preconditions: u is real (conjugate-symmetric), and W(u) is then real and
+    divergence-free mode by mode; every state the integrator produces is real.
     """
-    if dealias == "direct":
-        w = apply_W(u, params)
-        return bilinear_B(w, w, "direct")
-    return _field_from_half(_prepared_half(u.coeffs[:, :, u.M :], params, dealias))
+    return _field_from_half(_prepared_half(u.coeffs[:, :, u.M :], params))
 
 
-def nonlinearity_F(
-    u: FourierField, params: SpectralParams, dealias: str = "two-thirds"
-) -> FourierField:
+def nonlinearity_F(u: FourierField, params: SpectralParams) -> FourierField:
     """Prepared nonlinearity in abstract form: A^{-1/2} B(W(u), W(u))."""
-    return apply_A_power(prepared_product(u, params, dealias), -0.5)
+    return apply_A_power(prepared_product(u, params), -0.5)
 
 
-def nonlinearity_F_prime(
-    u: FourierField, v: FourierField, params: SpectralParams, dealias: str = "two-thirds"
-) -> FourierField:
+def nonlinearity_F_prime(u: FourierField, v: FourierField, params: SpectralParams) -> FourierField:
     """Gateaux derivative of the prepared nonlinearity at u in direction v:
-    A^{-1/2} [B(W'(u)v, W(u)) + B(W(u), W'(u)v)]."""
+    A^{-1/2} [B(W'(u)v, W(u)) + B(W(u), W'(u)v)], with the padded product of
+    nonlinearity_F."""
     w = apply_W(u, params)
     dw = apply_W_prime(u, v, params)
-    s = bilinear_B(dw, w, dealias) + bilinear_B(w, dw, dealias)
+    s = bilinear_B(dw, w, "padded") + bilinear_B(w, dw, "padded")
     return apply_A_power(s, -0.5)
 
 

@@ -282,7 +282,7 @@ def test_criterion_07_gateaux_derivatives(record):
         vv = random_field(8, rng)
         ww = random_field(8, rng)
         strong = inner_product(
-            nonlinearity_F_prime(uu, vv, params, dealias="padded"), ww
+            nonlinearity_F_prime(uu, vv, params), ww
         )
         wu = apply_W(uu, params)
         dw = apply_W_prime(uu, vv, params)

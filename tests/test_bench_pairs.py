@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import pathlib
+import subprocess
 
 import pytest
 
@@ -41,3 +42,36 @@ def test_checkouts_at_paths_of_unequal_length_are_refused(tmp_path, capsys):
     (tmp_path / "bb").mkdir()
     assert bench_pairs.main([str(tmp_path / "a"), str(tmp_path / "bb"), "--workload", "cone"]) == 2
     assert "differ in length" in capsys.readouterr().err
+
+
+def test_a_checkout_holding_bytecode_is_refused_and_runs_compile(tmp_path, capsys, monkeypatch):
+    for name in ("pa", "pb"):
+        (tmp_path / name / "src" / "hypernse").mkdir(parents=True)
+    cache = tmp_path / "pb" / "src" / "hypernse" / "__pycache__"
+    cache.mkdir()
+    assert bench_pairs.main([str(tmp_path / "pa"), str(tmp_path / "pb"), "--workload", "cone"]) == 2
+    assert str(cache) in capsys.readouterr().err
+    # every run leaves bytecode unwritten, so each process compiles the sources
+    envs = []
+
+    def run(argv, cwd, env, **kwargs):
+        envs.append(env)
+        return subprocess.CompletedProcess(argv, 0, stdout='{"failed": 0}\n', stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    assert bench_pairs.run_bench(str(tmp_path / "pa"), "cone", 0, 1) == {"failed": 0}
+    assert [env["PYTHONDONTWRITEBYTECODE"] for env in envs] == ["1"]
+
+
+def test_the_change_fails_when_it_fails_a_larger_share_of_repetitions():
+    def failed_more(parent, change):
+        (fp, ap), (fc, ac) = parent, change
+        return bench_pairs.failed_more({"parent": fp, "change": fc}, {"parent": ap, "change": ac})
+
+    assert failed_more((0, 10), (1, 10))
+    assert not failed_more((0, 10), (0, 10))
+    assert not failed_more((1, 10), (1, 10))
+    assert not failed_more((2, 10), (1, 10))
+    # shares, not counts: 2 of 20 is the parent's 1 of 10, 2 of 10 is more
+    assert not failed_more((1, 10), (2, 20))
+    assert failed_more((1, 20), (2, 10))

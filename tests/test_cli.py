@@ -13,7 +13,7 @@ import hypernse.cli
 import hypernse.dynamics
 import hypernse.spectral
 import hypernse.truncation
-from hypernse import CutoffFamily, FourierField, evolve_pairs, find_sparse_annulus, perturbed_copy
+from hypernse import CutoffFamily, FourierField, evolve, evolve_pairs, find_sparse_annulus, perturbed_copy
 from hypernse.cli import ConfigError, main, resolve_config
 from hypernse.dynamics import TRACE_COLUMNS
 
@@ -40,7 +40,6 @@ def test_default_values_and_types_are_pinned():
         ("M", 16, int),
         ("dt", 0.001, float),
         ("T", 0.5, float),
-        ("dealias", "two-thirds", str),
         ("seed", 0, int),
         ("include_nonlinear", True, bool),
         ("record_every", 1, int),
@@ -54,7 +53,7 @@ def test_default_values_and_types_are_pinned():
 # one non-default value per setting, as a file or a flag would spell it
 SETTING_STRINGS = {
     "mu": "500", "s": "0.1", "beta": "1.47", "nu": "2", "rho": "0.5",
-    "M": "12", "dt": "1e-4", "T": "0.1", "dealias": "padded", "seed": "3", "include_nonlinear": "no",
+    "M": "12", "dt": "1e-4", "T": "0.1", "seed": "3", "include_nonlinear": "no",
     "record_every": "2", "gap_limit": "1000", "samples": "3",
     "ic_amplitude": "0.25", "forcing_amplitude": "0",
 }
@@ -171,6 +170,8 @@ def test_simulate_command(tmp_path):
     assert rc == 0
     report = json.loads((out / "simulate.json").read_text())
     assert report["results"]["blow_up"] is False
+    # drawn at M = 8, stepped on its two-thirds block
+    assert (report["results"]["truncation"], report["results"]["draw_truncation"]) == (5, 8)
     traj = (out / "trajectory.csv").read_text().splitlines()
     assert traj[0] == "t,energy,regularity_norm"
     assert len(traj) == 12  # header + 11 samples
@@ -196,13 +197,64 @@ def test_initial_field_csv_rebuilds_the_drawn_field(tmp_path):
     u0 = hypernse.cli._initial_field(cfg, cfg.spectral_params(), np.random.default_rng(cfg.seed))
     lines = (out / "initial_field.csv").read_text().splitlines()
     assert lines[0] == "j1,j2,re_u1,im_u1,re_u2,im_u2"
-    c = np.zeros((2, 17, 17), dtype=np.complex128)
+    # the field drawn at M = 8, cut to the block K = 5 that simulate steps
+    c = np.zeros((2, 11, 11), dtype=np.complex128)
     for j1, j2, *parts in (line.split(",") for line in lines[1:]):
         x = [float(p) for p in parts]
-        c[:, int(j1) + 8, int(j2) + 8] = complex(x[0], x[1]), complex(x[2], x[3])
+        c[:, int(j1) + 5, int(j2) + 5] = complex(x[0], x[1]), complex(x[2], x[3])
     # the file holds the positive modes; the others are their conjugates
     c += c[:, ::-1, ::-1].conj()
-    assert np.array_equal(c, u0.coeffs)
+    assert np.array_equal(c, u0.block(5).coeffs)
+
+
+def _two_thirds_product(monkeypatch) -> None:
+    """Make the time loop's product the two-thirds rule at the members' own
+    truncation M: W and the product on the block K = floor(2M/3), on the
+    two-thirds grid of M, embedded in zeros; the full-grid run that the cut
+    runs replace."""
+
+    def two_thirds(h, params):
+        M = h.shape[-1] - 1
+        K, N = hypernse.spectral._route_grid(M, "two-thirds")
+        w = hypernse.truncation._truncate(h[:, M - K : M + K + 1, : K + 1], params)
+        out = np.zeros(h.shape, dtype=np.complex128)
+        out[:, M - K : M + K + 1, : K + 1] = hypernse.spectral._quadratic_fft(w, N)
+        return out
+
+    monkeypatch.setattr(hypernse.dynamics, "_prepared_half", two_thirds)
+
+
+@pytest.mark.parametrize("M", [12, 16])
+def test_the_cut_simulate_run_matches_the_full_grid_run(tmp_path, monkeypatch, M):
+    # simulate's draws stepped at M with the two-thirds rule: on the block
+    # K = floor(2M/3) the cut run is the same run bit for bit, since the
+    # product on K transforms on the two-thirds grid N >= 3K + 1 (25 at
+    # M = 12, 32 at M = 16), and the modes outside K never reach it
+    cfg = resolve_config(None, {"M": M, "T": "0.05"})
+    params = cfg.spectral_params()
+    rng = np.random.default_rng(cfg.seed)
+    u0 = hypernse.cli._initial_field(cfg, params, rng)
+    forcing = hypernse.cli._forcing_field(cfg, params, rng, M)
+    with monkeypatch.context() as patched:
+        _two_thirds_product(patched)
+        full = evolve(u0, forcing, params, cfg.sim_config()).fields[-1]
+    out = tmp_path / "cut"
+    assert main(["simulate", "--M", str(M), "--T", "0.05", "--out", str(out)]) == 0
+    assert cfg.sim_config().n_steps == 50
+    # the snapshot rows of the block, the modes the cut run steps
+    hypernse.cli._write_field_csv(str(tmp_path / "full.csv"), full.block(hypernse.spectral.two_thirds_limit(M)))
+    assert (out / "final_field.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+
+
+def test_the_dealias_setting_is_gone(tmp_path, capsys):
+    # one product route: neither the flag nor the file key exists
+    with pytest.raises(SystemExit) as ei:
+        main(["simulate", "--dealias", "padded", "--out", str(tmp_path / "x")])
+    assert ei.value.code == 2
+    path = tmp_path / "run.cfg"
+    path.write_text("dealias = padded\n")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "y")]) == 2
+    assert "unknown key 'dealias'" in capsys.readouterr().err
 
 
 def test_simulate_at_an_overflowing_decay_rate_takes_the_exact_decay(tmp_path):
@@ -424,7 +476,7 @@ def _cone_check_with_bumps(monkeypatch, out, bumps, T):
     monkeypatch.setattr(hypernse.cli, "_initial_field",
                         lambda cfg, params, rng: real_initial(cfg, params, rng) + bump(params.M, 0))
     monkeypatch.setattr(hypernse.cli, "_forcing_field",
-                        lambda cfg, params, rng: FourierField.from_modes(params.M, {(0, 1): (1e306, 0.0)}))
+                        lambda cfg, params, rng, K: FourierField.from_modes(K, {(0, 1): (1e306, 0.0)}))
 
     def copy(u, fam, delta, rng, where):
         member = 1 + hypernse.cli.PERTURBATION_DELTAS.index(delta)
@@ -520,19 +572,7 @@ def test_cone_check_steps_the_two_thirds_block_of_the_cone_workload(tmp_path):
     rc = main(["cone-check", "--mu", "1e4", "--s", "0.15", "--T", "0.001", "--out", str(out)])
     assert rc == 0
     results = _strict_loads((out / "cone.json").read_text())["results"]
-    assert (results["truncation"], results["draw_truncation"], results["route"]) == (102, 153, "padded")
-
-
-@pytest.mark.parametrize("dealias, route", [("two-thirds", "padded"), ("padded", "padded"), ("direct", "direct")])
-def test_cone_check_names_the_route_it_stepped(tmp_path, dealias, route):
-    out = tmp_path / dealias
-    rc = main(["cone-check", "--mu", "50", "--s", "0.15", "--T", "0.002",
-               "--dealias", dealias, "--out", str(out)])
-    assert rc == 0
-    report = _strict_loads((out / "cone.json").read_text())
-    results = report["results"]
-    assert report["config"]["dealias"] == dealias
-    assert (results["truncation"], results["draw_truncation"], results["route"]) == (8, 13, route)
+    assert (results["truncation"], results["draw_truncation"]) == (102, 153)
 
 
 @pytest.mark.parametrize("mu", [50, 1e3, 1e4, 1e5])
@@ -615,9 +655,9 @@ def _assert_columns_close(got: dict, want: dict) -> None:
         assert np.max(np.abs(got[name] - col)) <= CUT_TOL * np.max(np.abs(col)), name
 
 
-def test_the_cut_cone_run_matches_the_full_grid_run(tmp_path):
+def test_the_cut_cone_run_matches_the_full_grid_run(tmp_path, monkeypatch):
     # the full-grid run: the stage's draws at M_run, stepped there with the
-    # two-thirds route; at mu = 1e3 the rows after the first are resolved
+    # two-thirds rule; at mu = 1e3 the rows after the first are resolved
     args = {"mu": "1e3", "s": "0.15", "T": "0.005"}
     cfg = resolve_config(None, args)
     ann = find_sparse_annulus(cfg.mu, cfg.s)
@@ -626,18 +666,19 @@ def test_the_cut_cone_run_matches_the_full_grid_run(tmp_path):
     params = cfg.spectral_params(M=M_run)
     rng = np.random.default_rng(cfg.seed)
     u1 = hypernse.cli._initial_field(cfg, params, rng)
-    forcing = hypernse.cli._forcing_field(cfg, params, rng)
+    forcing = hypernse.cli._forcing_field(cfg, params, rng, M_run)
     copies = [perturbed_copy(u1, fam, d, rng, where="band") for d in hypernse.cli.PERTURBATION_DELTAS]
-    full = evolve_pairs(u1, copies, forcing, params, cfg.sim_config(), fam)
+    with monkeypatch.context() as patched:
+        _two_thirds_product(patched)
+        full = evolve_pairs(u1, copies, forcing, params, cfg.sim_config(), fam)
     flags = [x for key, value in args.items() for x in (f"--{key}", value)]
-    for dealias in ("two-thirds", "padded"):
-        out = tmp_path / dealias
-        assert main(["cone-check", *flags, "--dealias", dealias, "--out", str(out)]) == 0
-        results = _strict_loads((out / "cone.json").read_text())["results"]
-        assert (results["truncation"], results["draw_truncation"]) == (K, M_run) == (33, 50)
-        for run, want in zip(results["runs"], full, strict=True):
-            got = _trace_columns(out / run["trace_csv"])
-            _assert_columns_close(got, {name: getattr(want, name) for name in got})
+    out = tmp_path / "cut"
+    assert main(["cone-check", *flags, "--out", str(out)]) == 0
+    results = _strict_loads((out / "cone.json").read_text())["results"]
+    assert (results["truncation"], results["draw_truncation"]) == (K, M_run) == (33, 50)
+    for run, want in zip(results["runs"], full, strict=True):
+        got = _trace_columns(out / run["trace_csv"])
+        _assert_columns_close(got, {name: getattr(want, name) for name in got})
 
 
 def test_cone_check_reports_overflowed_diagnostics_as_blow_up(tmp_path):
@@ -681,6 +722,8 @@ def test_cone_check_reports_overflowed_diagnostics_as_blow_up(tmp_path):
         (["cone-check", "--mu", "1e3", "--s", "0.15", "--T", "1e308", "--dt", "1e-10"],
          "T / dt must be finite"),
         (["lattice", "gaps", "--gap-limit", str(2**52)], "gap_limit must be below 2^52"),
+        # simulate steps the block floor(2M/3), which SpectralParams needs >= 2
+        (["simulate", "--M", "2"], "floor(2M/3) >= 2"),
     ],
 )
 def test_hostile_inputs_exit_2_naming_the_invariant(tmp_path, capsys, args, named):

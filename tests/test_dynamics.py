@@ -48,8 +48,6 @@ def shear_field(M=8) -> FourierField:
 def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(dt=0.0)
-    with pytest.raises(ValueError, match="unknown dealias route"):
-        SimConfig(dealias="spectral")
     with pytest.raises(ValueError):
         SimConfig(record_every=0)
     with pytest.raises(ValueError, match="T / dt must be finite"):
@@ -99,7 +97,7 @@ def test_step_is_bitwise_the_closed_form_update(forced):
     dt, lam = cfg.dt, laplacian_power(8, PARAMS.beta)
 
     def N(c):
-        b = prepared_product(FourierField(8, c), PARAMS, cfg.dealias).coeffs
+        b = prepared_product(FourierField(8, c), PARAMS).coeffs
         return -b if f is None else f.coeffs - b
 
     c = u.coeffs
@@ -308,8 +306,8 @@ def reference_pair_rows(u1, u2, forcing, params, cfg, fam):
     def row(t, a, b):
         ba = bb = None
         if cfg.include_nonlinear:
-            ba = prepared_product(a, params, cfg.dealias).coeffs[:, :, M:]
-            bb = prepared_product(b, params, cfg.dealias).coeffs[:, :, M:]
+            ba = prepared_product(a, params).coeffs[:, :, M:]
+            bb = prepared_product(b, params).coeffs[:, :, M:]
         return (t,) + _cone_sample(a.coeffs[:, :, M:], b.coeffs[:, :, M:], ba, bb, params, fam, masks, alpha)
 
     rows = [row(0.0, u1, u2)]
@@ -524,11 +522,6 @@ def test_cone_report_counts_unresolved_differences_as_degenerate():
 # an independent full-plane oracle of the half-plane time loop
 
 
-def prepared(params, cfg):
-    """B(W(u), W(u)) of a field, by the run's route."""
-    return lambda w: prepared_product(w, params, cfg.dealias)
-
-
 def oracle_states(u, forcing, params, cfg, product):
     """The recorded states of a Heun loop over whole coefficient arrays, the
     formulas of test_step_is_bitwise_the_closed_form_update; product(field)
@@ -573,21 +566,20 @@ def oracle_rows(u1, u2, forcing, params, cfg, fam, product):
 
 
 @pytest.mark.parametrize("forced", [False, True])
-@pytest.mark.parametrize("route", ["two-thirds", "padded"])
-def test_evolve_is_bitwise_the_full_plane_oracle(route, forced):
+def test_evolve_is_bitwise_the_full_plane_oracle(forced):
     rng = np.random.default_rng(13)
     u = random_field(8, rng, decay=2.0) * 3.0
     f = random_field(8, rng, decay=3.0) * 5.0 if forced else None
-    cfg = SimConfig(dt=2e-3, T=0.01, dealias=route, record_every=2)
+    cfg = SimConfig(dt=2e-3, T=0.01, record_every=2)
     traj = evolve(u, f, PARAMS, cfg)
-    want = oracle_states(u, f, PARAMS, cfg, prepared(PARAMS, cfg))
+    want = oracle_states(u, f, PARAMS, cfg, lambda w: prepared_product(w, PARAMS))
     assert len(traj.fields) == len(want) == 4
     assert all(np.array_equal(a.coeffs, b) for a, b in zip(traj.fields, want))
 
 
 def cone_stage_members():
     """The cone stage's members at mu = 1e3, where the rows after the first
-    are resolved: drawn at M_run, cut to the block K, padded product."""
+    are resolved: drawn at M_run and cut to the block K."""
     cfg = resolve_config(None, {"mu": "1e3", "s": "0.15", "T": "0.005"})
     ann = find_sparse_annulus(cfg.mu, cfg.s)
     fam = CutoffFamily(ann.lambda_N, ann.lambda_next, ann.half_width)
@@ -595,10 +587,9 @@ def cone_stage_members():
     rng = np.random.default_rng(cfg.seed)
     draw = cfg.spectral_params(M=M_run)
     u1 = hypernse.cli._initial_field(cfg, draw, rng)
-    forcing = hypernse.cli._forcing_field(cfg, draw, rng).block(K)
+    forcing = hypernse.cli._forcing_field(cfg, draw, rng, K)
     copies = [perturbed_copy(u1, fam, d, rng, where="band").block(K) for d in hypernse.cli.PERTURBATION_DELTAS]
-    sim = dataclasses.replace(cfg.sim_config(), dealias="padded")
-    return u1.block(K), copies, forcing, cfg.spectral_params(M=K), sim, fam
+    return u1.block(K), copies, forcing, cfg.spectral_params(M=K), cfg.sim_config(), fam
 
 
 def test_evolve_pairs_matches_the_full_plane_oracle():
@@ -613,7 +604,7 @@ def test_evolve_pairs_matches_the_full_plane_oracle():
     u1, copies, forcing, params, cfg, fam = cone_stage_members()
     traces = evolve_pairs(u1, copies, forcing, params, cfg, fam)
     for copy, tr in zip(copies, traces, strict=True):
-        want = oracle_rows(u1, copy, forcing, params, cfg, fam, prepared(params, cfg))
+        want = oracle_rows(u1, copy, forcing, params, cfg, fam, lambda w: prepared_product(w, params))
         for rows in (slice(0, 1), slice(1, None)):
             for name, col in want.items():
                 got = getattr(tr, name)[rows]

@@ -27,7 +27,7 @@ from hypernse import (
     bilinear_B,
 )
 from hypernse import spectral, truncation
-from hypernse.spectral import _route_grid, two_thirds_limit, wavenumbers
+from hypernse.spectral import _route_grid, wavenumbers
 from hypernse.truncation import (
     _amplitude_scale,
     _smoothstep,
@@ -221,7 +221,7 @@ def test_f_prime_weak_form_agreement():
         u = transition_shell_field(rng)
         v = random_field(PARAMS.M, rng)
         w = random_field(PARAMS.M, rng)
-        strong = inner_product(nonlinearity_F_prime(u, v, PARAMS, dealias="padded"), w)
+        strong = inner_product(nonlinearity_F_prime(u, v, PARAMS), w)
         wu = apply_W(u, PARAMS)
         dw = apply_W_prime(u, v, PARAMS)
         aw = apply_A_power(w, -0.5)
@@ -231,11 +231,13 @@ def test_f_prime_weak_form_agreement():
 
 
 def test_f_prime_routes_agree():
+    # F' on its padded route against the same composition on the direct one
     rng = np.random.default_rng(7)
     u = transition_shell_field(rng)
     v = random_field(PARAMS.M, rng)
-    a = nonlinearity_F_prime(u, v, PARAMS, dealias="padded")
-    b = nonlinearity_F_prime(u, v, PARAMS, dealias="direct")
+    a = nonlinearity_F_prime(u, v, PARAMS)
+    w, dw = apply_W(u, PARAMS), apply_W_prime(u, v, PARAMS)
+    b = apply_A_power(bilinear_B(dw, w, "direct") + bilinear_B(w, dw, "direct"), -0.5)
     num = np.max(np.abs(a.coeffs - b.coeffs))
     den = max(np.max(np.abs(a.coeffs)), 1e-300)
     assert num / den <= 1e-10
@@ -284,62 +286,43 @@ def _shell_field(M: int, params: SpectralParams, rng) -> FourierField:
 
 
 def _oracle_rel(u: FourierField, params: SpectralParams, route: str) -> float:
+    """The prepared product against bilinear_B(W(u), W(u)) on one route of
+    bilinear_B; "direct" is the oracle."""
     w = apply_W(u, params)
     ref = bilinear_B(w, w, route).coeffs
-    got = prepared_product(u, params, route).coeffs
+    got = prepared_product(u, params).coeffs
     return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
 
 
-@pytest.mark.parametrize("route", ["two-thirds", "padded", "direct"])
+@pytest.mark.parametrize("route", ["padded", "direct"])
 @pytest.mark.parametrize("M", [12, 16, 40])
 def test_prepared_product_matches_the_oracle(route, M):
     params = SpectralParams(M=M)
     rng = np.random.default_rng(M)
-    # inside the ball, saturated, and rough; the direct route is the oracle's
-    # own composition, so one saturated field covers it
+    # inside the ball, saturated, and rough; the direct convolution is slow,
+    # so one saturated field covers it
     cases = ((3.0, 30.0),) if route == "direct" else ((3.0, 0.5), (3.0, 30.0), (1.0, 3.0))
     for decay, size in cases:
         u = scaled_to(random_field(M, rng, decay=decay), size)
         assert _oracle_rel(u, params, route) <= 1e-13
 
 
-@pytest.mark.parametrize("route", ["two-thirds", "padded"])
-def test_prepared_product_on_the_transition_shell(route):
+def test_prepared_product_on_the_transition_shell():
     params = SpectralParams(M=16)
     rng = np.random.default_rng(7)
     u = _shell_field(16, params, rng)
     r = np.abs(u.coeffs * _amplitude_scale(params, 16))
     nz = r > 0
     assert np.all((r[nz] > 1.0) & (r[nz] < DEFAULT_OUTER_RADIUS))
-    assert _oracle_rel(u, params, route) <= 1e-13
+    assert _oracle_rel(u, params, "direct") <= 1e-13
 
 
 def test_prepared_product_at_the_cone_truncation():
-    params = SpectralParams(M=152)
-    u = scaled_to(random_field(152, np.random.default_rng(152), decay=4.5), 0.5)
-    assert _oracle_rel(u, params, "two-thirds") <= 1e-13
-
-
-@pytest.mark.parametrize("M, grid, grid_on_block, identical", [(153, 320, 320, True), (125, 250, 256, False)])
-def test_padded_product_on_the_block_is_the_two_thirds_product(M, grid, grid_on_block, identical):
-    """The two-thirds product at M and the padded product on its block
-    K = floor(2M/3) are the same (Orszag 1971).  Where both routes transform
-    on the same grid they agree bit for bit (the cone stage's M_run = 153);
-    where the grids differ (250 = 2 * 5^3 against 256) only to rounding."""
-    K = two_thirds_limit(M)
-    assert _route_grid(M, "two-thirds") == (K, grid)
-    assert _route_grid(K, "padded") == (K, grid_on_block)
-    rng = np.random.default_rng(M)
-    blk = slice(M - K, M + K + 1)
-    for size in (0.5, 30.0):  # inside the ball and saturated
-        u = scaled_to(random_field(M, rng, decay=3.0), size)
-        full = prepared_product(u, SpectralParams(M=M), "two-thirds").coeffs
-        cut = prepared_product(u.block(K), SpectralParams(M=K), "padded").coeffs
-        assert np.array_equal(full[:, blk, blk], cut) is identical
-        assert np.max(np.abs(full[:, blk, blk] - cut)) <= 1e-13 * np.max(np.abs(cut))
-        rest = full.copy()
-        rest[:, blk, blk] = 0.0
-        assert np.all(rest == 0.0)
+    # the cone workload steps the block K = 102 on the grid N = 320
+    params = SpectralParams(M=102)
+    assert _route_grid(102, "padded") == (102, 320)
+    u = scaled_to(random_field(102, np.random.default_rng(152), decay=4.5), 0.5)
+    assert _oracle_rel(u, params, "padded") <= 1e-13
 
 
 def test_block_is_the_field_on_the_smaller_truncation():
@@ -354,23 +337,12 @@ def test_block_is_the_field_on_the_smaller_truncation():
             u.block(K)
 
 
-def test_prepared_product_is_zero_outside_the_two_thirds_block():
-    params = SpectralParams(M=12)
-    u = random_field(12, np.random.default_rng(3), decay=2.0)
-    b = prepared_product(u, params)
-    K = two_thirds_limit(12)
-    outside = np.ones(b.coeffs.shape[1:], dtype=bool)
-    outside[12 - K : 12 + K + 1, 12 - K : 12 + K + 1] = False
-    assert np.all(b.coeffs[:, outside] == 0.0)
-    assert not b.coeffs.flags.writeable
-    with pytest.raises(ValueError, match="unknown dealias mode"):
-        prepared_product(u, params, "none")
-
-
 def test_nonlinearity_F_is_the_prepared_product():
     params = SpectralParams(M=12)
     u = random_field(12, np.random.default_rng(4), decay=3.0)
-    want = apply_A_power(prepared_product(u, params), -0.5)
+    b = prepared_product(u, params)
+    assert not b.coeffs.flags.writeable
+    want = apply_A_power(b, -0.5)
     assert np.array_equal(nonlinearity_F(u, params).coeffs, want.coeffs)
 
 
@@ -382,21 +354,19 @@ def _relative_defects(b: FourierField) -> tuple[float, float]:
     return b.reality_defect() / size, b.divergence_defect() / np.max(np.sqrt(LAM) * np.abs(b.coeffs))
 
 
-@pytest.mark.parametrize("route", ["two-thirds", "padded"])
-@pytest.mark.parametrize("M", [12, 16, 40])
-def test_prepared_product_is_real_and_divergence_free(route, M):
-    # M = 12 on the two-thirds route transforms on an odd grid, N = 25
+@pytest.mark.parametrize("M", [8, 12, 16, 40])
+def test_prepared_product_is_real_and_divergence_free(M):
+    # M = 8, the block simulate steps at M = 12, transforms on an odd grid
     params = SpectralParams(M=M)
     rng = np.random.default_rng(100 + M)
     for decay, size in ((3.0, 0.5), (3.0, 30.0), (1.0, 3.0)):
-        b = prepared_product(scaled_to(random_field(M, rng, decay=decay), size), params, route)
+        b = prepared_product(scaled_to(random_field(M, rng, decay=decay), size), params)
         reality, divergence = _relative_defects(b)
         assert reality <= 1e-13 and divergence <= 1e-13
-    assert _route_grid(12, "two-thirds") == (8, 25)
+    assert _route_grid(8, "padded") == (8, 25)
 
 
-@pytest.mark.parametrize("route", ["two-thirds", "padded"])
-def test_prepared_product_keeps_the_zero_mode_at_zero_on_non_finite_input(route):
+def test_prepared_product_keeps_the_zero_mode_at_zero_on_non_finite_input():
     # NaN passes through W; at rho = 1e300, W is the identity on a field of
     # size 1e200 and its squares overflow on the grid.  Either way the
     # transforms spread inf and NaN over every mode, and the j = 0 slot must
@@ -407,7 +377,7 @@ def test_prepared_product_keeps_the_zero_mode_at_zero_on_non_finite_input(route)
     cases = [(u + nan_mode, SpectralParams(M=M)), (u * 1e200, SpectralParams(M=M, rho=1e300))]
     for field, params in cases:
         with np.errstate(over="ignore", invalid="ignore"):
-            b = prepared_product(field, params, route)
+            b = prepared_product(field, params)
         assert not np.all(np.isfinite(b.coeffs))
         assert np.all(b.coeffs[:, M, M] == 0.0)
 
@@ -419,8 +389,7 @@ _FFT_FUNCTIONS = {
 }
 
 
-@pytest.mark.parametrize("route", ["two-thirds", "padded"])
-def test_prepared_product_moves_two_component_arrays_each_way(monkeypatch, route):
+def test_prepared_product_moves_two_component_arrays_each_way(monkeypatch):
     # a work count, not a timing: w1 and w2 go to the grid, w1 w2 and
     # w1^2 - w2^2 come back, and the block is projected once, inside W
     params = SpectralParams(M=16)
@@ -448,6 +417,6 @@ def test_prepared_product_moves_two_component_arrays_each_way(monkeypatch, route
 
     for module in (spectral, truncation):
         monkeypatch.setattr(module, "_leray_coeffs", leray)
-    prepared_product(u, params, route)
+    prepared_product(u, params)
     assert moved == {"forward": 2.0, "inverse": 2.0}
     assert len(projections) == 1

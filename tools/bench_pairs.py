@@ -6,12 +6,18 @@ Runs bench/run.py --trace 0 in each checkout, pair after pair, alternating
 which side goes first, with the same workload, seed and --seconds on both.
 The two checkout paths must have the same length: the path is part of what
 each benchmarked process loads, and a longer one moves peak_rss_mb by about
-0.19 MiB.
+0.19 MiB.  Both sides run with PYTHONDONTWRITEBYTECODE=1, so every repetition
+compiles the sources, and a checkout whose src/hypernse holds a __pycache__
+is refused: Python reads cached bytecode even with that variable set, and
+the side that does reads about 1 MiB lower.
 
 Per metric it prints each side's median and quartiles and the number of
 pairs the change won: a pair is won when the change's value is better in the
 direction BENCHMARK.json gives for the metric (lower when it names none), and
-a tie counts for neither side.  The last line is the summary as strict JSON.
+a tie counts for neither side.  Then it prints each side's failed and
+attempted repetitions, and the last line is the summary as strict JSON.  It
+exits 1 when the change failed a larger share of its repetitions than the
+parent.
 """
 
 from __future__ import annotations
@@ -59,11 +65,19 @@ def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) ->
     return out
 
 
+def failed_more(failed: dict[str, int], attempted: dict[str, int]) -> bool:
+    """Whether the change failed a larger share of its attempted repetitions
+    than the parent; failed and attempted count them per side."""
+    return failed["change"] * attempted["parent"] > failed["parent"] * attempted["change"]
+
+
 def run_bench(checkout: str, workload: str, seed: int, seconds: int) -> dict:
-    """One bench/run.py --trace 0 run in checkout: its JSON result line."""
+    """One bench/run.py --trace 0 run in checkout, compiling the sources in
+    every process: its JSON result line."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=False)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{checkout}: bench/run.py exited {proc.returncode}: {proc.stderr.strip()}")
@@ -91,11 +105,18 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: checkout paths differ in length ({len(parent)} and {len(change)} "
               "characters), which moves peak_rss_mb", file=sys.stderr)
         return 2
+    for checkout in (parent, change):
+        cache = os.path.join(checkout, "src", "hypernse", "__pycache__")
+        if os.path.isdir(cache):
+            print(f"error: {cache} holds cached bytecode, which the runs would read instead of "
+                  "compiling the sources; remove it", file=sys.stderr)
+            return 2
     if args.pairs < 1:
         print("error: --pairs must be at least 1", file=sys.stderr)
         return 2
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     failed = {"parent": 0, "change": 0}
+    attempted = {"parent": 0, "change": 0}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
@@ -106,6 +127,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
             failed[side] += result["failed"]
+            attempted[side] += result["attempted"]
             runs[side].append({k: m["value"] for k, m in result["metrics"].items()})
         print(f"pair {i + 1}/{args.pairs} ({order[0]} first): "
               + "  ".join(f"{k} {runs['parent'][-1][k]:.4g} -> {runs['change'][-1][k]:.4g}"
@@ -116,8 +138,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{name:12s} parent {p['median']:.4f} ({p['q1']:.4f}-{p['q3']:.4f})  "
               f"change {c['median']:.4f} ({c['q1']:.4f}-{c['q3']:.4f})  "
               f"{s['better']} is better; change won {s['won']}, lost {s['lost']} of {s['pairs']}")
+    print(f"failed repetitions: parent {failed['parent']} of {attempted['parent']}, "
+          f"change {failed['change']} of {attempted['change']}")
     print(json.dumps({"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
-                      "failed": failed, "metrics": summary}, allow_nan=False))
+                      "failed": failed, "attempted": attempted, "metrics": summary}, allow_nan=False))
+    if failed_more(failed, attempted):
+        print("error: the change failed a larger share of its repetitions than the parent",
+              file=sys.stderr)
+        return 1
     return 0
 
 
