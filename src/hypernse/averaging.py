@@ -19,11 +19,13 @@ Two independent routes to the matrix are provided:
   of W(u) at the difference wavenumber, and the band gains come from
   truncation's one cutoff derivative.  Array arithmetic over the n x n grid
   of differences; no transforms, no dense grids, so it scales to mu = 1e6.
-* :func:`weak_restricted_operator` embeds each basis mode as a field and
-  pushes it through the full derivative machinery (truncation derivative,
-  dealiased advection, half-inverse Laplacian), then reads the band
-  coefficients by index.  Small truncations only; it is the cross-check
-  oracle.
+* :func:`weak_restricted_operator` embeds each basis mode on the full plane
+  and pushes it through the derivative of the truncated nonlinearity
+  (truncation derivative, padded advection, half-inverse Laplacian), then
+  reads the band coefficients by index.  A single mode without its
+  conjugate is not a real field, so this route works on full-plane arrays
+  (spectral._bilinear_plane).  Small truncations only; it is the
+  cross-check oracle.
 
 The truncation derivative is real-linear but not complex-linear wherever a
 coefficient magnitude falls in the transition shell of the radial profile.
@@ -44,7 +46,10 @@ from .lattice import SparseAnnulus, _points_with_norm_range, annulus_points
 from .spectral import (
     FourierField,
     SpectralParams,
+    _bilinear_plane,
     _binary_exponent,
+    _full_plane,
+    _leray_coeffs,
     random_field,
     sobolev_norm,
     wavenumbers,
@@ -54,7 +59,6 @@ from .truncation import (
     _scaled_amplitude,
     _theta_prime,
     apply_W,
-    nonlinearity_F_prime,
 )
 
 
@@ -73,13 +77,17 @@ def band_basis(lambda_N: int, k: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gather(c: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """The centered block c, of shape (..., 2M+1, 2M+1), read at the lattice
-    points j, an integer array of shape (2, ...): coefficient pairs for a
-    field's block, values for a scalar block; zero beyond the truncation M."""
-    M = (c.shape[-1] - 1) // 2
+    """The half c of a real field or scalar, of shape (..., 2M+1, M+1), read
+    at the lattice points j, an integer array of shape (2, ...): coefficient
+    pairs for a field, values for a scalar; a point j2 < 0 reads the
+    conjugate at -j, and a point beyond the truncation M reads zero."""
+    M = c.shape[-1] - 1
     inside = np.all(np.abs(j) <= M, axis=0)
+    flip = j[1] < 0
+    j = np.where(flip, -j, j)
     out = np.zeros(c.shape[:-2] + j.shape[1:], dtype=np.complex128)
-    out[..., inside] = c[..., j[0, inside] + M, j[1, inside] + M]
+    out[..., inside] = c[..., j[0, inside] + M, j[1, inside]]
+    np.conj(out, out=out, where=flip)
     return out
 
 
@@ -121,13 +129,13 @@ def weak_restricted_operator(
     basis: tuple[np.ndarray, np.ndarray],
     params: SpectralParams,
 ) -> np.ndarray:
-    """Oracle assembly through the full field machinery.
+    """Oracle assembly through the full field machinery, on the full plane.
 
     Each basis mode of band_basis's (j, d) is embedded at u's truncation,
-    pushed through the derivative of the truncated nonlinearity on the padded
-    product route, and the band coefficients are read off by index.  Requires
-    every band point inside u's truncation; intended for small cross-check
-    scales only.
+    pushed through the derivative of the truncated nonlinearity,
+    A^{-1/2} [B(W'(u) e, W(u)) + B(W(u), W'(u) e)] with the padded product,
+    and the band coefficients are read off by index.  Requires every band
+    point inside u's truncation; intended for small cross-check scales only.
     """
     j, d = basis
     n = j.shape[1]
@@ -137,12 +145,18 @@ def weak_restricted_operator(
     if np.any(np.abs(j) > M):
         raise ValueError("band does not fit inside the sample truncation")
     rows, cols = j[0] + M, j[1] + M
+    xi = _full_plane(_scaled_amplitude(u.coeffs, _amplitude_scale(params, M)))
+    w = _full_plane(apply_W(u, params).coeffs)
+    # A^{-1/2} at the band points
+    inv_sqrt = np.float64(j[0] * j[0] + j[1] * j[1]) ** -0.5
     out = np.zeros((n, n), dtype=np.complex128)
     for c in range(n):
         e = np.zeros((2, 2 * M + 1, 2 * M + 1), dtype=np.complex128)
         e[:, rows[c], cols[c]] = d[:, c]
-        img = nonlinearity_F_prime(u, FourierField._wrap(M, e), params).coeffs
-        out[:, c] = img[0, rows, cols] * d[0] + img[1, rows, cols] * d[1]
+        dw = _leray_coeffs(_theta_prime(xi, e))
+        img = (_bilinear_plane(dw, w, "padded") + _bilinear_plane(w, dw, "padded"))[:, rows, cols]
+        img *= inv_sqrt
+        out[:, c] = img[0] * d[0] + img[1] * d[1]
     return out
 
 
@@ -202,15 +216,15 @@ def restricted_norm(matrix: np.ndarray) -> float:
 def cancellation_defect(phi: np.ndarray, psi: np.ndarray, band: np.ndarray) -> float:
     """Max band coefficient of band_project(phi * band_project(psi)).
 
-    band is band_basis's (2, n) j; phi is the centered (2R+1, 2R+1) block of a
-    mean-zero low-frequency scalar factor; psi holds one value per band point.
+    band is band_basis's (2, n) j; phi is the half j2 >= 0, shape
+    (2R+1, R+1), of the block |j|_inf <= R of a real, mean-zero,
+    low-frequency scalar factor; psi holds one value per band point.
     The coefficient at band point p is sum_p' phi(p - p') psi(p'): phi gathered
     at the band differences, applied to psi, and zero on a certified band
     whose separation exceeds phi's support radius.  np.einsum, unlike a
     threaded BLAS product, sums in an order that ignores the thread count.
     """
-    R = (phi.shape[-1] - 1) // 2
-    if phi[R, R] != 0:
+    if phi[phi.shape[-1] - 1, 0] != 0:
         raise ValueError("phi must be mean-zero")
     if psi.shape != band.shape[1:]:
         raise ValueError(f"psi holds {psi.size} values for {band.shape[1]} band points")
@@ -223,9 +237,10 @@ def random_cancellation_pair(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Random real low-frequency factor and band field for the defect check.
 
-    phi is the centered block |j|_inf <= R, R = isqrt(floor(support_radius^2)),
-    with conjugate-symmetric coefficients on 0 < |j| <= support_radius (a
-    real scalar field) and zero elsewhere; psi holds an independent complex
+    phi is the half j2 >= 0 of the block |j|_inf <= R,
+    R = isqrt(floor(support_radius^2)), of a real scalar field with
+    coefficients on 0 < |j| <= support_radius and zero elsewhere, the layout
+    of a field; psi holds an independent complex
     value per point of the (2, n) band.  The draws run over the positive
     modes of the disk in lexicographic order, real part then imaginary part,
     then over the band points in order.
@@ -235,9 +250,12 @@ def random_cancellation_pair(
     q = q[len(q) // 2 :]  # the set is symmetric and lexicographic: the j > 0
     R = math.isqrt(n_max)
     z = rng.standard_normal((len(q), 2)).view(np.complex128)[:, 0]
-    phi = np.zeros((2 * R + 1, 2 * R + 1), dtype=np.complex128)
-    phi[R + q[:, 0], R + q[:, 1]] = z
-    phi[R - q[:, 0], R - q[:, 1]] = z.conj()
+    phi = np.zeros((2 * R + 1, R + 1), dtype=np.complex128)
+    # each drawn mode lands at q or, as its conjugate, at -q, whichever has
+    # j2 >= 0; on the column j2 = 0 at both
+    up, down = q[:, 1] >= 0, q[:, 1] <= 0
+    phi[R + q[up, 0], q[up, 1]] = z[up]
+    phi[R - q[down, 0], -q[down, 1]] = z[down].conj()
     psi = rng.standard_normal((band.shape[1], 2)).view(np.complex128)[:, 0]
     return phi, psi
 

@@ -35,7 +35,7 @@ reads and writes, and step that block, where the padded product is the same
 Every CSV file goes through one writer, _write_csv: a header line, then one
 line per row, floats at 17 significant digits, which read back as the same
 doubles.  The cone traces take TRACE_COLUMNS as their header; the field
-snapshots of simulate hold the positive modes of the block.
+snapshots of simulate hold the modes the block stores, its half j2 >= 0.
 
 Outputs go under a timestamped directory beneath --out, the
 HYPERNSE_OUTPUT_DIR environment variable, or ./runs, in that order of
@@ -81,7 +81,7 @@ from .spectral import (
     CutoffFamily,
     FourierField,
     SpectralParams,
-    _pairing,
+    _field_pairing,
     _random_coeffs,
     inner_product,
     random_field,
@@ -299,12 +299,12 @@ def _write_csv(path: str, header: tuple[str, ...], rows) -> str:
 
 def _write_field_csv(path: str, u: FourierField) -> None:
     """A snapshot of u: j1, j2 and the real and imaginary parts of u1 and u2
-    per lexicographically positive mode (j1 > 0, or j1 = 0 and j2 > 0), in
-    lexicographic order; the conjugate modes follow from reality."""
-    J1, J2, _ = wavenumbers(u.M)
-    positive = (J1 > 0) | ((J1 == 0) & (J2 > 0))
-    c1, c2 = u.coeffs[:, positive]
-    rows = zip(J1[positive], J2[positive], c1.real, c1.imag, c2.real, c2.imag)
+    per mode that u stores, every mode j2 >= 0 but j = 0, in the order of
+    the stored half (lexicographic); it rebuilds u bit for bit."""
+    J1, J2, LAM = wavenumbers(u.M)
+    stored = LAM > 0
+    c1, c2 = u.coeffs[:, stored]
+    rows = zip(J1[stored], J2[stored], c1.real, c1.imag, c2.real, c2.imag)
     _write_csv(path, ("j1", "j2", "re_u1", "im_u1", "re_u2", "im_u2"), rows)
 
 
@@ -393,7 +393,7 @@ def _forcing_field(
     if cfg.forcing_amplitude == 0.0:
         return None
     c = _random_coeffs(params.M, rng, decay=5.0)
-    norm = math.sqrt(_pairing(c, c))
+    norm = math.sqrt(_field_pairing(c, c))
     if norm == 0.0:
         return None
     c *= cfg.forcing_amplitude / norm
@@ -480,8 +480,7 @@ def stage_cone(
     forcing = _forcing_field(cfg, draw, rng, K)
     copies = [perturbed_copy(u1, fam, delta, rng, where="band").block(K) for delta in PERTURBATION_DELTAS]
     # hand the initial states and the forcing over without keeping them:
-    # evolve_pairs frees each state after its first step, and the forcing
-    # once it holds its half
+    # evolve_pairs frees each state after its first step
     members = [u1.block(K), copies, forcing]
     del u1, copies, forcing
     failure = None

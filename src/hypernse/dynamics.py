@@ -14,41 +14,35 @@ reproduced to rounding.  B is truncation's one product, over the whole
 truncation M; a caller that wants the two-thirds rule steps the block
 floor(2M/3) of its fields, as cli does.
 
-One time loop steps a list of members, one member at a time, on the half
-j2 >= 0 of the coefficient grid: a real field is determined by that half
-(u_hat[-j] = conj(u_hat[j])), every step acts on it mode by mode, and the
-product's transforms read only it.  So each state, its B(W(u), W(u)) and the
-forcing are (2, 2M+1, M+1) arrays for the whole loop, and FourierFields are
-converted only at its edges: a member or forcing that is not real is refused
-before any product, and evolve fills each recorded state back into a field
-(spectral._field_from_half).  The loop evaluates B(W(u), W(u)) once per
-member and state, for the record and, as f - B, for the next step; it keeps B
-until that step, which forms f - B in B's own array, and each old state and
-its f - B are dropped as soon as the step has used them.  With the product
-off, f - B is the forcing half itself, which nothing writes.  evolve_pairs
-keeps no forcing field once it holds the forcing's half, so a caller that
-hands the forcing over frees its full block there.  A member whose state
-leaves the range of floating point is dropped with the members after it,
-and the loop reports it as a BlowUpError.  The loop computes the
+One time loop steps a list of members, one member at a time, on the
+coefficient arrays of the fields: each state, its B(W(u), W(u)) and the
+forcing are halves (2, 2M+1, M+1), the layout of a field (spectral), so the
+loop takes each member's coefficients as they are and wraps each recorded
+state as a field.  The loop evaluates B(W(u), W(u)) once per member and
+state, for the record and, as f - B, for the next step; it keeps B until that
+step, which forms f - B in B's own array, and each old state and its f - B
+are dropped as soon as the step has used them.  With the product off, f - B
+is the forcing's coefficients themselves, which nothing writes.  A member
+whose state leaves the range of floating point is dropped with the members
+after it, and the loop reports it as a BlowUpError.  The loop computes the
 integrating factor once per run, and a step forms its predictor and update
 in place, in the operation order of the formulas, on arrays the loop owns:
-a product it has just formed, or an array the step has just created.
+a product it has just formed, or an array the step has just created; no
+state is written once made.
 evolve runs the loop on one member and keeps the states.  evolve_pairs runs
 it on one reference and its copies, so the reference is stepped once however
 many copies share it, and records for each pair the cone quantity
 V = ||high part||^2 - ||low part||^2 of reference - copy with its analytic
 time derivative, so the contraction inequality can be checked against the
 trace afterwards; a trace row is read from one density |v_hat[j]|^2 of the
-difference on the half, weighted 1 on the column j2 = 0 and 2 beyond it,
-which counts each dropped mode with its conjugate.  step is the same step for
-a caller that holds only u, converting on the way in and out; its fifth
-argument accepts None or the one profile, because the grid-size sweep of
-bench/spans.py still passes CutoffProfile().
+difference, weighted 1 on the column j2 = 0 and 2 beyond it, which counts
+each mode j2 > 0 with its conjugate.  step is the same step for a caller that
+holds only u; its fifth argument accepts None or the one profile, because
+the grid-size sweep of bench/spans.py still passes CutoffProfile().
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -58,13 +52,13 @@ from .spectral import (
     CutoffFamily,
     FourierField,
     SpectralParams,
-    _field_from_half,
+    _field_pairing,
     _pairing,
     _random_coeffs,
     apply_A_power,
     laplacian_power,
 )
-from .truncation import _PROFILE, _prepared_half, prepared_product
+from .truncation import _PROFILE, _prepared_half
 
 
 class BlowUpError(RuntimeError):
@@ -110,8 +104,8 @@ class SimConfig:
 
 
 def _product(h: np.ndarray, params: SpectralParams, config: SimConfig) -> np.ndarray | None:
-    """b = B(W(u), W(u)) on the half h of u, or None when the nonlinearity is
-    dropped."""
+    """b = B(W(u), W(u)) for the coefficients h of u, or None when the
+    nonlinearity is dropped."""
     return _prepared_half(h, params) if config.include_nonlinear else None
 
 
@@ -124,46 +118,27 @@ def _drive(b: np.ndarray | None, forcing: np.ndarray | None, shape: tuple) -> np
     return np.negative(b, out=b) if forcing is None else np.subtract(forcing, b, out=b)
 
 
-def _real_half(u: FourierField, name: str) -> np.ndarray:
-    """A copy of the half j2 >= 0 of u, which determines u when u is real.
-    The modes j2 < 0 must be exactly the conjugates of the modes j2 > 0,
-    since the half-plane loop drops them and fills them back as those
-    conjugates (NaN matched by NaN counts, so a non-finite state is left for
-    the loop to report as a blow-up); otherwise it is a ValueError naming the
-    reality defect.  The column j2 = 0 is kept whole, so nothing of it is
-    replaced."""
-    M = u.M
-    kept = u.coeffs[:, :, M + 1 :]
-    dropped = u.coeffs[:, ::-1, M - 1 :: -1]
-    if not np.array_equal(dropped, np.conj(kept), equal_nan=True):
-        defect = float(np.max(np.abs(dropped - np.conj(kept))))
-        raise ValueError(f"{name} is not a real field: its reality defect is {defect:.3g}")
-    return u.coeffs[:, :, M:].copy()
-
-
-def _forcing_half(forcing: FourierField | None, M: int) -> np.ndarray | None:
-    """_real_half of a forcing for members at truncation M; a forcing at
-    another truncation is a ValueError."""
+def _forcing_coeffs(forcing: FourierField | None, M: int) -> np.ndarray | None:
+    """The coefficients of a forcing for members at truncation M; a forcing
+    at another truncation is a ValueError."""
     if forcing is None:
         return None
     if forcing.M != M:
         raise ValueError(f"forcing truncation M = {forcing.M} != member truncation M = {M}")
-    return _real_half(forcing, "the forcing")
+    return forcing.coeffs
 
 
 def rhs_prepared(
     u: FourierField, forcing: FourierField | None, params: SpectralParams, config: SimConfig
 ) -> FourierField:
     """Full right-hand side f - nu A^beta u - B(W(u), W(u))."""
-    # a field's coefficients are read-only, and _drive writes f - b into b
-    b = prepared_product(u, params).coeffs.copy() if config.include_nonlinear else None
-    out = _drive(b, None if forcing is None else forcing.coeffs, u.coeffs.shape)
+    out = _drive(_product(u.coeffs, params, config), _forcing_coeffs(forcing, u.M), u.coeffs.shape)
     return FourierField._wrap(u.M, out) - apply_A_power(u, params.beta) * params.nu
 
 
 def _linear_factor(M: int, params: SpectralParams, config: SimConfig) -> np.ndarray:
-    """E = exp(-nu dt A^beta) on the half j2 >= 0, computed once per run."""
-    lam = laplacian_power(M, params.beta)[:, M:]
+    """E = exp(-nu dt A^beta), computed once per run."""
+    lam = laplacian_power(M, params.beta)
     # the exponent is 0 at j = 0, where -nu dt overflowed to -inf would give
     # -inf * 0 = NaN; elsewhere -nu dt |j|^(2 beta) may overflow to -inf,
     # whose exp, 0, is the exact decay
@@ -181,9 +156,9 @@ def _advance(
     config: SimConfig,
     E: np.ndarray,
 ) -> np.ndarray:
-    """One step from the half u, given n0 = f - B(W(u), W(u)) at u and the
+    """One step from the state u, given n0 = f - B(W(u), W(u)) at u and the
     run's _linear_factor E; each update is formed in place, in the formulas'
-    order, and returned as a new half.  n0 is not written: it is the forcing
+    order, and returned as a new array.  n0 is not written: it is the forcing
     itself when the product is off.  Forming the update in n0's array, or in
     the predictor's once the product has read it, raised the cone workload's
     peak resident memory by 0.5 to 0.75 MiB: the heap's layout, not the live
@@ -212,13 +187,12 @@ def step(
     profile: object = None,
 ) -> FourierField:
     """Advance one time step; profile is None or the one cutoff profile (see
-    the module docstring).  u and the forcing must be real."""
+    the module docstring)."""
     if profile is not None and profile != _PROFILE:
         raise ValueError(f"the prepared equation has one cutoff profile, not {profile}")
-    h = _real_half(u, "the state")
-    f = _forcing_half(forcing, u.M)
-    n0 = _drive(_product(h, params, config), f, h.shape)
-    return _field_from_half(_advance(h, n0, f, params, config, _linear_factor(u.M, params, config)))
+    f = _forcing_coeffs(forcing, u.M)
+    n0 = _drive(_product(u.coeffs, params, config), f, u.coeffs.shape)
+    return FourierField._wrap(u.M, _advance(u.coeffs, n0, f, params, config, _linear_factor(u.M, params, config)))
 
 
 def _run(
@@ -229,13 +203,13 @@ def _run(
     record: Callable[[float, int, list[np.ndarray], list], None],
 ) -> BlowUpError | None:
     """Step the members of states, in place, config.n_steps times, under the
-    forcing half from _forcing_half: the FourierFields in states are replaced
-    by their halves j2 >= 0, and every later state is such a half.  At t = 0,
-    every record_every steps and at the end, record(t, j, states, bs) is
-    called for member j as soon as its state states[j] and its
-    bs[j] = B(W(u), W(u)), a half too, are at t; so are those of the members
-    before it.  A record may read these arrays but not keep them: the loop
-    writes f - b into b.
+    forcing coefficients from _forcing_coeffs: the FourierFields in states
+    are replaced by their coefficients, and every later state is such an
+    array.  At t = 0, every record_every steps and at the end,
+    record(t, j, states, bs) is called for member j as soon as its state
+    states[j] and its bs[j] = B(W(u), W(u)) are at t; so are those of the
+    members before it.  A record may read these arrays, and keep the states,
+    which no step writes, but not the products: the loop writes f - b into b.
 
     Members advance one at a time.  Each member's b is kept until its next
     step forms f - b in it, and each old state and its f - b are dropped as
@@ -244,14 +218,13 @@ def _run(
     min(2, len(states)) members are left, since a lone member runs by itself
     but a copy needs the member before it, and returns the BlowUpError of
     the last drop, or None.  An overflow needs no warning: a non-finite
-    record is the caller's to report.  A member that is not real is a
-    ValueError, raised before any product."""
+    record is the caller's to report."""
     n = config.n_steps
     needed = min(len(states), 2)
     M = states[0].M
     for j, u in enumerate(states):
-        states[j] = _real_half(u, f"member {j}")
-    del u  # a field no caller keeps is freed here, before the first product
+        states[j] = u.coeffs
+    del u  # a field no caller keeps is freed here, and its array by its first step
     E = _linear_factor(M, params, config)
     bs: list = [None] * len(states)
     failure = None
@@ -290,13 +263,13 @@ def evolve(
     u0: FourierField, forcing: FourierField | None, params: SpectralParams, config: SimConfig
 ) -> Trajectory:
     """Integrate from u0, sampling every record_every steps (and the endpoint)."""
-    times, fields = [], []
+    times, fields, M = [], [], u0.M
 
     def keep(t, j, states, bs):
         times.append(t)
-        fields.append(_field_from_half(states[0]))
+        fields.append(FourierField._wrap(M, states[0]))
 
-    failure = _run([u0], _forcing_half(forcing, u0.M), params, config, keep)
+    failure = _run([u0], _forcing_coeffs(forcing, M), params, config, keep)
     if failure is not None:
         raise failure
     return Trajectory(np.asarray(times), fields)
@@ -347,24 +320,16 @@ class ConeTrace:
 
 
 def _cone_masks(M: int, params: SpectralParams, family: CutoffFamily) -> tuple[np.ndarray, ...]:
-    """The arrays a cone trace row reads on the half j2 >= 0, built once per
-    run: the low and high masks weighted 1 on the column j2 = 0 and 2 beyond
-    it, where each kept mode stands for itself and its dropped conjugate, the
-    sign mask low - high and the symbol |j|^{2 beta}."""
-    low = family.mask(M, "low")[:, M:]
+    """The arrays a cone trace row reads, built once per run: the low and
+    high masks weighted 1 on the column j2 = 0 and 2 beyond it, where each
+    mode stands for itself and its conjugate, the sign mask low - high and
+    the symbol |j|^{2 beta}."""
+    low = family.mask(M, "low")
     weight = np.full(low.shape, 2.0)
     weight[:, 0] = 1.0
     low = weight * low
     high = weight - low
-    return low, high, low - high, laplacian_power(M, params.beta)[:, M:]
-
-
-def _energy(h: np.ndarray) -> float:
-    """||u||^2 of the real field whose half j2 >= 0 is h: twice the half's
-    sum, less the column j2 = 0, which holds no dropped conjugates.  An
-    infinite column makes the energy infinite, not inf - inf = NaN."""
-    half, axis = _pairing(h, h), _pairing(h[:, :, 0], h[:, :, 0])
-    return 2.0 * half - axis if math.isfinite(axis) else axis
+    return low, high, low - high, laplacian_power(M, params.beta)
 
 
 def _masked_sum(dens: np.ndarray, mask: np.ndarray) -> float:
@@ -386,7 +351,7 @@ def _cone_sample(
     alpha: float,
 ) -> tuple[float, float, float, float, float, float]:
     """One trace row (V, dVdt, norm_v_sq, rhs_bound, margin, norm_u_sq) from
-    the halves h1, h2 of the members; b1, b2 are the halves of their
+    the coefficients h1, h2 of the members; b1, b2 are those of their
     B(W(u), W(u)), None when the nonlinearity is off, and masks is
     _cone_masks of the run.  ||p||^2, ||q||^2 and (weighted by |j|^{2 beta})
     their A^{beta/2} norms are sums of one density |v_hat[j]|^2 of
@@ -409,7 +374,7 @@ def _cone_sample(
     norm_v2 = norm_p2 + norm_q2
     rhs = -(family.lambda_N ** (params.beta - 1.0) / 8.0) * norm_v2
     margin = rhs - (dVdt + 2.0 * alpha * V)
-    norm_u2 = max(_energy(h1), _energy(h2))
+    norm_u2 = max(_field_pairing(h1, h1), _field_pairing(h2, h2))
     return V, dVdt, norm_v2, rhs, margin, norm_u2
 
 
@@ -432,15 +397,14 @@ def evolve_pairs(
     them all, and the other pairs are stepped to the end; then BlowUpError
     names the time at which the first failed pair failed, and its traces are
     those of the pairs before it.  The function keeps no initial state past
-    the first step, and no forcing field once it holds the forcing's half, so
-    a caller that hands them over without keeping its own references gets
-    their memory back.
+    its first step, so a caller that hands the members over without keeping
+    its own references gets their memory back.
     """
     if not copies:
         raise ValueError("evolve_pairs needs at least one copy")
     if any(u.M != reference.M for u in copies):
         raise ValueError("pair members must share a truncation")
-    forcing = _forcing_half(forcing, reference.M)
+    forcing = _forcing_coeffs(forcing, reference.M)
     masks = _cone_masks(reference.M, params, family)
     alpha = 0.5 * (
         float(family.lambda_next) ** params.beta
@@ -529,11 +493,11 @@ def perturbed_copy(
     (the certified window), "low" (at or below the cutoff) or "high" (above
     it).
     """
-    # in place: at the cone stage's draw truncation every full-plane
-    # temporary adds to the run's peak memory
+    # in place: at the cone stage's draw truncation every temporary adds to
+    # the run's peak memory
     c = _random_coeffs(u.M, rng)
     c *= family.mask(u.M, where)
-    size = np.sqrt(_pairing(c, c))
+    size = np.sqrt(_field_pairing(c, c))
     if size == 0.0:
         raise ValueError(f"no modes available for support {where!r}")
     c *= amplitude / size

@@ -1,13 +1,21 @@
 """Divergence-free Fourier fields on the 2-torus and the operators acting on them.
 
-A field u is stored by its Fourier coefficients u_hat[j] in C^2 for the modes
-0 < |j|_inf <= M, in a dense array of shape (2, 2M+1, 2M+1) with centered
-indexing [component, j1+M, j2+M].  All inner products and integrals carry the
-measure dx/(2pi)^2, so pairings and norms are plain coefficient sums:
-(u, v) = sum_j u_hat[j] . conj(v_hat[j]) and the H^s norm squared is
-sum_j |j|^{2s} |u_hat[j]|^2.  The sharp spectral projectors at a cutoff are
-boolean masks on that grid: CutoffFamily.mask(M, part) selects the "low",
-"high" or "band" modes, and a caller multiplies coefficients by it.
+A field u is real, u_hat[-j] = conj(u_hat[j]), so the half j2 >= 0
+determines it, and that half is the one layout of a field: the coefficients
+u_hat[j] in C^2 of the modes |j|_inf <= M, j2 >= 0, in an array of shape
+(2, 2M+1, M+1) indexed [component, j1+M, j2] (numpy's rfft2 layout), zero at
+j = 0.  Every symbol (wavenumbers, laplacian_power), mask (CutoffFamily.mask)
+and operator acts on that half mode by mode.  The column j2 = 0 holds both j
+and -j, so there u_hat(-j1, 0) = conj(u_hat(j1, 0)) is a property of the
+values, not of the layout, and the one reality property the half does not
+hold by construction.  The column is kept whole, neither symmetrised nor
+checked at construction, since a time step moves it by rounding;
+reality_defect measures it.
+
+Integrals carry the measure dx/(2pi)^2, so (u, v) = sum_j u_hat[j] .
+conj(v_hat[j]) and the H^s norm squared is sum_j |j|^{2s} |u_hat[j]|^2,
+sums over the whole plane, which on the half count each mode j2 > 0 twice,
+for itself and its conjugate, and the column j2 = 0 once (_field_pairing).
 
 Product evaluation routes of bilinear_B (its `dealias` argument):
 
@@ -23,29 +31,23 @@ Product evaluation routes of bilinear_B (its `dealias` argument):
 * "direct"      exact convolution summed over all mode pairs, no transforms;
                 the oracle route, intended for M <= 16.
 
-"padded" and "direct" compute the same object through disjoint code paths and
-agree to rounding; "two-thirds" computes mask(direct(mask u, mask v)), the
-padded product on the block (Orszag 1971).  The prepared product of
-truncation is the padded rule alone; a run that wants the two-thirds rule
-cuts its fields to the block (cli).
+"padded" and "direct" agree to rounding through disjoint code paths;
+"two-thirds" is mask(direct(mask u, mask v)), the padded product on the
+block (Orszag 1971), which a run gets by cutting its fields to the block
+(cli).  These routes are oracles and act on the full plane: the array
+function _bilinear_plane takes coefficient arrays (2, 2M+1, 2M+1), real
+fields or not, and bilinear_B, trilinear_b and the weak assembly of
+averaging build the full plane at their edge with _full_plane
+(tests/test_source.py lists them).
 
-bilinear_B is the general product B(u, v) and moves complex blocks (eight
-complex 2-D transforms per call).  The projected square P (w . grad) w of one
-real, divergence-free block has a cheaper form, _quadratic_fft: with
-Q = w w^T, (w . grad) w = div Q, and its projection is
-j_perp (j_perp . i j Q_hat) / |j|^2, j_perp = (j2, -j1), which reads Q only
-through Q12 and Q11 - Q22.  So it takes two inverse real transforms (w1, w2)
-and two forward ones (w1 w2, w1^2 - w2^2) on the same grid, and forms the
-half j2 >= 0 of the projected block with the cached multipliers of
-_curl_plan; no projection pass follows, and no conjugate fill.  A real field
-is determined by that half, u_hat[-j] = conj(u_hat[j]), and _field_from_half
-turns a half back into a FourierField by that conjugate fill.
-truncation._prepared_half uses _quadratic_fft for B(W(u), W(u)) and hands it
-W on the half j2 >= 0, the only half the transforms read; the time loop
-of dynamics keeps its states, products and forcing as such halves.  W acts on
-a block or its half through truncation._truncate, which apply_W shares; the
-Leray projection of either is the array helper _leray_coeffs, which
-leray_project and W share.
+The solver's product is the projected square P (w . grad) w of one real,
+divergence-free block, _quadratic_fft: with Q = w w^T, (w . grad) w = div Q,
+whose projection j_perp (j_perp . i j Q_hat) / |j|^2, j_perp = (j2, -j1),
+reads Q only through Q12 and Q11 - Q22.  So two inverse real transforms take
+w1 and w2 from the half to the grid, two forward ones bring back w1 w2 and
+w1^2 - w2^2, and the cached multipliers of _curl_plan form the projected
+half.  truncation._prepared_half applies it to W(u).  The Leray projection
+is the array helper _leray_coeffs, which leray_project and W share.
 
 wavenumbers and laplacian_power cache their grids per truncation, for the
 operators a run applies again and again.  A draw (random_field) caches
@@ -97,39 +99,40 @@ class SpectralParams:
 
 
 def _eigenvalues(M: int) -> np.ndarray:
-    """|j|^2 on the centered grid of truncation M, a new int64 array."""
-    r = np.arange(-M, M + 1)
-    return (r * r)[:, None] + r * r
+    """|j|^2 on the half grid of truncation M, a new int64 array."""
+    q = np.arange(-M, M + 1) ** 2
+    return q[:, None] + q[M:]
 
 
 @lru_cache(maxsize=32)
 def wavenumbers(M: int):
-    """Centered wavenumber grids (J1, J2, LAM) for truncation M, read-only.
+    """Wavenumber grids (J1, J2, LAM) on the half grid of truncation M,
+    read-only.
 
-    J1 and J2 are broadcast views of one arange (a zero stride each), so LAM
-    is the only full grid the cache keeps."""
+    J1 and J2 are broadcast views of one arange each (a zero stride each),
+    so LAM is the only full grid the cache keeps."""
     r = np.arange(-M, M + 1)
-    J1 = np.broadcast_to(r[:, None], (r.size, r.size))
-    J2 = np.broadcast_to(r, J1.shape)
+    J1 = np.broadcast_to(r[:, None], (2 * M + 1, M + 1))
+    J2 = np.broadcast_to(r[M:], J1.shape)
     LAM = _eigenvalues(M)
     LAM.setflags(write=False)
     return J1, J2, LAM
 
 
 def _power_symbol(M: int, p: float) -> np.ndarray:
-    """The symbol (|j|^2)^p on the centered grid, 0 at j = 0, not cached;
-    its one array is |j|^2 in float64, raised to p in place."""
+    """The symbol (|j|^2)^p on the half grid, 0 at j = 0, not cached; its one
+    array is |j|^2 in float64, raised to p in place."""
     q = np.arange(-M, M + 1, dtype=np.float64) ** 2
-    f = q[:, None] + q
-    f[M, M] = 1.0  # 0^p is not needed, and is inf for p < 0
+    f = q[:, None] + q[M:]
+    f[M, 0] = 1.0  # 0^p is not needed, and is inf for p < 0
     f **= p
-    f[M, M] = 0.0
+    f[M, 0] = 0.0
     return f
 
 
 @lru_cache(maxsize=32)
 def laplacian_power(M: int, p: float) -> np.ndarray:
-    """The symbol (|j|^2)^p of A^p on the centered grid, 0 at j = 0, read-only
+    """The symbol (|j|^2)^p of A^p on the half grid, 0 at j = 0, read-only
     and cached; a symbol used once per run is better taken from _power_symbol."""
     f = _power_symbol(M, p)
     f.setflags(write=False)
@@ -138,26 +141,25 @@ def laplacian_power(M: int, p: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FourierField:
-    """Mean-zero field on the torus, coefficients for 0 < |j|_inf <= M.
+    """Real mean-zero field on the torus, held by its half j2 >= 0 of the
+    modes |j|_inf <= M (module docstring).
 
-    coeffs has shape (2, 2M+1, 2M+1), complex128, centered indexing
-    [component, j1+M, j2+M]; the j=0 slot is identically zero.  Instances are
-    immutable: coeffs is read-only, and an array handed in is copied unless it
-    is already a read-only complex128 array.  Operations return new fields, so
-    a field, or anything computed from one, may be shared between callers
-    without copying (the pair evolution hands one B(W(u), W(u)) to both the
-    cone sample and the next step).
+    coeffs has shape (2, 2M+1, M+1), complex128, indexed [component, j1+M, j2];
+    the j=0 slot is identically zero.  Instances are immutable: coeffs is
+    read-only, and an array handed in is copied unless it is already a
+    read-only complex128 array.  Operations return new fields, so a field, or
+    anything computed from one, may be shared between callers without copying.
     """
 
     M: int
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        K = 2 * self.M + 1
+        shape = (2, 2 * self.M + 1, self.M + 1)
         c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != (2, K, K):
-            raise ValueError(f"coeffs shape {c.shape} != (2, {K}, {K})")
-        if c[0, self.M, self.M] != 0 or c[1, self.M, self.M] != 0:
+        if c.shape != shape:
+            raise ValueError(f"coeffs shape {c.shape} != {shape}, the half j2 >= 0 of truncation M = {self.M}")
+        if c[0, self.M, 0] != 0 or c[1, self.M, 0] != 0:
             raise ValueError("the j=0 coefficient must be zero (mean-zero field)")
         if c.flags.writeable or c is not self.coeffs:
             c = c.copy()
@@ -173,37 +175,41 @@ class FourierField:
 
     @classmethod
     def zeros(cls, M: int) -> "FourierField":
-        return cls(M, np.zeros((2, 2 * M + 1, 2 * M + 1), dtype=np.complex128))
+        return cls(M, np.zeros((2, 2 * M + 1, M + 1), dtype=np.complex128))
 
     @classmethod
     def from_modes(cls, M: int, modes: dict) -> "FourierField":
-        """Build a field from {(j1, j2): (c1, c2)}; the mirror coefficient at
-        -j is set to the complex conjugate (real field)."""
-        c = np.zeros((2, 2 * M + 1, 2 * M + 1), dtype=np.complex128)
+        """Build the real field with the coefficients {(j1, j2): (c1, c2)} and
+        their conjugates at -j: a mode j2 < 0 is stored as its conjugate, and
+        a mode on the column j2 = 0 is written with its mirror."""
+        c = np.zeros((2, 2 * M + 1, M + 1), dtype=np.complex128)
         for (j1, j2), val in modes.items():
             if j1 == 0 and j2 == 0:
                 raise ValueError("the j=0 mode is not storable")
             if max(abs(j1), abs(j2)) > M:
                 raise ValueError(f"mode {(j1, j2)} outside truncation M={M}")
-            c[0, j1 + M, j2 + M] = val[0]
-            c[1, j1 + M, j2 + M] = val[1]
-            c[0, -j1 + M, -j2 + M] = np.conj(val[0])
-            c[1, -j1 + M, -j2 + M] = np.conj(val[1])
+            if j2 < 0:
+                j1, j2, val = -j1, -j2, np.conj(val)
+            c[:, j1 + M, j2] = val
+            if j2 == 0:
+                c[:, M - j1, 0] = np.conj(val)
         return cls(M, c)
 
     def mode(self, j) -> np.ndarray:
-        """Coefficient pair at lattice point j, zero outside the truncation."""
+        """Coefficient pair at lattice point j, zero outside the truncation;
+        for j2 < 0 the conjugate of the stored pair at -j."""
         j1, j2 = j
         if max(abs(j1), abs(j2)) > self.M:
             return np.zeros(2, dtype=np.complex128)
-        return self.coeffs[:, j1 + self.M, j2 + self.M].copy()
+        if j2 < 0:
+            return np.conj(self.coeffs[:, self.M - j1, -j2])
+        return self.coeffs[:, j1 + self.M, j2].copy()
 
     def block(self, K: int) -> "FourierField":
         """The modes |j|_inf <= K of this field, as a field at truncation K."""
         if not 1 <= K <= self.M:
             raise ValueError(f"block K = {K} outside 1..{self.M}")
-        s = slice(self.M - K, self.M + K + 1)
-        return FourierField._wrap(K, self.coeffs[:, s, s].copy())
+        return FourierField._wrap(K, self.coeffs[:, self.M - K : self.M + K + 1, : K + 1].copy())
 
     def __add__(self, other: "FourierField") -> "FourierField":
         self._check_compatible(other)
@@ -226,9 +232,10 @@ class FourierField:
             raise ValueError(f"truncation mismatch: {self.M} != {other.M}")
 
     def reality_defect(self) -> float:
-        """max |u_hat[-j] - conj(u_hat[j])|, zero for a real field."""
-        flipped = self.coeffs[:, ::-1, ::-1]
-        return float(np.max(np.abs(flipped - np.conj(self.coeffs))))
+        """max |u_hat(-j1, 0) - conj(u_hat(j1, 0))| over the column j2 = 0,
+        the one reality property the half does not hold by construction."""
+        col = self.coeffs[:, :, 0]
+        return float(np.max(np.abs(col[:, ::-1] - np.conj(col))))
 
     def divergence_defect(self) -> float:
         """max_j |j . u_hat[j]|, zero for a divergence-free field."""
@@ -236,15 +243,17 @@ class FourierField:
         return float(np.max(np.abs(J1 * self.coeffs[0] + J2 * self.coeffs[1])))
 
 
-def _field_from_half(h: np.ndarray) -> FourierField:
-    """The real field whose half j2 >= 0 is h, shape (2, 2M+1, M+1): the
-    modes j2 < 0 are filled as u_hat[-j] = conj(u_hat[j]), and the column
-    j2 = 0 is taken as it is."""
+def _full_plane(h: np.ndarray) -> np.ndarray:
+    """The full-plane coefficients of the real field whose half is h, a new
+    array of shape (..., 2M+1, 2M+1) indexed [..., j1+M, j2+M] for h of shape
+    (..., 2M+1, M+1): the modes j2 < 0 are filled as
+    u_hat[-j] = conj(u_hat[j]), and the column j2 = 0 is taken as it is.
+    Only the oracles read the full plane (module docstring)."""
     M = h.shape[-1] - 1
-    c = np.empty((2, 2 * M + 1, 2 * M + 1), dtype=np.complex128)
-    c[:, :, M:] = h
-    np.conj(h[:, ::-1, :0:-1], out=c[:, :, :M])
-    return FourierField._wrap(M, c)
+    c = np.empty(h.shape[:-1] + (2 * M + 1,), dtype=np.complex128)
+    c[..., M:] = h
+    np.conj(h[..., ::-1, :0:-1], out=c[..., :M])
+    return c
 
 
 def _pairing(a: np.ndarray, b: np.ndarray) -> float:
@@ -256,10 +265,19 @@ def _pairing(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
+def _field_pairing(a: np.ndarray, b: np.ndarray) -> float:
+    """The real L^2 pairing of the real fields whose halves are a and b,
+    arrays of one shape and dtype whose last axis is j2: twice the half's
+    _pairing, less the column j2 = 0, which holds no dropped conjugates.  An
+    infinite column makes the result infinite, not inf - inf = NaN."""
+    half, axis = _pairing(a, b), _pairing(a[..., 0], b[..., 0])
+    return 2.0 * half - axis if math.isfinite(axis) else axis
+
+
 def inner_product(u: FourierField, v: FourierField) -> float:
     """Real L^2 pairing sum_j u_hat[j] . conj(v_hat[j]) (real part)."""
     u._check_compatible(v)
-    return _pairing(u.coeffs, v.coeffs)
+    return _field_pairing(u.coeffs, v.coeffs)
 
 
 def _binary_exponent(x: np.ndarray) -> int:
@@ -273,27 +291,26 @@ def _binary_exponent(x: np.ndarray) -> int:
 def sobolev_norm(u: FourierField, s: float) -> float:
     """H^s norm: sqrt(sum_j |j|^{2s} |u_hat[j]|^2); s=0 gives the L^2 norm.
 
-    The magnitudes are scaled by 2^-e (_binary_exponent) before they are
-    squared, in place, and the norm by 2^e after, which is exact: a norm in
-    the range of floating point neither overflows nor underflows on the way."""
+    The magnitudes are scaled by 2^-e (_binary_exponent) and weighted by
+    |j|^s, in place, before _field_pairing squares them, and the norm is
+    scaled by 2^e after, which is exact: a norm in the range of floating
+    point neither overflows nor underflows on the way."""
     a = np.abs(u.coeffs)
     e = _binary_exponent(a)
     np.ldexp(a, -e, out=a)
-    np.square(a, out=a)
-    dens = a[0]
-    dens += a[1]
     # not cached: a norm at the draw truncation would keep its symbol alive
-    dens *= _power_symbol(u.M, s)
-    return float(np.ldexp(math.sqrt(np.sum(dens)), e))
+    a *= _power_symbol(u.M, s / 2.0)
+    return float(np.ldexp(math.sqrt(_field_pairing(a, a)), e))
 
 
 def _leray_coeffs(c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """P_j = Id - j j^T / |j|^2 on each pair of the centered coefficient block
-    |j|_inf <= K that c holds, shape (2, 2K+1, 2K+1), or of its half j2 >= 0,
-    shape (2, 2K+1, K+1); zero at j = 0, which is at [K, -(K+1)] either way;
-    written to out (which may be c itself), or to a new array.  Its one grid
-    is the denominator |j|^2, built per call and not cached, so a draw
-    leaves no grid at its own truncation; out[1] holds j1 c[1] on the way."""
+    """P_j = Id - j j^T / |j|^2 on each coefficient pair of the half
+    |j|_inf <= K, j2 >= 0 that c holds, shape (2, 2K+1, K+1), or of the full
+    plane of the oracles, shape (2, 2K+1, 2K+1); zero at j = 0, which is at
+    [K, -(K+1)] either way; written to out (which may be c itself), or to a
+    new array.  Its one grid is the denominator |j|^2, built per call and not
+    cached, so a draw leaves no grid at its own truncation; out[1] holds
+    j1 c[1] on the way."""
     K = (c.shape[-2] - 1) // 2
     r = np.arange(-K, K + 1)
     J1, J2 = r[:, None], r[-c.shape[-1] :]
@@ -332,19 +349,20 @@ def _random_coeffs(
     band: tuple[float, float] | None = None,
 ) -> np.ndarray:
     """The coefficients of random_field, as a new writable array that a
-    caller may scale or mask in place before it wraps them in a field."""
+    caller may scale or mask in place before it wraps them in a field.
+
+    The stream is that of a full plane z of standard normals, the real parts
+    (2, 2M+1, 2M+1) and then the imaginary parts, made real as
+    (z + conj(z[-j])) / 2; its half is formed from each plane of normals in
+    turn, which is freed before the next is drawn."""
     K = 2 * M + 1
-    # built in place: at the cone stage's draw truncation each full-plane
-    # temporary is a measurable share of the run's peak memory.  Writing the
-    # draws straight into c, with no z, raised the cone workload's peak
-    # resident memory by 0.2 to 0.3 MiB all the same: the heap's layout, not
-    # the live set, sets that peak
-    z = np.empty((2, K, K), dtype=np.complex128)
-    z.real = rng.standard_normal((2, K, K))
-    z.imag = rng.standard_normal((2, K, K))
-    c = np.conj(z[:, ::-1, ::-1])
-    c += z
-    del z
+    c = np.empty((2, K, M + 1), dtype=np.complex128)
+    x = rng.standard_normal((2, K, K))
+    np.add(x[:, :, M:], x[:, ::-1, M::-1], out=c.real)
+    del x
+    x = rng.standard_normal((2, K, K))
+    np.subtract(x[:, :, M:], x[:, ::-1, M::-1], out=c.imag)
+    del x
     c *= 0.5
     if decay > 0.0:
         # each decay is used about once per run, so its symbol is not cached
@@ -353,7 +371,7 @@ def _random_coeffs(
         lo, hi = band
         LAM = _eigenvalues(M)
         c *= (LAM >= lo) & (LAM <= hi)
-    c[:, M, M] = 0.0
+    c[:, M, 0] = 0.0
     if divergence_free:
         _leray_coeffs(c, out=c)
     return c
@@ -366,7 +384,7 @@ def random_field(
     decay: float = 0.0,
     band: tuple[float, float] | None = None,
 ) -> FourierField:
-    """Random real (conjugate-symmetric) field, optionally divergence-free.
+    """Random real field, optionally divergence-free.
 
     decay > 0 multiplies coefficients by |j|^{-decay}; band = (lo, hi) keeps
     only modes with lo <= |j|^2 <= hi.  A draw builds every grid it reads
@@ -386,10 +404,8 @@ def two_thirds_limit(M: int) -> int:
 def two_thirds_mask(u: FourierField) -> FourierField:
     """Zero all modes with |j|_inf > floor(2M/3) (the 2/3 dealiasing mask)."""
     Kc = two_thirds_limit(u.M)
-    r = np.arange(-u.M, u.M + 1)
-    keep1 = np.abs(r) <= Kc
-    keep = np.outer(keep1, keep1)
-    return FourierField._wrap(u.M, u.coeffs * keep)
+    keep1 = np.abs(np.arange(-u.M, u.M + 1)) <= Kc
+    return FourierField._wrap(u.M, u.coeffs * np.outer(keep1, keep1[u.M :]))
 
 
 def _smooth_size(n: int) -> int:
@@ -421,7 +437,7 @@ def _curl_plan(K: int):
     """The read-only multipliers that take Q12 and Q11 - Q22 of Q = w w^T to
     P div Q on the half block |j|_inf <= K, j2 >= 0, each of shape (2, 2K+1, K+1):
     (j2, -j1) i (j2^2 - j1^2) / |j|^2 and (j2, -j1) i j1 j2 / |j|^2, 0 at j = 0."""
-    J1, J2, LAM = (a[:, K:] for a in wavenumbers(K))
+    J1, J2, LAM = wavenumbers(K)
     perp = np.stack([J2, -J1]) / np.where(LAM > 0, LAM, 1)
     m12 = 1j * perp * (J2 * J2 - J1 * J1)
     mdiff = 1j * perp * (J1 * J2)
@@ -431,9 +447,9 @@ def _curl_plan(K: int):
 
 
 def _advect_fft(u: np.ndarray, v: np.ndarray, N: int) -> np.ndarray:
-    """(u . grad) v on the centered coefficient block |j|_inf <= K that u and v
-    hold, shape (2, 2K+1, 2K+1), via transforms on an N-point grid; the product
-    is read back on the same block (no masking)."""
+    """(u . grad) v on the full-plane coefficient block |j|_inf <= K that u and
+    v hold, shape (2, 2K+1, 2K+1), via transforms on an N-point grid; the
+    product is read back on the same block (no masking)."""
     K = (u.shape[-1] - 1) // 2
     idx, ik1, ik2 = _fft_plan(K, N)
     emb = np.zeros((N, N), dtype=np.complex128)
@@ -452,23 +468,22 @@ def _advect_fft(u: np.ndarray, v: np.ndarray, N: int) -> np.ndarray:
 
 
 def _quadratic_fft(w: np.ndarray, N: int) -> np.ndarray:
-    """P (w . grad) w, the Leray-projected square, on the half j2 >= 0 of the
-    centered coefficient block |j|_inf <= K, shape (2, 2K+1, K+1), of a field
-    w given by its half of that block, via real transforms on an N-point grid;
-    a new array, read back on the same block (no masking).
+    """P (w . grad) w, the Leray-projected square, on the half block
+    |j|_inf <= K, j2 >= 0, shape (2, 2K+1, K+1), of the field w that such a
+    half holds, via real transforms on an N-point grid; a new array, read
+    back on the same block (no masking).
 
     w must be real (w_hat[-j] = conj(w_hat[j])) and divergence-free mode by
     mode; then (w . grad) w = div Q with Q = w w^T, and its projection is
     j_perp (j_perp . i j Q_hat) / |j|^2 with j_perp = (j2, -j1) and
     j_perp . i j Q_hat = i [(j2^2 - j1^2) Q12 + j1 j2 (Q11 - Q22)].  So two
-    inverse real transforms take w1 and w2 onto the grid from their j2 >= 0
-    half, two forward real transforms bring back w1 w2 and w1^2 - w2^2, the
-    multipliers of _curl_plan give the projected half; the modes j2 < 0 are
-    the conjugates of its modes (_field_from_half).  The j = 0 coefficient is
-    written as 0, not as 0 times the mean, which is NaN when w holds inf or
-    NaN.  Each 2-D transform is done
-    as its two 1-D passes, so that the j1 pass skips the columns j2 > K, which
-    are zero on the way in and not read on the way out.
+    inverse real transforms take w1 and w2 onto the grid from their half, two
+    forward real transforms bring back w1 w2 and w1^2 - w2^2, and the
+    multipliers of _curl_plan give the projected half.  The j = 0 coefficient
+    is written as 0, not as 0 times the mean, which is NaN when w holds inf
+    or NaN.  Each 2-D transform is done as its two 1-D passes, so that the j1
+    pass skips the columns j2 > K, which are zero on the way in and not read
+    on the way out.
     """
     K = (w.shape[-2] - 1) // 2
     m12, mdiff = _curl_plan(K)
@@ -518,15 +533,15 @@ def _convolve_direct(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _advect_direct(u: FourierField, v: FourierField) -> np.ndarray:
-    """(u . grad) v coefficients by direct convolution over all mode pairs."""
-    M = u.M
-    J1, J2, _ = wavenumbers(M)
-    out = np.empty((2, 2 * M + 1, 2 * M + 1), dtype=np.complex128)
+def _advect_direct(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(u . grad) v on full-plane coefficient arrays by direct convolution
+    over all mode pairs."""
+    M = (u.shape[-1] - 1) // 2
+    r = np.arange(-M, M + 1)
+    ik1, ik2 = 1j * r[:, None], 1j * r
+    out = np.empty(u.shape, dtype=np.complex128)
     for n in range(2):
-        g1 = 1j * J1 * v.coeffs[n]
-        g2 = 1j * J2 * v.coeffs[n]
-        out[n] = _convolve_direct(u.coeffs[0], g1) + _convolve_direct(u.coeffs[1], g2)
+        out[n] = _convolve_direct(u[0], ik1 * v[n]) + _convolve_direct(u[1], ik2 * v[n])
     return out
 
 
@@ -540,41 +555,48 @@ def _route_grid(M: int, dealias: str) -> tuple[int, int]:
     return K, _smooth_size(3 * K + 1)
 
 
-def bilinear_B(u: FourierField, v: FourierField, dealias: str = "two-thirds") -> FourierField:
-    """B(u, v) = Leray projection of (u . grad) v, truncated to M.
-
-    dealias selects the product route; see the module docstring.  The
-    "two-thirds" route transforms only the modes |j|_inf <= floor(2M/3) and
-    returns zero above them.
-    """
-    u._check_compatible(v)
-    M = u.M
+def _bilinear_plane(u: np.ndarray, v: np.ndarray, dealias: str) -> np.ndarray:
+    """B(u, v) on full-plane coefficient arrays of shape (2, 2M+1, 2M+1),
+    which need not hold real fields; a new array of that shape.  dealias
+    selects the route (module docstring)."""
+    M = (u.shape[-1] - 1) // 2
     if dealias == "direct":
         raw = _advect_direct(u, v)
     else:
         K, N = _route_grid(M, dealias)
         blk = slice(M - K, M + K + 1)
-        raw = np.zeros((2, 2 * M + 1, 2 * M + 1), dtype=np.complex128)
-        raw[:, blk, blk] = _advect_fft(u.coeffs[:, blk, blk], v.coeffs[:, blk, blk], N)
+        raw = np.zeros(u.shape, dtype=np.complex128)
+        raw[:, blk, blk] = _advect_fft(u[:, blk, blk], v[:, blk, blk], N)
     raw[:, M, M] = 0.0
-    return leray_project(FourierField(M, raw))
+    return _leray_coeffs(raw, out=raw)
+
+
+def bilinear_B(u: FourierField, v: FourierField, dealias: str = "two-thirds") -> FourierField:
+    """B(u, v) = Leray projection of (u . grad) v, truncated to M.
+
+    dealias selects the product route; see the module docstring.  The
+    "two-thirds" route transforms only the modes |j|_inf <= floor(2M/3) and
+    returns zero above them.  The product is taken on the full planes of u
+    and v, and its half is returned.
+    """
+    u._check_compatible(v)
+    b = _bilinear_plane(_full_plane(u.coeffs), _full_plane(v.coeffs), dealias)
+    return FourierField._wrap(u.M, b[:, :, u.M :].copy())
 
 
 def trilinear_b(u: FourierField, v: FourierField, w: FourierField) -> float:
     """Exact trilinear form sum_{m,n} integral u_m (d v_n / d x_m) w_n dx/(2pi)^2.
 
-    Evaluated as the exact triad sum over the stored trigonometric polynomials;
-    equals (B(u, v), w) for real w when B uses an exact product route, because
-    the pairing only sees modes inside the truncation.
+    Evaluated as the exact triad sum over the full planes of the stored
+    trigonometric polynomials; equals (B(u, v), w) for real w when B uses an
+    exact product route, because the pairing only sees modes inside the
+    truncation.
     """
     u._check_compatible(v)
     u._check_compatible(w)
-    adv = _advect_direct(u, v)
-    total = 0.0 + 0.0j
-    for n in range(2):
-        # pair against w with the real pairing: sum_k adv[k] w_hat[-k]
-        total += np.sum(adv[n] * w.coeffs[n, ::-1, ::-1])
-    return float(np.real(total))
+    uf, vf, wf = (_full_plane(x.coeffs) for x in (u, v, w))
+    # the real pairing with w: sum_k adv[k] . w_hat[-k]
+    return float(np.real(np.sum(_advect_direct(uf, vf) * wf[:, ::-1, ::-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +631,7 @@ class CutoffFamily:
     k: float
 
     def mask(self, M: int, part: str) -> np.ndarray:
-        """Boolean mask on the centered grid of truncation M selecting the
+        """Boolean mask on the half grid of truncation M selecting the
         modes j != 0 of one part of the family by their eigenvalue |j|^2:
         "low" (|j|^2 <= lambda_N), "high" (|j|^2 > lambda_N) or "band"
         (lambda_N - k <= |j|^2 <= lambda_N + k).  Not cached, like a draw:

@@ -29,17 +29,16 @@ the array helper _theta_prime: apply_W_prime, theta_jacobian and the band
 gains of averaging.assemble_restricted_operator all evaluate it.
 
 The quadratic term of the prepared equation, B(W(u), W(u)), is computed by
-_prepared_half alone, on the half j2 >= 0 of the centered grid, which holds a
-real field; prepared_product is the same product as a FourierField, and the
-time loop of dynamics calls _prepared_half on its half-plane states.  Because
-W and the Leray projection act mode by mode, W is computed on that half and
-the projected product formed there in one pass, on the padded grid of the
-whole truncation (spectral._quadratic_fft: two inverse and two forward real
-transforms, the projection folded into the multipliers that take w1 w2 and
-w1^2 - w2^2 back to the block); this requires u real (conjugate-symmetric),
-so that W(u) is real and divergence-free mode by mode.  It agrees with the
-oracle bilinear_B(apply_W(u), apply_W(u), "direct") to rounding.  There is
-one route: the two-thirds rule at M is this product on the block
+_prepared_half alone, on the half j2 >= 0 that a field holds (spectral);
+prepared_product wraps it as a field, and the time loop of dynamics calls it
+on its states.  Because W and the Leray projection act mode by mode, W is
+computed on that half and the projected product formed there in one pass, on
+the padded grid of the whole truncation (spectral._quadratic_fft: two
+inverse and two forward real transforms, the projection folded into the
+multipliers that take w1 w2 and w1^2 - w2^2 back to the block); this needs W(u)
+divergence-free mode by mode, which W's own projection gives.  It agrees
+with the oracle bilinear_B(apply_W(u), apply_W(u), "direct") to rounding.
+There is one route: the two-thirds rule at M is this product on the block
 floor(2M/3), which cli cuts its fields to.  The amplitude scale and its
 reciprocal are cached per (params, K), and W applies theta in place on the
 scaled amplitudes; W's values are those of theta itself, and only the sign
@@ -57,14 +56,12 @@ import numpy as np
 from .spectral import (
     FourierField,
     SpectralParams,
-    _field_from_half,
     _leray_coeffs,
     _quadratic_fft,
     _route_grid,
     apply_A_power,
     bilinear_B,
     laplacian_power,
-    wavenumbers,
 )
 
 # Largest outer radius for which sup_t t*psi(t) stays at or below 2 with the
@@ -201,7 +198,7 @@ def theta_jacobian(xi: complex) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _amplitude_scale(params: SpectralParams, M: int) -> np.ndarray:
-    """|j|^{3+eps} / rho on the centered grid, zero slot at the origin; inf
+    """|j|^{3+eps} / rho on the half grid, zero slot at the origin; inf
     where a tiny rho overflows it.  Read-only and cached."""
     with np.errstate(over="ignore"):
         scale = laplacian_power(M, (3.0 + params.epsilon) / 2.0) / params.rho
@@ -233,14 +230,12 @@ def _scaled_amplitude(c: np.ndarray, scale: np.ndarray) -> np.ndarray:
 
 
 def _truncate(c: np.ndarray, params: SpectralParams) -> np.ndarray:
-    """W on the centered coefficient block |j|_inf <= K that c holds, shape
-    (2, 2K+1, 2K+1), or on its half j2 >= 0, shape (2, 2K+1, K+1).  W acts
-    mode by mode, so this is the block of W of any field that holds c there;
-    a new array.  theta acts in place on the scaled amplitudes, and the
-    cached reciprocal scale takes them back."""
-    K, cols = (c.shape[-2] - 1) // 2, c.shape[-1]
-    xi = _theta_in_place(_scaled_amplitude(c, _amplitude_scale(params, K)[:, -cols:]))
-    xi *= _inverse_amplitude_scale(params, K)[:, -cols:]
+    """W on the half c of a field, shape (2, 2K+1, K+1); a new array.  theta
+    acts in place on the scaled amplitudes, and the cached reciprocal scale
+    takes them back."""
+    K = c.shape[-1] - 1
+    xi = _theta_in_place(_scaled_amplitude(c, _amplitude_scale(params, K)))
+    xi *= _inverse_amplitude_scale(params, K)
     return _leray_coeffs(xi, out=xi)
 
 
@@ -257,10 +252,10 @@ def apply_W_prime(u: FourierField, v: FourierField, params: SpectralParams) -> F
 
 
 def _prepared_half(h: np.ndarray, params: SpectralParams) -> np.ndarray:
-    """B(W(u), W(u)) on the half j2 >= 0 of the centered grid of truncation M,
-    shape (2, 2M+1, M+1), for the real field u whose half is h; a new array.
+    """B(W(u), W(u)) for the field u whose half is h, shape (2, 2M+1, M+1);
+    a new array of that shape.
 
-    W is computed on that half, and the Leray projection of
+    W is computed on the half, and the Leray projection of
     (w . grad) w = div(w w^T) is formed with two inverse and two forward real
     transforms on the padded grid (spectral._route_grid,
     spectral._quadratic_fft).  The j = 0 coefficient is an exact 0 even when
@@ -270,13 +265,10 @@ def _prepared_half(h: np.ndarray, params: SpectralParams) -> np.ndarray:
 
 
 def prepared_product(u: FourierField, params: SpectralParams) -> FourierField:
-    """B(W(u), W(u)), the quadratic term of the prepared equation: the half
-    j2 >= 0 of _prepared_half with the modes j2 < 0 filled as the conjugates.
-    Equal to bilinear_B(apply_W(u), apply_W(u), "direct") up to rounding.
-    Preconditions: u is real (conjugate-symmetric), and W(u) is then real and
-    divergence-free mode by mode; every state the integrator produces is real.
-    """
-    return _field_from_half(_prepared_half(u.coeffs[:, :, u.M :], params))
+    """B(W(u), W(u)), the quadratic term of the prepared equation, by
+    _prepared_half.  Equal to bilinear_B(apply_W(u), apply_W(u), "direct") up
+    to rounding."""
+    return FourierField._wrap(u.M, _prepared_half(u.coeffs, params))
 
 
 def nonlinearity_F(u: FourierField, params: SpectralParams) -> FourierField:
@@ -294,15 +286,14 @@ def nonlinearity_F_prime(u: FourierField, v: FourierField, params: SpectralParam
     return apply_A_power(s, -0.5)
 
 
-def _component_tail(params: SpectralParams) -> np.ndarray:
-    """Per-mode componentwise amplitude ceiling 2 sqrt(2) rho / |j|^{3+eps}."""
-    _, _, LAM = wavenumbers(params.M)
-    c = np.zeros(LAM.shape)
-    nz = LAM > 0
-    c[nz] = 2.0 * math.sqrt(2.0) * params.rho / np.float64(LAM[nz]) ** (
-        (3.0 + params.epsilon) / 2.0
-    )
-    return c
+def _component_tail(params: SpectralParams) -> tuple[np.ndarray, np.ndarray]:
+    """|j|^2 of every mode 0 < |j|_inf <= M of the whole plane, not only the
+    half a field holds, as a flat float64 array, and the per-mode
+    componentwise amplitude ceiling 2 sqrt(2) rho / |j|^{3+eps} there."""
+    r = np.arange(-params.M, params.M + 1)
+    lam = np.float64((r * r)[:, None] + r * r)
+    lam = lam[lam > 0]
+    return lam, 2.0 * math.sqrt(2.0) * params.rho / lam ** ((3.0 + params.epsilon) / 2.0)
 
 
 def w_image_h2_bound(params: SpectralParams) -> float:
@@ -312,8 +303,8 @@ def w_image_h2_bound(params: SpectralParams) -> float:
     sup of theta is 2, the two components and the sub-unit projection give
     the sqrt(2)), so ||W(u)||_{H^2}^2 <= sum |j|^4 c_j^2 over the truncation.
     """
-    _, _, LAM = wavenumbers(params.M)
-    return float(math.sqrt(np.sum(np.float64(LAM) ** 2 * _component_tail(params) ** 2)))
+    lam, c = _component_tail(params)
+    return float(math.sqrt(np.sum(lam**2 * c**2)))
 
 
 def nonlinearity_h2_bound(params: SpectralParams) -> float:
@@ -325,10 +316,7 @@ def nonlinearity_h2_bound(params: SpectralParams) -> float:
     the l^1 norm of one factor times the L^2 norm of the derivative factor,
     both evaluated from the per-mode ceiling.  Crude but uniform in u.
     """
-    _, _, LAM = wavenumbers(params.M)
-    nz = LAM > 0
-    lam = np.float64(LAM[nz])
-    c = _component_tail(params)[nz]
+    lam, c = _component_tail(params)
     S1 = float(np.sum(c))
     S2 = float(math.sqrt(np.sum(lam * c**2)))
     return 8.0 * params.M * S1 * S2

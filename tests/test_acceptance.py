@@ -44,7 +44,6 @@ from hypernse import (
 )
 from hypernse.cli import main as cli_main
 from hypernse.spectral import CutoffFamily, two_thirds_mask
-from hypernse.truncation import _amplitude_scale
 
 S_SPARSE = 0.15
 SCALES = (1.0e4, 1.0e5, 1.0e6)
@@ -243,16 +242,19 @@ def test_criterion_06_truncation_identity_and_ceilings(record):
 
 
 def transition_shell_field(params, rng) -> FourierField:
-    scale = _amplitude_scale(params, params.M)
-    K = 2 * params.M + 1
+    """Drawn on the full plane, made real, and stored by its half."""
+    M = params.M
+    K = 2 * M + 1
+    r = np.arange(-M, M + 1, dtype=np.float64)
+    scale = (r[:, None] ** 2 + r**2) ** ((3.0 + params.epsilon) / 2.0) / params.rho
     targets = rng.uniform(1.3, 3.5, size=(2, K, K))
     phases = np.exp(2j * math.pi * rng.uniform(size=(2, K, K)))
     cc = np.zeros((2, K, K), dtype=np.complex128)
     nz = scale > 0
     cc[:, nz] = (targets * phases)[:, nz] / scale[nz]
     cc = 0.5 * (cc + np.conj(cc[:, ::-1, ::-1]))
-    cc[:, params.M, params.M] = 0.0
-    return leray_project(FourierField(params.M, cc))
+    cc[:, M, M] = 0.0
+    return leray_project(FourierField(M, cc[:, :, M:]))
 
 
 def test_criterion_07_gateaux_derivatives(record):

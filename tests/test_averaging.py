@@ -30,7 +30,6 @@ from hypernse import (
 from hypernse import lattice
 from hypernse.averaging import random_cancellation_pair
 from hypernse.spectral import _convolve_direct
-from hypernse.truncation import _amplitude_scale
 
 PARAMS = SpectralParams(M=16)
 
@@ -41,12 +40,14 @@ def small_basis():
     return band_basis(25, 3.0)
 
 
-def mode_field(basis, c, M=16):
-    """Basis mode c as a field at truncation M."""
+def mode_field(basis, c, M=16, coefficient=1.0):
+    """The real field of basis mode c times coefficient, with its conjugate,
+    at truncation M.  The band is symmetric and the direction flips sign
+    with j, so the conjugate of basis mode c is minus basis mode n - 1 - c:
+    the field is e_c - e_{n-1-c} for coefficient 1 and i (e_c + e_{n-1-c})
+    for coefficient i."""
     j, d = basis
-    e = np.zeros((2, 2 * M + 1, 2 * M + 1), dtype=np.complex128)
-    e[:, j[0, c] + M, j[1, c] + M] = d[:, c]
-    return FourierField(M, e)
+    return FourierField.from_modes(M, {tuple(j[:, c].tolist()): coefficient * d[:, c]})
 
 
 def band_coords(basis, u):
@@ -106,28 +107,34 @@ def test_strong_and_weak_assembly_agree(small_basis):
         assert num / den <= 1e-10, make.__name__
     # the saturated sample has band-mode amplitudes in the transition shell,
     # where the band gain is only real-linear; both routes take it from the
-    # one cutoff derivative, so a central difference of F checks that column
-    xi = u.coeffs * _amplitude_scale(PARAMS, u.M)
+    # one cutoff derivative, so a central difference of F checks those
+    # columns along the real mode of one of them
     j = small_basis[0]
-    r = np.abs(xi[:, j[0] + u.M, j[1] + u.M]).T
+    n = j.shape[1]
+    amplitudes = np.array([u.mode(p) for p in j.T.tolist()])
+    scale = np.float64(j[0] * j[0] + j[1] * j[1]) ** ((3.0 + PARAMS.epsilon) / 2.0) / PARAMS.rho
+    r = np.abs(amplitudes) * scale[:, None]
     in_shell = (prof.inner_radius < r) & (r < prof.outer_radius)
     c = int(np.flatnonzero(np.any(in_shell, axis=1))[0])
     v = mode_field(small_basis, c)
     h = 1e-6
     fd = F_direct(u + v * h) - F_direct(u - v * h)
     col = band_coords(small_basis, fd) / (2.0 * h)
-    assert np.max(np.abs(col - strong[:, c])) <= 1e-7 * den
+    assert np.max(np.abs(col - (strong[:, c] - strong[:, n - 1 - c]))) <= 1e-7 * den
 
 
 def test_weak_assembly_is_the_derivative_pairing(small_basis):
     """Column c of the compression is F'(u) applied to basis mode c, read off
-    in band coordinates."""
+    in band coordinates.  A field holds a mode with its conjugate, so the
+    column is taken from the real and the imaginary real mode of c: F'(u)
+    is complex-linear inside the ball, where W' is the identity."""
     rng = np.random.default_rng(3)
     u = in_ball_sample(rng)
     weak = weak_restricted_operator(u, small_basis, PARAMS)
     c = 2
-    img = nonlinearity_F_prime(u, mode_field(small_basis, c), PARAMS)
-    col = band_coords(small_basis, img)
+    re, im = (band_coords(small_basis, nonlinearity_F_prime(u, mode_field(small_basis, c, coefficient=z), PARAMS))
+              for z in (1.0, 1j))
+    col = 0.5 * (re - 1j * im)
     assert np.max(np.abs(col - weak[:, c])) <= 1e-12 * max(1.0, np.max(np.abs(weak)))
 
 
@@ -211,10 +218,10 @@ def test_cancellation_defect_matches_dense_convolution(lam, k, radius):
     rng = np.random.default_rng(lam)
     for _ in range(3):
         phi, psi = random_cancellation_pair(band, radius, rng)
-        R = (phi.shape[0] - 1) // 2
+        R = phi.shape[-1] - 1
         dense_phi = np.zeros((2 * half + 1, 2 * half + 1), dtype=np.complex128)
         dense_psi = np.zeros_like(dense_phi)
-        dense_phi[half - R : half + R + 1, half - R : half + R + 1] = phi
+        dense_phi[half - R : half + R + 1, half - R : half + R + 1] = full_plane(phi)
         dense_psi[band[0] + half, band[1] + half] = psi
         prod = _convolve_direct(dense_phi, dense_psi)
         expected = np.abs(prod[band[0] + half, band[1] + half]).max()
@@ -223,23 +230,28 @@ def test_cancellation_defect_matches_dense_convolution(lam, k, radius):
         assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
+def full_plane(h: np.ndarray) -> np.ndarray:
+    """The full plane [j1+R, j2+R] of the real scalar whose half is h."""
+    return np.concatenate([np.conj(h[::-1, :0:-1]), h], axis=-1)
+
+
 @pytest.mark.parametrize("radius", [1.0, 2.0, 2.5, math.sqrt(5.0), 3.7])
 def test_random_cancellation_pair_support_and_symmetry(radius):
     band = np.array([[0, 9, 0, -9], [9, 0, -9, 0]])
     phi, psi = random_cancellation_pair(band, radius, np.random.default_rng(3))
-    R = (phi.shape[0] - 1) // 2
-    assert phi.shape == (2 * R + 1, 2 * R + 1)
+    R = phi.shape[-1] - 1
+    assert phi.shape == (2 * R + 1, R + 1)
     disk = {
         (a, b)
         for a in range(-R - 1, R + 2)
-        for b in range(-R - 1, R + 2)
+        for b in range(0, R + 2)
         if 0 < a * a + b * b <= radius * radius
     }
-    support = {(a - R, b - R) for a, b in zip(*np.nonzero(phi))}
+    support = {(a - R, b) for a, b in zip(*np.nonzero(phi))}
     assert support == disk
-    # phi(-q) = conj phi(q), and the centre is the zero mean
-    assert np.array_equal(phi[::-1, ::-1], phi.conj())
-    assert phi[R, R] == 0
+    # phi(-q) = conj phi(q) on the column j2 = 0, and the centre is the zero mean
+    assert np.array_equal(phi[::-1, 0], phi[:, 0].conj())
+    assert phi[R, 0] == 0
     assert psi.shape == (4,) and np.all(psi != 0)
 
 
@@ -251,8 +263,8 @@ def test_random_cancellation_pair_draw_order(radius, n_band):
     drawn = np.random.default_rng(11)
     phi, psi = random_cancellation_pair(band, radius, drawn)
     rng = np.random.default_rng(11)
-    R = (phi.shape[0] - 1) // 2
-    want_phi = np.zeros_like(phi)
+    R = phi.shape[-1] - 1
+    want_phi = np.zeros((2 * R + 1, 2 * R + 1), dtype=np.complex128)
     for a in range(0, R + 1):
         for b in range(-R, R + 1):
             if (a, b) > (0, 0) and a * a + b * b <= radius * radius:
@@ -260,7 +272,8 @@ def test_random_cancellation_pair_draw_order(radius, n_band):
                 want_phi[R + a, R + b] = z
                 want_phi[R - a, R - b] = z.conjugate()
     want_psi = [complex(rng.standard_normal(), rng.standard_normal()) for _ in range(n_band)]
-    assert np.array_equal(phi, want_phi)
+    # phi is the half j2 >= 0 of that block
+    assert np.array_equal(phi, want_phi[:, R:])
     assert np.array_equal(psi, np.array(want_psi, dtype=np.complex128))
     # and no draw besides
     assert drawn.bit_generator.state == rng.bit_generator.state
@@ -268,12 +281,13 @@ def test_random_cancellation_pair_draw_order(radius, n_band):
 
 def test_cancellation_defect_validates_input():
     band = np.array([[0, 5], [5, 0]])
-    phi = np.zeros((3, 3), dtype=np.complex128)
-    phi[2, 1] = phi[0, 1] = 1.0
+    # the half of the block R = 1: the modes (1, 0) and (-1, 0)
+    phi = np.zeros((3, 2), dtype=np.complex128)
+    phi[2, 0] = phi[0, 0] = 1.0
     assert cancellation_defect(phi, np.ones(2), band) == 0.0
     with pytest.raises(ValueError, match="band points"):
         cancellation_defect(phi, np.ones(3), band)  # psi is not one value per point
-    phi[1, 1] = 1.0
+    phi[1, 0] = 1.0
     with pytest.raises(ValueError, match="mean-zero"):
         cancellation_defect(phi, np.ones(2), band)
 

@@ -190,21 +190,52 @@ def test_write_csv_floats_read_back_bit_exactly(tmp_path):
         assert back == x and math.copysign(1.0, back) == math.copysign(1.0, x), text
 
 
+def read_field_csv(path, M: int) -> FourierField:
+    """The field a snapshot holds: one row per stored mode, every mode
+    j2 >= 0 of the truncation M but j = 0, each once."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == "j1,j2,re_u1,im_u1,re_u2,im_u2"
+    c = np.zeros((2, 2 * M + 1, M + 1), dtype=np.complex128)
+    seen = set()
+    for j1, j2, *parts in (line.split(",") for line in lines[1:]):
+        x = [float(p) for p in parts]
+        seen.add((int(j1), int(j2)))
+        c[:, int(j1) + M, int(j2)] = complex(x[0], x[1]), complex(x[2], x[3])
+    assert len(seen) == len(lines) - 1 == (2 * M + 1) * (M + 1) - 1
+    return FourierField(M, c)
+
+
+def simulate_states(M: int, T: str, seed: int = 0) -> tuple[FourierField, FourierField]:
+    """simulate's initial and final states at M, T and seed, drawn at M and
+    stepped on the block K = floor(2M/3) as stage_simulate does."""
+    cfg = resolve_config(None, {"M": M, "T": T, "seed": seed})
+    K = hypernse.spectral.two_thirds_limit(M)
+    draw = cfg.spectral_params()
+    rng = np.random.default_rng(cfg.seed)
+    u0 = hypernse.cli._initial_field(cfg, draw, rng).block(K)
+    forcing = hypernse.cli._forcing_field(cfg, draw, rng, K)
+    return u0, evolve(u0, forcing, cfg.spectral_params(M=K), cfg.sim_config()).fields[-1]
+
+
 def test_initial_field_csv_rebuilds_the_drawn_field(tmp_path):
     out = tmp_path / "sim"
     assert main(["simulate", "--M", "8", "--T", "0.002", "--out", str(out)]) == 0
-    cfg = resolve_config(None, {"M": 8})
-    u0 = hypernse.cli._initial_field(cfg, cfg.spectral_params(), np.random.default_rng(cfg.seed))
-    lines = (out / "initial_field.csv").read_text().splitlines()
-    assert lines[0] == "j1,j2,re_u1,im_u1,re_u2,im_u2"
     # the field drawn at M = 8, cut to the block K = 5 that simulate steps
-    c = np.zeros((2, 11, 11), dtype=np.complex128)
-    for j1, j2, *parts in (line.split(",") for line in lines[1:]):
-        x = [float(p) for p in parts]
-        c[:, int(j1) + 5, int(j2) + 5] = complex(x[0], x[1]), complex(x[2], x[3])
-    # the file holds the positive modes; the others are their conjugates
-    c += c[:, ::-1, ::-1].conj()
-    assert np.array_equal(c, u0.block(5).coeffs)
+    u0, _ = simulate_states(8, "0.002")
+    got = read_field_csv(out / "initial_field.csv", 5)
+    assert np.array_equal(got.coeffs.view(np.uint64), u0.coeffs.view(np.uint64))
+
+
+def test_the_snapshots_rebuild_the_stepped_states_bit_for_bit(tmp_path):
+    # the column j2 = 0 of a stepped state is kept whole, rounding drift and
+    # all, so the snapshot writes all of it
+    out = tmp_path / "sim"
+    assert main(["simulate", "--M", "24", "--T", "0.02", "--seed", "3", "--out", str(out)]) == 0
+    u0, final = simulate_states(24, "0.02", seed=3)
+    assert final.reality_defect() > 0.0
+    for name, want in (("initial_field.csv", u0), ("final_field.csv", final)):
+        got = read_field_csv(out / name, 16)
+        assert np.array_equal(got.coeffs.view(np.uint64), want.coeffs.view(np.uint64)), name
 
 
 def _two_thirds_product(monkeypatch) -> None:
@@ -583,7 +614,7 @@ def test_the_band_lies_inside_the_stepped_block(mu):
     M_run, K = hypernse.cli._cone_truncations(fam)
     band = fam.mask(M_run, "band")
     inside = np.zeros_like(band)
-    inside[M_run - K : M_run + K + 1, M_run - K : M_run + K + 1] = True
+    inside[M_run - K : M_run + K + 1, : K + 1] = True
     assert band.any()
     assert not np.any(band & ~inside)
 

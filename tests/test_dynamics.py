@@ -235,17 +235,19 @@ def test_a_forcing_at_another_truncation_is_refused_before_any_product(monkeypat
 @pytest.mark.parametrize("entry", ["evolve", "evolve_pairs"])
 @pytest.mark.parametrize("which", ["reference", "copy", "forcing"])
 def test_a_field_that_is_not_real_is_refused_before_any_product(monkeypatch, entry, which):
-    """The loop keeps the half j2 >= 0 and would replace the other half by the
-    conjugates; a field whose other half is not that is refused instead."""
+    """A field holds the half j2 >= 0, which determines a real field; a
+    full-plane array, whose modes j2 < 0 need not be the conjugates, is
+    refused when the field is built, so no member or forcing that is not
+    real reaches the loop."""
     products = count_products(monkeypatch)
     rng = np.random.default_rng(5)
     fields = {name: random_field(8, rng, decay=2.0) for name in ("reference", "copy", "forcing")}
-    # one mode without its conjugate: the reality defect is 0.5
-    lopsided = single_mode((1, 2), (0.5, 0.0)).coeffs.copy()
-    lopsided[:, 8 - 1, 8 - 2] = 0.0
-    fields[which] = FourierField(8, fields[which].coeffs + lopsided)
+    # one mode without its conjugate, on the full plane
+    lopsided = np.zeros((2, 17, 17), dtype=np.complex128)
+    lopsided[:, 8 + 1, 8 + 2] = 0.5
     cfg = SimConfig(T=0.002)
-    with pytest.raises(ValueError, match="is not a real field: its reality defect is 0.5"):
+    with pytest.raises(ValueError, match=r"coeffs shape \(2, 17, 17\) != \(2, 17, 9\), the half j2 >= 0"):
+        fields[which] = FourierField(8, lopsided)
         if entry == "evolve":
             # evolve's one member stands for the reference or the copy
             member = fields["copy" if which == "copy" else "reference"]
@@ -298,7 +300,7 @@ def test_pair_trace_matches_linear_decay():
 def reference_pair_rows(u1, u2, forcing, params, cfg, fam):
     """Pair trace rows by plain step() calls, with B(W(u), W(u)) recomputed
     for every sample instead of shared with the next step; each row is read
-    from the halves j2 >= 0 of the states and products."""
+    from the coefficients of the states and products."""
     M = params.M
     masks = _cone_masks(M, params, fam)
     alpha = 0.5 * (float(fam.lambda_next) ** params.beta + float(fam.lambda_N) ** params.beta)
@@ -306,9 +308,9 @@ def reference_pair_rows(u1, u2, forcing, params, cfg, fam):
     def row(t, a, b):
         ba = bb = None
         if cfg.include_nonlinear:
-            ba = prepared_product(a, params).coeffs[:, :, M:]
-            bb = prepared_product(b, params).coeffs[:, :, M:]
-        return (t,) + _cone_sample(a.coeffs[:, :, M:], b.coeffs[:, :, M:], ba, bb, params, fam, masks, alpha)
+            ba = prepared_product(a, params).coeffs
+            bb = prepared_product(b, params).coeffs
+        return (t,) + _cone_sample(a.coeffs, b.coeffs, ba, bb, params, fam, masks, alpha)
 
     rows = [row(0.0, u1, u2)]
     n = cfg.n_steps
@@ -472,7 +474,7 @@ def test_cone_drive_is_the_A_power_form_to_rounding():
     pairs.append((u2 + d_low + d_high * shrink, u2))
     for u1, u2 in pairs:
         b1, b2 = prepared_product(u1, params), prepared_product(u2, params)
-        h1, h2, hb1, hb2 = (x.coeffs[:, :, 16:] for x in (u1, u2, b1, b2))
+        h1, h2, hb1, hb2 = (x.coeffs for x in (u1, u2, b1, b2))
         row = _cone_sample(h1, h2, hb1, hb2, params, fam, masks, alpha)
         diss = _cone_sample(h1, h2, None, None, params, fam, masks, alpha)[1]
         v = (u1 - u2).coeffs
@@ -519,21 +521,34 @@ def test_cone_report_counts_unresolved_differences_as_degenerate():
 
 
 # ---------------------------------------------------------------------------
-# an independent full-plane oracle of the half-plane time loop
+# an independent full-plane oracle of the time loop
+
+
+def full_plane(h: np.ndarray) -> np.ndarray:
+    """The full plane [..., j1+M, j2+M] of the real field whose half is h."""
+    return np.concatenate([np.conj(h[..., ::-1, :0:-1]), h], axis=-1)
+
+
+def full_plane_symbol(M: int, p: float) -> np.ndarray:
+    """(|j|^2)^p on the full plane, 0 at j = 0."""
+    r = np.arange(-M, M + 1, dtype=np.float64)
+    lam = r[:, None] ** 2 + r**2
+    return np.where(lam > 0, lam, 1.0) ** p * (lam > 0)
 
 
 def oracle_states(u, forcing, params, cfg, product):
-    """The recorded states of a Heun loop over whole coefficient arrays, the
-    formulas of test_step_is_bitwise_the_closed_form_update; product(field)
-    is B(W(u), W(u))."""
+    """The recorded states of a Heun loop over full-plane coefficient arrays,
+    the formulas of test_step_is_bitwise_the_closed_form_update;
+    product(field) is B(W(u), W(u))."""
     M, dt = u.M, cfg.dt
-    E = np.exp(-params.nu * dt * laplacian_power(M, params.beta))
+    E = np.exp(-params.nu * dt * full_plane_symbol(M, params.beta))
 
     def N(c):
-        b = product(FourierField(M, c)).coeffs
-        return -b if forcing is None else forcing.coeffs - b
+        b = full_plane(product(FourierField(M, c[:, :, M:])).coeffs)
+        return -b if forcing is None else full_plane(forcing.coeffs) - b
 
-    c, states = u.coeffs, [u.coeffs]
+    c = full_plane(u.coeffs)
+    states = [c]
     for i in range(1, cfg.n_steps + 1):
         star = (c + dt * N(c)) * E
         c = c * E + 0.5 * dt * (N(c) * E + N(star))
@@ -543,11 +558,12 @@ def oracle_states(u, forcing, params, cfg, product):
 
 
 def oracle_rows(u1, u2, forcing, params, cfg, fam, product):
-    """Cone trace rows of the pair by the defining formulas on the whole
-    grid: p and q are v = u1 - u2 at and above the cutoff."""
+    """Cone trace rows of the pair by the defining formulas on the full
+    plane: p and q are v = u1 - u2 at and above the cutoff."""
     M, beta = u1.M, params.beta
-    low = fam.mask(M, "low")
-    lam = laplacian_power(M, beta)
+    lam = full_plane_symbol(M, beta)
+    eig = full_plane_symbol(M, 1.0)
+    low = (eig > 0) & (eig <= fam.lambda_N)
     alpha = 0.5 * (float(fam.lambda_next) ** beta + float(fam.lambda_N) ** beta)
     rows = []
     for c1, c2 in zip(oracle_states(u1, forcing, params, cfg, product),
@@ -557,7 +573,8 @@ def oracle_rows(u1, u2, forcing, params, cfg, fam, product):
         norm_p2, norm_q2 = np.sum(dens[low]), np.sum(dens[~low])
         V = norm_q2 - norm_p2
         diss = -2.0 * params.nu * (np.sum((lam * dens)[~low]) - np.sum((lam * dens)[low]))
-        db = product(FourierField(M, c1)).coeffs - product(FourierField(M, c2)).coeffs
+        db = (full_plane(product(FourierField(M, c1[:, :, M:])).coeffs)
+              - full_plane(product(FourierField(M, c2[:, :, M:])).coeffs))
         dVdt = diss + 2.0 * np.sum(np.real(db * np.conj(np.where(low, v, -v))))
         rhs = -(fam.lambda_N ** (beta - 1.0) / 8.0) * (norm_p2 + norm_q2)
         norm_u2 = max(np.sum(np.abs(c1) ** 2), np.sum(np.abs(c2) ** 2))
@@ -574,7 +591,8 @@ def test_evolve_is_bitwise_the_full_plane_oracle(forced):
     traj = evolve(u, f, PARAMS, cfg)
     want = oracle_states(u, f, PARAMS, cfg, lambda w: prepared_product(w, PARAMS))
     assert len(traj.fields) == len(want) == 4
-    assert all(np.array_equal(a.coeffs, b) for a, b in zip(traj.fields, want))
+    # the full-plane loop steps each conjugate with its mode, bit for bit
+    assert all(np.array_equal(full_plane(a.coeffs), b) for a, b in zip(traj.fields, want))
 
 
 def cone_stage_members():

@@ -1,6 +1,6 @@
 """Source hygiene: no module of the package and no test module imports a
-name it never uses, and the package reads every private name that one of its
-modules defines.
+name it never uses, the package reads every private name that one of its
+modules defines, and only the oracles build the full coefficient plane.
 
 No linter is a dependency, so this walks each module's syntax tree.  The
 package __init__ is exempt from the import check: its imports are its
@@ -89,3 +89,44 @@ def test_unreferenced_private_names_finds_an_orphan():
 def test_package_reads_every_private_name_it_defines():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
     assert unreferenced_private_names(sources) == []
+
+
+# A field holds the half j2 >= 0 (spectral); the full plane is built only at
+# the edge of the oracles that need it: the complex product routes of
+# bilinear_B, the triad sum of trilinear_b and the weak assembly, whose
+# single-mode embeddings are not real fields.
+FULL_PLANE_READERS = {
+    "spectral.bilinear_B",
+    "spectral.trilinear_b",
+    "averaging.weak_restricted_operator",
+}
+
+
+def full_plane_readers(sources: dict[str, str]) -> set[str]:
+    """module.name of every module-level definition that reads _full_plane,
+    its own definition aside; a read by any other module-level statement but
+    an import counts as module.<module>."""
+    out = set()
+    for mod, src in sources.items():
+        for stmt in ast.parse(src).body:
+            bound = _bound_names(stmt)
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)) or "_full_plane" in bound:
+                continue
+            if "_full_plane" in _read_names(stmt):
+                out.add(f"{mod}.{bound[0] if bound else '<module>'}")
+    return out
+
+
+def test_full_plane_readers_finds_an_orphan():
+    sources = {
+        "a": "def _full_plane(h):\n    return _full_plane(h[1:]) if h else h\n\n"
+             "def oracle(u):\n    return _full_plane(u)\n\n"
+             "class F:\n    def m(self):\n        return _full_plane(self)\n",
+        "b": "from .a import _full_plane\n\nX = _full_plane([])\n_full_plane(X)\n\ndef g():\n    return 1\n",
+    }
+    assert full_plane_readers(sources) == {"a.oracle", "a.F", "b.X", "b.<module>"}
+
+
+def test_only_the_oracles_read_the_full_plane():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert full_plane_readers(sources) == FULL_PLANE_READERS

@@ -24,6 +24,9 @@ from hypernse import (
 )
 from hypernse.spectral import (
     CutoffFamily,
+    _bilinear_plane,
+    _full_plane,
+    _random_coeffs,
     _smooth_size,
     laplacian_power,
     two_thirds_limit,
@@ -32,9 +35,12 @@ from hypernse.spectral import (
 )
 
 
-def rel(a: FourierField, b: FourierField) -> float:
-    d = np.max(np.abs(a.coeffs - b.coeffs))
-    s = max(np.max(np.abs(a.coeffs)), np.max(np.abs(b.coeffs)), 1e-300)
+def rel(a, b) -> float:
+    """The largest difference of two fields, or of two coefficient arrays,
+    over their largest coefficient."""
+    a, b = (getattr(x, "coeffs", x) for x in (a, b))
+    d = np.max(np.abs(a - b))
+    s = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300)
     return float(d / s)
 
 
@@ -53,15 +59,17 @@ def test_field_reality_and_divergence():
     rng = np.random.default_rng(0)
     for _ in range(10):
         u = random_field(8, rng)
+        assert u.coeffs.shape == (2, 17, 9)
         assert u.reality_defect() < 1e-13
         assert u.divergence_defect() < 1e-12
-        assert np.all(u.coeffs[:, 8, 8] == 0.0)
+        assert np.all(u.coeffs[:, 8, 0] == 0.0)
 
 
 @pytest.mark.parametrize("M", [2, 7, 152])
 def test_wavenumbers_are_views_of_one_arange(M):
     J1, J2, LAM = wavenumbers(M)
-    want1, want2 = np.meshgrid(np.arange(-M, M + 1), np.arange(-M, M + 1), indexing="ij")
+    # the half j2 >= 0 of the grid, the layout of a field
+    want1, want2 = np.meshgrid(np.arange(-M, M + 1), np.arange(0, M + 1), indexing="ij")
     assert np.array_equal(J1, want1) and np.array_equal(J2, want2)
     assert np.array_equal(LAM, want1 * want1 + want2 * want2)
     assert LAM.dtype == want1.dtype and LAM.flags.c_contiguous
@@ -130,12 +138,20 @@ def test_two_thirds_route_equals_masked_direct():
     assert rel(btt, ref) < 1e-12
 
 
-def non_real_field(M: int, rng) -> FourierField:
-    """Random coefficients with no conjugate symmetry (a complex field)."""
+def non_real_coeffs(M: int, rng) -> np.ndarray:
+    """Full-plane coefficients with no conjugate symmetry (a complex field),
+    which no FourierField holds: the array-level product takes them."""
     K = 2 * M + 1
     c = rng.standard_normal((2, K, K)) + 1j * rng.standard_normal((2, K, K))
     c[:, M, M] = 0.0
-    return FourierField(M, c)
+    return c
+
+
+def two_thirds_mask_plane(c: np.ndarray) -> np.ndarray:
+    """two_thirds_mask on a full-plane coefficient array."""
+    M = (c.shape[-1] - 1) // 2
+    keep1 = np.abs(np.arange(-M, M + 1)) <= two_thirds_limit(M)
+    return c * np.outer(keep1, keep1)
 
 
 @pytest.mark.parametrize("M, N", [(12, 25), (16, 32)])
@@ -144,12 +160,13 @@ def test_transform_routes_on_non_real_fields(M, N):
     # is smaller than the natural 2M + 1 = 33
     assert _smooth_size(3 * two_thirds_limit(M) + 1) == N
     rng = np.random.default_rng(M)
-    u, v = non_real_field(M, rng), non_real_field(M, rng)
-    assert u.reality_defect() > 0.1
-    btt = bilinear_B(u, v, dealias="two-thirds")
-    ref = two_thirds_mask(bilinear_B(two_thirds_mask(u), two_thirds_mask(v), dealias="direct"))
+    u, v = non_real_coeffs(M, rng), non_real_coeffs(M, rng)
+    assert np.max(np.abs(u[:, ::-1, ::-1] - np.conj(u))) > 0.1
+    mask = two_thirds_mask_plane
+    btt = _bilinear_plane(u, v, "two-thirds")
+    ref = mask(_bilinear_plane(mask(u), mask(v), "direct"))
     assert rel(btt, ref) < 1e-13
-    assert rel(bilinear_B(u, v, dealias="padded"), bilinear_B(u, v, dealias="direct")) < 1e-13
+    assert rel(_bilinear_plane(u, v, "padded"), _bilinear_plane(u, v, "direct")) < 1e-13
 
 
 def test_smooth_size_matches_brute_force():
@@ -306,3 +323,69 @@ def test_random_field_does_not_cache_its_decay_symbol():
     nz = LAM > 0
     assert np.array_equal(w.coeffs[:, nz], z.coeffs[:, nz] * np.float64(LAM[nz]) ** -1.65)
     assert u.divergence_defect() < 1e-13
+
+
+def full_plane_draw(M, rng, divergence_free=True, decay=0.0, band=None) -> np.ndarray:
+    """The full-plane draw that random_field's stream is defined by, written
+    out as an oracle: normals z for the real parts (2, 2M+1, 2M+1), then for
+    the imaginary parts, made real as (z + conj(z[-j])) / 2; then the decay
+    |j|^-decay, the band, the zero mean and the Leray projection."""
+    K = 2 * M + 1
+    z = rng.standard_normal((2, K, K)) + 0j
+    z.imag = rng.standard_normal((2, K, K))
+    c = 0.5 * (np.conj(z[:, ::-1, ::-1]) + z)
+    r = np.arange(-M, M + 1, dtype=np.float64)
+    lam = r[:, None] ** 2 + r**2
+    if decay > 0.0:
+        c *= np.where(lam > 0, lam, 1.0) ** (-decay / 2.0) * (lam > 0)
+    if band is not None:
+        c *= (lam >= band[0]) & (lam <= band[1])
+    c[:, M, M] = 0.0
+    if divergence_free:
+        J1, J2 = r[:, None], r
+        d = (J2 * c[0] - J1 * c[1]) / np.where(lam > 0, lam, 1.0)
+        c = np.stack([J2 * d, -J1 * d])
+        c[:, M, M] = 0.0
+    return c
+
+
+@pytest.mark.parametrize("M", [2, 7, 16, 153])
+@pytest.mark.parametrize(
+    "options",
+    [{}, {"decay": 4.5}, {"decay": 5.0, "divergence_free": False},
+     {"band": (9.0, 40.0)}, {"divergence_free": False}],
+    ids=["plain", "decay", "decay-free", "band", "free"],
+)
+def test_the_draw_is_the_half_of_the_full_plane_stream(M, options):
+    """Bit for bit the half j2 >= 0 of the full-plane oracle, with the same
+    normals taken from the generator and none besides."""
+    want = full_plane_draw(M, oracle := np.random.default_rng(M), **options)
+    drawn = np.random.default_rng(M)
+    got = _random_coeffs(M, drawn, **options)
+    assert got.shape == (2, 2 * M + 1, M + 1) and got.flags.writeable
+    assert np.array_equal(got, want[:, :, M:])
+    # the full plane the oracles build is the oracle's, conjugates and all
+    assert np.array_equal(_full_plane(got), want)
+    assert drawn.bit_generator.state == oracle.bit_generator.state
+    u = random_field(M, np.random.default_rng(M), **options)
+    assert np.array_equal(u.coeffs, got)
+
+
+def test_a_field_stores_the_half_and_reads_the_conjugates():
+    u = FourierField.from_modes(4, {(1, -2): (1.0 + 2.0j, 0.5j), (-3, 0): (2.0, 1.0 - 1.0j)})
+    assert u.coeffs.shape == (2, 9, 5)
+    # a mode j2 < 0 is stored as its conjugate at -j
+    assert np.array_equal(u.coeffs[:, 4 - 1, 2], [1.0 - 2.0j, -0.5j])
+    assert np.array_equal(u.mode((1, -2)), [1.0 + 2.0j, 0.5j])
+    assert np.array_equal(u.mode((-1, 2)), [1.0 - 2.0j, -0.5j])
+    # the column j2 = 0 holds the mode and its mirror
+    assert np.array_equal(u.coeffs[:, 4 - 3, 0], [2.0, 1.0 - 1.0j])
+    assert np.array_equal(u.coeffs[:, 4 + 3, 0], [2.0, 1.0 + 1.0j])
+    assert np.count_nonzero(u.coeffs) == 6
+    assert u.reality_defect() == 0.0
+    # the pairing counts a mode j2 > 0 with its conjugate and the column once
+    assert inner_product(u, u) == 2.0 * (5.0 + 0.25) + 2.0 * (4.0 + 2.0)
+    # the column is kept as it is given; reality_defect measures it
+    c = u.coeffs.copy()
+    c[0, 4 + 3, 0] = 2.5
+    assert FourierField(4, c).reality_defect() == 0.5
