@@ -5,8 +5,8 @@ The evolved system is
     du/dt + nu * A^beta u + B(W(u), W(u)) = f,
 
 with A = -Laplacian acting diagonally as |j|^2 in Fourier space and W the
-amplitude truncation from :mod:`hypernse.truncation`, which has one cutoff
-profile; the tests build others only to test psi.  The linear part is
+amplitude truncation from :mod:`hypernse.truncation`, with its one fixed
+cutoff profile.  The linear part is
 stiff, so the integrator propagates it exactly: integrating-factor Heun
 multiplies the coefficients by exp(-nu |j|^(2 beta) dt) and advances the
 nonlinearity with a two-stage second-order rule, so a pure linear solve is
@@ -37,8 +37,9 @@ time derivative, so the contraction inequality can be checked against the
 trace afterwards; a trace row is read from one density |v_hat[j]|^2 of the
 difference, weighted 1 on the column j2 = 0 and 2 beyond it, which counts
 each mode j2 > 0 with its conjugate.  step is the same step for a caller that
-holds only u; its fifth argument accepts None or the one profile, because
-the grid-size sweep of bench/spans.py still passes CutoffProfile().
+holds only u; its fifth argument is None or CutoffProfile(), which is
+always the one profile, kept because the grid-size sweep of bench/spans.py
+passes it; anything else is refused.
 """
 
 from __future__ import annotations
@@ -186,8 +187,8 @@ def step(
     config: SimConfig,
     profile: object = None,
 ) -> FourierField:
-    """Advance one time step; profile is None or the one cutoff profile (see
-    the module docstring)."""
+    """Advance one time step; profile is None or CutoffProfile(), the one
+    cutoff profile (see the module docstring)."""
     if profile is not None and profile != _PROFILE:
         raise ValueError(f"the prepared equation has one cutoff profile, not {profile}")
     f = _forcing_coeffs(forcing, u.M)

@@ -3,21 +3,22 @@
 The scalar cutoff is theta(xi) = xi * psi(|xi|) with psi a smooth step built
 from the exp(-1/t) gluing: psi = 1 on [0, 1], psi = 0 beyond the outer radius
 R, smooth and monotone between.  The identity region makes the truncation a
-no-op on coefficients below the amplitude budget; the outer radius is the
-largest value keeping sup |theta| <= 2, found numerically once and stored as
-DEFAULT_OUTER_RADIUS (re-verified by the test suite).  The prepared equation
-has one cutoff: theta, W and W' all read the module's CutoffProfile() with
-these radii, _PROFILE.  The tests build other profiles only to test psi.
+no-op on coefficients below the amplitude budget; R = DEFAULT_OUTER_RADIUS is
+the largest value keeping sup |theta| <= 2, found numerically once and
+certified by the test suite.  The prepared equation has one cutoff, with
+these fixed radii: theta, W and W' all read it, as _PROFILE.
 
 The field-level truncation is
     W(u) = sum_j (rho / |j|^{3+eps}) P_j theta_vec(|j|^{3+eps} u_hat[j] / rho) e^{ijx}
-with theta_vec acting componentwise and P_j the divergence-free projection;
-W equals the identity on the ball ||u||_{H^{3+eps}} <= rho and its image is
-bounded in H^2 uniformly in u (w_image_h2_bound evaluates the coefficient
-tail sum for the configured truncation).  A tiny rho may overflow the
-amplitude scale |j|^{3+eps}/rho to inf: a nonzero coefficient there is
-beyond the outer radius and truncated to 0, and a zero one has amplitude
-exactly 0, not 0 * inf = NaN (_scaled_amplitude).
+with theta_vec acting componentwise and P_j the divergence-free projection.
+Componentwise this is the gain P_j u_hat[j] psi(|j|^{3+eps} |u_hat[j]| / rho),
+and W computes it so, with the in-place gain that theta uses: W is exactly P
+on the ball ||u||_{H^{3+eps}} <= rho, and its image is bounded in H^2
+uniformly in u (w_image_h2_bound evaluates the coefficient tail sum for the
+configured truncation).  A tiny rho may overflow the amplitude scale
+|j|^{3+eps}/rho to inf: a nonzero coefficient there is beyond the outer
+radius and truncated to 0, and a zero one stays 0 (for W' its amplitude is
+exactly 0, not 0 * inf = NaN; _scaled_amplitude).
 
 The Gateaux derivative of theta at xi is the real-linear map
     J(xi) h = psi(r) h + (psi'(r)/r) Re(conj(xi) h) xi,   r = |xi|,
@@ -39,10 +40,8 @@ multipliers that take w1 w2 and w1^2 - w2^2 back to the block); this needs W(u)
 divergence-free mode by mode, which W's own projection gives.  It agrees
 with the oracle bilinear_B(apply_W(u), apply_W(u), "direct") to rounding.
 There is one route: the two-thirds rule at M is this product on the block
-floor(2M/3), which cli cuts its fields to.  The amplitude scale and its
-reciprocal are cached per (params, K), and W applies theta in place on the
-scaled amplitudes; W's values are those of theta itself, and only the sign
-of some zero coefficients can differ.
+floor(2M/3), which cli cuts its fields to.  The amplitude scale is cached
+per (params, K).
 """
 
 from __future__ import annotations
@@ -101,21 +100,13 @@ def _smoothstep_prime(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CutoffProfile:
-    """Radial profile of the scalar cutoff: identity inside inner_radius,
-    dead beyond outer_radius, with sup |theta| <= 2 enforced numerically."""
+    """The prepared equation's radial profile psi: 1 on [0, 1], 0 from
+    DEFAULT_OUTER_RADIUS on, the smooth step between.  The radii are class
+    constants, not fields, so every CutoffProfile() equals _PROFILE; the test
+    suite certifies sup |theta| <= 2 for them."""
 
-    inner_radius: float = 1.0
-    outer_radius: float = DEFAULT_OUTER_RADIUS
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.inner_radius < self.outer_radius:
-            raise ValueError(
-                f"need 0 < inner_radius < outer_radius, got "
-                f"{self.inner_radius}, {self.outer_radius}"
-            )
-        sup = self.sup_theta()
-        if sup > 2.0 + 1e-9:
-            raise ValueError(f"profile violates sup |theta| <= 2 (sup ~ {sup})")
+    inner_radius = 1.0
+    outer_radius = DEFAULT_OUTER_RADIUS
 
     def psi(self, r) -> np.ndarray:
         """Radial factor: 1 on [0, inner], 0 beyond outer, smooth between.
@@ -140,37 +131,30 @@ class CutoffProfile:
         out[inside] = -_smoothstep_prime((self.outer_radius - r[inside]) / width) / width
         return out
 
-    def sup_theta(self, samples: int = 200_001) -> float:
-        """Numerical sup of |theta| = t psi(t) over the transition interval.
-        psi runs on 16 chunks: its temporaries on all samples at once take
-        about 12 MB, the peak memory of importing the package, which builds
-        _PROFILE."""
-        t = np.linspace(self.inner_radius, self.outer_radius, samples)
-        return max(float(np.max(c * self.psi(c))) for c in np.array_split(t, 16))
 
-
-# the prepared equation's one cutoff profile; W and W' read it
+# the prepared equation's one cutoff profile; theta, W and W' read it
 _PROFILE = CutoffProfile()
 
 
-def _theta_in_place(xi: np.ndarray) -> np.ndarray:
-    """theta on a complex128 array, in place, and the array: the identity
-    region is left as it is, the transition shell is multiplied by psi, and
-    from the outer radius on (an infinite |xi| included) xi is set to 0.
-    NaN, in none of the three regions, stays NaN."""
-    with np.errstate(over="ignore"):  # an |xi| that overflows is beyond the outer radius
-        r = np.abs(xi)
+def _gain_in_place(x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """x * psi(r) on a complex128 array x, in place, and x, for radii r of
+    x's shape: the identity region is left as it is, the transition shell is
+    multiplied by psi, and from the outer radius on (r = inf included) x is
+    set to 0.  A NaN radius, in none of the three regions, leaves x as it is."""
     shell = (r > _PROFILE.inner_radius) & (r < _PROFILE.outer_radius)
-    xi[shell] *= _PROFILE.psi(r[shell])
-    xi[r >= _PROFILE.outer_radius] = 0.0
-    return xi
+    x[shell] *= _PROFILE.psi(r[shell])
+    x[r >= _PROFILE.outer_radius] = 0.0
+    return x
 
 
 def theta(xi):
     """Scalar cutoff theta(xi) = xi psi(|xi|), elementwise on complex input;
     exactly 0 where |xi| is infinite (beyond the outer radius) instead of
     inf * 0 = NaN.  NaN stays NaN."""
-    return _theta_in_place(np.array(xi, dtype=np.complex128))
+    x = np.array(xi, dtype=np.complex128)
+    with np.errstate(over="ignore"):  # an |xi| that overflows is beyond the outer radius
+        r = np.abs(x)
+    return _gain_in_place(x, r)
 
 
 def _theta_prime(xi, h) -> np.ndarray:
@@ -206,16 +190,6 @@ def _amplitude_scale(params: SpectralParams, M: int) -> np.ndarray:
     return scale
 
 
-@lru_cache(maxsize=32)
-def _inverse_amplitude_scale(params: SpectralParams, M: int) -> np.ndarray:
-    """rho / |j|^{3+eps}, the reciprocal of _amplitude_scale, 0 at the origin
-    (and 0 where the scale overflowed).  Read-only and cached."""
-    scale = _amplitude_scale(params, M)
-    inv = np.divide(1.0, scale, out=np.zeros_like(scale), where=scale > 0)
-    inv.setflags(write=False)
-    return inv
-
-
 def _scaled_amplitude(c: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """xi = c * scale, with 0 where c is 0 and the scale overflowed: the
     product there is 0 * inf = NaN, but the amplitude is exactly 0."""
@@ -230,13 +204,16 @@ def _scaled_amplitude(c: np.ndarray, scale: np.ndarray) -> np.ndarray:
 
 
 def _truncate(c: np.ndarray, params: SpectralParams) -> np.ndarray:
-    """W on the half c of a field, shape (2, 2K+1, K+1); a new array.  theta
-    acts in place on the scaled amplitudes, and the cached reciprocal scale
-    takes them back."""
-    K = c.shape[-1] - 1
-    xi = _theta_in_place(_scaled_amplitude(c, _amplitude_scale(params, K)))
-    xi *= _inverse_amplitude_scale(params, K)
-    return _leray_coeffs(xi, out=xi)
+    """W on the half c of a field, shape (2, 2K+1, K+1); a new array: c
+    times the gain psi(|c| |j|^{3+eps} / rho), projected.  A radius that
+    overflows is beyond the outer radius, so its coefficient becomes 0; a
+    zero coefficient where the scale overflowed has the radius 0 * inf = NaN
+    and stays 0."""
+    w = c.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.abs(c)
+        r *= _amplitude_scale(params, c.shape[-1] - 1)
+    return _leray_coeffs(_gain_in_place(w, r), out=w)
 
 
 def apply_W(u: FourierField, params: SpectralParams) -> FourierField:

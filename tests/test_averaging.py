@@ -199,6 +199,25 @@ def test_cancellation_defect_zero_on_certified_window():
         assert cancellation_defect(phi, psi, band) == 0.0
 
 
+@pytest.mark.parametrize("mu", [1.0e4, 1.0e5, 1.0e6])
+def test_cancellation_defect_is_sharp_at_the_window_separation(mu):
+    """Criterion 08 can fail: the defect is 0 at phi's support radius
+    r = lambda_N^{s/2} only because every off-diagonal band difference is
+    longer than r.  A radius reaching the shortest one (4, 24 and 6 at these
+    scales) gives a nonzero defect for a generic draw."""
+    ann = find_sparse_annulus(mu, 0.15)
+    band, _ = band_basis(ann.lambda_N, ann.half_width)
+    delta = band[:, :, None] - band[:, None, :]
+    d2 = delta[0] * delta[0] + delta[1] * delta[1]
+    shortest = math.sqrt(int(d2[d2 > 0].min()))
+    r = float(ann.lambda_N) ** (0.15 / 2.0)
+    assert r < shortest
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        assert cancellation_defect(*random_cancellation_pair(band, shortest, rng), band) > 0.0
+        assert cancellation_defect(*random_cancellation_pair(band, r, rng), band) == 0.0
+
+
 def test_cancellation_defect_positive_on_dense_band():
     # a band with unit gaps cannot separate products from the window
     band = np.array([np.arange(-3, 4), np.full(7, 5)])

@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package and no test module imports a
 name it never uses, the package reads every private name that one of its
-modules defines, and only the oracles build the full coefficient plane.
+modules defines, only the oracles build the full coefficient plane, and
+importing the command line does no numerical work.
 
 No linter is a dependency, so this walks each module's syntax tree.  The
 package __init__ is exempt from the import check: its imports are its
@@ -8,7 +9,10 @@ exports.
 """
 
 import ast
+import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -130,3 +134,46 @@ def test_full_plane_readers_finds_an_orphan():
 def test_only_the_oracles_read_the_full_plane():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
     assert full_plane_readers(sources) == FULL_PLANE_READERS
+
+
+# Run in a fresh interpreter: imports the package from the directory the
+# tests import it from, then prints, as a JSON list, module.qualname of every
+# package function that the import of hypernse.cli calls.  Module bodies,
+# with the comprehensions at module level, and class bodies are not
+# functions; a class body is a code object whose qualname resolves to a class
+# once the import is done.
+_IMPORT_CALLS = """
+import importlib.util, json, os, sys
+sys.path.insert(0, sys.argv[1])
+import numpy
+root = os.path.dirname(importlib.util.find_spec("hypernse").origin) + os.sep
+called = set()
+
+def profile(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and code.co_filename.startswith(root):
+        called.add((os.path.basename(code.co_filename)[:-3], code.co_qualname))
+
+sys.setprofile(profile)
+import hypernse.cli
+sys.setprofile(None)
+
+def is_class(stem, qualname):
+    obj = sys.modules["hypernse" if stem == "__init__" else "hypernse." + stem]
+    for part in qualname.split("."):
+        obj = getattr(obj, part, None)
+    return isinstance(obj, type)
+
+body = {"<module>", "<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"}
+print(json.dumps(sorted(f"{stem}.{name}" for stem, name in called
+                        if name not in body and not is_class(stem, name))))
+"""
+
+
+def test_importing_the_cli_calls_only_the_stage_table():
+    """The import runs module and class bodies and builds the pipeline's
+    stage table; it evaluates no cutoff and scans nothing."""
+    src = str(pathlib.Path(hypernse.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", _IMPORT_CALLS, src],
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(done.stdout) == ["cli._stage_table"]

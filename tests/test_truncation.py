@@ -1,5 +1,6 @@
 """Amplitude truncation: cutoff profile, W, Gateaux derivatives, H^2 bounds."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -47,23 +48,28 @@ def scaled_to(u: FourierField, target: float) -> FourierField:
 
 def test_profile_shape_and_sup():
     prof = CutoffProfile()
-    assert prof.outer_radius == DEFAULT_OUTER_RADIUS
+    assert (prof.inner_radius, prof.outer_radius) == (1.0, DEFAULT_OUTER_RADIUS)
     r = np.linspace(0.0, 8.0, 2001)
     psi = prof.psi(r)
     assert np.all(psi[r <= 1.0] == 1.0)
     assert np.all(psi[r >= prof.outer_radius] == 0.0)
     assert np.all((0.0 <= psi) & (psi <= 1.0))
-    # |theta| = r psi(r) stays below twice the inner radius
-    assert prof.sup_theta() <= 2.0 * prof.inner_radius + 1e-9
+    # |theta| = t psi(t) on a 200 001-point scan of the shell stays at or
+    # below 2 (1.9999998937), and exceeds 2 once the outer radius is 1e-6
+    # larger (2.00000016): the stored radius is sharp
+    t = np.linspace(1.0, DEFAULT_OUTER_RADIUS, 200_001)
+    assert np.max(t * prof.psi(t)) <= 2.0
+    wider = DEFAULT_OUTER_RADIUS + 1e-6
+    t = np.linspace(1.0, wider, 200_001)
+    assert np.max(t * _psi_on_every_point(t, outer=wider)) > 2.0
 
 
-def test_profile_rejects_outer_radius_breaking_the_sup():
-    # a wide transition lets t psi(t) exceed the ceiling of 2
-    with pytest.raises(ValueError):
-        CutoffProfile(inner_radius=1.0, outer_radius=9.0)
-    CutoffProfile(inner_radius=1.0, outer_radius=1.5)  # narrow is fine
-    with pytest.raises(ValueError):
-        CutoffProfile(inner_radius=2.0, outer_radius=1.0)
+def test_profile_radii_are_fixed():
+    # the radii are class constants, so every profile is the one profile
+    with pytest.raises(TypeError):
+        CutoffProfile(0.5, 1.5)
+    assert dataclasses.fields(CutoffProfile) == ()
+    assert CutoffProfile() == truncation._PROFILE
 
 
 def test_theta_identity_and_support():
@@ -137,12 +143,14 @@ def test_theta_jacobian_matches_difference_quotient():
 
 
 def test_w_is_identity_inside_the_ball():
+    # the gain is exactly 1 there, so W is bitwise the Leray projection
     rng = np.random.default_rng(1)
     worst = 0.0
     for _ in range(200):
         u = random_field(PARAMS.M, rng, decay=S_NORM + 1.0)
         u = scaled_to(u, PARAMS.rho * rng.uniform(0.05, 0.95))
         w = apply_W(u, PARAMS)
+        assert np.array_equal(w.coeffs, leray_project(u).coeffs)
         worst = max(worst, np.max(np.abs(w.coeffs - u.coeffs)))
     assert worst <= 1e-13
 
@@ -246,27 +254,30 @@ def test_f_prime_routes_agree():
     assert num / den <= 1e-10
 
 
-def _psi_on_every_point(prof: CutoffProfile, r: np.ndarray) -> np.ndarray:
-    """The radial factor with the smooth step evaluated at every r (the
-    formula before the step was restricted to the transition shell)."""
-    x = (prof.outer_radius - r) / (prof.outer_radius - prof.inner_radius)
+def _psi_on_every_point(
+    r: np.ndarray, inner: float = 1.0, outer: float = DEFAULT_OUTER_RADIUS
+) -> np.ndarray:
+    """The radial factor at the given radii with the smooth step evaluated at
+    every r (the formula before the step was restricted to the transition
+    shell)."""
+    x = (outer - r) / (outer - inner)
     out = _smoothstep(np.clip(x, 0.0, 1.0))
-    out = np.where(r <= prof.inner_radius, 1.0, out)
-    return np.where(r >= prof.outer_radius, 0.0, out)
+    out = np.where(r <= inner, 1.0, out)
+    return np.where(r >= outer, 0.0, out)
 
 
-@pytest.mark.parametrize("prof", [CutoffProfile(), CutoffProfile(0.5, 1.5)])
-def test_psi_on_the_shell_only_is_bitwise_the_full_formula(prof):
+def test_psi_on_the_shell_only_is_bitwise_the_full_formula():
+    prof = CutoffProfile()
     lo, hi = prof.inner_radius, prof.outer_radius
     edges = [lo, hi, np.nextafter(lo, 0.0), np.nextafter(lo, np.inf),
              np.nextafter(hi, 0.0), np.nextafter(hi, np.inf), 0.0]
     r = np.concatenate([np.linspace(0.0, 2.0 * hi, 4001), edges])
     assert lo in r and hi in r
     got = prof.psi(r)
-    assert np.array_equal(got.view(np.uint64), _psi_on_every_point(prof, r).view(np.uint64))
+    assert np.array_equal(got.view(np.uint64), _psi_on_every_point(r).view(np.uint64))
     assert np.array_equal(prof.psi(r.reshape(8, -1)), got.reshape(8, -1))
     for x in edges:
-        assert prof.psi(x) == _psi_on_every_point(prof, np.asarray(x))
+        assert prof.psi(x) == _psi_on_every_point(np.asarray(x))
     # psi' is zero off the open shell and matches the step's derivative on it
     width = hi - lo
     shell = (r > lo) & (r < hi)
@@ -286,6 +297,19 @@ def _shell_field(M: int, params: SpectralParams, rng) -> FourierField:
     mag = np.abs(z)
     c = np.divide(z, mag, out=np.zeros_like(z), where=mag > 0) * r * inv
     return FourierField(M, c)
+
+
+def test_w_gain_is_the_scaled_round_trip_on_the_shell():
+    # W as the cutoff of the scaled amplitudes, scaled back by the reciprocal
+    params = SpectralParams(M=16)
+    rng = np.random.default_rng(11)
+    scale = _amplitude_scale(params, 16)
+    inv = np.divide(1.0, scale, out=np.zeros_like(scale), where=scale > 0)
+    for _ in range(5):
+        u = _shell_field(16, params, rng)
+        want = spectral._leray_coeffs(theta(u.coeffs * scale) * inv)
+        got = apply_W(u, params).coeffs
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def _oracle_rel(u: FourierField, params: SpectralParams, route: str) -> float:
