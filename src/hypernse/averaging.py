@@ -19,13 +19,11 @@ Two independent routes to the matrix are provided:
   of W(u) at the difference wavenumber, and the band gains come from
   truncation's one cutoff derivative.  Array arithmetic over the n x n grid
   of differences; no transforms, no dense grids, so it scales to mu = 1e6.
-* :func:`weak_restricted_operator` embeds each basis mode on the full plane
-  and pushes it through the derivative of the truncated nonlinearity
-  (truncation derivative, padded advection, half-inverse Laplacian), then
-  reads the band coefficients by index.  A single mode without its
-  conjugate is not a real field, so this route works on full-plane arrays
-  (spectral._bilinear_plane).  Small truncations only; it is the
-  cross-check oracle.
+* :func:`weak_restricted_operator` pushes each basis mode through the
+  derivative of the truncated nonlinearity (apply_W_prime, spectral's
+  transform kernel on the padded grid, the half-inverse Laplacian) as two
+  real fields, then reads the band coefficients.  Small truncations only;
+  it is the cross-check oracle.
 
 The truncation derivative is real-linear but not complex-linear wherever a
 coefficient magnitude falls in the transition shell of the radial profile.
@@ -46,10 +44,9 @@ from .lattice import SparseAnnulus, _points_with_norm_range, annulus_points
 from .spectral import (
     FourierField,
     SpectralParams,
-    _bilinear_plane,
     _binary_exponent,
-    _full_plane,
-    _leray_coeffs,
+    _curl_product,
+    _route_grid,
     random_field,
     sobolev_norm,
     wavenumbers,
@@ -59,6 +56,7 @@ from .truncation import (
     _scaled_amplitude,
     _theta_prime,
     apply_W,
+    apply_W_prime,
 )
 
 
@@ -129,13 +127,18 @@ def weak_restricted_operator(
     basis: tuple[np.ndarray, np.ndarray],
     params: SpectralParams,
 ) -> np.ndarray:
-    """Oracle assembly through the full field machinery, on the full plane.
+    """Oracle assembly through the field machinery.
 
-    Each basis mode of band_basis's (j, d) is embedded at u's truncation,
-    pushed through the derivative of the truncated nonlinearity,
-    A^{-1/2} [B(W'(u) e, W(u)) + B(W(u), W'(u) e)] with the padded product,
-    and the band coefficients are read off by index.  Requires every band
-    point inside u's truncation; intended for small cross-check scales only.
+    Each basis mode e = d_c e^{i k_c x} of band_basis's (j, d) is pushed
+    through the derivative of the truncated nonlinearity,
+    A^{-1/2} [B(W'(u) e, W(u)) + B(W(u), W'(u) e)], and the band
+    coefficients are read off.  W'(u) e is a single mode, not a real field,
+    so it is split as a + i b into two real fields, each pushed through
+    spectral._curl_product on its own: a = W'(u) applied to the real field
+    (e + conj(e)) / 2, which at k_c is half of W'(u) e, and b, which holds
+    -i a at k_c.  This needs W' only real-linear, as it is on the transition
+    shell.  Requires every band point inside u's truncation; intended for
+    small cross-check scales only.
     """
     j, d = basis
     n = j.shape[1]
@@ -144,17 +147,20 @@ def weak_restricted_operator(
     M = u.M
     if np.any(np.abs(j) > M):
         raise ValueError("band does not fit inside the sample truncation")
-    rows, cols = j[0] + M, j[1] + M
-    xi = _full_plane(_scaled_amplitude(u.coeffs, _amplitude_scale(params, M)))
-    w = _full_plane(apply_W(u, params).coeffs)
+    w = apply_W(u, params).coeffs
+    N = _route_grid(M, "padded")[1]
+
+    def image(dw: FourierField) -> np.ndarray:
+        return _gather(_curl_product(dw.coeffs, w, N) + _curl_product(w, dw.coeffs, N), j)
+
     # A^{-1/2} at the band points
     inv_sqrt = np.float64(j[0] * j[0] + j[1] * j[1]) ** -0.5
     out = np.zeros((n, n), dtype=np.complex128)
     for c in range(n):
-        e = np.zeros((2, 2 * M + 1, 2 * M + 1), dtype=np.complex128)
-        e[:, rows[c], cols[c]] = d[:, c]
-        dw = _leray_coeffs(_theta_prime(xi, e))
-        img = (_bilinear_plane(dw, w, "padded") + _bilinear_plane(w, dw, "padded"))[:, rows, cols]
+        k_c = (int(j[0, c]), int(j[1, c]))
+        a = apply_W_prime(u, FourierField.from_modes(M, {k_c: 0.5 * d[:, c]}), params)
+        b = FourierField.from_modes(M, {k_c: -1j * a.mode(k_c)})
+        img = image(a) + 1j * image(b)
         img *= inv_sqrt
         out[:, c] = img[0] * d[0] + img[1] * d[1]
     return out

@@ -299,8 +299,8 @@ class ConeTrace:
                2 (B(W(u1), W(u1)) - B(W(u2), W(u2)), p - q), which equals
                the form above to rounding (1e-13 relative)
     norm_v_sq  ||v||^2
-    alpha      (lambda_{N+1}^beta + lambda_N^beta) / 2, the decay rate tested
-    rhs_bound  -(lambda_N^{beta-1} / 8) ||v||^2
+    alpha      nu (lambda_{N+1}^beta + lambda_N^beta) / 2, the decay rate tested
+    rhs_bound  -(nu lambda_N^{beta-1} / 8) ||v||^2
     margin     rhs_bound - (dVdt + 2 alpha V); the cone inequality
                dVdt + 2 alpha V <= rhs_bound holds iff margin >= 0
     norm_u_sq  max(||u1||^2, ||u2||^2), the scale against which ||v||^2 is
@@ -373,7 +373,7 @@ def _cone_sample(
         drive = 0.0
     dVdt = diss + drive
     norm_v2 = norm_p2 + norm_q2
-    rhs = -(family.lambda_N ** (params.beta - 1.0) / 8.0) * norm_v2
+    rhs = -(params.nu * family.lambda_N ** (params.beta - 1.0) / 8.0) * norm_v2
     margin = rhs - (dVdt + 2.0 * alpha * V)
     norm_u2 = max(_field_pairing(h1, h1), _field_pairing(h2, h2))
     return V, dVdt, norm_v2, rhs, margin, norm_u2
@@ -407,7 +407,7 @@ def evolve_pairs(
         raise ValueError("pair members must share a truncation")
     forcing = _forcing_coeffs(forcing, reference.M)
     masks = _cone_masks(reference.M, params, family)
-    alpha = 0.5 * (
+    alpha = params.nu * 0.5 * (
         float(family.lambda_next) ** params.beta
         + float(family.lambda_N) ** params.beta
     )
@@ -446,9 +446,10 @@ def cone_report(trace: ConeTrace) -> dict:
     """Summarize a cone trace: worst margin, where, and the symbolic gap check.
 
     The linear part of the inequality reduces to
-    lambda_{N+1}^beta - lambda_N^beta >= lambda_N^{beta-1} / 8, which is
-    checked symbolically from the metadata; the trace margins account for the
-    nonlinear drive as well.  A sample whose pair difference is not resolved
+    nu (lambda_{N+1}^beta - lambda_N^beta) >= nu lambda_N^{beta-1} / 8, which
+    is checked symbolically from the metadata, without the common factor nu,
+    which cannot change it; the trace margins account for the nonlinear
+    drive as well.  A sample whose pair difference is not resolved
     against the pair members, norm_v_sq <= eps^2 norm_u_sq with eps the
     float64 machine epsilon, carries no evidence: the difference is rounding
     noise of the members (or exactly zero, e.g. absorbed into overflow-scale

@@ -17,15 +17,24 @@ conj(v_hat[j]) and the H^s norm squared is sum_j |j|^{2s} |u_hat[j]|^2,
 sums over the whole plane, which on the half count each mode j2 > 0 twice,
 for itself and its conjugate, and the column j2 = 0 once (_field_pairing).
 
+Every product is formed by one transform kernel, _curl_product: P div(u v^T),
+the Leray-projected divergence of T = u v^T, of two real fields on the half
+block |j|_inf <= K, j2 >= 0 that they hold, by real transforms; it is
+B(u, v) = P (u . grad) v when u is divergence-free.  The square T = u u^T
+takes two inverse and two forward transforms, a pair four and three.
+truncation._prepared_half, the solver's product, applies the square to W(u);
+nonlinearity_F_prime, the weak assembly of averaging and the transform
+routes of bilinear_B apply the pair.  The Leray projection is the array
+helper _leray_coeffs, which leray_project and W share.
+
 Product evaluation routes of bilinear_B (its `dealias` argument):
 
-* "padded"      transforms every mode |j|_inf <= K = M on the smallest
-                2-3-5-smooth grid of N >= 3K + 1 points per direction and
-                reads the product back on that block.  Alias-free: the true
-                product has modes |k|_inf <= 2K, and an aliased image k +- N
-                can only land on the block (|k +- N| <= K) if N <= 3K, which
-                the grid size excludes; so it is the exact truncated
-                convolution.
+* "padded"      the kernel on every mode |j|_inf <= K = M, on the smallest
+                2-3-5-smooth grid of N >= 3K + 1 points per direction, read
+                back on that block.  Alias-free: the true product has modes
+                |k|_inf <= 2K, and an aliased image k +- N can only land on
+                the block (|k +- N| <= K) if N <= 3K, which the grid size
+                excludes; so it is the exact truncated convolution.
 * "two-thirds"  the same rule on the block K = floor(2M/3) of u and v; every
                 mode |j|_inf > K of the result is zero.
 * "direct"      exact convolution summed over all mode pairs, no transforms;
@@ -34,20 +43,10 @@ Product evaluation routes of bilinear_B (its `dealias` argument):
 "padded" and "direct" agree to rounding through disjoint code paths;
 "two-thirds" is mask(direct(mask u, mask v)), the padded product on the
 block (Orszag 1971), which a run gets by cutting its fields to the block
-(cli).  These routes are oracles and act on the full plane: the array
-function _bilinear_plane takes coefficient arrays (2, 2M+1, 2M+1), real
-fields or not, and bilinear_B, trilinear_b and the weak assembly of
-averaging build the full plane at their edge with _full_plane
-(tests/test_source.py lists them).
-
-The solver's product is the projected square P (w . grad) w of one real,
-divergence-free block, _quadratic_fft: with Q = w w^T, (w . grad) w = div Q,
-whose projection j_perp (j_perp . i j Q_hat) / |j|^2, j_perp = (j2, -j1),
-reads Q only through Q12 and Q11 - Q22.  So two inverse real transforms take
-w1 and w2 from the half to the grid, two forward ones bring back w1 w2 and
-w1^2 - w2^2, and the cached multipliers of _curl_plan form the projected
-half.  truncation._prepared_half applies it to W(u).  The Leray projection
-is the array helper _leray_coeffs, which leray_project and W share.
+(cli).  The transform routes need a divergence-free u, and refuse any other.
+The direct route and trilinear_b are the oracles: they build the full plane
+of their fields at their edge with _full_plane (tests/test_source.py lists
+them), and take any u.
 
 wavenumbers and laplacian_power cache their grids per truncation, for the
 operators a run applies again and again.  A draw (random_field) caches
@@ -421,21 +420,10 @@ def _smooth_size(n: int) -> int:
 
 
 @lru_cache(maxsize=32)
-def _fft_plan(K: int, N: int):
-    """Grid positions of the modes |j|_inf <= K on an N-point grid (an np.ix_
-    index) and the read-only derivative multipliers i*j1, i*j2, of shapes
-    (2K+1, 1) and (2K+1,), which broadcast over that block."""
-    r = np.arange(-K, K + 1)
-    ik1, ik2 = 1j * r[:, None], 1j * r
-    for a in (ik1, ik2):
-        a.setflags(write=False)
-    return np.ix_(r % N, r % N), ik1, ik2
-
-
-@lru_cache(maxsize=32)
 def _curl_plan(K: int):
-    """The read-only multipliers that take Q12 and Q11 - Q22 of Q = w w^T to
-    P div Q on the half block |j|_inf <= K, j2 >= 0, each of shape (2, 2K+1, K+1):
+    """The read-only multipliers that take S12 = (T12 + T21) / 2 and T11 - T22
+    of T = u v^T to the symmetric part of P div T on the half block
+    |j|_inf <= K, j2 >= 0 (_curl_product), each of shape (2, 2K+1, K+1):
     (j2, -j1) i (j2^2 - j1^2) / |j|^2 and (j2, -j1) i j1 j2 / |j|^2, 0 at j = 0."""
     J1, J2, LAM = wavenumbers(K)
     perp = np.stack([J2, -J1]) / np.where(LAM > 0, LAM, 1)
@@ -446,58 +434,50 @@ def _curl_plan(K: int):
     return m12, mdiff
 
 
-def _advect_fft(u: np.ndarray, v: np.ndarray, N: int) -> np.ndarray:
-    """(u . grad) v on the full-plane coefficient block |j|_inf <= K that u and
-    v hold, shape (2, 2K+1, 2K+1), via transforms on an N-point grid; the
-    product is read back on the same block (no masking)."""
-    K = (u.shape[-1] - 1) // 2
-    idx, ik1, ik2 = _fft_plan(K, N)
-    emb = np.zeros((N, N), dtype=np.complex128)
-
-    def grid(c: np.ndarray) -> np.ndarray:
-        # only the block's positions are ever written, so the rest stays zero
-        emb[idx] = c
-        return np.fft.ifft2(emb, norm="forward")
-
-    u1, u2 = grid(u[0]), grid(u[1])
-    out = np.empty(u.shape, dtype=np.complex128)
-    for n in range(2):
-        prod = u1 * grid(ik1 * v[n]) + u2 * grid(ik2 * v[n])
-        out[n] = np.fft.fft2(prod, norm="forward")[idx]
-    return out
-
-
-def _quadratic_fft(w: np.ndarray, N: int) -> np.ndarray:
-    """P (w . grad) w, the Leray-projected square, on the half block
-    |j|_inf <= K, j2 >= 0, shape (2, 2K+1, K+1), of the field w that such a
-    half holds, via real transforms on an N-point grid; a new array, read
-    back on the same block (no masking).
-
-    w must be real (w_hat[-j] = conj(w_hat[j])) and divergence-free mode by
-    mode; then (w . grad) w = div Q with Q = w w^T, and its projection is
-    j_perp (j_perp . i j Q_hat) / |j|^2 with j_perp = (j2, -j1) and
-    j_perp . i j Q_hat = i [(j2^2 - j1^2) Q12 + j1 j2 (Q11 - Q22)].  So two
-    inverse real transforms take w1 and w2 onto the grid from their half, two
-    forward real transforms bring back w1 w2 and w1^2 - w2^2, and the
-    multipliers of _curl_plan give the projected half.  The j = 0 coefficient
-    is written as 0, not as 0 times the mean, which is NaN when w holds inf
-    or NaN.  Each 2-D transform is done as its two 1-D passes, so that the j1
-    pass skips the columns j2 > K, which are zero on the way in and not read
-    on the way out.
-    """
-    K = (w.shape[-2] - 1) // 2
-    m12, mdiff = _curl_plan(K)
+def _grid(c: np.ndarray, N: int) -> np.ndarray:
+    """The values on an N-point grid, shape (2, N, N), of the real field whose
+    half block |j|_inf <= K, j2 >= 0 is c, shape (2, 2K+1, K+1), by inverse
+    real transforms.  Each 2-D transform is done as its two 1-D passes, so
+    that the j1 pass skips the columns j2 > K, which are zero."""
+    K = (c.shape[-2] - 1) // 2
     half = np.zeros((2, N, K + 1), dtype=np.complex128)
-    half[:, : K + 1] = w[:, K:]
-    half[:, N - K :] = w[:, :K]
+    half[:, : K + 1] = c[:, K:]
+    half[:, N - K :] = c[:, :K]
+    return np.fft.irfft(np.fft.ifft(half, axis=1, norm="forward"), n=N, axis=2, norm="forward")
+
+
+def _curl_product(u: np.ndarray, v: np.ndarray | None, N: int) -> np.ndarray:
+    """P div(u v^T), the Leray-projected divergence of T = u v^T, on the half
+    block |j|_inf <= K, j2 >= 0, shape (2, 2K+1, K+1), of the real fields u
+    and v that such halves hold, via real transforms on an N-point grid; a
+    new array, read back on the same block (no masking).  v = None is the
+    square u u^T.  For a divergence-free u this is B(u, v) = P (u . grad) v.
+
+    The projection is j_perp (j_perp . i j T_hat) / |j|^2 with
+    j_perp = (j2, -j1), and with S12 = (T12 + T21) / 2
+        j_perp . i j T_hat = i [(j2^2 - j1^2) S12 + j1 j2 (T11 - T22)]
+                             + i |j|^2 (T21 - T12) / 2.
+    The multipliers of _curl_plan take S12 and T11 - T22 to the projected
+    half; the last term, zero for the square, gives j_perp i (T21 - T12) / 2,
+    formed from the zero-stride wavenumbers rather than a third cached grid.
+    The j = 0 coefficient is written as 0, not as 0 times the mean, which is
+    NaN when a field holds inf or NaN.
+    """
+    K = (u.shape[-2] - 1) // 2
+    m12, mdiff = _curl_plan(K)
     # each grid array is dropped once used: this is the solver's memory peak
-    g = np.fft.irfft(np.fft.ifft(half, axis=1, norm="forward"), n=N, axis=2, norm="forward")
-    del half
-    q = np.empty((2, N, N))
-    np.multiply(g[0], g[1], out=q[0])
-    np.subtract(g[0], g[1], out=q[1])
-    g[0] += g[1]
-    q[1] *= g[0]
+    g = _grid(u, N)
+    if v is None:
+        q = np.empty((2, N, N))
+        np.multiply(g[0], g[1], out=q[0])
+        np.subtract(g[0], g[1], out=q[1])
+        g[0] += g[1]
+        q[1] *= g[0]
+    else:
+        h = _grid(v, N)
+        t12, t21 = g[0] * h[1], g[1] * h[0]
+        q = np.stack([0.5 * (t12 + t21), g[0] * h[0] - g[1] * h[1], t12 - t21])
+        del h, t12, t21
     del g
     r = np.fft.rfft(q, axis=2, norm="forward")
     del q
@@ -507,6 +487,11 @@ def _quadratic_fft(w: np.ndarray, N: int) -> np.ndarray:
     del prods
     out = m12 * p[0]
     out += mdiff * p[1]
+    if v is not None:
+        J1, J2, _ = wavenumbers(K)
+        p[2] *= -0.5j
+        out[0] += J2 * p[2]
+        out[1] -= J1 * p[2]
     out[:, K, 0] = 0.0
     return out
 
@@ -555,33 +540,36 @@ def _route_grid(M: int, dealias: str) -> tuple[int, int]:
     return K, _smooth_size(3 * K + 1)
 
 
-def _bilinear_plane(u: np.ndarray, v: np.ndarray, dealias: str) -> np.ndarray:
-    """B(u, v) on full-plane coefficient arrays of shape (2, 2M+1, 2M+1),
-    which need not hold real fields; a new array of that shape.  dealias
-    selects the route (module docstring)."""
-    M = (u.shape[-1] - 1) // 2
-    if dealias == "direct":
-        raw = _advect_direct(u, v)
-    else:
-        K, N = _route_grid(M, dealias)
-        blk = slice(M - K, M + K + 1)
-        raw = np.zeros(u.shape, dtype=np.complex128)
-        raw[:, blk, blk] = _advect_fft(u[:, blk, blk], v[:, blk, blk], N)
-    raw[:, M, M] = 0.0
-    return _leray_coeffs(raw, out=raw)
-
-
 def bilinear_B(u: FourierField, v: FourierField, dealias: str = "two-thirds") -> FourierField:
     """B(u, v) = Leray projection of (u . grad) v, truncated to M.
 
     dealias selects the product route; see the module docstring.  The
     "two-thirds" route transforms only the modes |j|_inf <= floor(2M/3) and
-    returns zero above them.  The product is taken on the full planes of u
-    and v, and its half is returned.
+    returns zero above them.  The transform routes compute P div(u v^T) on
+    the halves (_curl_product), which is B(u, v) only for a divergence-free
+    u, so they raise ValueError for a u whose divergence is above rounding;
+    the direct route takes any u, on the full planes of u and v.
     """
     u._check_compatible(v)
-    b = _bilinear_plane(_full_plane(u.coeffs), _full_plane(v.coeffs), dealias)
-    return FourierField._wrap(u.M, b[:, :, u.M :].copy())
+    M = u.M
+    if dealias == "direct":
+        raw = _advect_direct(_full_plane(u.coeffs), _full_plane(v.coeffs))[:, :, M:]
+        raw[:, M, 0] = 0.0
+        return FourierField._wrap(M, _leray_coeffs(raw))
+    K, N = _route_grid(M, dealias)
+    defect = u.divergence_defect()
+    _, _, LAM = wavenumbers(M)
+    # j . u_hat[j] sums terms of size |j| |u_hat[j]|; a Leray projection
+    # leaves a few units in the last place of them
+    if defect > 1e-12 * np.max(np.sqrt(LAM) * np.abs(u.coeffs)):
+        raise ValueError(
+            f"the {dealias!r} route of bilinear_B needs a divergence-free u "
+            f"(max |j . u_hat[j]| = {defect:.3g}); apply leray_project or use the direct route"
+        )
+    out = np.zeros(u.coeffs.shape, dtype=np.complex128)
+    blk = (slice(None), slice(M - K, M + K + 1), slice(0, K + 1))
+    out[blk] = _curl_product(u.coeffs[blk], v.coeffs[blk], N)
+    return FourierField._wrap(M, out)
 
 
 def trilinear_b(u: FourierField, v: FourierField, w: FourierField) -> float:

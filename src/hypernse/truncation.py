@@ -34,14 +34,12 @@ _prepared_half alone, on the half j2 >= 0 that a field holds (spectral);
 prepared_product wraps it as a field, and the time loop of dynamics calls it
 on its states.  Because W and the Leray projection act mode by mode, W is
 computed on that half and the projected product formed there in one pass, on
-the padded grid of the whole truncation (spectral._quadratic_fft: two
-inverse and two forward real transforms, the projection folded into the
-multipliers that take w1 w2 and w1^2 - w2^2 back to the block); this needs W(u)
-divergence-free mode by mode, which W's own projection gives.  It agrees
-with the oracle bilinear_B(apply_W(u), apply_W(u), "direct") to rounding.
-There is one route: the two-thirds rule at M is this product on the block
-floor(2M/3), which cli cuts its fields to.  The amplitude scale is cached
-per (params, K).
+the padded grid of the whole truncation, by the square of spectral's one
+transform kernel, _curl_product; this needs W(u) divergence-free mode by
+mode, which W's own projection gives.  It agrees with the oracle
+bilinear_B(apply_W(u), apply_W(u), "direct") to rounding.  There is one
+route: the two-thirds rule at M is this product on the block floor(2M/3),
+which cli cuts its fields to.  The amplitude scale is cached per (params, K).
 """
 
 from __future__ import annotations
@@ -55,11 +53,10 @@ import numpy as np
 from .spectral import (
     FourierField,
     SpectralParams,
+    _curl_product,
     _leray_coeffs,
-    _quadratic_fft,
     _route_grid,
     apply_A_power,
-    bilinear_B,
     laplacian_power,
 )
 
@@ -235,10 +232,14 @@ def _prepared_half(h: np.ndarray, params: SpectralParams) -> np.ndarray:
     W is computed on the half, and the Leray projection of
     (w . grad) w = div(w w^T) is formed with two inverse and two forward real
     transforms on the padded grid (spectral._route_grid,
-    spectral._quadratic_fft).  The j = 0 coefficient is an exact 0 even when
+    spectral._curl_product).  The j = 0 coefficient is an exact 0 even when
     h holds inf or NaN, so such a state is reported as a blow-up, not
     rejected as a field with a mean."""
-    return _quadratic_fft(_truncate(h, params), _route_grid(h.shape[-1] - 1, "padded")[1])
+    N = _route_grid(h.shape[-1] - 1, "padded")[1]
+    # W(u) stays a temporary argument: a local name for it (or passing it as
+    # v too) keeps a second reference, which left one product's traced peak
+    # alone but raised a cone run's peak resident memory by 0.6 MiB
+    return _curl_product(_truncate(h, params), None, N)
 
 
 def prepared_product(u: FourierField, params: SpectralParams) -> FourierField:
@@ -255,12 +256,14 @@ def nonlinearity_F(u: FourierField, params: SpectralParams) -> FourierField:
 
 def nonlinearity_F_prime(u: FourierField, v: FourierField, params: SpectralParams) -> FourierField:
     """Gateaux derivative of the prepared nonlinearity at u in direction v:
-    A^{-1/2} [B(W'(u)v, W(u)) + B(W(u), W'(u)v)], with the padded product of
-    nonlinearity_F."""
-    w = apply_W(u, params)
-    dw = apply_W_prime(u, v, params)
-    s = bilinear_B(dw, w, "padded") + bilinear_B(w, dw, "padded")
-    return apply_A_power(s, -0.5)
+    A^{-1/2} [B(W'(u)v, W(u)) + B(W(u), W'(u)v)], with the kernel of
+    nonlinearity_F on the pair (spectral._curl_product); W(u) and W'(u)v are
+    both divergence-free."""
+    w = _truncate(u.coeffs, params)
+    dw = apply_W_prime(u, v, params).coeffs
+    N = _route_grid(u.M, "padded")[1]
+    s = _curl_product(dw, w, N) + _curl_product(w, dw, N)
+    return apply_A_power(FourierField._wrap(u.M, s), -0.5)
 
 
 def _component_tail(params: SpectralParams) -> tuple[np.ndarray, np.ndarray]:

@@ -249,7 +249,7 @@ def _two_thirds_product(monkeypatch) -> None:
         K, N = hypernse.spectral._route_grid(M, "two-thirds")
         w = hypernse.truncation._truncate(h[:, M - K : M + K + 1, : K + 1], params)
         out = np.zeros(h.shape, dtype=np.complex128)
-        out[:, M - K : M + K + 1, : K + 1] = hypernse.spectral._quadratic_fft(w, N)
+        out[:, M - K : M + K + 1, : K + 1] = hypernse.spectral._curl_product(w, None, N)
         return out
 
     monkeypatch.setattr(hypernse.dynamics, "_prepared_half", two_thirds)
@@ -594,6 +594,24 @@ def test_cone_check_reports_the_stiffness_of_the_cone_workload(tmp_path):
     assert results["cutoff"]["lambda_next"] == 10009
     assert results["stiffness"] == pytest.approx(10009**1.45 * 1e-3, rel=1e-15)
     assert 631 < results["stiffness"] < 633
+
+
+@pytest.mark.parametrize("nu", ["2", "0.5"])
+def test_the_linear_cone_inequality_holds_at_any_viscosity(tmp_path, nu):
+    # the linear flow contracts the band at rate nu lambda^beta, so the tested
+    # rate alpha and the bound scale with nu as well: the margin is nu times
+    # the margin at nu = 1, never negative
+    margins = {}
+    for viscosity in (nu, "1"):
+        out = tmp_path / f"nu{viscosity}"
+        rc = main(["cone-check", "--mu", "1e4", "--s", "0.15", "--T", "0.001",
+                   "--include-nonlinear", "false", "--nu", viscosity, "--out", str(out)])
+        assert rc == 0
+        runs = _strict_loads((out / "cone.json").read_text())["results"]["runs"]
+        assert all(r["degenerate_samples"] < r["n_samples"] for r in runs)
+        margins[viscosity] = [r["min_margin"] for r in runs]
+    assert all(m >= 0.0 for m in margins[nu])
+    assert margins[nu] == pytest.approx([float(nu) * m for m in margins["1"]], rel=1e-9)
 
 
 def test_cone_check_steps_the_two_thirds_block_of_the_cone_workload(tmp_path):

@@ -96,13 +96,12 @@ def test_package_reads_every_private_name_it_defines():
 
 
 # A field holds the half j2 >= 0 (spectral); the full plane is built only at
-# the edge of the oracles that need it: the complex product routes of
-# bilinear_B, the triad sum of trilinear_b and the weak assembly, whose
-# single-mode embeddings are not real fields.
+# the edge of the direct oracles: the direct convolution route of bilinear_B
+# and the triad sum of trilinear_b.  Every transform product, the weak
+# assembly's included, acts on the half.
 FULL_PLANE_READERS = {
     "spectral.bilinear_B",
     "spectral.trilinear_b",
-    "averaging.weak_restricted_operator",
 }
 
 

@@ -24,12 +24,12 @@ from hypernse import (
 )
 from hypernse.spectral import (
     CutoffFamily,
-    _bilinear_plane,
+    _curl_product,
     _full_plane,
     _random_coeffs,
+    _route_grid,
     _smooth_size,
     laplacian_power,
-    two_thirds_limit,
     two_thirds_mask,
     wavenumbers,
 )
@@ -138,35 +138,30 @@ def test_two_thirds_route_equals_masked_direct():
     assert rel(btt, ref) < 1e-12
 
 
-def non_real_coeffs(M: int, rng) -> np.ndarray:
-    """Full-plane coefficients with no conjugate symmetry (a complex field),
-    which no FourierField holds: the array-level product takes them."""
-    K = 2 * M + 1
-    c = rng.standard_normal((2, K, K)) + 1j * rng.standard_normal((2, K, K))
-    c[:, M, M] = 0.0
-    return c
+@pytest.mark.parametrize("M", [8, 16, 102])
+def test_the_square_is_the_pair_of_a_field_with_itself(M):
+    # the square's two products and the pair's three reach the same
+    # P div(u u^T) by different roundings
+    u = random_field(M, np.random.default_rng(M), decay=2.0)
+    N = _route_grid(M, "padded")[1]
+    assert rel(_curl_product(u.coeffs, None, N), _curl_product(u.coeffs, u.coeffs.copy(), N)) <= 1e-14
 
 
-def two_thirds_mask_plane(c: np.ndarray) -> np.ndarray:
-    """two_thirds_mask on a full-plane coefficient array."""
-    M = (c.shape[-1] - 1) // 2
-    keep1 = np.abs(np.arange(-M, M + 1)) <= two_thirds_limit(M)
-    return c * np.outer(keep1, keep1)
-
-
-@pytest.mark.parametrize("M, N", [(12, 25), (16, 32)])
-def test_transform_routes_on_non_real_fields(M, N):
-    # M = 12: 3 Kc + 1 = 25 is already smooth; M = 16: the smooth grid, 32,
-    # is smaller than the natural 2M + 1 = 33
-    assert _smooth_size(3 * two_thirds_limit(M) + 1) == N
-    rng = np.random.default_rng(M)
-    u, v = non_real_coeffs(M, rng), non_real_coeffs(M, rng)
-    assert np.max(np.abs(u[:, ::-1, ::-1] - np.conj(u))) > 0.1
-    mask = two_thirds_mask_plane
-    btt = _bilinear_plane(u, v, "two-thirds")
-    ref = mask(_bilinear_plane(mask(u), mask(v), "direct"))
-    assert rel(btt, ref) < 1e-13
-    assert rel(_bilinear_plane(u, v, "padded"), _bilinear_plane(u, v, "direct")) < 1e-13
+@pytest.mark.parametrize("route", ["padded", "two-thirds"])
+def test_transform_routes_need_a_divergence_free_u(route):
+    # the kernel computes P div(u v^T), which is B(u, v) only when div u = 0;
+    # v may be any real field
+    M = 9
+    rng = np.random.default_rng(11)
+    u, v = random_field(M, rng, divergence_free=False), random_field(M, rng, divergence_free=False)
+    with pytest.raises(ValueError, match="needs a divergence-free u"):
+        bilinear_B(u, v, dealias=route)
+    pu = leray_project(u)
+    mask = two_thirds_mask if route == "two-thirds" else (lambda x: x)
+    ref = mask(bilinear_B(mask(pu), mask(v), dealias="direct"))
+    assert rel(bilinear_B(pu, v, dealias=route), ref) < 1e-13
+    # the direct route takes u as it is, and differs from the projected one
+    assert rel(bilinear_B(u, v, dealias="direct"), bilinear_B(pu, v, dealias="direct")) > 0.1
 
 
 def test_smooth_size_matches_brute_force():

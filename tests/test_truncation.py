@@ -54,14 +54,33 @@ def test_profile_shape_and_sup():
     assert np.all(psi[r <= 1.0] == 1.0)
     assert np.all(psi[r >= prof.outer_radius] == 0.0)
     assert np.all((0.0 <= psi) & (psi <= 1.0))
-    # |theta| = t psi(t) on a 200 001-point scan of the shell stays at or
-    # below 2 (1.9999998937), and exceeds 2 once the outer radius is 1e-6
-    # larger (2.00000016): the stored radius is sharp
-    t = np.linspace(1.0, DEFAULT_OUTER_RADIUS, 200_001)
-    assert np.max(t * prof.psi(t)) <= 2.0
-    wider = DEFAULT_OUTER_RADIUS + 1e-6
-    t = np.linspace(1.0, wider, 200_001)
-    assert np.max(t * _psi_on_every_point(t, outer=wider)) > 2.0
+
+
+def test_sup_theta_is_certified_at_most_two():
+    # |theta| = t psi(t) is t up to the inner radius 1 and 0 from the outer
+    # one on.  psi is non-increasing on the shell between, so on [t0, t1]
+    # t psi(t) <= t1 psi(t0).  Bisecting from 1 000 intervals until every
+    # such bound is at most 2 certifies sup |theta| <= 2, up to the rounding
+    # of psi (about 1e-16, against the margin 1.06e-7 of the true sup
+    # 1.9999998937)
+    prof = CutoffProfile()
+    edges = np.linspace(prof.inner_radius, prof.outer_radius, 1001)
+    lo, hi = edges[:-1], edges[1:]
+    largest = 0.0
+    for _ in range(40):
+        bound = hi * prof.psi(lo)
+        done = bound <= 2.0
+        largest = max(largest, bound[done].max(initial=0.0))
+        lo, hi = lo[~done], hi[~done]
+        if lo.size == 0:
+            break
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+    assert lo.size == 0
+    assert 1.9999998937 < largest <= 2.0
+    # the stored radius is sharp: 1e-6 more lets |theta| exceed 2
+    t = 2.3496
+    assert t * _psi_on_every_point(np.array(t), outer=DEFAULT_OUTER_RADIUS + 1e-6) > 2.0
 
 
 def test_profile_radii_are_fixed():
