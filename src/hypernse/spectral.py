@@ -21,11 +21,13 @@ Every product is formed by one transform kernel, _curl_product: P div(u v^T),
 the Leray-projected divergence of T = u v^T, of two real fields on the half
 block |j|_inf <= K, j2 >= 0 that they hold, by real transforms; it is
 B(u, v) = P (u . grad) v when u is divergence-free.  The square T = u u^T
-takes two inverse and two forward transforms, a pair four and three.
-truncation._prepared_half, the solver's product, applies the square to W(u);
-nonlinearity_F_prime, the weak assembly of averaging and the transform
-routes of bilinear_B apply the pair.  The Leray projection is the array
-helper _leray_coeffs, which leray_project and W share.
+takes two inverse and two forward transforms, a pair four and three, on
+strips of grid rows through reused buffers (_workspace), bit for bit those
+of whole grids.  truncation._prepared_half, the solver's product, applies
+the square to W(u); nonlinearity_F_prime, the weak assembly of averaging
+and the transform routes of bilinear_B apply the pair.  The Leray
+projection is the array helper _leray_coeffs, which leray_project and W
+share.
 
 Product evaluation routes of bilinear_B (its `dealias` argument):
 
@@ -48,12 +50,12 @@ The direct route and trilinear_b are the oracles: they build the full plane
 of their fields at their edge with _full_plane (tests/test_source.py lists
 them), and take any u.
 
-wavenumbers and laplacian_power cache their grids per truncation, for the
-operators a run applies again and again.  A draw (random_field) caches
-nothing: its decay symbol, its Leray denominator and the masks of
-CutoffFamily are built per call, so a draw leaves no grid at its own
-truncation, which for the cone stage is larger than any it steps at.
-Sobolev norms are formed the same way.
+wavenumbers and laplacian_power cache their grids per truncation, and
+_workspace the kernel's buffers per grid, for the operators a run applies
+again and again.  A draw (random_field) caches nothing: its decay symbol,
+its Leray denominator and the masks of CutoffFamily are built per call, so
+a draw leaves no grid at its own truncation, which for the cone stage is
+larger than any it steps at.  Sobolev norms are formed the same way.
 """
 
 from __future__ import annotations
@@ -434,16 +436,19 @@ def _curl_plan(K: int):
     return m12, mdiff
 
 
-def _grid(c: np.ndarray, N: int) -> np.ndarray:
-    """The values on an N-point grid, shape (2, N, N), of the real field whose
-    half block |j|_inf <= K, j2 >= 0 is c, shape (2, 2K+1, K+1), by inverse
-    real transforms.  Each 2-D transform is done as its two 1-D passes, so
-    that the j1 pass skips the columns j2 > K, which are zero."""
-    K = (c.shape[-2] - 1) // 2
-    half = np.zeros((2, N, K + 1), dtype=np.complex128)
-    half[:, : K + 1] = c[:, K:]
-    half[:, N - K :] = c[:, :K]
-    return np.fft.irfft(np.fft.ifft(half, axis=1, norm="forward"), n=N, axis=2, norm="forward")
+# rows per grid strip; fastest at K = 102 and 318, 16 to 64 within 10%
+_STRIP = 32
+
+
+@lru_cache(maxsize=4)
+def _workspace(n: int, K: int, N: int):
+    """The buffers _curl_product reuses for n = 2 (square) or 4 (pair) grid
+    components at block K and grid N: the spectrum (n, N, K+1), 1 MiB for
+    the square at K = 102, and strips of n grid rows and of their m = 2 or
+    3 products and its spectra.  At most four are kept."""
+    m = 2 if n == 2 else 3
+    return (np.empty((n, N, K + 1), dtype=np.complex128), np.empty((n, _STRIP, N)),
+            np.empty((m, _STRIP, N)), np.empty((m, _STRIP, N // 2 + 1), dtype=np.complex128))
 
 
 def _curl_product(u: np.ndarray, v: np.ndarray | None, N: int) -> np.ndarray:
@@ -462,29 +467,44 @@ def _curl_product(u: np.ndarray, v: np.ndarray | None, N: int) -> np.ndarray:
     formed from the zero-stride wavenumbers rather than a third cached grid.
     The j = 0 coefficient is written as 0, not as 0 times the mean, which is
     NaN when a field holds inf or NaN.
+
+    Each 2-D transform is two 1-D passes in _workspace: the j1 passes in
+    place on the spectrum, the K+1 columns j2 <= K, and the j2 passes, with
+    the products between them, on strips of _STRIP rows whose spectra go
+    back over the rows they came from.  No N x N grid is held whole, and
+    each 1-D transform and pointwise operation is the whole grid's, in its
+    order, so the strip width changes no bit.  The buffers are shared, so
+    the kernel is not reentrant: nothing in the package is threaded, and no
+    two threads may run it.
     """
     K = (u.shape[-2] - 1) // 2
     m12, mdiff = _curl_plan(K)
-    # each grid array is dropped once used: this is the solver's memory peak
-    g = _grid(u, N)
-    if v is None:
-        q = np.empty((2, N, N))
-        np.multiply(g[0], g[1], out=q[0])
-        np.subtract(g[0], g[1], out=q[1])
-        g[0] += g[1]
-        q[1] *= g[0]
-    else:
-        h = _grid(v, N)
-        t12, t21 = g[0] * h[1], g[1] * h[0]
-        q = np.stack([0.5 * (t12 + t21), g[0] * h[0] - g[1] * h[1], t12 - t21])
-        del h, t12, t21
-    del g
-    r = np.fft.rfft(q, axis=2, norm="forward")
-    del q
-    prods = np.fft.fft(r[:, :, : K + 1], axis=1, norm="forward")
-    del r
-    p = np.concatenate([prods[:, N - K :], prods[:, : K + 1]], axis=1)
-    del prods
+    fields = (u,) if v is None else (u, v)
+    spec, grid, prod, rspec = _workspace(2 * len(fields), K, N)
+    m, w = len(prod), grid.shape[1]
+    for k, f in enumerate(fields):
+        spec[2 * k : 2 * k + 2, : K + 1] = f[:, K:]
+        spec[2 * k : 2 * k + 2, N - K :] = f[:, :K]
+    spec[:, K + 1 : N - K] = 0.0
+    np.fft.ifft(spec, axis=1, norm="forward", out=spec)
+    for i in range(0, N, w):
+        rows = min(w, N - i)
+        g, q = grid[:, :rows], prod[:, :rows]
+        np.fft.irfft(spec[:, i : i + rows], n=N, axis=2, norm="forward", out=g)
+        if v is None:
+            np.multiply(g[0], g[1], out=q[0])
+            np.subtract(g[0], g[1], out=q[1])
+            g[0] += g[1]
+            q[1] *= g[0]
+        else:
+            t12, t21 = g[0] * g[3], g[1] * g[2]
+            np.multiply(0.5, t12 + t21, out=q[0])
+            np.subtract(g[0] * g[2], g[1] * g[3], out=q[1])
+            np.subtract(t12, t21, out=q[2])
+        r = np.fft.rfft(q, axis=2, norm="forward", out=rspec[:, :rows])
+        spec[:m, i : i + rows] = r[:, :, : K + 1]
+    np.fft.fft(spec[:m], axis=1, norm="forward", out=spec[:m])
+    p = np.concatenate([spec[:m, N - K :], spec[:m, : K + 1]], axis=1)
     out = m12 * p[0]
     out += mdiff * p[1]
     if v is not None:

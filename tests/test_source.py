@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package and no test module imports a
 name it never uses, the package reads every private name that one of its
-modules defines, only the oracles build the full coefficient plane, and
-importing the command line does no numerical work.
+modules defines, only the oracles build the full coefficient plane, only
+the one transform kernel calls numpy.fft, and importing the command line
+does no numerical work.
 
 No linter is a dependency, so this walks each module's syntax tree.  The
 package __init__ is exempt from the import check: its imports are its
@@ -133,6 +134,45 @@ def test_full_plane_readers_finds_an_orphan():
 def test_only_the_oracles_read_the_full_plane():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
     assert full_plane_readers(sources) == FULL_PLANE_READERS
+
+
+def fft_users(sources: dict[str, str]) -> set[str]:
+    """module.name of every module-level definition that reaches numpy.fft:
+    reads an attribute fft of a name (np.fft, numpy.fft), or imports
+    numpy.fft or a name from it; any other module-level statement that does
+    counts as module.<module>."""
+    out = set()
+    for mod, src in sources.items():
+        for stmt in ast.parse(src).body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Attribute):
+                    hit = node.attr == "fft" and isinstance(node.value, ast.Name)
+                elif isinstance(node, ast.ImportFrom):
+                    hit = (node.module or "").startswith("numpy") and (
+                        "fft" in node.module or any(a.name == "fft" for a in node.names))
+                else:
+                    hit = isinstance(node, ast.Import) and any(a.name.startswith("numpy.fft") for a in node.names)
+                if hit:
+                    bound = _bound_names(stmt)
+                    out.add(f"{mod}.{bound[0] if bound else '<module>'}")
+    return out
+
+
+def test_fft_users_finds_an_orphan():
+    sources = {
+        "a": "import numpy as np\n\ndef kernel(x):\n    return np.fft.rfft(x)\n\n"
+             "def other(x):\n    return np.fft.fft(x)\n\ndef free(x):\n    return np.abs(x)\n",
+        "b": "from numpy.fft import irfft\n",
+        "c": "import numpy.fft\n",
+        "d": "from numpy import fft as f\n",
+    }
+    assert fft_users(sources) == {"a.kernel", "a.other", "b.<module>", "c.<module>", "d.<module>"}
+
+
+def test_only_the_kernel_transforms():
+    # one transform kernel (spectral): a transform anywhere else is a second one
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert fft_users(sources) == {"spectral._curl_product"}
 
 
 # Run in a fresh interpreter: imports the package from the directory the

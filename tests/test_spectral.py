@@ -3,6 +3,7 @@
 import bisect
 import decimal
 import math
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hypernse import spectral
 from hypernse import (
     FourierField,
     SpectralParams,
@@ -29,6 +31,7 @@ from hypernse.spectral import (
     _random_coeffs,
     _route_grid,
     _smooth_size,
+    _workspace,
     laplacian_power,
     two_thirds_mask,
     wavenumbers,
@@ -145,6 +148,76 @@ def test_the_square_is_the_pair_of_a_field_with_itself(M):
     u = random_field(M, np.random.default_rng(M), decay=2.0)
     N = _route_grid(M, "padded")[1]
     assert rel(_curl_product(u.coeffs, None, N), _curl_product(u.coeffs, u.coeffs.copy(), N)) <= 1e-14
+
+
+@pytest.fixture
+def fresh_workspaces():
+    _workspace.cache_clear()
+    yield
+    _workspace.cache_clear()
+
+
+def _kernel_input(K: int, rng: np.random.Generator, count: int = 2):
+    """count divergence-free halves at block K, and the kernel's grid N."""
+    return [random_field(K, rng, decay=2.0).coeffs for _ in range(count)], _route_grid(K, "padded")[1]
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("K", [8, 102])
+def test_the_strip_width_changes_no_bit(K, monkeypatch, fresh_workspaces):
+    (u, v), N = _kernel_input(K, np.random.default_rng(K))
+    want = [_curl_product(u, w, N) for w in (None, v)]
+    for strip in (1, 7, N + 1):
+        monkeypatch.setattr(spectral, "_STRIP", strip)
+        _workspace.cache_clear()
+        got = [_curl_product(u, w, N) for w in (None, v)]
+        assert all(same_bits(a, b) for a, b in zip(got, want)), strip
+
+
+def test_reused_workspaces_give_the_bits_of_fresh_ones(fresh_workspaces):
+    # a call leaves every row of its spectrum buffer written, so a call that
+    # did not zero the rows K < j1 < N - K again would read the last one's
+    rng = np.random.default_rng(3)
+    inputs = {K: _kernel_input(K, rng, 3) for K in (8, 16)}
+    calls = [(8, 0, None), (16, 0, 1), (8, 1, None), (8, 0, 2), (16, 2, None),
+             (8, 2, None), (16, 1, 0), (8, 1, 0), (16, 0, None)]
+
+    def run(K, i, j):
+        fields, N = inputs[K]
+        return _curl_product(fields[i], None if j is None else fields[j], N)
+
+    reused = [run(*call) for call in calls]
+    fresh = []
+    for call in calls:
+        _workspace.cache_clear()
+        fresh.append(run(*call))
+    assert all(same_bits(a, b) for a, b in zip(reused, fresh))
+
+
+def test_the_product_shares_no_memory_with_its_workspace(fresh_workspaces):
+    # the time loop writes f - b into the product's own array (dynamics._drive)
+    (u, v), N = _kernel_input(16, np.random.default_rng(4))
+    for w, n in ((None, 2), (v, 4)):
+        out = _curl_product(u, w, N)
+        assert not any(np.shares_memory(out, buf) for buf in _workspace(n, 16, N))
+
+
+def test_a_warm_square_allocates_less_than_one_grid_beyond_its_result(fresh_workspaces):
+    # beyond its result, the full-grid kernel allocated 2.93 MiB here and the
+    # strips 1.29 MiB: the block read back from the spectrum, and one term
+    (u,), N = _kernel_input(102, np.random.default_rng(5), 1)
+    assert N == 320
+    _curl_product(u, None, N)
+    tracemalloc.start()
+    try:
+        out = _curl_product(u, None, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes < 2 * N * N * 8
 
 
 @pytest.mark.parametrize("route", ["padded", "two-thirds"])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -436,26 +437,41 @@ _FFT_FUNCTIONS = {
 }
 
 
-def test_prepared_product_moves_two_component_arrays_each_way(monkeypatch):
-    # a work count, not a timing: w1 and w2 go to the grid, w1 w2 and
-    # w1^2 - w2^2 come back, and the block is projected once, inside W
-    params = SpectralParams(M=16)
-    u = random_field(16, np.random.default_rng(6), decay=3.0)
-    moved = {"forward": 0.0, "inverse": 0.0}
-    projections = []
+def _count_transforms(monkeypatch, K: int, N: int) -> dict:
+    """Wrap the numpy.fft functions to count, per direction and as exact
+    fractions, the 2-D transforms of one grid component that the calls add
+    up to.  A 2-D transform is two 1-D passes, each counting half: a 1-D call
+    counts its transformed lines over the lines of one whole pass, the K + 1
+    columns j2 <= K for a j1 pass (axis -2) and the N grid rows for a j2
+    pass (axis -1), so a pass done in strips adds up to the whole pass; a
+    2-D call counts one per array of its stack."""
+    moved = {"forward": Fraction(0), "inverse": Fraction(0)}
 
     def counted(name, real):
         def wrapper(a, *args, **kwargs):
-            # the transforms act on the last two axes of a stack of 2-D arrays;
-            # a 2-D transform done as two 1-D passes counts half per pass
-            arrays = int(np.prod(np.shape(a)[:-2]))
-            direction = "inverse" if name.startswith("i") else "forward"
-            moved[direction] += arrays * _FFT_FUNCTIONS[name] / 2
+            shape = np.shape(a)
+            if _FFT_FUNCTIONS[name] == 2:
+                passes = Fraction(2 * math.prod(shape[:-2]))
+            else:
+                axis = kwargs.get("axis", -1) % len(shape)
+                whole = K + 1 if axis == len(shape) - 2 else N
+                passes = Fraction(math.prod(shape) // shape[axis], whole)
+            moved["inverse" if name.startswith("i") else "forward"] += passes / 2
             return real(a, *args, **kwargs)
         return wrapper
 
     for name in _FFT_FUNCTIONS:
         monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+    return moved
+
+
+def test_prepared_product_moves_two_component_arrays_each_way(monkeypatch):
+    # a work count, not a timing: w1 and w2 go to the grid, w1 w2 and
+    # w1^2 - w2^2 come back, and the block is projected once, inside W
+    params = SpectralParams(M=16)
+    u = random_field(16, np.random.default_rng(6), decay=3.0)
+    moved = _count_transforms(monkeypatch, 16, _route_grid(16, "padded")[1])
+    projections = []
     real_leray = spectral._leray_coeffs
 
     def leray(*args, **kwargs):
@@ -465,5 +481,16 @@ def test_prepared_product_moves_two_component_arrays_each_way(monkeypatch):
     for module in (spectral, truncation):
         monkeypatch.setattr(module, "_leray_coeffs", leray)
     prepared_product(u, params)
-    assert moved == {"forward": 2.0, "inverse": 2.0}
+    assert moved == {"forward": 2, "inverse": 2}
     assert len(projections) == 1
+
+
+def test_a_pair_product_moves_four_component_arrays_in_and_three_out(monkeypatch):
+    # u1, u2, v1 and v2 go to the grid; (T12 + T21) / 2, T11 - T22 and
+    # T12 - T21 of T = u v^T come back
+    rng = np.random.default_rng(7)
+    u, v = (random_field(16, rng, decay=3.0).coeffs for _ in range(2))
+    N = _route_grid(16, "padded")[1]
+    moved = _count_transforms(monkeypatch, 16, N)
+    spectral._curl_product(u, v, N)
+    assert moved == {"forward": 3, "inverse": 4}
