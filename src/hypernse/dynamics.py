@@ -143,7 +143,7 @@ def _linear_factor(M: int, params: SpectralParams, config: SimConfig) -> np.ndar
     # the exponent is 0 at j = 0, where -nu dt overflowed to -inf would give
     # -inf * 0 = NaN; elsewhere -nu dt |j|^(2 beta) may overflow to -inf,
     # whose exp, 0, is the exact decay
-    x = np.zeros(lam.shape)
+    x = np.zeros_like(lam)
     with np.errstate(over="ignore"):
         np.multiply(-params.nu * config.dt, lam, out=x, where=lam > 0)
     return np.exp(x)
@@ -160,10 +160,10 @@ def _advance(
     """One step from the state u, given n0 = f - B(W(u), W(u)) at u and the
     run's _linear_factor E; each update is formed in place, in the formulas'
     order, and returned as a new array.  n0 is not written: it is the forcing
-    itself when the product is off.  Forming the update in n0's array, or in
-    the predictor's once the product has read it, raised the cone workload's
-    peak resident memory by 0.5 to 0.75 MiB: the heap's layout, not the live
-    set, sets that peak.
+    itself when the product is off.  E u goes into n1, the predictor's drive,
+    unless n1 is the forcing: that moved neither the step's traced peak nor
+    a cone-check's peak RSS; the update in n0 or in the predictor raised
+    that RSS by 0.5 to 0.75 MiB.
 
     Exact linear propagation: with v = e^{t nu A^beta} u the equation becomes
     dv/dt = e^{t nu A^beta} N(u), and Heun in v gives
@@ -176,7 +176,7 @@ def _advance(
     c = np.multiply(n0, E)
     c += n1
     np.multiply(0.5 * dt, c, out=c)
-    c += u * E
+    c += np.multiply(u, E, out=None if n1 is forcing else n1)
     return c
 
 
@@ -222,21 +222,17 @@ def _run(
     record is the caller's to report."""
     n = config.n_steps
     needed = min(len(states), 2)
-    M = states[0].M
-    for j, u in enumerate(states):
-        states[j] = u.coeffs
-    del u  # a field no caller keeps is freed here, and its array by its first step
-    E = _linear_factor(M, params, config)
+    E = _linear_factor(states[0].M, params, config)
+    # a field no caller keeps is freed here, and its array by its first step
+    states[:] = [u.coeffs for u in states]
     bs: list = [None] * len(states)
     failure = None
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n + 1):
             for j in range(len(states)):
                 if i:
-                    n0 = _drive(bs[j], forcing, states[j].shape)
+                    states[j] = _advance(states[j], _drive(bs[j], forcing, states[j].shape), forcing, params, config, E)
                     bs[j] = None
-                    states[j] = _advance(states[j], n0, forcing, params, config, E)
-                    del n0
                     if not np.all(np.isfinite(states[j])):
                         del states[j:], bs[j:]
                         failure = BlowUpError(f"non-finite coefficients at t = {i * config.dt:.6g}")

@@ -21,11 +21,10 @@ Every product is formed by one transform kernel, _curl_product: P div(u v^T),
 the Leray-projected divergence of T = u v^T, of two real fields on the half
 block |j|_inf <= K, j2 >= 0 that they hold, by real transforms; it is
 B(u, v) = P (u . grad) v when u is divergence-free.  The square T = u u^T
-takes two inverse and two forward transforms, a pair four and three, on
-strips of grid rows through reused buffers (_workspace), bit for bit those
-of whole grids.  truncation._prepared_half, the solver's product, applies
-the square to W(u); nonlinearity_F_prime, the weak assembly of averaging
-and the transform routes of bilinear_B apply the pair.  The Leray
+takes two inverse and two forward transforms, a pair four and three.
+truncation._prepared_half, the solver's product, applies the square to
+W(u); nonlinearity_F_prime, the weak assembly of averaging and the
+transform routes of bilinear_B apply the pair.  The Leray
 projection is the array helper _leray_coeffs, which leray_project and W
 share.
 
@@ -51,11 +50,10 @@ of their fields at their edge with _full_plane (tests/test_source.py lists
 them), and take any u.
 
 wavenumbers and laplacian_power cache their grids per truncation, and
-_workspace the kernel's buffers per grid, for the operators a run applies
-again and again.  A draw (random_field) caches nothing: its decay symbol,
-its Leray denominator and the masks of CutoffFamily are built per call, so
-a draw leaves no grid at its own truncation, which for the cone stage is
-larger than any it steps at.  Sobolev norms are formed the same way.
+_workspace the kernel's buffers per grid.  A draw (random_field) caches
+nothing: its decay symbol, its Leray denominator and the masks of
+CutoffFamily are built per call, so a draw leaves no grid at its own
+truncation, which for the cone stage is larger than any it steps at.  Sobolev norms are formed the same way.
 """
 
 from __future__ import annotations
@@ -160,7 +158,7 @@ class FourierField:
         c = np.asarray(self.coeffs, dtype=np.complex128)
         if c.shape != shape:
             raise ValueError(f"coeffs shape {c.shape} != {shape}, the half j2 >= 0 of truncation M = {self.M}")
-        if c[0, self.M, 0] != 0 or c[1, self.M, 0] != 0:
+        if c[:, self.M, 0].any():
             raise ValueError("the j=0 coefficient must be zero (mean-zero field)")
         if c.flags.writeable or c is not self.coeffs:
             c = c.copy()
@@ -176,7 +174,7 @@ class FourierField:
 
     @classmethod
     def zeros(cls, M: int) -> "FourierField":
-        return cls(M, np.zeros((2, 2 * M + 1, M + 1), dtype=np.complex128))
+        return cls.from_modes(M, {})
 
     @classmethod
     def from_modes(cls, M: int, modes: dict) -> "FourierField":
@@ -309,21 +307,20 @@ def _leray_coeffs(c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     |j|_inf <= K, j2 >= 0 that c holds, shape (2, 2K+1, K+1), or of the full
     plane of the oracles, shape (2, 2K+1, 2K+1); zero at j = 0, which is at
     [K, -(K+1)] either way; written to out (which may be c itself), or to a
-    new array.  Its one grid is the denominator |j|^2, built per call and not
-    cached, so a draw leaves no grid at its own truncation; out[1] holds
-    j1 c[1] on the way."""
+    new array.  Its one grid is the denominator |j|^2, built per call, not
+    cached (module docstring); out[0] holds (j2 c[0] - j1 c[1]) / |j|^2 on
+    the way."""
     K = (c.shape[-2] - 1) // 2
     r = np.arange(-K, K + 1)
     J1, J2 = r[:, None], r[-c.shape[-1] :]
     denom = J1 * J1 + J2 * J2
     denom[K, -(K + 1)] = 1
-    if out is None:
-        out = np.empty(c.shape, dtype=np.complex128)
-    d = J2 * c[0]
+    out = np.empty_like(c) if out is None else out
+    d = np.multiply(J2, c[0], out=out[0])
     d -= np.multiply(J1, c[1], out=out[1])
     d /= denom
-    np.multiply(J2, d, out=out[0])
     np.multiply(-J1, d, out=out[1])
+    np.multiply(J2, d, out=d)
     out[:, K, -(K + 1)] = 0.0
     return out
 
@@ -358,12 +355,10 @@ def _random_coeffs(
     turn, which is freed before the next is drawn."""
     K = 2 * M + 1
     c = np.empty((2, K, M + 1), dtype=np.complex128)
-    x = rng.standard_normal((2, K, K))
-    np.add(x[:, :, M:], x[:, ::-1, M::-1], out=c.real)
-    del x
-    x = rng.standard_normal((2, K, K))
-    np.subtract(x[:, :, M:], x[:, ::-1, M::-1], out=c.imag)
-    del x
+    for op, part in ((np.add, c.real), (np.subtract, c.imag)):
+        x = rng.standard_normal((2, K, K))
+        op(x[:, :, M:], x[:, ::-1, M::-1], out=part)
+        del x
     c *= 0.5
     if decay > 0.0:
         # each decay is used about once per run, so its symbol is not cached
@@ -472,19 +467,20 @@ def _curl_product(u: np.ndarray, v: np.ndarray | None, N: int) -> np.ndarray:
     place on the spectrum, the K+1 columns j2 <= K, and the j2 passes, with
     the products between them, on strips of _STRIP rows whose spectra go
     back over the rows they came from.  No N x N grid is held whole, and
-    each 1-D transform and pointwise operation is the whole grid's, in its
-    order, so the strip width changes no bit.  The buffers are shared, so
-    the kernel is not reentrant: nothing in the package is threaded, and no
-    two threads may run it.
-    """
-    K = (u.shape[-2] - 1) // 2
+    each 1-D pass and pointwise operation is the whole grid's, in its order,
+    so the strip width changes no bit.  The result is read from the
+    spectrum's row slabs N-K.. and ..K with no other array, its second and
+    third terms through the slab of S12 once read (the rows between the
+    slabs may be fewer).  The buffers are shared: it is not reentrant."""
+    K = u.shape[-1] - 1
     m12, mdiff = _curl_plan(K)
     fields = (u,) if v is None else (u, v)
     spec, grid, prod, rspec = _workspace(2 * len(fields), K, N)
     m, w = len(prod), grid.shape[1]
-    for k, f in enumerate(fields):
-        spec[2 * k : 2 * k + 2, : K + 1] = f[:, K:]
-        spec[2 * k : 2 * k + 2, N - K :] = f[:, :K]
+    slabs = ((slice(K), slice(N - K, N)), (slice(K, None), slice(K + 1)))
+    for b, rows in slabs:
+        for k, f in enumerate(fields):
+            spec[2 * k : 2 * k + 2, rows] = f[:, b]
     spec[:, K + 1 : N - K] = 0.0
     np.fft.ifft(spec, axis=1, norm="forward", out=spec)
     for i in range(0, N, w):
@@ -502,16 +498,19 @@ def _curl_product(u: np.ndarray, v: np.ndarray | None, N: int) -> np.ndarray:
             np.subtract(g[0] * g[2], g[1] * g[3], out=q[1])
             np.subtract(t12, t21, out=q[2])
         r = np.fft.rfft(q, axis=2, norm="forward", out=rspec[:, :rows])
-        spec[:m, i : i + rows] = r[:, :, : K + 1]
+        spec[:m, i : i + rows] = r[..., : K + 1]
     np.fft.fft(spec[:m], axis=1, norm="forward", out=spec[:m])
-    p = np.concatenate([spec[:m, N - K :], spec[:m, : K + 1]], axis=1)
-    out = m12 * p[0]
-    out += mdiff * p[1]
-    if v is not None:
-        J1, J2, _ = wavenumbers(K)
-        p[2] *= -0.5j
-        out[0] += J2 * p[2]
-        out[1] -= J1 * p[2]
+    out = np.empty_like(m12)
+    J1, J2, _ = wavenumbers(K)
+    for b, rows in slabs:
+        o, p, t = out[:, b], spec[:, rows], spec[0, rows]
+        np.multiply(m12[:, b], t, out=o)
+        for c in range(2):
+            o[c] += np.multiply(mdiff[c, b], p[1], out=t)
+        if v is not None:
+            p[2] *= -0.5j
+            o[0] += np.multiply(J2[b], p[2], out=t)
+            o[1] -= np.multiply(J1[b], p[2], out=t)
     out[:, K, 0] = 0.0
     return out
 
@@ -524,7 +523,7 @@ def _convolve_direct(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     K = a.shape[0]
     M = (K - 1) // 2
-    out = np.zeros((K, K), dtype=np.complex128)
+    out = np.zeros_like(a)
     for q1 in range(K):
         row = a[q1]
         lo1, hi1 = max(0, q1 - M), min(K, q1 + M + 1)
@@ -544,7 +543,7 @@ def _advect_direct(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     M = (u.shape[-1] - 1) // 2
     r = np.arange(-M, M + 1)
     ik1, ik2 = 1j * r[:, None], 1j * r
-    out = np.empty(u.shape, dtype=np.complex128)
+    out = np.empty_like(u)
     for n in range(2):
         out[n] = _convolve_direct(u[0], ik1 * v[n]) + _convolve_direct(u[1], ik2 * v[n])
     return out
@@ -586,7 +585,7 @@ def bilinear_B(u: FourierField, v: FourierField, dealias: str = "two-thirds") ->
             f"the {dealias!r} route of bilinear_B needs a divergence-free u "
             f"(max |j . u_hat[j]| = {defect:.3g}); apply leray_project or use the direct route"
         )
-    out = np.zeros(u.coeffs.shape, dtype=np.complex128)
+    out = np.zeros_like(u.coeffs)
     blk = (slice(None), slice(M - K, M + K + 1), slice(0, K + 1))
     out[blk] = _curl_product(u.coeffs[blk], v.coeffs[blk], N)
     return FourierField._wrap(M, out)

@@ -75,3 +75,54 @@ def test_the_change_fails_when_it_fails_a_larger_share_of_repetitions():
     # shares, not counts: 2 of 20 is the parent's 1 of 10, 2 of 10 is more
     assert not failed_more((1, 10), (2, 20))
     assert failed_more((1, 20), (2, 10))
+
+
+def _fake_checkouts(tmp_path):
+    """Two checkouts at paths of one length; the change's BENCHMARK.json
+    says wall_s is lower-is-better."""
+    paths = []
+    for name in ("pa", "pb"):
+        (tmp_path / name / "src" / "hypernse").mkdir(parents=True)
+        paths.append(str(tmp_path / name))
+    doc = {"end_to_end": [{"name": "wall_s", "better": "lower"}]}
+    (tmp_path / "pb" / "BENCHMARK.json").write_text(json.dumps(doc))
+    return paths
+
+
+def test_several_workloads_run_in_every_pair_with_one_summary_each(tmp_path, capsys, monkeypatch):
+    parent, change = _fake_checkouts(tmp_path)
+    calls = []
+
+    def run_bench(checkout, workload, seed, seconds):
+        side = "parent" if checkout == parent else "change"
+        calls.append((side, workload))
+        # the change fails one repetition of lattice per run, and is faster
+        failed = int((side, workload) == ("change", "lattice"))
+        wall = {"parent": 1.0, "change": 0.9}[side]
+        return {"failed": failed, "attempted": 10, "metrics": {"wall_s": {"value": wall}}}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    assert bench_pairs.main([parent, change, "--workload", "cone,lattice", "--pairs", "2"]) == 1
+    # every pair runs every workload on both sides, its own side first each time
+    assert calls == [("parent", "cone"), ("change", "cone"), ("parent", "lattice"), ("change", "lattice"),
+                     ("change", "cone"), ("parent", "cone"), ("change", "lattice"), ("parent", "lattice")]
+    out = capsys.readouterr()
+    summaries = [json.loads(line) for line in out.out.splitlines() if line.startswith("{")]
+    assert [s["workload"] for s in summaries] == ["cone", "lattice"]
+    assert all(s["metrics"]["wall_s"]["won"] == 2 for s in summaries)
+    assert summaries[0]["failed"] == {"parent": 0, "change": 0}
+    assert summaries[1]["failed"] == {"parent": 0, "change": 2}
+    assert summaries[1]["attempted"] == {"parent": 20, "change": 20}
+    assert "on lattice" in out.err and "on cone" not in out.err
+    # the last line is still the last workload's summary, and a list whose
+    # workloads all pass exits 0
+    assert json.loads(out.out.splitlines()[-1])["workload"] == "lattice"
+    assert bench_pairs.main([parent, change, "--workload", "cone", "--pairs", "1"]) == 0
+
+
+@pytest.mark.parametrize("workloads", ["cone,,lattice", "cone,cone", "cone,"])
+def test_a_malformed_workload_list_is_refused(workloads, tmp_path, capsys, monkeypatch):
+    parent, change = _fake_checkouts(tmp_path)
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda *args: pytest.fail("ran a workload"))
+    assert bench_pairs.main([parent, change, "--workload", workloads]) == 2
+    assert "distinct workloads" in capsys.readouterr().err

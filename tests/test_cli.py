@@ -686,6 +686,21 @@ def test_cone_stage_runs_in_a_smaller_working_set(tmp_path):
     assert peak < 14.5 * 2**20
 
 
+def test_cone_stage_working_set_falls_with_the_product_formed_in_place(tmp_path):
+    # traced peak above entry from cleared caches: 12.60 to 12.64 MiB with
+    # the kernel's block gathered by np.concatenate, W's full masks and the
+    # Leray projection's fresh divergence term; 11.43 to 11.48 MiB without
+    cfg, outdir, ann = _cone_workload(tmp_path)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        hypernse.cli.stage_cone(cfg, outdir, ann)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak < 12.0 * 2**20
+
+
 # largest difference between the cut cone run and the full-grid run, relative
 # to each trace column's largest magnitude; the outer modes of u1, which the
 # cut drops, move norm_u_sq by 1.8e-12 at mu = 1e3

@@ -26,8 +26,10 @@ from hypernse import (
 )
 from hypernse.spectral import (
     CutoffFamily,
+    _curl_plan,
     _curl_product,
     _full_plane,
+    _leray_coeffs,
     _random_coeffs,
     _route_grid,
     _smooth_size,
@@ -36,6 +38,7 @@ from hypernse.spectral import (
     two_thirds_mask,
     wavenumbers,
 )
+from hypernse.truncation import DEFAULT_OUTER_RADIUS, _amplitude_scale, _gain_in_place, _prepared_half, _truncate
 
 
 def rel(a, b) -> float:
@@ -206,8 +209,9 @@ def test_the_product_shares_no_memory_with_its_workspace(fresh_workspaces):
 
 
 def test_a_warm_square_allocates_less_than_one_grid_beyond_its_result(fresh_workspaces):
-    # beyond its result, the full-grid kernel allocated 2.93 MiB here and the
-    # strips 1.29 MiB: the block read back from the spectrum, and one term
+    # beyond its result, the full-grid kernel allocated 2.93 MiB here, the
+    # strips 1.29 MiB (the block gathered from the spectrum, and one term),
+    # and the read-back into the result through the spectrum's rows nothing
     (u,), N = _kernel_input(102, np.random.default_rng(5), 1)
     assert N == 320
     _curl_product(u, None, N)
@@ -218,6 +222,170 @@ def test_a_warm_square_allocates_less_than_one_grid_beyond_its_result(fresh_work
     finally:
         tracemalloc.stop()
     assert peak - out.nbytes < 2 * N * N * 8
+    assert peak - out.nbytes < 0.25 * 2**20
+
+
+# The solver's product formed in place, held to the formulas it replaced:
+# the references below are those formulas, the same elementwise operations
+# in the same order on fresh arrays.  bench/check.py compares bundles to a
+# tolerance and cannot see a product that moved by rounding, so these tests
+# hold the in-place forms to every bit, NaN, inf and signed zeros included.
+
+
+def _leray_reference(c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """_leray_coeffs with its divergence term d in a new array."""
+    K = (c.shape[-2] - 1) // 2
+    r = np.arange(-K, K + 1)
+    J1, J2 = r[:, None], r[-c.shape[-1] :]
+    denom = J1 * J1 + J2 * J2
+    denom[K, -(K + 1)] = 1
+    if out is None:
+        out = np.empty(c.shape, dtype=np.complex128)
+    d = J2 * c[0]
+    d -= np.multiply(J1, c[1], out=out[1])
+    d /= denom
+    np.multiply(J2, d, out=out[0])
+    np.multiply(-J1, d, out=out[1])
+    out[:, K, -(K + 1)] = 0.0
+    return out
+
+
+def _truncate_reference(c: np.ndarray, params: SpectralParams) -> np.ndarray:
+    """_truncate as copy, then the gain, then the projection."""
+    w = c.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.abs(c)
+        r *= _amplitude_scale(params, c.shape[-1] - 1)
+    return _leray_reference(_gain_in_place(w, r), out=w)
+
+
+def _read_back_reference(spec: np.ndarray, K: int, N: int, pair: bool) -> np.ndarray:
+    """The kernel's read-back from its spectrum after the forward j1 pass:
+    the block gathered by np.concatenate, then the whole-block products."""
+    m12, mdiff = _curl_plan(K)
+    p = np.concatenate([spec[:, N - K :], spec[:, : K + 1]], axis=1)
+    out = m12 * p[0]
+    out += mdiff * p[1]
+    if pair:
+        J1, J2, _ = wavenumbers(K)
+        p[2] *= -0.5j
+        out[0] += J2 * p[2]
+        out[1] -= J1 * p[2]
+    out[:, K, 0] = 0.0
+    return out
+
+
+def _awkward(shape: tuple, rng: np.random.Generator) -> np.ndarray:
+    """Complex coefficients with NaN, inf and -0.0 parts among normal ones."""
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    flat = c.reshape(-1)
+    flat[::7] = complex(np.nan, 1.0)
+    flat[3::11] = complex(np.inf, -2.0)
+    flat[5::13] = complex(-0.0, -0.0)
+    flat[6::17] = complex(-np.inf, np.nan)
+    flat[2::19] = complex(0.5, -0.0)
+    flat[4::23] = complex(-0.0, np.inf)
+    return c
+
+
+@pytest.mark.parametrize("K", [8, 33])
+def test_the_in_place_leray_projection_keeps_every_bit(K):
+    half = _awkward((2, 2 * K + 1, K + 1), np.random.default_rng(K))
+    with np.errstate(all="ignore"):
+        for c in (half, _full_plane(half)):
+            want = _leray_reference(c)
+            assert same_bits(_leray_coeffs(c), want)
+            out = np.full(c.shape, complex(np.nan, np.nan))
+            assert _leray_coeffs(c, out=out) is out and same_bits(out, want)
+            ref, got = c.copy(), c.copy()
+            _leray_reference(ref, out=ref)
+            assert _leray_coeffs(got, out=got) is got and same_bits(got, ref)
+
+
+def _at_radii(K: int, params: SpectralParams, lo: float, hi: float, rng) -> np.ndarray:
+    """A half whose scaled amplitudes |c| |j|^{3+eps} / rho are drawn
+    uniformly from [lo, hi), and 0 at j = 0."""
+    z = random_field(K, rng, divergence_free=False).coeffs
+    r = np.abs(z) * _amplitude_scale(params, K)
+    return z * (rng.uniform(lo, hi, size=z.shape) / np.where(r > 0, r, 1.0))
+
+
+@pytest.mark.parametrize("K", [8, 33])
+def test_w_projects_in_place_with_every_bit(K):
+    params, tiny = SpectralParams(M=K), SpectralParams(M=K, rho=1e-306)
+    rng = np.random.default_rng(100 + K)
+    R = DEFAULT_OUTER_RADIUS
+    inside = _at_radii(K, params, 0.0, 0.99, rng)
+    shell = _at_radii(K, params, 1.01, 0.99 * R, rng)
+    dead = _at_radii(K, params, 0.0, 3.0 * R, rng)
+    nan = dead.copy()
+    nan.reshape(-1)[1::9] = complex(np.nan, 0.0)
+    # at rho = 1e-306 the amplitude scale overflows to inf: a nonzero
+    # coefficient is beyond the outer radius, a zero one has radius NaN
+    overflow = random_field(K, rng).coeffs.copy()
+    overflow.reshape(-1)[::5] = 0.0
+    assert np.isinf(_amplitude_scale(tiny, K)).any()
+    cases = {"inside": (inside, params), "shell": (shell, params), "dead": (dead, params),
+             "nan": (nan, params), "overflow": (overflow, tiny)}
+    for name, (c, p) in cases.items():
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = np.abs(c) * _amplitude_scale(p, K)
+        if name == "inside":
+            assert not (r > 1.0).any()
+        else:
+            assert ((r > 1.0) & (r < R)).any() or name == "overflow", name
+        if name in ("dead", "overflow"):
+            assert (r >= R).any(), name
+        want = _truncate_reference(c, p)
+        assert same_bits(_truncate(c, p), want), name
+
+
+def _spy_on_the_spectrum(monkeypatch) -> list:
+    """Make np.fft.fft, the kernel's forward j1 pass, record a copy of what
+    it returns: the spectrum just before the read-back."""
+    seen = []
+    real = np.fft.fft
+
+    def fft(a, *args, **kwargs):
+        out = real(a, *args, **kwargs)
+        seen.append(out.copy())
+        return out
+
+    monkeypatch.setattr(np.fft, "fft", fft)
+    return seen
+
+
+@pytest.mark.parametrize("K", [8, 12, 16, 33, 102])
+def test_the_kernel_reads_the_block_back_with_every_bit(K, monkeypatch, fresh_workspaces):
+    # at K = 8 (N = 25 = 3K + 1) and K = 16 (N = 50 = 3K + 2) the rows
+    # between the two slabs are fewer than the block's, so a read-back that
+    # used them as scratch would write over the slab of j1 < 0
+    (u, v), N = _kernel_input(K, np.random.default_rng(K))
+    seen = _spy_on_the_spectrum(monkeypatch)
+    for w in (None, v):
+        got = _curl_product(u, w, N)
+        assert len(seen) == 1
+        assert same_bits(got, _read_back_reference(seen.pop(), K, N, w is not None)), w is None
+
+
+@pytest.mark.parametrize("call, bound_mib", [("pair", 0.5), ("prepared", 1.0)])
+def test_a_warm_product_allocates_little_beyond_its_result(call, bound_mib, fresh_workspaces):
+    # beyond the result at K = 102, with the block gathered by np.concatenate
+    # and the projection's fresh divergence term: 1.77 MiB for the pair and
+    # 1.94 for _prepared_half; formed in place, 0.28 (the pair's strip
+    # temporaries) and 0.65 (W's copy and its radii)
+    (u, v), N = _kernel_input(102, np.random.default_rng(5))
+    assert N == 320
+    params = SpectralParams(M=102)
+    run = {"pair": lambda: _curl_product(u, v, N), "prepared": lambda: _prepared_half(u, params)}[call]
+    run()
+    tracemalloc.start()
+    try:
+        out = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes < bound_mib * 2**20
 
 
 @pytest.mark.parametrize("route", ["padded", "two-thirds"])

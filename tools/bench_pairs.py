@@ -1,9 +1,12 @@
 """Paired end-to-end benchmark runs of two checkouts.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload cone --pairs 10 --seconds 20
+    python3 tools/bench_pairs.py PARENT CHANGE --workload cone,averaging,lattice --pairs 10 --seconds 20
 
 Runs bench/run.py --trace 0 in each checkout, pair after pair, alternating
 which side goes first, with the same workload, seed and --seconds on both.
+--workload takes one workload or a comma-separated list; each pair then
+runs every listed workload on both sides, in the order given, with the
+pair's side first each time.
 The two checkout paths must have the same length: the path is part of what
 each benchmarked process loads, and a longer one moves peak_rss_mb by about
 0.19 MiB.  Both sides run with PYTHONDONTWRITEBYTECODE=1, so every repetition
@@ -15,9 +18,10 @@ Per metric it prints each side's median and quartiles and the number of
 pairs the change won: a pair is won when the change's value is better in the
 direction BENCHMARK.json gives for the metric (lower when it names none), and
 a tie counts for neither side.  Then it prints each side's failed and
-attempted repetitions, and the last line is the summary as strict JSON.  It
-exits 1 when the change failed a larger share of its repetitions than the
-parent.
+attempted repetitions, and then the summary as strict JSON on one line; it
+does so for each workload in turn, so the last line is the last workload's
+summary.  It exits 1 when, on any workload, the change failed a larger share
+of its repetitions than the parent.
 """
 
 from __future__ import annotations
@@ -95,12 +99,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent")
     parser.add_argument("change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        help="a workload, or a comma-separated list of workloads")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=int, default=20)
     args = parser.parse_args(argv)
     parent, change = (os.path.abspath(p) for p in (args.parent, args.change))
+    workloads = args.workload.split(",")
+    if "" in workloads or len(set(workloads)) != len(workloads):
+        print(f"error: --workload {args.workload!r} must list distinct workloads, "
+              "separated by single commas", file=sys.stderr)
+        return 2
     if len(parent) != len(change):
         print(f"error: checkout paths differ in length ({len(parent)} and {len(change)} "
               "characters), which moves peak_rss_mb", file=sys.stderr)
@@ -114,39 +124,44 @@ def main(argv: list[str] | None = None) -> int:
     if args.pairs < 1:
         print("error: --pairs must be at least 1", file=sys.stderr)
         return 2
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    failed = {"parent": 0, "change": 0}
-    attempted = {"parent": 0, "change": 0}
+    runs = {wl: {"parent": [], "change": []} for wl in workloads}
+    failed = {wl: {"parent": 0, "change": 0} for wl in workloads}
+    attempted = {wl: {"parent": 0, "change": 0} for wl in workloads}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            try:
-                result = run_bench(parent if side == "parent" else change,
-                                   args.workload, args.seed, args.seconds)
-            except (RuntimeError, json.JSONDecodeError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            failed[side] += result["failed"]
-            attempted[side] += result["attempted"]
-            runs[side].append({k: m["value"] for k, m in result["metrics"].items()})
-        print(f"pair {i + 1}/{args.pairs} ({order[0]} first): "
-              + "  ".join(f"{k} {runs['parent'][-1][k]:.4g} -> {runs['change'][-1][k]:.4g}"
-                          for k in runs["parent"][-1]), flush=True)
-    summary = summarize(runs["parent"], runs["change"], metric_directions(change))
-    for name, s in summary.items():
-        p, c = s["parent"], s["change"]
-        print(f"{name:12s} parent {p['median']:.4f} ({p['q1']:.4f}-{p['q3']:.4f})  "
-              f"change {c['median']:.4f} ({c['q1']:.4f}-{c['q3']:.4f})  "
-              f"{s['better']} is better; change won {s['won']}, lost {s['lost']} of {s['pairs']}")
-    print(f"failed repetitions: parent {failed['parent']} of {attempted['parent']}, "
-          f"change {failed['change']} of {attempted['change']}")
-    print(json.dumps({"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
-                      "failed": failed, "attempted": attempted, "metrics": summary}, allow_nan=False))
-    if failed_more(failed, attempted):
-        print("error: the change failed a larger share of its repetitions than the parent",
-              file=sys.stderr)
-        return 1
-    return 0
+        for wl in workloads:
+            for side in order:
+                try:
+                    result = run_bench(parent if side == "parent" else change, wl, args.seed, args.seconds)
+                except (RuntimeError, json.JSONDecodeError) as exc:
+                    print(f"error: {exc}", file=sys.stderr)
+                    return 2
+                failed[wl][side] += result["failed"]
+                attempted[wl][side] += result["attempted"]
+                runs[wl][side].append({k: m["value"] for k, m in result["metrics"].items()})
+            last = {side: runs[wl][side][-1] for side in order}
+            print(f"pair {i + 1}/{args.pairs} {wl} ({order[0]} first): "
+                  + "  ".join(f"{k} {last['parent'][k]:.4g} -> {last['change'][k]:.4g}" for k in last["parent"]),
+                  flush=True)
+    directions = metric_directions(change)
+    status = 0
+    for wl in workloads:
+        summary = summarize(runs[wl]["parent"], runs[wl]["change"], directions)
+        for name, s in summary.items():
+            p, c = s["parent"], s["change"]
+            print(f"{wl} {name:12s} parent {p['median']:.4f} ({p['q1']:.4f}-{p['q3']:.4f})  "
+                  f"change {c['median']:.4f} ({c['q1']:.4f}-{c['q3']:.4f})  "
+                  f"{s['better']} is better; change won {s['won']}, lost {s['lost']} of {s['pairs']}")
+        f, a = failed[wl], attempted[wl]
+        print(f"{wl} failed repetitions: parent {f['parent']} of {a['parent']}, "
+              f"change {f['change']} of {a['change']}")
+        print(json.dumps({"workload": wl, "seed": args.seed, "seconds": args.seconds,
+                          "failed": f, "attempted": a, "metrics": summary}, allow_nan=False))
+        if failed_more(f, a):
+            print(f"error: on {wl}, the change failed a larger share of its repetitions than the parent",
+                  file=sys.stderr)
+            status = 1
+    return status
 
 
 if __name__ == "__main__":
