@@ -9,27 +9,24 @@ bounds themselves are doubles, so membership at a boundary follows strict
 double semantics; the CLI warns when a requested bound sits within 1e-9 of an
 integer.
 
-One enumerator, _octant, lists the points 0 <= a <= b of lo <= a^2 + b^2 < hi:
-one per orbit of the square's symmetry group, the signed permutations of
-(a, b).  Its rows' segment bounds come from an integer square root (a
-float64 root corrected by one int64 step, exact below 2^52), and np.repeat
-expands the segments without a per-point Python object.
+One enumerator, _octant_walk, lists the points 0 <= a <= b of
+lo <= a^2 + b^2 < hi, one per orbit of the square's symmetry group, window
+by window of consecutive norms; _octant is its one-window case.  Row a keeps
+its next b and norm for the whole walk; a window takes the rows whose next
+norm is below its top, ends their segments at an exact integer square root,
+expands them with np.repeat and moves the rows on.
 
 * _points_with_norm_range adds each octant point's orbit and sorts, giving
   every point of n_min <= |j|^2 <= n_max as an (n, 2) int64 array in
-  lexicographic order: the one form a lattice point set takes (annulus_points
-  returns it, the sparse-annulus scan masks it, SparseAnnulus.points keeps
-  the certified annulus read-only).
-* The gap records and the strip count walk their range with _octant in
-  windows of _WINDOW consecutive norms, so their memory is set by the window
-  and not by the limit or mu.  The gap records mark each window's sums in a
-  window-sized mask and carry the last representable and the largest gap
-  across window edges.  The strip count weights each hit by its orbit size,
-  4 on the axes and diagonals and 8 elsewhere, exact because the admissible
-  directions, the scan range and |x . j| are invariant under the group.
-
-The full-range sieve representable_sieve is kept as the tests' oracle; no
-computation here uses it.
+  lexicographic order: the one form a lattice point set takes.
+* The gap records and the strip count walk in windows of _WINDOW = 2^15
+  norms, so their memory follows the window and not the limit or mu.  A
+  window holds about pi 2^15 / 8 points, so each of its arrays is about
+  100 KB, below glibc's 128 KiB mmap threshold: malloc reuses freed heap
+  instead of mapping pages to fault in anew.  The gap records mark each
+  window in one mask and carry the last representable and the largest gap
+  across window edges; the strip count weights each octant point's hit by
+  its orbit size.
 
 The sparse-annulus scan is the one place that certifies sparsity.  With the
 annulus it certifies the projector window around lambda_N, the largest
@@ -50,9 +47,8 @@ import numpy as np
 # of a point with a strip direction, is exact in float64 as well as in int64
 _NORM_BOUND = 2**52
 
-# the number of consecutive norms the gap records and the strip count take
-# from _octant at once; their memory follows it and not the range they walk
-_WINDOW = 2**18
+# the norms per window of the gap records' and the strip count's walk
+_WINDOW = 2**15
 
 # how far past its annulus the sparse-annulus scan enumerates, to find lambda_N
 # and lambda_next; gaps between sums of two squares stay far below it at any
@@ -176,11 +172,8 @@ def is_representable(n: int) -> bool:
 
 
 def representable_sieve(limit: int) -> np.ndarray:
-    """Boolean mask over 0..limit marking sums of two squares.
-
-    Marks a^2 + b^2 for all admissible pairs; O(limit) marks total.  The tests
-    check the windowed marks of record_gaps against it.
-    """
+    """Boolean mask over 0..limit marking sums of two squares, in O(limit)
+    marks; the tests' oracle for the walk's marks."""
     if limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
     mask = np.zeros(limit + 1, dtype=bool)
@@ -197,41 +190,34 @@ def record_gaps(limit: int) -> list[GapRecord]:
 
     A record must be strictly larger than every earlier gap; unit steps
     (adjacent representable integers) never open a gap, so the first record is
-    the jump from 2 to 4.  The record sequence is strictly increasing by
-    construction.  The integers are marked one window of _WINDOW at a time;
-    the last representable and the largest gap so far carry across window
-    edges.  Raises ValueError unless 0 <= limit < 2^52 (_NORM_BOUND).
+    the jump from 2 to 4, and the records strictly increase.  Raises
+    ValueError unless 0 <= limit < 2^52 (_NORM_BOUND).
     """
     if not 0 <= limit < _NORM_BOUND:
         raise ValueError(f"limit must lie in [0, 2^52), got {limit}")
     records: list[GapRecord] = []
     prev, best = 1, 1  # 1 = 0^2 + 1^2 is the first representable
-    for lo in range(2, limit + 1, _WINDOW):
-        reps = lo + np.flatnonzero(_marks(lo, min(lo + _WINDOW, limit + 1)))
+    mask = np.zeros(_WINDOW, dtype=bool)
+    for w, a, b in _octant_walk(2, limit + 1, len(mask)):
+        # in place: no other array is as long as the window's points
+        a *= a
+        b *= b
+        b += a
+        b -= w
+        mask[b] = True
+        reps = np.flatnonzero(mask)
+        mask.fill(False)
         if not reps.size:
             continue
+        reps += w
         gaps = np.diff(reps, prepend=prev)
-        # gap i is a record when it beats best and every gap before it
-        at = np.flatnonzero(gaps > np.maximum.accumulate(np.r_[best, gaps[:-1]]))
-        records += [
-            GapRecord(up - g, up, g)
-            for up, g in zip(reps[at].tolist(), gaps[at].tolist())
-        ]
-        prev, best = int(reps[-1]), max(best, int(gaps.max()))
+        at = np.flatnonzero(gaps > best)
+        for up, g in zip(reps[at].tolist(), gaps[at].tolist()):
+            if g > best:
+                records.append(GapRecord(up - g, up, g))
+                best = g
+        prev = int(reps[-1])
     return records
-
-
-def _marks(lo: int, hi: int) -> np.ndarray:
-    """Boolean mask over lo..hi - 1 marking sums of two squares, 0 <= lo < hi <= 2^52."""
-    a, b = _octant(lo, hi)
-    # in place, so a and b are the only arrays as long as the point list
-    a *= a
-    b *= b
-    b += a
-    b -= lo
-    mask = np.zeros(hi - lo, dtype=bool)
-    mask[b] = True
-    return mask
 
 
 def _isqrt(n: np.ndarray) -> np.ndarray:
@@ -267,29 +253,52 @@ def _points_with_norm_range(n_min: int, n_max: int) -> np.ndarray:
 
 
 def _octant(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """The points 0 <= a <= b with lo <= a^2 + b^2 < hi: int64 arrays a and b.
+    """The points 0 <= a <= b with lo <= a^2 + b^2 < hi: int64 arrays a and b,
+    lexicographic, one per orbit of the square's symmetry group."""
+    for _, a, b in _octant_walk(lo, hi, hi - lo):
+        return a, b
+    return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
 
-    Lexicographic, one point per orbit of the square's symmetry group.  Row
-    a, 2 a^2 < hi, holds the segment max(a, b_lo) <= b <= isqrt(hi - 1 - a^2),
-    b_lo the smallest b >= 0 with b^2 >= lo - a^2.  Raises ValueError when
-    hi > 2^52 (_NORM_BOUND).
+
+def _octant_walk(lo: int, hi: int, width: int | None = None):
+    """Yield (w, a, b), a and b the points of _octant(w, min(w + width, hi)),
+    for w = lo, lo + width, ... (width defaults to _WINDOW).
+
+    Raises ValueError when hi > 2^52 (_NORM_BOUND).
     """
     if hi > _NORM_BOUND:
         raise ValueError(f"norms must stay below 2^52, got a range up to {hi - 1}")
-    if hi <= max(lo, 0):
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    lo = max(lo, 0)
+    if hi <= lo:
+        return
     a = np.arange(math.isqrt((hi - 1) // 2) + 1, dtype=np.int64)
-    b_hi = _isqrt(hi - 1 - a * a)
-    n = np.maximum(lo - a * a, 0)
-    b_lo = _isqrt(n)
-    b_lo += b_lo * b_lo < n  # rounded up: the smallest b >= 0 with b^2 >= n
-    counts = b_hi - np.maximum(b_lo, a, out=b_lo) + 1
-    live = np.flatnonzero(counts > 0)
-    a, b_lo, counts = a[live], b_lo[live], counts[live]
-    first = np.cumsum(counts) - counts  # each row's offset in the output
-    b = np.arange(int(counts.sum()), dtype=np.int64)
-    b += np.repeat(b_lo - first, counts)
-    return np.repeat(a, counts), b
+    norm = a * a
+    n = np.maximum(lo - norm, 0)
+    b_next = _isqrt(n)
+    b_next += b_next * b_next < n  # rounded up: the smallest b >= 0 with b^2 >= n
+    np.maximum(b_next, a, out=b_next)
+    del a, n
+    norm += b_next * b_next  # each row's next norm
+    width = width or _WINDOW
+    for w in range(lo, hi, width):
+        top = min(w + width, hi)
+        a = np.flatnonzero(norm < top)  # the live rows, row index = a
+        # consecutive rows, as below norm 2^28, index faster as a slice
+        rows = slice(a[0], a[-1] + 1) if a.size and a[-1] - a[0] < a.size else a
+        b_lo = b_next[rows]
+        a2 = a * a
+        b_end = _isqrt(top - 1 - a2)
+        b_end += 1  # the segments are b_lo <= b < b_end
+        counts = b_end - b_lo
+        ends = np.cumsum(counts)  # row ends in the output
+        b_lo = b_lo - ends + counts  # not in place: b_lo may view b_next
+        b_next[rows] = b_end
+        b_end *= b_end
+        b_end += a2
+        norm[rows] = b_end
+        b = np.arange(ends[-1] if ends.size else 0, dtype=np.int64)
+        b += np.repeat(b_lo, counts)
+        yield w, np.repeat(a, counts), b
 
 
 def annulus_points(lam: float, k: float) -> np.ndarray:
@@ -356,8 +365,8 @@ def find_sparse_annulus(mu: float, s: float) -> SparseAnnulus | None:
 
     A bin that fails any check moves the scan on; returns None when every bin
     fails.  Each bin visited is enumerated once, in O(sqrt(mu)) row steps, over
-    a range holding all three sets, lambda_N and lambda_next; the cost follows
-    the bins visited and never the whole J-bin range.  Raises ValueError when
+    a range holding all three sets, lambda_N and lambda_next, so the cost
+    follows the bins visited.  Raises ValueError when
     no eigenvalue lies within the margin below or above lambda.
     """
     fam = AnnulusFamily(mu, s)
@@ -422,9 +431,9 @@ def strip_statistics(mu: float, s: float) -> StripStats:
     """Count annulus-family lattice points inside the union of admissible strips.
 
     The strip for direction j is {x : |x . j| < mu^s}; admissible directions
-    satisfy 0 < |j| <= mu^{s/2}.  The scan range mu < |x|^2 <= mu + (J+1) kappa
-    is walked in windows of _WINDOW norms, and membership is tested directly
-    for the octant points 0 <= x1 <= x2 of each window.  The admissible
+    satisfy 0 < |j| <= mu^{s/2}.  The walk over the scan range
+    mu < |x|^2 <= mu + (J+1) kappa gives the octant points 0 <= x1 <= x2,
+    whose membership is tested directly.  The admissible
     directions, the scan range and |x . j| are invariant under the signed
     permutations of coordinates, so a hit stands for its whole orbit: 4 points
     for (0, b) and (a, a), 8 otherwise.  Since |x . (-j)| = |x . j|, only one
@@ -435,20 +444,19 @@ def strip_statistics(mu: float, s: float) -> StripStats:
     fam = AnnulusFamily(mu, s)
     js = _points_with_norm_range(1, math.floor(mu**s))
     directions = js[len(js) // 2 :]
-    width = mu**s
+    width = math.ceil(mu**s) - 1  # an integer |x . j| < mu^s is <= width
     # the integers n with mu < n <= mu + (J+1) kappa are exactly lo <= n < hi
     lo, hi = math.floor(mu) + 1, math.floor(fam.bin_edge(fam.J + 1)) + 1
     hits = 0
-    for w in range(lo, hi, _WINDOW):
-        x1, x2 = _octant(w, min(w + _WINDOW, hi))
+    for _, x1, x2 in _octant_walk(lo, hi):
         # one direction at a time, into one buffer: a points x directions
-        # matrix is hundreds of MB
+        # matrix is megabytes even per window
         hit = np.zeros(len(x1), dtype=bool)
         dot = np.empty(len(x1), dtype=np.int64)
         for a, b in directions:
             np.multiply(x1, a, out=dot)
             dot += b * x2
-            hit |= np.abs(dot, out=dot) < width
+            hit |= np.abs(dot, out=dot) <= width
         orbit4 = hit & ((x1 == 0) | (x1 == x2))
         hits += 8 * int(np.count_nonzero(hit)) - 4 * int(np.count_nonzero(orbit4))
     return StripStats(mu=mu, s=s, strip_count=len(js), lattice_hits=hits)

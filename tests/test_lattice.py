@@ -24,8 +24,8 @@ from hypernse.lattice import (
     GapRecord,
     StripStats,
     _isqrt,
-    _marks,
     _octant,
+    _octant_walk,
     _points_with_norm_range,
 )
 
@@ -97,12 +97,46 @@ def test_gap_records_across_window_edges(monkeypatch, window):
 
 
 @pytest.mark.parametrize("window", [1, 7, 64, 1000])
-def test_window_marks_match_the_sieve_slice_by_slice(window):
+def test_walk_marks_match_the_sieve_window_by_window(window):
     limit = 5_000
     sieve = representable_sieve(limit)
-    for lo in range(0, limit + 1, window):
-        hi = min(lo + window, limit + 1)
-        assert np.array_equal(_marks(lo, hi), sieve[lo:hi]), lo
+    starts = []
+    for w, a, b in _octant_walk(0, limit + 1, window):
+        starts.append(w)
+        top = min(w + window, limit + 1)
+        marks = np.zeros(top - w, dtype=bool)
+        marks[a * a + b * b - w] = True
+        assert np.array_equal(marks, sieve[w:top]), w
+    assert starts == list(range(0, limit + 1, window))
+
+
+@pytest.mark.parametrize("window", [1, 2, 7, 64, None])
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        # across the perfect squares 48^2, 49^2, 50^2 and the diagonal 2 * 35^2
+        (2300, 2510), (2449, 2452), (2440, 2460),
+        # from 0, and ending just past a square and twice a square
+        (0, 400), (0, 201), (-7, 51), (97, 163),
+    ],
+)
+def test_walk_concatenates_to_the_one_window_octant(monkeypatch, window, lo, hi):
+    # without a width the walk reads _WINDOW when it is called, as
+    # strip_statistics calls it
+    monkeypatch.setattr(lattice, "_WINDOW", 5)
+    width = window or 5
+    points = []
+    starts = []
+    for w, a, b in _octant_walk(lo, hi, *([window] if window else [])):
+        starts.append(w)
+        window_points = list(zip(a.tolist(), b.tolist()))
+        # each window is lexicographic and holds only its own norms
+        assert window_points == sorted(window_points)
+        assert all(w <= x * x + y * y < w + width for x, y in window_points)
+        points += window_points
+    assert starts == list(range(max(lo, 0), hi, width))
+    assert sorted(points) == brute_octant(lo, hi)
+    assert sorted(points) == list(zip(*(c.tolist() for c in _octant(lo, hi))))
 
 
 @pytest.mark.parametrize("limit", [-1, 2**52])
@@ -121,13 +155,15 @@ def _traced_peak(f, *args) -> int:
 
 
 def test_gap_records_run_in_window_sized_memory():
-    # a full-range mask with its representables and gaps peaks at 19.6 MiB
-    assert _traced_peak(record_gaps, 4_000_000) < 8 * 2**20
+    # a full-range mask with its representables and gaps peaks at 19.6 MiB,
+    # 2^18-norm windows at 2.7 MiB, the walk's 2^15-norm windows at 0.8 MiB
+    assert _traced_peak(record_gaps, 4_000_000) < 1.5 * 2**20
 
 
 def test_strip_statistics_runs_in_window_sized_memory():
-    # every point of the scan range at once peaks at 103.9 MiB
-    assert _traced_peak(strip_statistics, 1.0e9, 0.15) < 16 * 2**20
+    # every point of the scan range at once peaks at 103.9 MiB, 2^18-norm
+    # windows at 5.5 MiB, the walk's 2^15-norm windows at 1.6 MiB
+    assert _traced_peak(strip_statistics, 1.0e9, 0.15) < 3 * 2**20
 
 
 def test_gap_record_endpoints_and_interiors():

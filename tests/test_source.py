@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package and no test module imports a
 name it never uses, the package reads every private name that one of its
 modules defines, only the oracles build the full coefficient plane, only
-the one transform kernel calls numpy.fft, and importing the command line
-does no numerical work.
+the one transform kernel calls numpy.fft, only the one lattice walk takes
+integer square roots of rows or expands them, and importing the command
+line does no numerical work.
 
 No linter is a dependency, so this walks each module's syntax tree.  The
 package __init__ is exempt from the import check: its imports are its
@@ -173,6 +174,48 @@ def test_only_the_kernel_transforms():
     # one transform kernel (spectral): a transform anywhere else is a second one
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
     assert fft_users(sources) == {"spectral._curl_product"}
+
+
+def row_enumerators(sources: dict[str, str]) -> set[str]:
+    """module.name of every module-level definition that reads _isqrt or
+    reaches a repeat (np.repeat, or an array's repeat method), the definition
+    of _isqrt aside; any other module-level statement that does, an import of
+    _isqrt or of numpy's repeat included, counts as module.<module>."""
+    out = set()
+    for mod, src in sources.items():
+        for stmt in ast.parse(src).body:
+            bound = _bound_names(stmt)
+            if "_isqrt" in bound:
+                continue
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.ImportFrom):
+                    hit = any(a.name in ("_isqrt", "repeat") for a in node.names)
+                else:
+                    hit = (isinstance(node, ast.Name) and node.id == "_isqrt") or (
+                        isinstance(node, ast.Attribute) and node.attr == "repeat")
+                if hit:
+                    out.add(f"{mod}.{bound[0] if bound else '<module>'}")
+    return out
+
+
+def test_row_enumerators_finds_an_orphan():
+    sources = {
+        "a": "import numpy as np\n\ndef _isqrt(n):\n    return np.sqrt(n)\n\n"
+             "def walk(n):\n    return np.repeat(n, _isqrt(n))\n\n"
+             "def rows(n):\n    return _isqrt(n)\n\ndef expand(x, c):\n    return x.repeat(c)\n\n"
+             "def free(x):\n    return np.sqrt(x)\n\nclass C:\n    f = staticmethod(_isqrt)\n",
+        "b": "from numpy import repeat\n",
+        "c": "from .a import _isqrt\n\nX = _isqrt(4)\n",
+    }
+    assert row_enumerators(sources) == {
+        "a.walk", "a.rows", "a.expand", "a.C", "b.<module>", "c.<module>", "c.X"}
+
+
+def test_only_the_walk_enumerates():
+    # one lattice enumerator (lattice): a second per-window row computation
+    # would take its own square roots or expand its own segments
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert row_enumerators(sources) == {"lattice._octant_walk"}
 
 
 # Run in a fresh interpreter: imports the package from the directory the
