@@ -21,9 +21,9 @@ Two independent routes to the matrix are provided:
   of differences; no transforms, no dense grids, so it scales to mu = 1e6.
 * :func:`weak_restricted_operator` pushes each basis mode through the
   derivative of the truncated nonlinearity (apply_W_prime, spectral's
-  transform kernel on the padded grid, the half-inverse Laplacian) as two
-  real fields, then reads the band coefficients.  Small truncations only;
-  it is the cross-check oracle.
+  transform kernel, the half-inverse Laplacian) as two real fields, then
+  reads the band coefficients.  Small truncations only; it is the
+  cross-check oracle.
 
 The truncation derivative is real-linear but not complex-linear wherever a
 coefficient magnitude falls in the transition shell of the radial profile.
@@ -46,7 +46,7 @@ from .spectral import (
     SpectralParams,
     _binary_exponent,
     _curl_product,
-    _route_grid,
+    _gather,
     random_field,
     sobolev_norm,
     wavenumbers,
@@ -72,21 +72,6 @@ def band_basis(lambda_N: int, k: float) -> tuple[np.ndarray, np.ndarray]:
     j = annulus_points(lambda_N, k).T
     norm = np.sqrt(j[0] * j[0] + j[1] * j[1])
     return j, np.stack([-j[1] / norm, j[0] / norm])
-
-
-def _gather(c: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """The half c of a real field or scalar, of shape (..., 2M+1, M+1), read
-    at the lattice points j, an integer array of shape (2, ...): coefficient
-    pairs for a field, values for a scalar; a point j2 < 0 reads the
-    conjugate at -j, and a point beyond the truncation M reads zero."""
-    M = c.shape[-1] - 1
-    inside = np.all(np.abs(j) <= M, axis=0)
-    flip = j[1] < 0
-    j = np.where(flip, -j, j)
-    out = np.zeros(c.shape[:-2] + j.shape[1:], dtype=np.complex128)
-    out[..., inside] = c[..., j[0, inside] + M, j[1, inside]]
-    np.conj(out, out=out, where=flip)
-    return out
 
 
 def assemble_restricted_operator(
@@ -148,10 +133,9 @@ def weak_restricted_operator(
     if np.any(np.abs(j) > M):
         raise ValueError("band does not fit inside the sample truncation")
     w = apply_W(u, params).coeffs
-    N = _route_grid(M, "padded")[1]
 
     def image(dw: FourierField) -> np.ndarray:
-        return _gather(_curl_product(dw.coeffs, w, N) + _curl_product(w, dw.coeffs, N), j)
+        return _gather(_curl_product(dw.coeffs, w) + _curl_product(w, dw.coeffs), j)
 
     # A^{-1/2} at the band points
     inv_sqrt = np.float64(j[0] * j[0] + j[1] * j[1]) ** -0.5

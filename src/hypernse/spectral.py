@@ -23,35 +23,35 @@ block |j|_inf <= K, j2 >= 0 that they hold, by real transforms; it is
 B(u, v) = P (u . grad) v when u is divergence-free.  The square T = u u^T
 takes two inverse and two forward transforms, a pair four and three.
 truncation._prepared_half, the solver's product, applies the square to
-W(u); nonlinearity_F_prime, the weak assembly of averaging and the
-transform routes of bilinear_B apply the pair.  The Leray
-projection is the array helper _leray_coeffs, which leray_project and W
-share.
+W(u); nonlinearity_F_prime, the weak assembly of averaging and bilinear_B
+apply the pair.  The Leray projection is the array helper _leray_coeffs,
+which leray_project and W share.
+
+The kernel takes its grid with its buffers from _workspace, by the one grid
+rule: N is the smallest 2-3-5-smooth integer >= 3K + 1, per direction.  This
+is the padded (3/2) rule, alias-free: the true product has modes
+|k|_inf <= 2K, and an aliased image k +- N can only land on the block
+(|k +- N| <= K) if N <= 3K, which the grid size excludes; so the kernel is
+the exact truncated convolution, and agrees with the direct route to
+rounding through disjoint code paths.
 
 Product evaluation routes of bilinear_B (its `dealias` argument):
 
-* "padded"      the kernel on every mode |j|_inf <= K = M, on the smallest
-                2-3-5-smooth grid of N >= 3K + 1 points per direction, read
-                back on that block.  Alias-free: the true product has modes
-                |k|_inf <= 2K, and an aliased image k +- N can only land on
-                the block (|k +- N| <= K) if N <= 3K, which the grid size
-                excludes; so it is the exact truncated convolution.
-* "two-thirds"  the same rule on the block K = floor(2M/3) of u and v; every
+* "two-thirds"  the kernel on the block K = floor(2M/3) of u and v; every
                 mode |j|_inf > K of the result is zero.
 * "direct"      exact convolution summed over all mode pairs, no transforms;
                 the oracle route, intended for M <= 16.
 
-"padded" and "direct" agree to rounding through disjoint code paths;
-"two-thirds" is mask(direct(mask u, mask v)), the padded product on the
-block (Orszag 1971), which a run gets by cutting its fields to the block
-(cli).  The transform routes need a divergence-free u, and refuse any other.
-The direct route and trilinear_b are the oracles: they build the full plane
-of their fields at their edge with _full_plane (tests/test_source.py lists
-them), and take any u.
+"two-thirds" is mask(direct(mask u, mask v)), the kernel on the block
+(Orszag 1971), which a run gets by cutting its fields to the block (cli).
+It needs a divergence-free u, and refuses any other.  The direct route and
+trilinear_b are the oracles: they build the full plane of their fields at
+their edge with _full_plane (tests/test_source.py lists them), and take any
+u.  _gather reads a half at lattice points, FourierField.mode one of them.
 
 wavenumbers and laplacian_power cache their grids per truncation, and
-_workspace the kernel's buffers per grid.  A draw (random_field) caches
-nothing: its decay symbol, its Leray denominator and the masks of
+_workspace the kernel's grid and buffers per block.  A draw (random_field)
+caches nothing: its decay symbol, its Leray denominator and the masks of
 CutoffFamily are built per call, so a draw leaves no grid at its own
 truncation, which for the cone stage is larger than any it steps at.  Sobolev norms are formed the same way.
 """
@@ -195,14 +195,9 @@ class FourierField:
         return cls(M, c)
 
     def mode(self, j) -> np.ndarray:
-        """Coefficient pair at lattice point j, zero outside the truncation;
-        for j2 < 0 the conjugate of the stored pair at -j."""
-        j1, j2 = j
-        if max(abs(j1), abs(j2)) > self.M:
-            return np.zeros(2, dtype=np.complex128)
-        if j2 < 0:
-            return np.conj(self.coeffs[:, self.M - j1, -j2])
-        return self.coeffs[:, j1 + self.M, j2].copy()
+        """Coefficient pair at lattice point j, a new array (_gather): zero
+        outside the truncation, for j2 < 0 the conjugate of the pair at -j."""
+        return _gather(self.coeffs, np.asarray(j))
 
     def block(self, K: int) -> "FourierField":
         """The modes |j|_inf <= K of this field, as a field at truncation K."""
@@ -253,6 +248,21 @@ def _full_plane(h: np.ndarray) -> np.ndarray:
     c[..., M:] = h
     np.conj(h[..., ::-1, :0:-1], out=c[..., :M])
     return c
+
+
+def _gather(c: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The half c of a real field or scalar, of shape (..., 2M+1, M+1), read
+    at the lattice points j, an integer array of shape (2, ...): coefficient
+    pairs for a field, values for a scalar; a point j2 < 0 reads the
+    conjugate at -j, and a point beyond the truncation M reads zero."""
+    M = c.shape[-1] - 1
+    inside = np.all(np.abs(j) <= M, axis=0)
+    flip = j[1] < 0
+    j = np.where(flip, -j, j)
+    out = np.zeros(c.shape[:-2] + j.shape[1:], dtype=np.complex128)
+    out[..., inside] = c[..., j[0, inside] + M, j[1, inside]]
+    np.conj(out, out=out, where=flip & inside)
+    return out
 
 
 def _pairing(a: np.ndarray, b: np.ndarray) -> float:
@@ -436,22 +446,25 @@ _STRIP = 32
 
 
 @lru_cache(maxsize=4)
-def _workspace(n: int, K: int, N: int):
-    """The buffers _curl_product reuses for n = 2 (square) or 4 (pair) grid
-    components at block K and grid N: the spectrum (n, N, K+1), 1 MiB for
-    the square at K = 102, and strips of n grid rows and of their m = 2 or
-    3 products and its spectra.  At most four are kept."""
+def _workspace(n: int, K: int):
+    """The grid N of block K, the one grid rule (module docstring), and the
+    buffers _curl_product reuses for n = 2 (square) or 4 (pair) grid
+    components: the spectrum (n, N, K+1), 1 MiB for the square at K = 102,
+    and strips of n grid rows and of their m = 2 or 3 products and its
+    spectra.  At most four are kept."""
+    N = _smooth_size(3 * K + 1)
     m = 2 if n == 2 else 3
-    return (np.empty((n, N, K + 1), dtype=np.complex128), np.empty((n, _STRIP, N)),
+    return (N, np.empty((n, N, K + 1), dtype=np.complex128), np.empty((n, _STRIP, N)),
             np.empty((m, _STRIP, N)), np.empty((m, _STRIP, N // 2 + 1), dtype=np.complex128))
 
 
-def _curl_product(u: np.ndarray, v: np.ndarray | None, N: int) -> np.ndarray:
+def _curl_product(u: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
     """P div(u v^T), the Leray-projected divergence of T = u v^T, on the half
     block |j|_inf <= K, j2 >= 0, shape (2, 2K+1, K+1), of the real fields u
-    and v that such halves hold, via real transforms on an N-point grid; a
-    new array, read back on the same block (no masking).  v = None is the
-    square u u^T.  For a divergence-free u this is B(u, v) = P (u . grad) v.
+    and v that such halves hold, via real transforms on the grid N of
+    _workspace; a new array, read back on the same block (no masking).
+    v = None is the square u u^T.  For a divergence-free u this is
+    B(u, v) = P (u . grad) v.
 
     The projection is j_perp (j_perp . i j T_hat) / |j|^2 with
     j_perp = (j2, -j1), and with S12 = (T12 + T21) / 2
@@ -475,7 +488,7 @@ def _curl_product(u: np.ndarray, v: np.ndarray | None, N: int) -> np.ndarray:
     K = u.shape[-1] - 1
     m12, mdiff = _curl_plan(K)
     fields = (u,) if v is None else (u, v)
-    spec, grid, prod, rspec = _workspace(2 * len(fields), K, N)
+    N, spec, grid, prod, rspec = _workspace(2 * len(fields), K)
     m, w = len(prod), grid.shape[1]
     slabs = ((slice(K), slice(N - K, N)), (slice(K, None), slice(K + 1)))
     for b, rows in slabs:
@@ -549,25 +562,16 @@ def _advect_direct(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _route_grid(M: int, dealias: str) -> tuple[int, int]:
-    """(K, N) of a transform route: it reads and returns the block
-    |j|_inf <= K and transforms on the smallest 2-3-5-smooth grid of
-    N >= 3K + 1 points, the one grid rule (module docstring)."""
-    if dealias not in ("two-thirds", "padded"):
-        raise ValueError(f"unknown dealias mode {dealias!r}")
-    K = two_thirds_limit(M) if dealias == "two-thirds" else M
-    return K, _smooth_size(3 * K + 1)
-
-
 def bilinear_B(u: FourierField, v: FourierField, dealias: str = "two-thirds") -> FourierField:
     """B(u, v) = Leray projection of (u . grad) v, truncated to M.
 
-    dealias selects the product route; see the module docstring.  The
-    "two-thirds" route transforms only the modes |j|_inf <= floor(2M/3) and
-    returns zero above them.  The transform routes compute P div(u v^T) on
-    the halves (_curl_product), which is B(u, v) only for a divergence-free
-    u, so they raise ValueError for a u whose divergence is above rounding;
-    the direct route takes any u, on the full planes of u and v.
+    dealias selects the product route, "two-thirds" or "direct" (module
+    docstring), and any other raises ValueError.  The "two-thirds" route
+    transforms only the modes |j|_inf <= floor(2M/3) and returns zero above
+    them.  It computes P div(u v^T) on the halves (_curl_product), which is
+    B(u, v) only for a divergence-free u, so it raises ValueError for a u
+    whose divergence is above rounding; the direct route takes any u, on the
+    full planes of u and v.
     """
     u._check_compatible(v)
     M = u.M
@@ -575,19 +579,21 @@ def bilinear_B(u: FourierField, v: FourierField, dealias: str = "two-thirds") ->
         raw = _advect_direct(_full_plane(u.coeffs), _full_plane(v.coeffs))[:, :, M:]
         raw[:, M, 0] = 0.0
         return FourierField._wrap(M, _leray_coeffs(raw))
-    K, N = _route_grid(M, dealias)
+    if dealias != "two-thirds":
+        raise ValueError(f"unknown dealias mode {dealias!r}")
+    K = two_thirds_limit(M)
     defect = u.divergence_defect()
     _, _, LAM = wavenumbers(M)
     # j . u_hat[j] sums terms of size |j| |u_hat[j]|; a Leray projection
     # leaves a few units in the last place of them
     if defect > 1e-12 * np.max(np.sqrt(LAM) * np.abs(u.coeffs)):
         raise ValueError(
-            f"the {dealias!r} route of bilinear_B needs a divergence-free u "
+            f"the 'two-thirds' route of bilinear_B needs a divergence-free u "
             f"(max |j . u_hat[j]| = {defect:.3g}); apply leray_project or use the direct route"
         )
     out = np.zeros_like(u.coeffs)
     blk = (slice(None), slice(M - K, M + K + 1), slice(0, K + 1))
-    out[blk] = _curl_product(u.coeffs[blk], v.coeffs[blk], N)
+    out[blk] = _curl_product(u.coeffs[blk], v.coeffs[blk])
     return FourierField._wrap(M, out)
 
 

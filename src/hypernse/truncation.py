@@ -34,9 +34,9 @@ _prepared_half alone, on the half j2 >= 0 that a field holds (spectral);
 prepared_product wraps it as a field, and the time loop of dynamics calls it
 on its states.  Because W and the Leray projection act mode by mode, W is
 computed on that half and the projected product formed there in one pass, on
-the padded grid of the whole truncation, by the square of spectral's one
-transform kernel, _curl_product; this needs W(u) divergence-free mode by
-mode, which W's own projection gives.  It agrees with the oracle
+the whole truncation, by the square of spectral's one transform kernel,
+_curl_product, on the kernel's own grid; this needs W(u) divergence-free
+mode by mode, which W's own projection gives.  It agrees with the oracle
 bilinear_B(apply_W(u), apply_W(u), "direct") to rounding.  There is one
 route: the two-thirds rule at M is this product on the block floor(2M/3),
 which cli cuts its fields to.  The amplitude scale is cached per (params, K).
@@ -55,7 +55,6 @@ from .spectral import (
     SpectralParams,
     _curl_product,
     _leray_coeffs,
-    _route_grid,
     apply_A_power,
     laplacian_power,
 )
@@ -231,15 +230,13 @@ def _prepared_half(h: np.ndarray, params: SpectralParams) -> np.ndarray:
 
     W is computed on the half, and the Leray projection of
     (w . grad) w = div(w w^T) is formed with two inverse and two forward real
-    transforms on the padded grid (spectral._route_grid,
-    spectral._curl_product).  The j = 0 coefficient is an exact 0 even when
-    h holds inf or NaN, so such a state is reported as a blow-up, not
-    rejected as a field with a mean."""
-    N = _route_grid(h.shape[-1] - 1, "padded")[1]
+    transforms on the kernel's grid (spectral._curl_product).  The j = 0
+    coefficient is an exact 0 even when h holds inf or NaN, so such a state
+    is reported as a blow-up, not rejected as a field with a mean."""
     # W(u) stays a temporary argument: a local name for it (or passing it as
     # v too) keeps a second reference, which left one product's traced peak
     # alone but raised a cone run's peak resident memory by 0.6 MiB
-    return _curl_product(_truncate(h, params), None, N)
+    return _curl_product(_truncate(h, params))
 
 
 def prepared_product(u: FourierField, params: SpectralParams) -> FourierField:
@@ -261,8 +258,7 @@ def nonlinearity_F_prime(u: FourierField, v: FourierField, params: SpectralParam
     both divergence-free."""
     w = _truncate(u.coeffs, params)
     dw = apply_W_prime(u, v, params).coeffs
-    N = _route_grid(u.M, "padded")[1]
-    s = _curl_product(dw, w, N) + _curl_product(w, dw, N)
+    s = _curl_product(dw, w) + _curl_product(w, dw)
     return apply_A_power(FourierField._wrap(u.M, s), -0.5)
 
 

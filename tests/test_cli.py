@@ -246,10 +246,10 @@ def _two_thirds_product(monkeypatch) -> None:
 
     def two_thirds(h, params):
         M = h.shape[-1] - 1
-        K, N = hypernse.spectral._route_grid(M, "two-thirds")
+        K = hypernse.spectral.two_thirds_limit(M)
         w = hypernse.truncation._truncate(h[:, M - K : M + K + 1, : K + 1], params)
         out = np.zeros(h.shape, dtype=np.complex128)
-        out[:, M - K : M + K + 1, : K + 1] = hypernse.spectral._curl_product(w, None, N)
+        out[:, M - K : M + K + 1, : K + 1] = hypernse.spectral._curl_product(w)
         return out
 
     monkeypatch.setattr(hypernse.dynamics, "_prepared_half", two_thirds)
@@ -616,7 +616,7 @@ def test_the_linear_cone_inequality_holds_at_any_viscosity(tmp_path, nu):
 
 def test_cone_check_steps_the_two_thirds_block_of_the_cone_workload(tmp_path):
     # fields drawn at M_run = 153 are stepped on its two-thirds block K = 102,
-    # where the padded product is the two-thirds product at 153 (grid N = 320)
+    # where the kernel's product is the two-thirds product at 153 (grid N = 320)
     out = tmp_path / "block"
     rc = main(["cone-check", "--mu", "1e4", "--s", "0.15", "--T", "0.001", "--out", str(out)])
     assert rc == 0

@@ -1,9 +1,9 @@
 """Source hygiene: no module of the package and no test module imports a
 name it never uses, the package reads every private name that one of its
 modules defines, only the oracles build the full coefficient plane, only
-the one transform kernel calls numpy.fft, only the one lattice walk takes
-integer square roots of rows or expands them, and importing the command
-line does no numerical work.
+the one transform kernel calls numpy.fft, only the kernel's cache sizes its
+grid, only the one lattice walk takes integer square roots of rows or
+expands them, and importing the command line does no numerical work.
 
 No linter is a dependency, so this walks each module's syntax tree.  The
 package __init__ is exempt from the import check: its imports are its
@@ -107,17 +107,17 @@ FULL_PLANE_READERS = {
 }
 
 
-def full_plane_readers(sources: dict[str, str]) -> set[str]:
-    """module.name of every module-level definition that reads _full_plane,
-    its own definition aside; a read by any other module-level statement but
-    an import counts as module.<module>."""
+def readers(sources: dict[str, str], name: str) -> set[str]:
+    """module.name of every module-level definition that reads name, its own
+    definition aside; a read by any other module-level statement but an
+    import counts as module.<module>."""
     out = set()
     for mod, src in sources.items():
         for stmt in ast.parse(src).body:
             bound = _bound_names(stmt)
-            if isinstance(stmt, (ast.Import, ast.ImportFrom)) or "_full_plane" in bound:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)) or name in bound:
                 continue
-            if "_full_plane" in _read_names(stmt):
+            if name in _read_names(stmt):
                 out.add(f"{mod}.{bound[0] if bound else '<module>'}")
     return out
 
@@ -129,12 +129,30 @@ def test_full_plane_readers_finds_an_orphan():
              "class F:\n    def m(self):\n        return _full_plane(self)\n",
         "b": "from .a import _full_plane\n\nX = _full_plane([])\n_full_plane(X)\n\ndef g():\n    return 1\n",
     }
-    assert full_plane_readers(sources) == {"a.oracle", "a.F", "b.X", "b.<module>"}
+    assert readers(sources, "_full_plane") == {"a.oracle", "a.F", "b.X", "b.<module>"}
 
 
 def test_only_the_oracles_read_the_full_plane():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
-    assert full_plane_readers(sources) == FULL_PLANE_READERS
+    assert readers(sources, "_full_plane") == FULL_PLANE_READERS
+
+
+# The one grid rule (spectral): the kernel takes the grid of a block from
+# its cache, _workspace, and no caller computes or passes a grid size.
+def test_grid_rule_readers_finds_an_orphan():
+    sources = {
+        "a": "def _smooth_size(n):\n    return n if n < 2 else _smooth_size(n - 1)\n\n"
+             "@lru_cache\ndef _workspace(K):\n    return _smooth_size(3 * K + 1)\n\n"
+             "def route(M):\n    return M, _smooth_size(3 * M + 1)\n\n"
+             "class R:\n    size = staticmethod(_smooth_size)\n",
+        "b": "from .a import _smooth_size\n\nN = _smooth_size(25)\n",
+    }
+    assert readers(sources, "_smooth_size") == {"a._workspace", "a.route", "a.R", "b.N"}
+
+
+def test_only_the_kernel_cache_sizes_the_grid():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert readers(sources, "_smooth_size") == {"spectral._workspace"}
 
 
 def fft_users(sources: dict[str, str]) -> set[str]:

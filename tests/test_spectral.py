@@ -31,7 +31,6 @@ from hypernse.spectral import (
     _full_plane,
     _leray_coeffs,
     _random_coeffs,
-    _route_grid,
     _smooth_size,
     _workspace,
     laplacian_power,
@@ -126,13 +125,14 @@ def test_sobolev_norm_consistency():
 
 
 def test_product_routes_agree_padded_vs_direct():
+    # the kernel on the whole truncation K = M, on its padded grid, against
+    # the direct convolution
     rng = np.random.default_rng(4)
     for _ in range(5):
         u = random_field(8, rng)
         v = random_field(8, rng)
-        bp = bilinear_B(u, v, dealias="padded")
         bd = bilinear_B(u, v, dealias="direct")
-        assert rel(bp, bd) < 1e-12
+        assert rel(_curl_product(u.coeffs, v.coeffs), bd) < 1e-12
 
 
 def test_two_thirds_route_equals_masked_direct():
@@ -149,8 +149,7 @@ def test_the_square_is_the_pair_of_a_field_with_itself(M):
     # the square's two products and the pair's three reach the same
     # P div(u u^T) by different roundings
     u = random_field(M, np.random.default_rng(M), decay=2.0)
-    N = _route_grid(M, "padded")[1]
-    assert rel(_curl_product(u.coeffs, None, N), _curl_product(u.coeffs, u.coeffs.copy(), N)) <= 1e-14
+    assert rel(_curl_product(u.coeffs), _curl_product(u.coeffs, u.coeffs.copy())) <= 1e-14
 
 
 @pytest.fixture
@@ -162,7 +161,7 @@ def fresh_workspaces():
 
 def _kernel_input(K: int, rng: np.random.Generator, count: int = 2):
     """count divergence-free halves at block K, and the kernel's grid N."""
-    return [random_field(K, rng, decay=2.0).coeffs for _ in range(count)], _route_grid(K, "padded")[1]
+    return [random_field(K, rng, decay=2.0).coeffs for _ in range(count)], _workspace(2, K)[0]
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -172,11 +171,11 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 @pytest.mark.parametrize("K", [8, 102])
 def test_the_strip_width_changes_no_bit(K, monkeypatch, fresh_workspaces):
     (u, v), N = _kernel_input(K, np.random.default_rng(K))
-    want = [_curl_product(u, w, N) for w in (None, v)]
+    want = [_curl_product(u, w) for w in (None, v)]
     for strip in (1, 7, N + 1):
         monkeypatch.setattr(spectral, "_STRIP", strip)
         _workspace.cache_clear()
-        got = [_curl_product(u, w, N) for w in (None, v)]
+        got = [_curl_product(u, w) for w in (None, v)]
         assert all(same_bits(a, b) for a, b in zip(got, want)), strip
 
 
@@ -189,8 +188,8 @@ def test_reused_workspaces_give_the_bits_of_fresh_ones(fresh_workspaces):
              (8, 2, None), (16, 1, 0), (8, 1, 0), (16, 0, None)]
 
     def run(K, i, j):
-        fields, N = inputs[K]
-        return _curl_product(fields[i], None if j is None else fields[j], N)
+        fields = inputs[K][0]
+        return _curl_product(fields[i], None if j is None else fields[j])
 
     reused = [run(*call) for call in calls]
     fresh = []
@@ -202,10 +201,10 @@ def test_reused_workspaces_give_the_bits_of_fresh_ones(fresh_workspaces):
 
 def test_the_product_shares_no_memory_with_its_workspace(fresh_workspaces):
     # the time loop writes f - b into the product's own array (dynamics._drive)
-    (u, v), N = _kernel_input(16, np.random.default_rng(4))
+    (u, v), _ = _kernel_input(16, np.random.default_rng(4))
     for w, n in ((None, 2), (v, 4)):
-        out = _curl_product(u, w, N)
-        assert not any(np.shares_memory(out, buf) for buf in _workspace(n, 16, N))
+        out = _curl_product(u, w)
+        assert not any(np.shares_memory(out, buf) for buf in _workspace(n, 16)[1:])
 
 
 def test_a_warm_square_allocates_less_than_one_grid_beyond_its_result(fresh_workspaces):
@@ -214,10 +213,10 @@ def test_a_warm_square_allocates_less_than_one_grid_beyond_its_result(fresh_work
     # and the read-back into the result through the spectrum's rows nothing
     (u,), N = _kernel_input(102, np.random.default_rng(5), 1)
     assert N == 320
-    _curl_product(u, None, N)
+    _curl_product(u)
     tracemalloc.start()
     try:
-        out = _curl_product(u, None, N)
+        out = _curl_product(u)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -363,7 +362,7 @@ def test_the_kernel_reads_the_block_back_with_every_bit(K, monkeypatch, fresh_wo
     (u, v), N = _kernel_input(K, np.random.default_rng(K))
     seen = _spy_on_the_spectrum(monkeypatch)
     for w in (None, v):
-        got = _curl_product(u, w, N)
+        got = _curl_product(u, w)
         assert len(seen) == 1
         assert same_bits(got, _read_back_reference(seen.pop(), K, N, w is not None)), w is None
 
@@ -377,7 +376,7 @@ def test_a_warm_product_allocates_little_beyond_its_result(call, bound_mib, fres
     (u, v), N = _kernel_input(102, np.random.default_rng(5))
     assert N == 320
     params = SpectralParams(M=102)
-    run = {"pair": lambda: _curl_product(u, v, N), "prepared": lambda: _prepared_half(u, params)}[call]
+    run = {"pair": lambda: _curl_product(u, v), "prepared": lambda: _prepared_half(u, params)}[call]
     run()
     tracemalloc.start()
     try:
@@ -388,19 +387,17 @@ def test_a_warm_product_allocates_little_beyond_its_result(call, bound_mib, fres
     assert peak - out.nbytes < bound_mib * 2**20
 
 
-@pytest.mark.parametrize("route", ["padded", "two-thirds"])
-def test_transform_routes_need_a_divergence_free_u(route):
+def test_the_two_thirds_route_needs_a_divergence_free_u():
     # the kernel computes P div(u v^T), which is B(u, v) only when div u = 0;
     # v may be any real field
     M = 9
     rng = np.random.default_rng(11)
     u, v = random_field(M, rng, divergence_free=False), random_field(M, rng, divergence_free=False)
     with pytest.raises(ValueError, match="needs a divergence-free u"):
-        bilinear_B(u, v, dealias=route)
+        bilinear_B(u, v, dealias="two-thirds")
     pu = leray_project(u)
-    mask = two_thirds_mask if route == "two-thirds" else (lambda x: x)
-    ref = mask(bilinear_B(mask(pu), mask(v), dealias="direct"))
-    assert rel(bilinear_B(pu, v, dealias=route), ref) < 1e-13
+    ref = two_thirds_mask(bilinear_B(two_thirds_mask(pu), two_thirds_mask(v), dealias="direct"))
+    assert rel(bilinear_B(pu, v, dealias="two-thirds"), ref) < 1e-13
     # the direct route takes u as it is, and differs from the projected one
     assert rel(bilinear_B(u, v, dealias="direct"), bilinear_B(pu, v, dealias="direct")) > 0.1
 
@@ -416,10 +413,12 @@ def test_smooth_size_matches_brute_force():
 
 
 def test_bilinear_B_rejects_unknown_route():
+    # "padded" is gone: the kernel chooses its own grid (spectral._workspace)
     rng = np.random.default_rng(6)
     u = random_field(4, rng)
-    with pytest.raises(ValueError, match="unknown dealias mode"):
-        bilinear_B(u, u, dealias="none")
+    for route in ("none", "padded"):
+        with pytest.raises(ValueError, match=f"unknown dealias mode '{route}'"):
+            bilinear_B(u, u, dealias=route)
 
 
 def test_trilinear_cancellation_and_skew_symmetry():
@@ -605,6 +604,26 @@ def test_the_draw_is_the_half_of_the_full_plane_stream(M, options):
     assert drawn.bit_generator.state == oracle.bit_generator.state
     u = random_field(M, np.random.default_rng(M), **options)
     assert np.array_equal(u.coeffs, got)
+
+
+def test_mode_reads_every_point_with_the_bits_of_the_stored_pair():
+    # mode reads through the one gather of a half at lattice points
+    # (spectral._gather): the stored pair at j2 >= 0, its conjugate at -j for
+    # j2 < 0, and +0 beyond the truncation, whose j2 < 0 points no conjugate
+    # may turn into -0 imaginary parts
+    M = 5
+    u = random_field(M, np.random.default_rng(9), divergence_free=False)
+    for j1 in range(-M - 2, M + 3):
+        for j2 in range(-M - 2, M + 3):
+            if max(abs(j1), abs(j2)) > M:
+                want = np.zeros(2, dtype=np.complex128)
+            elif j2 < 0:
+                want = np.conj(u.coeffs[:, M - j1, -j2])
+            else:
+                want = u.coeffs[:, j1 + M, j2]
+            got = u.mode((j1, j2))
+            assert same_bits(got, want) and got.flags.writeable, (j1, j2)
+            assert not np.shares_memory(got, u.coeffs)
 
 
 def test_a_field_stores_the_half_and_reads_the_conjugates():

@@ -29,7 +29,7 @@ from hypernse import (
     bilinear_B,
 )
 from hypernse import spectral, truncation
-from hypernse.spectral import _route_grid, wavenumbers
+from hypernse.spectral import _curl_product, _workspace, wavenumbers
 from hypernse.truncation import (
     _amplitude_scale,
     _smoothstep,
@@ -262,7 +262,7 @@ def test_f_prime_weak_form_agreement():
 
 
 def test_f_prime_routes_agree():
-    # F' on its padded route against the same composition on the direct one
+    # F' on the kernel against the same composition on the direct route
     rng = np.random.default_rng(7)
     u = transition_shell_field(rng)
     v = random_field(PARAMS.M, rng)
@@ -333,10 +333,11 @@ def test_w_gain_is_the_scaled_round_trip_on_the_shell():
 
 
 def _oracle_rel(u: FourierField, params: SpectralParams, route: str) -> float:
-    """The prepared product against bilinear_B(W(u), W(u)) on one route of
-    bilinear_B; "direct" is the oracle."""
+    """The prepared product, the kernel's square of W(u), against
+    B(W(u), W(u)) on one route: "padded" is the kernel's pair (W(u), W(u))
+    on its padded grid, "direct" bilinear_B's oracle."""
     w = apply_W(u, params)
-    ref = bilinear_B(w, w, route).coeffs
+    ref = _curl_product(w.coeffs, w.coeffs) if route == "padded" else bilinear_B(w, w, route).coeffs
     got = prepared_product(u, params).coeffs
     return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
 
@@ -367,7 +368,7 @@ def test_prepared_product_on_the_transition_shell():
 def test_prepared_product_at_the_cone_truncation():
     # the cone workload steps the block K = 102 on the grid N = 320
     params = SpectralParams(M=102)
-    assert _route_grid(102, "padded") == (102, 320)
+    assert _workspace(2, 102)[0] == 320
     u = scaled_to(random_field(102, np.random.default_rng(152), decay=4.5), 0.5)
     assert _oracle_rel(u, params, "padded") <= 1e-13
 
@@ -411,7 +412,7 @@ def test_prepared_product_is_real_and_divergence_free(M):
         b = prepared_product(scaled_to(random_field(M, rng, decay=decay), size), params)
         reality, divergence = _relative_defects(b)
         assert reality <= 1e-13 and divergence <= 1e-13
-    assert _route_grid(8, "padded") == (8, 25)
+    assert _workspace(2, 8)[0] == 25
 
 
 def test_prepared_product_keeps_the_zero_mode_at_zero_on_non_finite_input():
@@ -470,7 +471,7 @@ def test_prepared_product_moves_two_component_arrays_each_way(monkeypatch):
     # w1^2 - w2^2 come back, and the block is projected once, inside W
     params = SpectralParams(M=16)
     u = random_field(16, np.random.default_rng(6), decay=3.0)
-    moved = _count_transforms(monkeypatch, 16, _route_grid(16, "padded")[1])
+    moved = _count_transforms(monkeypatch, 16, _workspace(2, 16)[0])
     projections = []
     real_leray = spectral._leray_coeffs
 
@@ -490,7 +491,6 @@ def test_a_pair_product_moves_four_component_arrays_in_and_three_out(monkeypatch
     # T12 - T21 of T = u v^T come back
     rng = np.random.default_rng(7)
     u, v = (random_field(16, rng, decay=3.0).coeffs for _ in range(2))
-    N = _route_grid(16, "padded")[1]
-    moved = _count_transforms(monkeypatch, 16, N)
-    spectral._curl_product(u, v, N)
+    moved = _count_transforms(monkeypatch, 16, _workspace(4, 16)[0])
+    _curl_product(u, v)
     assert moved == {"forward": 3, "inverse": 4}
